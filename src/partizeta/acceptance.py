@@ -21,6 +21,7 @@ from .numerics import (
     poly_roots,
     poly_to_mpc,
     riemann_zeta,
+    working,
     zeta_even_rational,
 )
 from .partitions import PartSet
@@ -56,7 +57,7 @@ def _result(cid, description, passed, detail):
 def criterion_01(prec=PREC):
     """Three-route agreement for even parts at s=2 (pi/2), pairwise < 1e-35."""
     spec = PartSet(classes=((0, 2),))
-    with mp.workprec(prec + 40):
+    with working(prec):
         v1, _ = pzeta.euler_product(spec, mp.mpf(2), prec=prec)
         v2 = pzeta.closed_form_gamma(0, 2, 2, prec=prec)
         v3 = mp.exp(pzeta.log_eval_multiples(2, mp.mpf(2), prec=prec))
@@ -69,7 +70,7 @@ def criterion_01(prec=PREC):
 
 def criterion_02(prec=PREC):
     """Parts >= 2 at s=3 and distinct parts at s=2, closed forms to 1e-30."""
-    with mp.workprec(prec + 40):
+    with working(prec):
         v1, _ = pzeta.euler_product(PartSet(min_part=2), mp.mpf(3), prec=prec)
         r1 = 3 * mp.pi / mp.cosh(mp.pi * mp.sqrt(3) / 2)
         v2, _ = pzeta.euler_product(PartSet(distinct=True), mp.mpf(2), prec=prec)
@@ -82,7 +83,7 @@ def criterion_02(prec=PREC):
 
 def criterion_03(prec=PREC):
     """Gamma closed form against the sine/sinh identities, m in 2..6, to 1e-30."""
-    with mp.workprec(prec + 40):
+    with working(prec):
         worst = mp.mpf(0)
         for m in range(2, 7):
             c2 = pzeta.closed_form_gamma(0, m, 2, prec=prec)
@@ -168,7 +169,7 @@ def criterion_08(prec=PREC):
 
 def criterion_09(prec=PREC):
     """Moebius partial sums: zeta(2) to 1e-8 and zeta(3) to 1e-10 at K=20."""
-    with mp.workprec(prec + 40):
+    with working(prec):
         d22 = abs(pzeta.zeta_via_mobius(2, 2, 20, prec=prec) - riemann_zeta(2, prec))
         d33 = abs(pzeta.zeta_via_mobius(3, 3, 20, prec=prec) - riemann_zeta(3, prec))
         ok = d22 < mp.mpf("1e-8") and d33 < mp.mpf("1e-10")
@@ -231,7 +232,7 @@ def criterion_12(prec=PREC):
     for the verification that pins the misprint.
     """
     prof = delta_profile(prec)
-    with mp.workprec(prec + 40):
+    with working(prec):
         R = modular.period_polynomial(prof, prec)
         roots, _ = poly_roots(R, prec=prec)
         circle_dev = max(abs(abs(r) - 1) for r in roots)
@@ -262,7 +263,7 @@ def criterion_13(prec=PREC):
     Z = modular.zeta_polynomial(prof, prec)
     fe = modular.functional_eq_check(Z, prof.sign, prec)
     roots, dev = modular.rh_check(Z, prec)
-    with mp.workprec(prec + 40):
+    with working(prec):
         ords = sorted((abs(mp.im(r)) for r in roots), reverse=True)
         top5 = ords[0::2]  # conjugate pairs collapse
         odev = max(abs(t - mp.mpf(str(o))) for t, o in zip(top5, _PAPER_Z_ORDINATES))
@@ -272,9 +273,8 @@ def criterion_13(prec=PREC):
 
 
 def _synthetic_weight4(prec):
-    with mp.workprec(prec + 40):
-        lam = [mp.mpf(-1), mp.mpf(0), mp.mpf(1)]
-    return modular.LProfile(weight=4, level=11, sign=-1, lam=lam, source="synthetic")
+    return modular.LProfile(weight=4, level=11, sign=-1, lam=[mp.mpf(-1), mp.mpf(0), mp.mpf(1)],
+                            source="synthetic")
 
 
 def criterion_14(prec=PREC):
@@ -292,7 +292,7 @@ def criterion_15(prec=PREC):
     ordinates, and the asymptotic height of the largest zero."""
     H6 = modular.rv_transform([Fraction(1)] * 4)
     exact_ok = H6 == [Fraction(1), Fraction(7, 3), Fraction(1), Fraction(2, 3)]
-    with mp.workprec(prec + 40):
+    with working(prec):
         roots, _ = poly_roots(poly_to_mpc(poly_negate_var(H6), prec + 40), prec=prec)
         want = [mp.mpf(1) / 2, mp.mpc(mp.mpf(1) / 2, mp.sqrt(11) / 2),
                 mp.mpc(mp.mpf(1) / 2, -mp.sqrt(11) / 2)]

@@ -21,7 +21,7 @@ import sys
 import mpmath as mp
 
 from . import __version__, acceptance, build_id, fixedlen, modular, padic, pzeta
-from .numerics import digits_for, poly_roots
+from .numerics import digits_for, poly_roots, working
 from .partitions import DivergentPartSetError, parse_part_set
 
 EXIT_OK = 0
@@ -35,7 +35,10 @@ class RunConfig:
         self.precision_bits = args.prec
         if self.precision_bits < 64:
             raise ValueError("--prec must be at least 64")
-        self.tolerance = args.tol if args.tol is not None else 2.0 ** -200
+        # default 2^-(25 prec/32): 2^-200 at 256 bits, scaled with --prec so a
+        # log-series truncated at tol stays well inside the working precision
+        self.tolerance = (args.tol if args.tol is not None
+                          else mp.ldexp(1, -(25 * self.precision_bits // 32)))
         if not self.tolerance > 0:
             raise ValueError("--tol must be positive")
         self.fmt = args.format
@@ -47,14 +50,13 @@ class RunConfig:
             "build": build_id(),
             "version": __version__,
             "precision_bits": self.precision_bits,
-            "tolerance": repr(self.tolerance),
+            "tolerance": mp.nstr(self.tolerance, 17),
             "format": self.fmt,
         }
 
 
 def _numstr(cfg, x) -> str:
-    with mp.workprec(cfg.precision_bits):
-        return mp.nstr(mp.mpmathify(x), cfg.digits)
+    return mp.nstr(mp.mpmathify(x), cfg.digits)
 
 
 def _emit(cfg: RunConfig, payload: dict, rows_csv=None) -> None:
@@ -119,7 +121,7 @@ def _pzeta_routes_at(spec, s, wanted, cfg):
         if isinstance(out, pzeta.PoleReport):
             routes["logseries"] = out
         else:
-            with mp.workprec(cfg.precision_bits + 20):
+            with working(cfg.precision_bits):
                 routes["logseries"] = mp.exp(out)
     return routes, tails
 
@@ -134,11 +136,18 @@ def cmd_pzeta(args, cfg: RunConfig) -> int:
         print(f"divergent part set {spec.spec_string()!r}: part 1 with "
               "unbounded multiplicity", file=sys.stderr)
         return EXIT_INVALID
-    with mp.workprec(cfg.precision_bits + 20):
-        grid = sorted((mp.mpmathify(tok) for tok in args.s.split(",") if tok.strip()),
-                      key=lambda z: (mp.re(z), mp.im(z)))
+    try:
+        with working(cfg.precision_bits):
+            grid = sorted((mp.mpmathify(tok) for tok in args.s.split(",") if tok.strip()),
+                          key=lambda z: (mp.re(z), mp.im(z)))
+    except (TypeError, ValueError):
+        print(f"invalid --s {args.s!r}: expected numbers separated by commas", file=sys.stderr)
+        return EXIT_INVALID
     if not grid:
         print("no s values given", file=sys.stderr)
+        return EXIT_INVALID
+    if not all(mp.isfinite(z) for z in grid):
+        print(f"--s {args.s!r}: every s must be a finite number", file=sys.stderr)
         return EXIT_INVALID
 
     results = []
@@ -172,7 +181,7 @@ def cmd_pzeta(args, cfg: RunConfig) -> int:
             if name in tails:
                 rec["tail_bound"] = _numstr(cfg, tails[name])
             results.append(rec)
-        with mp.workprec(cfg.precision_bits + 20):
+        with working(cfg.precision_bits):
             names = [n for n in sorted(routes)
                      if not isinstance(routes[n], pzeta.PoleReport)]
             for i, ni in enumerate(names):
@@ -269,15 +278,14 @@ def cmd_modular(args, cfg: RunConfig) -> int:
                 prof = modular.LProfile.from_json(fh.read(), prec=cfg.precision_bits)
         else:
             prof = modular.build_delta_profile(prec=cfg.precision_bits)
-        with mp.workprec(cfg.precision_bits):
-            prof.validate(tol=mp.mpf(2) ** (-(cfg.precision_bits // 3)))
+        prof.validate(tol=mp.ldexp(1, -(cfg.precision_bits // 3)))
         tau = modular.tau_recursive(30)
         Z = modular.zeta_polynomial(prof, cfg.precision_bits)
         fe = modular.functional_eq_check(Z, prof.sign, cfg.precision_bits)
         roots, dev = modular.rh_check(Z, cfg.precision_bits)
         R = modular.period_polynomial(prof, cfg.precision_bits)
         rroots, rres = poly_roots(R, prec=cfg.precision_bits)
-        with mp.workprec(cfg.precision_bits):
+        with working(cfg.precision_bits):
             zres = [abs(Z(r)) for r in roots]
         gen = modular.generating_check(prof, 12, cfg.precision_bits)
     except (ValueError, ArithmeticError) as exc:
@@ -326,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="partizeta",
                                  description="partition zeta / zeta polynomial engine")
     ap.add_argument("--prec", type=int, default=256, help="working precision in bits (>= 64)")
-    ap.add_argument("--tol", type=float, default=None, help="target tolerance")
+    ap.add_argument("--tol", type=float, default=None,
+                    help="target tolerance (default 2^-(25 prec/32))")
     ap.add_argument("--out", default=None, help="write the report to this path")
     ap.add_argument("--format", choices=("json", "csv"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -20,9 +20,9 @@ import mpmath as mp
 from .numerics import (
     DEFAULT_PREC,
     TruncatedSeries,
+    guarded,
     hessenberg_det,
     riemann_zeta,
-    working,
     zeta_even_rational,
 )
 
@@ -72,17 +72,7 @@ def fixedlen_zeta(m: int, k: int, prec: int = DEFAULT_PREC):
     """
     if m < 2 or k < 0:
         raise ValueError("need m >= 2, k >= 0")
-    if k == 0:
-        with mp.workprec(prec):
-            return mp.mpf(1)
-    with working(prec, extra=16):
-        T = m * k
-        A = [mp.mpf(0)] * (T + 1)
-        for j in range(1, k + 1):
-            A[m * j] = riemann_zeta(m * j, mp.mp.prec) / j
-        val = TruncatedSeries(A, T).exp()[T]
-    with mp.workprec(prec):
-        return +val
+    return _exp_series_value(m, k, 1, prec)
 
 
 def fixedlen_zeta_exact(m: int, k: int) -> Fraction:
@@ -92,19 +82,7 @@ def fixedlen_zeta_exact(m: int, k: int) -> Fraction:
     Hessenberg determinant with entries zeta(m(j-i+1)) (k-i)!/(pi^{...}(k-j)!)
     expanded by the -1 subdiagonal, divided by k!.
     """
-    if m < 2 or m % 2:
-        raise ValueError("exact route needs even m >= 2")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return Fraction(1)
-    fact = [Fraction(math.factorial(i)) for i in range(k + 1)]
-
-    def alpha(i, j):
-        r = j - i + 1
-        return zeta_even_rational(m * r) * fact[k - i] / fact[k - j]
-
-    return hessenberg_det(alpha, k) / fact[k]
+    return _exact_determinant(m, k, 1)
 
 
 def fixedlen_zeta_exact_series(m: int, k: int) -> Fraction:
@@ -124,17 +102,7 @@ def mzv_equal_args(n: int, k: int, prec: int = DEFAULT_PREC):
     """zeta({n}^k) = (-1)^k [z^{nk}] exp(-sum_j zeta(nj)/j z^{nj})."""
     if n < 2 or k < 0:
         raise ValueError("need n >= 2, k >= 0")
-    if k == 0:
-        with mp.workprec(prec):
-            return mp.mpf(1)
-    with working(prec, extra=16):
-        T = n * k
-        A = [mp.mpf(0)] * (T + 1)
-        for j in range(1, k + 1):
-            A[n * j] = -riemann_zeta(n * j, mp.mp.prec) / j
-        val = (-1) ** k * TruncatedSeries(A, T).exp()[T]
-    with mp.workprec(prec):
-        return +val
+    return _exp_series_value(n, k, -1, prec)
 
 
 def mzv_equal_args_exact(n: int, k: int) -> Fraction:
@@ -144,20 +112,36 @@ def mzv_equal_args_exact(n: int, k: int) -> Fraction:
     pi powers are homogeneous along the expansion, so the rational factors
     separate cleanly.
     """
-    if n < 2 or n % 2:
-        raise ValueError("exact route needs even n >= 2")
-    if k == 0:
-        return Fraction(1)
+    return (-1) ** k * _exact_determinant(n, k, -1)
+
+
+@guarded(extra=16)
+def _exp_series_value(m: int, k: int, sign: int, prec: int):
+    """sign^k [y^{mk}] exp(sign * sum_j zeta(mj)/j y^{mj})."""
+    T = m * k
+    A = [mp.mpf(0)] * (T + 1)
+    for j in range(1, k + 1):
+        A[m * j] = sign * riemann_zeta(m * j, mp.mp.prec) / j
+    return sign ** k * TruncatedSeries(A, T).exp()[T]
+
+
+def _exact_determinant(m: int, k: int, sign: int) -> Fraction:
+    """(1/k!) det of the k x k Hessenberg matrix with entries
+    sign * zeta(m(j-i+1))/pi^{m(j-i+1)} (k-i)!/(k-j)! and -1 subdiagonal."""
+    if m < 2 or m % 2:
+        raise ValueError("exact route needs even m >= 2")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     fact = [Fraction(math.factorial(i)) for i in range(k + 1)]
 
-    def beta(i, j):
-        r = j - i + 1
-        return -zeta_even_rational(n * r) * fact[k - i] / fact[k - j]
+    def entry(i, j):
+        return sign * zeta_even_rational(m * (j - i + 1)) * fact[k - i] / fact[k - j]
 
-    return Fraction((-1) ** k) * hessenberg_det(beta, k) / fact[k]
+    return hessenberg_det(entry, k) / fact[k]
 
 
 # ----------------------------------------------------------------------
+@guarded()
 def mzv_bruteforce(index, bound: int, prec: int = 53):
     """Strict nested sum for zeta(m_1, ..., m_k) with n_1 <= bound.
 
@@ -174,67 +158,46 @@ def mzv_bruteforce(index, bound: int, prec: int = 53):
     if bound < k:
         raise ValueError("bound must be at least the length")
 
-    if prec <= 53:
-        G = [0.0] * (bound + 1)
-        acc = 0.0
+    num = float if prec <= 53 else mp.mpf
+    G = [num(0)] * (bound + 1)
+    acc = num(0)
+    for n in range(1, bound + 1):
+        acc += num(n) ** (-ex[-1])
+        G[n] = acc
+    for lev in range(k - 2, -1, -1):
+        acc = num(0)
+        new = [num(0)] * (bound + 1)
         for n in range(1, bound + 1):
-            acc += float(n) ** (-ex[-1])
-            G[n] = acc
-        for lev in range(k - 2, -1, -1):
-            acc = 0.0
-            new = [0.0] * (bound + 1)
-            for n in range(1, bound + 1):
-                acc += float(n) ** (-ex[lev]) * G[n - 1]
-                new[n] = acc
-            G = new
-        value = G[bound]
-        prefixes = [sum(float(n) ** (-e) for n in range(1, bound + 1)) for e in ex[1:]]
-        tail = math.prod(prefixes) * float(bound) ** (1 - ex[0]) / (ex[0] - 1)
-        return value, tail
-
-    with working(prec):
-        G = [mp.mpf(0)] * (bound + 1)
-        acc = mp.mpf(0)
-        for n in range(1, bound + 1):
-            acc += mp.mpf(n) ** (-ex[-1])
-            G[n] = acc
-        for lev in range(k - 2, -1, -1):
-            acc = mp.mpf(0)
-            new = [mp.mpf(0)] * (bound + 1)
-            for n in range(1, bound + 1):
-                acc += mp.mpf(n) ** (-ex[lev]) * G[n - 1]
-                new[n] = acc
-            G = new
-        value = G[bound]
-        tail = mp.mpf(bound) ** (1 - ex[0]) / (ex[0] - 1)
-        for e in ex[1:]:
-            tail *= mp.fsum(mp.mpf(n) ** (-e) for n in range(1, bound + 1))
-    with mp.workprec(prec):
-        return +value, +tail
+            acc += num(n) ** (-ex[lev]) * G[n - 1]
+            new[n] = acc
+        G = new
+    tail = num(bound) ** (1 - ex[0]) / (ex[0] - 1)
+    for e in ex[1:]:
+        tail *= sum(num(n) ** (-e) for n in range(1, bound + 1))
+    return G[bound], tail
 
 
+@guarded()
 def shuffle_check(s, bound: int, prec: int = DEFAULT_PREC):
     """Length-2 analytic continuation identity: the weak double sum against
     (zeta(2s) + zeta(s)^2)/2. Returns (lhs, rhs, diff, lhs_tail_estimate)."""
-    with working(prec):
-        sv = mp.mpf(s)
-        if sv <= 1:
-            raise ValueError("need s > 1")
-        rhs = (riemann_zeta(2 * sv, mp.mp.prec) + riemann_zeta(sv, mp.mp.prec) ** 2) / 2
-        # weak 2-fold nested partial sum in float when that is enough
-        sf = float(sv)
-        acc_inner = 0.0
-        lhs_f = 0.0
-        for n in range(1, bound + 1):
-            acc_inner += float(n) ** (-sf)          # H_s(n)
-            lhs_f += float(n) ** (-sf) * acc_inner  # n1 = n >= n2
-        lhs = mp.mpf(lhs_f)
-        tail = riemann_zeta(sv, mp.mp.prec) * mp.mpf(bound) ** (1 - sv) / (sv - 1)
-        diff = lhs - rhs
-    with mp.workprec(prec):
-        return +lhs, +rhs, +diff, +tail
+    sv = mp.mpf(s)
+    if sv <= 1:
+        raise ValueError("need s > 1")
+    rhs = (riemann_zeta(2 * sv, mp.mp.prec) + riemann_zeta(sv, mp.mp.prec) ** 2) / 2
+    # weak 2-fold nested partial sum in float when that is enough
+    sf = float(sv)
+    acc_inner = 0.0
+    lhs_f = 0.0
+    for n in range(1, bound + 1):
+        acc_inner += float(n) ** (-sf)          # H_s(n)
+        lhs_f += float(n) ** (-sf) * acc_inner  # n1 = n >= n2
+    lhs = mp.mpf(lhs_f)
+    tail = riemann_zeta(sv, mp.mp.prec) * mp.mpf(bound) ** (1 - sv) / (sv - 1)
+    return lhs, rhs, lhs - rhs, tail
 
 
+@guarded()
 def decoupling_check(m: int, k: int, bound: int, prec: int = DEFAULT_PREC):
     """Fixed-length value vs the sum of strict MZVs over compositions of k.
 
@@ -251,9 +214,8 @@ def decoupling_check(m: int, k: int, bound: int, prec: int = DEFAULT_PREC):
         v, t = mzv_bruteforce([a * m for a in comp], bound)
         rhs_f += v
         tails += t
-    with mp.workprec(prec):
-        rhs = mp.mpf(rhs_f)
-        return lhs, rhs, lhs - rhs, mp.mpf(tails)
+    rhs = mp.mpf(rhs_f)
+    return lhs, rhs, lhs - rhs, mp.mpf(tails)
 
 
 def length_reduction(n: int, k: int, bound: int = 1000, prec: int = DEFAULT_PREC):

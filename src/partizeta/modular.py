@@ -24,6 +24,7 @@ from .numerics import (
     DEFAULT_PREC,
     GUARD_BITS,
     binomial_poly,
+    guarded,
     incomplete_gamma_upper,
     poly_compose_one_minus_s,
     poly_eval,
@@ -186,6 +187,7 @@ def _tau(n: int) -> int:
     return _TAU_CACHE[n - 1]
 
 
+@guarded(extra=32)
 def lambda_delta(s, tol=None, prec: int = DEFAULT_PREC):
     """Completed critical value of the weight-12 level-1 form at s in [1, 11].
 
@@ -194,31 +196,27 @@ def lambda_delta(s, tol=None, prec: int = DEFAULT_PREC):
     truncation stops once the bound |tau(n)| <= n^6.5 puts the remaining sum
     under tol/100.
     """
-    with working(prec, extra=32):
-        s = mp.mpf(s)
-        if not (1 <= s <= 11):
-            raise ValueError("critical strip for weight 12 is 1 <= s <= 11")
-        if tol is None:
-            tol = mp.mpf(2) ** (-(prec - 10))
-        tol = mp.mpf(tol)
-        wp = mp.mp.prec
-        total = mp.mpf(0)
-        n = 1
-        while True:
-            x = 2 * mp.pi * n
-            term = (_tau(n) * (incomplete_gamma_upper(s, x, wp) / x ** s
-                               + incomplete_gamma_upper(12 - s, x, wp) / x ** (12 - s)))
-            total += term
-            n += 1
-            # tail: sum_{j>=n} j^6.5 * 2 * max(Gamma-factor) ~ geometric in e^-2pi
-            bound = (mp.mpf(n) ** mp.mpf(6.5) * 2 * mp.exp(-2 * mp.pi * n)
-                     * (2 * mp.pi * n) ** 10 / (1 - mp.exp(-2 * mp.pi)) * 4)
-            if bound < tol / 100:
-                break
-            if n > 200:
-                raise ArithmeticError("Lambda series did not reach the tail target")
-    with mp.workprec(prec):
-        return +total
+    s = mp.mpf(s)
+    if not (1 <= s <= 11):
+        raise ValueError("critical strip for weight 12 is 1 <= s <= 11")
+    tol = mp.ldexp(1, 10 - prec) if tol is None else mp.mpf(tol)
+    wp = mp.mp.prec
+    total = mp.mpf(0)
+    n = 1
+    while True:
+        x = 2 * mp.pi * n
+        term = (_tau(n) * (incomplete_gamma_upper(s, x, wp) / x ** s
+                           + incomplete_gamma_upper(12 - s, x, wp) / x ** (12 - s)))
+        total += term
+        n += 1
+        # tail: sum_{j>=n} j^6.5 * 2 * max(Gamma-factor) ~ geometric in e^-2pi
+        bound = (mp.mpf(n) ** mp.mpf(6.5) * 2 * mp.exp(-2 * mp.pi * n)
+                 * (2 * mp.pi * n) ** 10 / (1 - mp.exp(-2 * mp.pi)) * 4)
+        if bound < tol / 100:
+            break
+        if n > 200:
+            raise ArithmeticError("Lambda series did not reach the tail target")
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +246,7 @@ class LProfile:
         introduce phantom deviations in the stored values.
         """
         k = self.weight
-        with mp.workprec(max(mp.mp.prec, 512)):
+        with working(max(mp.mp.prec, 512)):
             for j in range(k - 1):
                 dev = abs(self.lam[j] - self.sign * self.lam[k - 2 - j])
                 if dev > tol:
@@ -262,11 +260,11 @@ class LProfile:
             if self.sign == -1 and abs(self.lam[k // 2 - 1]) > tol:
                 raise ValueError("sign -1 requires Lambda(k/2) = 0")
 
+    @guarded()
     def l_value(self, j: int, prec: int = DEFAULT_PREC):
         """Raw L(f, j) recovered from Lambda(f, j) = (sqrt N/2 pi)^j Gamma(j) L(f, j)."""
-        with working(prec):
-            factor = (mp.sqrt(self.level) / (2 * mp.pi)) ** j * mp.factorial(j - 1)
-            return self.lam[j - 1] / factor
+        factor = (mp.sqrt(self.level) / (2 * mp.pi)) ** j * mp.factorial(j - 1)
+        return self.lam[j - 1] / factor
 
     def to_json(self, digits: int = 50) -> str:
         return json.dumps({
@@ -280,7 +278,7 @@ class LProfile:
     @classmethod
     def from_json(cls, text: str, prec: int = DEFAULT_PREC) -> "LProfile":
         data = json.loads(text)
-        with mp.workprec(prec + GUARD_BITS):
+        with working(prec):
             lam = [mp.mpf(v) for v in data["lambda"]]
         return cls(weight=int(data["weight"]), level=int(data["level"]),
                    sign=int(data["sign"]), lam=lam, source=data.get("source", "file"))
@@ -290,8 +288,7 @@ def build_delta_profile(prec: int = DEFAULT_PREC, tol=None) -> LProfile:
     """Assemble the discriminant-form profile Lambda(1..11) and validate it."""
     lam = [lambda_delta(j, tol=tol, prec=prec) for j in range(1, 12)]
     prof = LProfile(weight=12, level=1, sign=1, lam=lam, source="computed")
-    with mp.workprec(prec):
-        prof.validate(tol=mp.mpf(2) ** (-(prec // 2)))
+    prof.validate(tol=mp.ldexp(1, -(prec // 2)))
     return prof
 
 
@@ -299,37 +296,34 @@ def build_delta_profile(prec: int = DEFAULT_PREC, tol=None) -> LProfile:
 def period_polynomial(prof: LProfile, prec: int = DEFAULT_PREC):
     """R_f(z) = sum_j C(k-2, j) Lambda(f, k-1-j) z^j, coefficients c_0..c_{k-2}."""
     k = prof.weight
-    with mp.workprec(prec + GUARD_BITS):
+    with working(prec):
         return [mp.mpf(math.comb(k - 2, j)) * prof.lam[k - 2 - j] for j in range(k - 1)]
 
 
+@guarded()
 def moments(prof: LProfile, m: int, prec: int = DEFAULT_PREC):
     """M_f(m) = (1/(k-2)!) sum_j C(k-2, j) Lambda(f, j+1) j^m, with 0^0 = 1."""
     if m < 0:
         raise ValueError("m must be >= 0")
     k = prof.weight
-    with working(prec):
-        total = mp.mpf(0)
-        for j in range(k - 1):
-            jm = mp.mpf(1) if (j == 0 and m == 0) else mp.mpf(j) ** m
-            total += math.comb(k - 2, j) * prof.lam[j] * jm
-        val = total / mp.factorial(k - 2)
-    with mp.workprec(prec):
-        return +val
+    total = mp.mpf(0)
+    for j in range(k - 1):
+        jm = mp.mpf(1) if (j == 0 and m == 0) else mp.mpf(j) ** m
+        total += math.comb(k - 2, j) * prof.lam[j] * jm
+    return total / mp.factorial(k - 2)
 
 
+@guarded()
 def moments_from_l_values(prof: LProfile, m: int, prec: int = DEFAULT_PREC):
     """The other displayed form: sum_j (sqrt N/2 pi)^{j+1} L(f,j+1) j^m/(k-2-j)!."""
     k = prof.weight
-    with working(prec):
-        total = mp.mpf(0)
-        for j in range(k - 1):
-            jm = mp.mpf(1) if (j == 0 and m == 0) else mp.mpf(j) ** m
-            L = prof.l_value(j + 1, mp.mp.prec)
-            total += ((mp.sqrt(prof.level) / (2 * mp.pi)) ** (j + 1) * L
-                      / mp.factorial(k - 2 - j) * jm)
-    with mp.workprec(prec):
-        return +total
+    total = mp.mpf(0)
+    for j in range(k - 1):
+        jm = mp.mpf(1) if (j == 0 and m == 0) else mp.mpf(j) ** m
+        L = prof.l_value(j + 1, mp.mp.prec)
+        total += ((mp.sqrt(prof.level) / (2 * mp.pi)) ** (j + 1) * L
+                  / mp.factorial(k - 2 - j) * jm)
+    return total
 
 
 @dataclass
@@ -350,52 +344,50 @@ def zeta_polynomial(prof: LProfile, prec: int = DEFAULT_PREC) -> ZetaPolynomial:
     Stirling numbers and binomials stay exact integers; the moments carry the
     precision.
     """
+    return ZetaPolynomial(_zeta_poly_coeffs(prof, prec), weight=prof.weight, sign=prof.sign)
+
+
+@guarded()
+def _zeta_poly_coeffs(prof: LProfile, prec: int) -> list:
     k = prof.weight
     S = stirling1_table(k - 2)[k - 2]
-    with working(prec):
-        M = [moments(prof, m, mp.mp.prec) for m in range(k - 1)]
-        coeffs = []
-        for h in range(k - 1):
-            c = mp.mpf(0)
-            for m in range(0, k - 1 - h):
-                c += math.comb(m + h, h) * S[m + h] * M[m]
-            coeffs.append(c * (-1) ** h)
-    with mp.workprec(prec):
-        return ZetaPolynomial([+c for c in coeffs], weight=k, sign=prof.sign)
+    M = [moments(prof, m, mp.mp.prec) for m in range(k - 1)]
+    coeffs = []
+    for h in range(k - 1):
+        c = mp.mpf(0)
+        for m in range(0, k - 1 - h):
+            c += math.comb(m + h, h) * S[m + h] * M[m]
+        coeffs.append(c * (-1) ** h)
+    return coeffs
 
 
+@guarded()
 def functional_eq_check(Z: ZetaPolynomial, sign: int, prec: int = DEFAULT_PREC):
     """Max coefficient residual of Z(s) - sign * Z(1-s), expanded exactly."""
-    with working(prec):
-        composed = poly_compose_one_minus_s(Z.coeffs)
-        residual = max(abs(a - sign * b) for a, b in zip(Z.coeffs, composed))
-    with mp.workprec(prec):
-        return +residual
+    composed = poly_compose_one_minus_s(Z.coeffs)
+    return max(abs(a - sign * b) for a, b in zip(Z.coeffs, composed))
 
 
+@guarded()
 def rh_check(Z: ZetaPolynomial, prec: int = DEFAULT_PREC):
     """(roots, max |Re(root) - 1/2|) over the nontrivial coefficients."""
-    with working(prec):
-        trimmed = poly_trim(Z.coeffs, rel_tol=mp.mpf(2) ** (-(prec // 2)))
+    trimmed = poly_trim(Z.coeffs, rel_tol=mp.ldexp(1, -(prec // 2)))
     roots, _ = poly_roots(trimmed, prec=prec)
-    with mp.workprec(prec):
-        dev = max(abs(mp.re(r) - mp.mpf(1) / 2) for r in roots)
-        return roots, +dev
+    return roots, max(abs(mp.re(r) - mp.mpf(1) / 2) for r in roots)
 
 
+@guarded()
 def generating_check(prof: LProfile, T: int, prec: int = DEFAULT_PREC):
     """Max |[z^n] R_f(z)/(1-z)^{k-1} - Z_f(-n)| for n <= T."""
     k = prof.weight
-    with working(prec):
-        R = period_polynomial(prof, mp.mp.prec)
-        Z = zeta_polynomial(prof, mp.mp.prec)
-        worst = mp.mpf(0)
-        for n in range(T + 1):
-            coeff = mp.fsum(R[j] * math.comb(n - j + k - 2, k - 2)
-                            for j in range(min(n, k - 2) + 1))
-            worst = max(worst, abs(coeff - Z(mp.mpf(-n))))
-    with mp.workprec(prec):
-        return +worst
+    R = period_polynomial(prof, mp.mp.prec)
+    Z = zeta_polynomial(prof, mp.mp.prec)
+    worst = mp.mpf(0)
+    for n in range(T + 1):
+        coeff = mp.fsum(R[j] * math.comb(n - j + k - 2, k - 2)
+                        for j in range(min(n, k - 2) + 1))
+        worst = max(worst, abs(coeff - Z(mp.mpf(-n))))
+    return worst
 
 
 # ----------------------------------------------------------------------
@@ -443,6 +435,7 @@ def hk_polynomial(k: int, sign: int) -> list[Fraction]:
     return poly_trim(co)
 
 
+@guarded()
 def hk_zero_solver(k: int, sign: int, prec: int = DEFAULT_PREC, tol=None,
                    largest_only: bool = False) -> list:
     """Ordinates t of the zeros 1/2 + it of H_k^{sign}(-s), by bisection.
@@ -454,33 +447,29 @@ def hk_zero_solver(k: int, sign: int, prec: int = DEFAULT_PREC, tol=None,
     """
     if k < 6 or k % 2:
         raise ValueError("need even k >= 6")
-    with working(prec):
-        if tol is None:
-            tol = mp.mpf(2) ** (-(prec // 2))
-        tol = mp.mpf(tol)
+    tol = mp.ldexp(1, -(prec // 2)) if tol is None else mp.mpf(tol)
 
-        def h(t):
-            return mp.fsum(mp.pi / 2 - mp.atan(2 * t / (2 * j + 1)) for j in range(k - 2))
+    def h(t):
+        return mp.fsum(mp.pi / 2 - mp.atan(2 * t / (2 * j + 1)) for j in range(k - 2))
 
-        if sign == -1:
-            targets = [mp.pi * i for i in range(1, k - 2)]
-        else:
-            targets = [mp.pi / 2 + mp.pi * i for i in range(0, k - 2)]
-        if largest_only:
-            targets = targets[:1]  # smallest target value = highest ordinate
-        tmax = mp.mpf((k - 2) ** 2) / mp.pi + 8
-        out = []
-        for tgt in targets:
-            lo, hi = -tmax, tmax  # h(lo) ~ (k-2) pi > tgt > 0 ~ h(hi)
-            while hi - lo > tol / 4:
-                mid = (lo + hi) / 2
-                if h(mid) > tgt:
-                    lo = mid
-                else:
-                    hi = mid
-            out.append((lo + hi) / 2)
-    with mp.workprec(prec):
-        return [+t for t in out]
+    if sign == -1:
+        targets = [mp.pi * i for i in range(1, k - 2)]
+    else:
+        targets = [mp.pi / 2 + mp.pi * i for i in range(0, k - 2)]
+    if largest_only:
+        targets = targets[:1]  # smallest target value = highest ordinate
+    tmax = mp.mpf((k - 2) ** 2) / mp.pi + 8
+    out = []
+    for tgt in targets:
+        lo, hi = -tmax, tmax  # h(lo) ~ (k-2) pi > tgt > 0 ~ h(hi)
+        while hi - lo > tol / 4:
+            mid = (lo + hi) / 2
+            if h(mid) > tgt:
+                lo = mid
+            else:
+                hi = mid
+        out.append((lo + hi) / 2)
+    return out
 
 
 def ehrhart_simplex_count(k: int, dilation: int) -> int:
@@ -509,28 +498,28 @@ def ehrhart_simplex_count(k: int, dilation: int) -> int:
     return count
 
 
+@guarded()
 def weight4_inequality_check(prof: LProfile, prec: int = DEFAULT_PREC) -> dict:
     """(N/pi^2) L(f,3)^2 >= L(f,2)^2, and its equivalence with the two roots
     of the quadratic period polynomial lying on the unit circle."""
     if prof.weight != 4:
         raise ValueError("this check is specific to weight 4")
-    with working(prec):
-        L2 = prof.l_value(2, mp.mp.prec)
-        L3 = prof.l_value(3, mp.mp.prec)
-        lhs = prof.level / mp.pi ** 2 * L3 ** 2
-        holds = bool(lhs >= L2 ** 2)
-        trivial = bool(abs(L2) < mp.mpf(2) ** (-(prec // 2)))
-        R = period_polynomial(prof, mp.mp.prec)
-        roots, _ = poly_roots(R, prec=mp.mp.prec)
-        on_circle = bool(max(abs(abs(r) - 1) for r in roots) < mp.mpf(2) ** (-(prec // 4)))
-        if holds != on_circle:
-            raise ArithmeticError("inequality and unit-circle verdicts disagree")
-        return {"holds": holds, "trivial_zero_case": trivial, "roots_on_circle": on_circle,
-                "lhs": lhs, "rhs": L2 ** 2}
+    L2 = prof.l_value(2, mp.mp.prec)
+    L3 = prof.l_value(3, mp.mp.prec)
+    lhs = prof.level / mp.pi ** 2 * L3 ** 2
+    holds = bool(lhs >= L2 ** 2)
+    trivial = bool(abs(L2) < mp.mpf(2) ** (-(prec // 2)))
+    R = period_polynomial(prof, mp.mp.prec)
+    roots, _ = poly_roots(R, prec=mp.mp.prec)
+    on_circle = bool(max(abs(abs(r) - 1) for r in roots) < mp.mpf(2) ** (-(prec // 4)))
+    if holds != on_circle:
+        raise ArithmeticError("inequality and unit-circle verdicts disagree")
+    return {"holds": holds, "trivial_zero_case": trivial, "roots_on_circle": on_circle,
+            "lhs": lhs, "rhs": L2 ** 2}
 
 
 def hausdorff_distance(A, B, prec: int = DEFAULT_PREC):
-    with mp.workprec(prec + GUARD_BITS):
+    with working(prec):
         d1 = max(min(abs(a - b) for b in B) for a in A)
         d2 = max(min(abs(a - b) for a in A) for b in B)
         return max(d1, d2)
@@ -557,16 +546,15 @@ def convergence_experiment(profiles: list[LProfile], prec: int = DEFAULT_PREC) -
     for i, prof in enumerate(profiles):
         Z = zeta_polynomial(prof, prec)
         roots, dev = rh_check(Z, prec)
-        with mp.workprec(prec):
-            max_ord = max(abs(mp.im(r)) for r in roots)
-            if not max_ord < bound:
-                raise ArithmeticError(
-                    f"ordinate bound violated: {max_ord} !< {bound} (profile {i})")
-            rows.append({
-                "profile": prof.source or f"profile-{i}",
-                "distance": hausdorff_distance(roots, href, prec),
-                "max_ordinate": +max_ord,
-                "ordinate_bound": +bound,
-                "critical_line_dev": dev,
-            })
+        max_ord = max(abs(mp.im(r)) for r in roots)
+        if not max_ord < bound:
+            raise ArithmeticError(
+                f"ordinate bound violated: {max_ord} !< {bound} (profile {i})")
+        rows.append({
+            "profile": prof.source or f"profile-{i}",
+            "distance": hausdorff_distance(roots, href, prec),
+            "max_ordinate": max_ord,
+            "ordinate_bound": bound,
+            "critical_line_dev": dev,
+        })
     return rows

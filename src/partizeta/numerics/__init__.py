@@ -1,11 +1,12 @@
-"""Shared numeric kernel: arbitrary-precision special functions, exact
-number tables, truncated power series, and polynomial root finding.
+"""Shared numeric kernel: arbitrary-precision special functions (thin
+wrappers over mpmath plus the certified Euler-Maclaurin tail), exact number
+tables, truncated power series, and polynomial root finding.
 
 High-precision reals/complexes are mpmath ``mpf``/``mpc`` values produced at
 an explicit ``prec`` (bits); exact quantities are ``fractions.Fraction``.
 """
 
-from .hp import DEFAULT_PREC, GUARD_BITS, default_tol, digits_for, working
+from .hp import DEFAULT_PREC, GUARD_BITS, digits_for, guarded, working
 from .tables import (
     bernoulli,
     bernoulli_table,
@@ -15,13 +16,12 @@ from .tables import (
     zeta_neg_int,
 )
 from .series import TruncatedSeries
-from .gamma import gamma, incomplete_gamma_upper, log_gamma
+from .gamma import incomplete_gamma_upper, log_gamma
 from .zeta import euler_bernoulli_genfunc_check, power_sum_tail, riemann_zeta
 from .bell import bell_via_determinant, bell_via_series, complete_bell, hessenberg_det
 from .poly import (
     binomial_poly,
     poly_compose_one_minus_s,
-    poly_degree,
     poly_eval,
     poly_negate_var,
     poly_to_mpc,
@@ -40,15 +40,13 @@ __all__ = [
     "bernoulli_table",
     "binomial_poly",
     "complete_bell",
-    "default_tol",
     "digits_for",
     "euler_bernoulli_genfunc_check",
-    "gamma",
+    "guarded",
     "hessenberg_det",
     "incomplete_gamma_upper",
     "log_gamma",
     "poly_compose_one_minus_s",
-    "poly_degree",
     "poly_eval",
     "poly_negate_var",
     "poly_roots",

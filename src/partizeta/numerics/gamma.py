@@ -1,136 +1,39 @@
-"""Log-gamma via Spouge's approximation and the upper incomplete gamma.
-
-Spouge with parameter a has relative error below a^{-1/2} (2 pi)^{-(a+1/2)}
-on Re z > 0, so a = ceil(0.4 prec) + 12 comfortably beats the 2^-(prec-8)
-contract. The series coefficients alternate with magnitudes up to ~2^{1.7 a},
-so the sum is evaluated with that much extra working precision. The branch of
-the result is pinned to the principal (continuous) log-gamma by rounding the
-winding number against a crude Stirling estimate, which is accurate to far
-better than pi for Re z >= 1.
+"""Log-gamma and the upper incomplete gamma, as thin wrappers over mpmath's
+``loggamma`` and ``gammainc`` that add the domain checks this package relies
+on and the guarded precision policy of ``hp``.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
 
-from .hp import DEFAULT_PREC, GUARD_BITS
-
-_coeff_cache: dict[tuple[int, int], list] = {}
+from .hp import DEFAULT_PREC, guarded
 
 
-def _spouge_a(prec: int) -> int:
-    return int(0.4 * prec) + 12
-
-
-def _spouge_coeffs(a: int, wp: int) -> list:
-    key = (a, wp)
-    got = _coeff_cache.get(key)
-    if got is not None:
-        return got
-    with mp.workprec(wp):
-        c = [mp.sqrt(2 * mp.pi)]
-        for k in range(1, a):
-            ck = (mp.mpf(-1) ** (k - 1) / mp.factorial(k - 1)
-                  * mp.mpf(a - k) ** (k - mp.mpf(1) / 2) * mp.exp(a - k))
-            c.append(ck)
-    _coeff_cache[key] = c
-    return c
-
-
+@guarded()
 def log_gamma(z, prec: int = DEFAULT_PREC):
     """Principal branch of log Gamma(z) for Re z > 0 (poles rejected).
 
     Relative error below 2^-(prec-8). Arguments with Re z <= 0 on the real
     axis at nonpositive integers are poles; other Re z <= 0 arguments are out
-    of the supported domain (nothing in this package needs them).
+    of the supported domain (nothing in this package needs them). Real input
+    (including complex input with zero imaginary part) gives a real result.
     """
-    a = _spouge_a(prec)
-    wp = prec + int(1.8 * a) + GUARD_BITS
-    with mp.workprec(wp):
-        z = mp.mpmathify(z)
-        real_input = mp.im(z) == 0
-        if real_input and mp.re(z) <= 0 and z == mp.floor(z):
+    z = mp.mpmathify(z)
+    if mp.im(z) == 0:
+        z = mp.re(z)
+        if z <= 0 and z == mp.floor(z):
             raise ValueError(f"log_gamma pole at {z}")
-        if mp.re(z) <= 0:
-            raise ValueError("log_gamma supports Re z > 0 only")
-        # shift into Re w >= 1 where the approximation is stable
-        shift = 0
-        w = z
-        while mp.re(w) < 1:
-            shift += 1
-            w = z + shift
-        c = _spouge_coeffs(a, wp)
-        s = mp.mpf(c[0]) if real_input else mp.mpc(c[0])
-        for k in range(1, a):
-            s += c[k] / (w - 1 + k)
-        res = (w - mp.mpf(1) / 2) * mp.log(w - 1 + a) - (w - 1 + a) + mp.log(s)
-        if not real_input:
-            # pin the branch: Stirling estimate is well within pi of the truth
-            est = (w - mp.mpf(1) / 2) * mp.log(w) - w + mp.log(2 * mp.pi) / 2 + 1 / (12 * w)
-            wind = mp.nint((mp.im(est) - mp.im(res)) / (2 * mp.pi))
-            if wind:
-                res += 2j * mp.pi * wind
-        for i in range(shift):
-            res -= mp.log(z + i)
-    with mp.workprec(prec):
-        if real_input:
-            return +mp.re(res)
-        return +res
+    if mp.re(z) <= 0:
+        raise ValueError("log_gamma supports Re z > 0 only")
+    return mp.loggamma(z)
 
 
-def gamma(z, prec: int = DEFAULT_PREC):
-    """Gamma(z) = exp(log_gamma(z)), Re z > 0."""
-    with mp.workprec(prec + GUARD_BITS):
-        g = mp.exp(log_gamma(z, prec + GUARD_BITS))
-    with mp.workprec(prec):
-        return +g
-
-
+@guarded()
 def incomplete_gamma_upper(s, x, prec: int = DEFAULT_PREC):
-    """Gamma(s, x) = int_x^inf t^{s-1} e^-t dt for real s, x > 0.
-
-    Continued fraction (modified Lentz) for x > s + 1, else Gamma(s) minus the
-    lower-gamma power series; both converge at full working precision here.
-    """
-    with mp.workprec(prec + GUARD_BITS):
-        s = mp.mpf(s)
-        x = mp.mpf(x)
-        if x <= 0:
-            raise ValueError("incomplete_gamma_upper wants x > 0")
-        stop = mp.mpf(2) ** (-(prec + GUARD_BITS // 2))
-        if x > s + 1:
-            tiny = mp.mpf(2) ** (-2 * (prec + GUARD_BITS))
-            b = x + 1 - s
-            C = 1 / tiny
-            D = 1 / b
-            f = D
-            for i in range(1, 100000):
-                an = -i * (i - s)
-                b += 2
-                D = b + an * D
-                if D == 0:
-                    D = tiny
-                C = b + an / C
-                if C == 0:
-                    C = tiny
-                D = 1 / D
-                delta = C * D
-                f *= delta
-                if abs(delta - 1) < stop:
-                    break
-            res = mp.exp(-x + s * mp.log(x)) * f
-        else:
-            # gamma(s,x) lower series: x^s e^-x sum_n x^n / (s (s+1) ... (s+n))
-            tot = mp.mpf(0)
-            term = 1 / s
-            n = 0
-            while True:
-                tot += term
-                n += 1
-                term *= x / (s + n)
-                if abs(term) < abs(tot) * stop:
-                    break
-            lower = mp.exp(-x + s * mp.log(x)) * tot
-            res = mp.exp(log_gamma(s, prec + GUARD_BITS)) - lower
-    with mp.workprec(prec):
-        return +res
+    """Gamma(s, x) = int_x^inf t^{s-1} e^-t dt for real s, x > 0."""
+    s = mp.mpf(s)
+    x = mp.mpf(x)
+    if x <= 0:
+        raise ValueError("incomplete_gamma_upper wants x > 0")
+    return mp.gammainc(s, x)

@@ -2,7 +2,8 @@
 
 Polynomials are plain coefficient lists c_0..c_n (lowest degree first), over
 Fraction (PolyQ convention) or mpf/mpc (PolyC convention). Evaluation is
-Horner; nothing here owns precision, callers manage contexts.
+Horner; only ``poly_to_mpc`` sets a precision, the rest runs in the caller's
+context.
 """
 
 from __future__ import annotations
@@ -12,19 +13,14 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from .hp import guarded
+
 
 def poly_eval(coeffs, x):
     acc = x * 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def poly_degree(coeffs):
-    for i in range(len(coeffs) - 1, -1, -1):
-        if coeffs[i] != 0:
-            return i
-    return -1
 
 
 def poly_trim(coeffs, rel_tol=None):
@@ -74,12 +70,8 @@ def binomial_poly(shift: int, e: int) -> list[Fraction]:
     return [c / f for c in co]
 
 
+@guarded()
 def poly_to_mpc(coeffs, prec: int):
-    with mp.workprec(prec):
-        out = []
-        for c in coeffs:
-            if isinstance(c, Fraction):
-                out.append(mp.mpf(c.numerator) / c.denominator)
-            else:
-                out.append(mp.mpmathify(c))
-        return out
+    """The coefficients as mpmath numbers rounded to prec bits."""
+    return [mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction)
+            else mp.mpmathify(c) for c in coeffs]

@@ -1,91 +1,57 @@
-"""Simultaneous polynomial root finding (Aberth-Ehrlich).
+"""Polynomial roots: mpmath's ``polyroots`` (Durand-Kerner) with a residual
+contract and a stable order.
 
-All roots are refined together from a deterministic perturbed-circle start,
-so repeated runs order roots identically. Residuals |p(root)| are checked
-against 2^-(prec/2) times the coefficient sup norm; non-convergence raises
-``RootFindingError`` carrying the partial results.
+Roots come back as ``mpc``, sorted by real part rounded to 2^-(prec/2) and
+then by imaginary part, so conjugate pairs on a common vertical line (the
+critical line Re = 1/2, say) always list the lower root first. Residuals
+|p(root)| are checked against 2^-(prec/2) times the coefficient sup norm;
+non-convergence and a broken contract raise ``RootFindingError``. Double
+roots converge; roots of multiplicity three or more do not.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
 
-from .hp import DEFAULT_PREC
-from .poly import poly_eval, poly_trim
+from .hp import DEFAULT_PREC, guarded
+from .poly import poly_eval, poly_to_mpc, poly_trim
 
 
 class RootFindingError(ArithmeticError):
-    def __init__(self, message, roots=None, residuals=None):
-        super().__init__(message)
-        self.roots = roots or []
-        self.residuals = residuals or []
+    pass
 
 
+@guarded()
 def poly_roots(coeffs, prec: int = DEFAULT_PREC, max_iterations: int = 400):
     """All complex roots of c_0 + c_1 z + ... + c_n z^n, degree >= 1.
 
-    Returns roots sorted by (Re, Im). Residual contract:
-    |p(root)| <= 2^-(prec/2) * max|c_i| for every root.
+    Returns (roots, residuals) in the order described above. Residual
+    contract: |p(root)| <= 2^-(prec/2) * max|c_i| for every root.
     """
     coeffs = poly_trim(list(coeffs))
     n = len(coeffs) - 1
     if n < 1:
         raise ValueError("poly_roots wants degree >= 1")
     # extra headroom: evaluation at |z| ~ R loses ~ n log2 R bits
-    with mp.workprec(2 * prec + 8 * n + 64):
-        co = [mp.mpc(c.numerator) / c.denominator if hasattr(c, "numerator") and hasattr(c, "denominator")
-              else mp.mpc(c) for c in coeffs]
-        lead = co[-1]
-        # Fujiwara root bound: all roots inside max_k 2 |c_{n-k}/c_n|^{1/k}
-        radius = max(2 * (abs(co[n - k] / lead)) ** (mp.mpf(1) / k)
-                     for k in range(1, n + 1))
-        radius = max(mp.mpf(1), radius)
-        dco = [i * c for i, c in enumerate(co)][1:]
-        # deterministic perturbed circle: offset angles break symmetry traps
-        roots = [radius * mp.expjpi(mp.mpf(2 * k + 1) / n + mp.mpf(1) / (3 * n + 1))
-                 for k in range(n)]
-        target = mp.mpf(2) ** (-(prec + 8))
-        converged = False
-        for _ in range(max_iterations):
-            moved = mp.mpf(0)
-            new_roots = []
-            for i, z in enumerate(roots):
-                p = poly_eval(co, z)
-                if p == 0:
-                    new_roots.append(z)
-                    continue
-                dp = poly_eval(dco, z)
-                if dp == 0:
-                    new_roots.append(z + mp.mpf(2) ** (-prec // 4) * (1 + abs(z)))
-                    moved = max(moved, mp.mpf(1))
-                    continue
-                ratio = p / dp
-                ssum = mp.fsum((1 / (z - zj) for j, zj in enumerate(roots) if j != i),
-                               absolute=False)
-                denom = 1 - ratio * ssum
-                w = ratio if denom == 0 else ratio / denom
-                new_roots.append(z - w)
-                moved = max(moved, abs(w) / (1 + abs(z)))
-            roots = new_roots
-            if moved < target:
-                converged = True
-                break
-        norm = max(abs(c) for c in co)
+    wp = 2 * prec + 8 * n + 64
+    co = poly_to_mpc(coeffs, wp)
+    # polyroots iterates at wp but stops once every correction is below the
+    # eps of the calling context, 2^-(prec+24). A double root stalls near
+    # 2^-(wp/2), below that stop; simple roots converge quadratically past it.
+    with mp.workprec(prec + 24):
+        try:
+            roots = mp.polyroots(co[::-1], maxsteps=max_iterations,
+                                 extraprec=wp - prec - 24)
+        except mp.libmp.NoConvergence as exc:
+            raise RootFindingError(f"polyroots did not converge: {exc}") from exc
+    with mp.workprec(wp):
+        roots = [mp.mpc(z) for z in roots]
         residuals = [abs(poly_eval(co, z)) for z in roots]
-        res_bound = mp.mpf(2) ** (-(prec // 2)) * norm
-        ordered = sorted(zip(roots, residuals), key=lambda t: (mp.re(t[0]), mp.im(t[0])))
-        roots = [r for r, _ in ordered]
-        residuals = [e for _, e in ordered]
-        if not converged or any(e > res_bound for e in residuals):
-            raise RootFindingError(
-                f"Aberth iteration did not meet the residual contract "
-                f"(worst {max(residuals)}, bound {res_bound})",
-                roots=[_round(z, prec) for z in roots],
-                residuals=[_round(e, prec) for e in residuals],
-            )
-    return [_round(z, prec) for z in roots], [_round(e, prec) for e in residuals]
-
-
-def _round(z, prec):
-    with mp.workprec(prec):
-        return +z
+        bound = mp.ldexp(max(abs(c) for c in co), -(prec // 2))
+    worst = max(residuals)
+    if worst > bound:
+        raise RootFindingError(
+            f"roots miss the residual contract (worst {worst}, bound {bound})")
+    order = sorted(range(n), key=lambda i: (mp.nint(mp.ldexp(roots[i].real, prec // 2)),
+                                            roots[i].imag))
+    return [roots[i] for i in order], [residuals[i] for i in order]

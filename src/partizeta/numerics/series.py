@@ -27,10 +27,6 @@ class TruncatedSeries:
         self.order = order
 
     @classmethod
-    def zero(cls, order, domain=Fraction):
-        return cls([domain(0)], order)
-
-    @classmethod
     def one(cls, order, domain=Fraction):
         return cls([domain(1)], order)
 

@@ -1,37 +1,25 @@
-"""Riemann/Hurwitz-type zeta sums by Euler-Maclaurin, with certified tails.
+"""The Riemann zeta function and certified power-sum tails.
 
-The one engine here is ``power_sum_tail``: sum_{i >= N} (i + c)^{-w} with an
-explicit remainder bound. ``riemann_zeta`` specializes it at c = 0 and adds
-the exact integer paths; the restricted-part-set Euler products reuse it for
-their congruence-class tails.
+``riemann_zeta`` wraps mpmath's ``zeta`` (analytic continuation included)
+with the pole rejections this package relies on. ``power_sum_tail`` is the
+one Euler-Maclaurin engine: sum_{i >= N} (i + c)^{-w} with an explicit
+remainder bound, which the restricted-part-set Euler products use for their
+congruence-class tails.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
 
-from .hp import DEFAULT_PREC, GUARD_BITS
-from .tables import bernoulli_table, zeta_even_rational, zeta_neg_int
+from .hp import DEFAULT_PREC, guarded
 from .series import TruncatedSeries
-
-_bern_mpf: list = []
-_bern_prec = 0
-_int_zeta_cache: dict[int, tuple[int, object]] = {}
+from .tables import zeta_neg_int
 
 
-def _bernoulli_mpf(n: int, wp: int) -> list:
-    global _bern_mpf, _bern_prec
-    if _bern_prec >= wp and len(_bern_mpf) > n:
-        return _bern_mpf
-    exact = bernoulli_table(max(n, 64))
-    with mp.workprec(wp + 20):
-        _bern_mpf = [mp.mpf(b.numerator) / b.denominator for b in exact]
-    _bern_prec = wp
-    return _bern_mpf
-
-
+@guarded()
 def power_sum_tail(w, c, N: int, prec: int = DEFAULT_PREC):
     """(value, bound) for sum_{i=N}^{inf} (i+c)^{-w}, Re(w) > 1, c >= 0.
 
@@ -39,105 +27,41 @@ def power_sum_tail(w, c, N: int, prec: int = DEFAULT_PREC):
     correction terms (first omitted term times the standard complex factor),
     not arithmetic rounding, which the guard bits absorb.
     """
-    with mp.workprec(prec + GUARD_BITS):
-        w = mp.mpmathify(w)
-        if mp.re(w) <= 1:
-            raise ValueError("power_sum_tail wants Re(w) > 1")
-        V = max(8, (prec + 40) // 6)
-        # the correction series is asymptotic: terms shrink only while
-        # 2v < 2 pi x0, so push the expansion point out past ~V first
-        N_eff = max(N, V + 2 + int(abs(mp.im(w)) / 4))
-        head = mp.mpf(0)
-        if N_eff > N:
-            if mp.im(w) == 0:
-                head = mp.fsum((n + mp.mpf(c)) ** (-w) for n in range(N, N_eff))
-            else:
-                head = mp.fsum(mp.mpc(n + mp.mpf(c)) ** (-w) for n in range(N, N_eff))
-        B = _bernoulli_mpf(2 * V + 2, prec + GUARD_BITS)
-        x0 = N_eff + mp.mpf(c)
-        res = x0 ** (1 - w) / (w - 1) + x0 ** (-w) / 2
-        rising = w  # (w)_{2v-1} for v = 1
-        for v in range(1, V + 1):
-            res += B[2 * v] / mp.factorial(2 * v) * rising * x0 ** (-w - 2 * v + 1)
-            rising = rising * (w + 2 * v - 1) * (w + 2 * v)
-        nxt = abs(B[2 * V + 2] / mp.factorial(2 * V + 2) * rising * x0 ** (-w - 2 * V - 1))
-        corr = abs((w + 2 * V + 1) / (mp.re(w) + 2 * V + 1))
-        bound = nxt * (corr + 1)
-        res = res + head
-    with mp.workprec(prec):
-        return +res, +bound
+    w = mp.mpmathify(w)
+    if mp.re(w) <= 1:
+        raise ValueError("power_sum_tail wants Re(w) > 1")
+    V = max(8, (prec + 40) // 6)
+    # the correction series is asymptotic: terms shrink only while
+    # 2v < 2 pi x0, so push the expansion point out past ~V first
+    N_eff = max(N, V + 2 + int(abs(mp.im(w)) / 4))
+    head = mp.fsum((n + mp.mpf(c)) ** (-w) for n in range(N, N_eff))
+    x0 = N_eff + mp.mpf(c)
+    res = x0 ** (1 - w) / (w - 1) + x0 ** (-w) / 2
+    rising = w  # (w)_{2v-1} for v = 1
+    for v in range(1, V + 1):
+        res += mp.bernoulli(2 * v) / mp.factorial(2 * v) * rising * x0 ** (-w - 2 * v + 1)
+        rising = rising * (w + 2 * v - 1) * (w + 2 * v)
+    nxt = abs(mp.bernoulli(2 * V + 2) / mp.factorial(2 * V + 2) * rising
+              * x0 ** (-w - 2 * V - 1))
+    corr = abs((w + 2 * V + 1) / (mp.re(w) + 2 * V + 1))
+    return res + head, nxt * (corr + 1)
 
 
+@guarded()
 def riemann_zeta(s, prec: int = DEFAULT_PREC):
-    """zeta(s) to relative error 2^-(prec-8).
-
-    Exact paths: positive even integers (rational multiple of pi^s via
-    Bernoulli numbers) and nonpositive integers (-B_{n+1}/(n+1); zeta(0) is
-    -1/2). Everything else goes through Euler-Maclaurin, which also provides
-    the analytic continuation left of Re(s) = 1 that the meromorphic-extension
-    experiment needs (the pole s = 1 is rejected).
+    """zeta(s) to relative error 2^-(prec-8), including the analytic
+    continuation left of Re(s) = 1 that the meromorphic-extension experiment
+    needs. The pole s = 1 and arguments within 2^-(prec/2) of it are
+    rejected. Real input gives a real result.
     """
-    with mp.workprec(prec + GUARD_BITS):
-        s = mp.mpmathify(s)
-        if mp.im(s) == 0:
-            sr = mp.re(s)
-            if sr == 1:
-                raise ValueError("zeta pole at s=1")
-            if sr == mp.floor(sr):
-                n = int(sr)
-                if n <= 0:
-                    q = zeta_neg_int(-n)
-                    return _to_mpf(q, prec)
-                if n % 2 == 0:
-                    q = zeta_even_rational(n)
-                    with mp.workprec(prec + GUARD_BITS):
-                        val = mp.mpf(q.numerator) / q.denominator * mp.pi ** n
-                    with mp.workprec(prec):
-                        return +val
-                cached = _int_zeta_cache.get(n)
-                if cached is not None and cached[0] >= prec:
-                    with mp.workprec(prec):
-                        return +cached[1]
-            s = sr
-        if abs(s - 1) < mp.mpf(2) ** (-(prec // 2)):
-            raise ValueError("zeta evaluated too close to the pole s=1")
-        if mp.re(s) < -2:
-            # non-integer this far left is never needed; integers took the exact path
-            raise ValueError("riemann_zeta: non-integer argument left of Re(s) = -2")
-        N = max(10, int(0.4 * prec) + int(abs(mp.im(s))) + 8)
-        if mp.im(s) == 0:
-            head = mp.fsum(mp.mpf(n) ** (-s) for n in range(1, N))
-        else:
-            head = mp.fsum(mp.mpc(n) ** (-s) for n in range(1, N))
-        # E-M needs Re(w) > 1 only for the closed-form integral piece to be a
-        # tail of a convergent sum; as an asymptotic expansion it continues
-        # analytically, so reuse the engine without the domain gate.
-        tail = _em_tail_unchecked(s, N, prec)
-        res = head + tail
-        if mp.im(s) == 0 and mp.re(s) == mp.floor(mp.re(s)):
-            n = int(mp.re(s))
-            if n > 1:  # odd integers recur (even/nonpositive never reach here)
-                _int_zeta_cache[n] = (prec, res)
-    with mp.workprec(prec):
-        return +res
-
-
-def _em_tail_unchecked(w, N: int, prec: int):
-    with mp.workprec(prec + GUARD_BITS):
-        V = max(8, (prec + 40) // 6)
-        B = _bernoulli_mpf(2 * V + 2, prec + GUARD_BITS)
-        x0 = mp.mpf(N)
-        res = x0 ** (1 - w) / (w - 1) + x0 ** (-w) / 2
-        rising = w
-        for v in range(1, V + 1):
-            res += B[2 * v] / mp.factorial(2 * v) * rising * x0 ** (-w - 2 * v + 1)
-            rising = rising * (w + 2 * v - 1) * (w + 2 * v)
-        return res
-
-
-def _to_mpf(q: Fraction, prec: int):
-    with mp.workprec(prec):
-        return mp.mpf(q.numerator) / q.denominator
+    s = mp.mpmathify(s)
+    if mp.im(s) == 0:
+        s = mp.re(s)
+        if s == 1:
+            raise ValueError("zeta pole at s=1")
+    if abs(s - 1) < mp.ldexp(1, -(prec // 2)):
+        raise ValueError("zeta evaluated too close to the pole s=1")
+    return mp.zeta(s)
 
 
 def euler_bernoulli_genfunc_check(T: int) -> bool:
@@ -148,8 +72,6 @@ def euler_bernoulli_genfunc_check(T: int) -> bool:
     """
     if T < 2:
         raise ValueError("need T >= 2")
-    import math
-
     # (1 - e^-t)/t = sum_j (-1)^j t^j / (j+1)!
     denom = TruncatedSeries([Fraction((-1) ** j, math.factorial(j + 1)) for j in range(T + 1)], T)
     g = denom.reciprocal()

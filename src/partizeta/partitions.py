@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .numerics import TruncatedSeries, working
+from .numerics import TruncatedSeries, guarded
 
 UNBOUNDED = None
 
@@ -292,6 +292,7 @@ def product_sum_expand(f, T: int) -> TruncatedSeries:
 
 
 # -- brute-force zeta oracle ---------------------------------------------
+@guarded()
 def brute_zeta(constraints: PartSet, s, part_bound: int, length_bound: int,
                prec: int = 53):
     """sum n_lambda^{-s} over constrained partitions with parts <= part_bound
@@ -340,11 +341,8 @@ def brute_zeta(constraints: PartSet, s, part_bound: int, length_bound: int,
     if prec <= 53:
         sf = float(s)
         return run(lambda p: float(p) ** (-sf), 0.0, 1.0), note
-    with working(prec):
-        sm = mp.mpmathify(s)
-        val = run(lambda p: mp.mpf(p) ** (-sm), mp.mpf(0), mp.mpf(1))
-    with mp.workprec(prec):
-        return +val, note
+    sm = mp.mpmathify(s)
+    return run(lambda p: mp.mpf(p) ** (-sm), mp.mpf(0), mp.mpf(1)), note
 
 
 def multiplicative_partition_count(n: int, constraints: PartSet) -> int:

@@ -27,10 +27,10 @@ from .numerics import (
     DEFAULT_PREC,
     GUARD_BITS,
     TruncatedSeries,
+    guarded,
     log_gamma,
     power_sum_tail,
     riemann_zeta,
-    working,
 )
 from .partitions import DivergentPartSetError, PartSet, multiplicative_partition_count
 
@@ -50,9 +50,6 @@ class CongruenceClassSpec:
         if self.a == 0 and self.m == 1:
             raise ValueError("a=0, m=1 diverges (all parts, including 1)")
 
-    def part_set(self) -> PartSet:
-        return PartSet(classes=((self.a, self.m),))
-
 
 @dataclass(frozen=True)
 class PoleReport:
@@ -66,6 +63,7 @@ def _e(x):
 
 
 # ----------------------------------------------------------------------
+@guarded()
 def euler_product(spec: PartSet, s, tol=None, prec: int = DEFAULT_PREC):
     """prod_{k in M} (1 - k^-s)^{-1}, or prod (1 + k^-s) for distinct parts.
 
@@ -76,56 +74,53 @@ def euler_product(spec: PartSet, s, tol=None, prec: int = DEFAULT_PREC):
     (returned bound) collects the E-M bounds plus the geometric remainder of
     the j-series; it must come out below tol.
     """
-    with working(prec):
-        s = mp.mpmathify(s)
-        sigma = mp.re(s)
-        if sigma <= 1:
-            raise ValueError("euler_product needs Re(s) > 1")
-        if spec.is_divergent_for_zeta():
-            raise DivergentPartSetError(f"part set {spec.spec_string()} diverges")
-        if tol is None:
-            tol = mp.mpf(2) ** (-(prec - 12))
-        tol = mp.mpf(tol)
-        ones = spec.ones_factor()
-        # the accelerated tail converges geometrically in j, so a modest cutoff
-        # suffices; it only must clear every non-congruence irregularity
-        K = max(64, spec.tail_start() + 1)
-        # finite part over parts in (1, K]
-        log_total = mp.mpf(0) if mp.im(s) == 0 else mp.mpc(0)
-        for k in spec.parts_upto(K):
-            if k == 1:
-                continue  # folded into ones_factor
-            x = mp.mpf(k) ** (-s) if mp.im(s) == 0 else mp.mpc(k) ** (-s)
-            log_total += mp.log(1 + x) if spec.distinct else -mp.log(1 - x)
-        # accelerated tail over k > K
-        M, residues = spec.tail_classes(K)
-        err_budget = mp.mpf(0)
-        if M is not None:
-            jmax = max(4, int(mp.ceil((prec + 60) / (sigma * mp.log(K, 2)))) + 1)
-            for j in range(1, jmax + 1):
-                w = s * j
-                inner = mp.mpf(0) if mp.im(s) == 0 else mp.mpc(0)
-                for r in residues:
-                    # members > K congruent to r mod M: first is K+((r-K) mod M or M)
-                    step = (r - K) % M
-                    first = K + (step if step else M)
-                    i0 = (first - r) // M  # first = r + M*i0
-                    val, bnd = power_sum_tail(w, mp.mpf(r) / M, i0, prec + GUARD_BITS)
-                    inner += val * mp.mpf(M) ** (-w)
-                    err_budget += bnd * mp.mpf(M) ** (-mp.re(w))
-                sign = (-1) ** (j + 1) if spec.distinct else 1
-                log_total += sign * inner / j
-            # remainder of the j-series: sum_{k>K} k^{-j sigma} <= K^{1-j sigma}/(j sigma - 1)
-            rem = (mp.mpf(K) ** (1 - (jmax + 1) * sigma)
-                   / (((jmax + 1) * sigma - 1) * (1 - mp.mpf(K) ** (-sigma))))
-            err_budget += rem
-        if err_budget > tol:
-            raise ArithmeticError(f"tail certificate {err_budget} exceeds tol {tol}")
-        value = ones * mp.exp(log_total)
-    with mp.workprec(prec):
-        return +value, +err_budget
+    s = mp.mpmathify(s)
+    sigma = mp.re(s)
+    if sigma <= 1:
+        raise ValueError("euler_product needs Re(s) > 1")
+    if spec.is_divergent_for_zeta():
+        raise DivergentPartSetError(f"part set {spec.spec_string()} diverges")
+    tol = mp.ldexp(1, 12 - prec) if tol is None else mp.mpf(tol)
+    ones = spec.ones_factor()
+    # the accelerated tail converges geometrically in j, so a modest cutoff
+    # suffices; it only must clear every non-congruence irregularity
+    K = max(64, spec.tail_start() + 1)
+    # finite part over parts in (1, K]
+    log_total = mp.mpf(0) if mp.im(s) == 0 else mp.mpc(0)
+    for k in spec.parts_upto(K):
+        if k == 1:
+            continue  # folded into ones_factor
+        x = mp.mpf(k) ** (-s) if mp.im(s) == 0 else mp.mpc(k) ** (-s)
+        log_total += mp.log(1 + x) if spec.distinct else -mp.log(1 - x)
+    # accelerated tail over k > K
+    M, residues = spec.tail_classes(K)
+    err_budget = mp.mpf(0)
+    if M is not None:
+        jmax = max(4, int(mp.ceil((prec + 60) / (sigma * mp.log(K, 2)))) + 1)
+        for j in range(1, jmax + 1):
+            w = s * j
+            inner = mp.mpf(0) if mp.im(s) == 0 else mp.mpc(0)
+            for r in residues:
+                # members > K congruent to r mod M: first is K+((r-K) mod M or M)
+                step = (r - K) % M
+                first = K + (step if step else M)
+                i0 = (first - r) // M  # first = r + M*i0
+                val, bnd = power_sum_tail(w, mp.mpf(r) / M, i0, prec + GUARD_BITS)
+                inner += val * mp.mpf(M) ** (-w)
+                err_budget += bnd * mp.mpf(M) ** (-mp.re(w))
+            sign = (-1) ** (j + 1) if spec.distinct else 1
+            log_total += sign * inner / j
+        # remainder of the j-series: sum_{k>K} k^{-j sigma} <= K^{1-j sigma}/(j sigma - 1)
+        rem = (mp.mpf(K) ** (1 - (jmax + 1) * sigma)
+               / (((jmax + 1) * sigma - 1) * (1 - mp.mpf(K) ** (-sigma))))
+        err_budget += rem
+    if err_budget > tol:
+        raise ArithmeticError(f"tail certificate {err_budget} exceeds tol {tol}")
+    value = ones * mp.exp(log_total)
+    return value, err_budget
 
 
+@guarded(extra=32)
 def closed_form_gamma(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
     """Gamma(1+a/m)^{-n} prod_{r=0}^{n-1} Gamma(1 + (a - e(r/n))/m), n >= 2.
 
@@ -136,22 +131,19 @@ def closed_form_gamma(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
     CongruenceClassSpec(a, m)
     if n < 2:
         raise ValueError("closed form needs n >= 2")
-    with working(prec, extra=32):
-        wp = mp.mp.prec
-        acc = mp.mpc(0)
-        for r in range(n):
-            z = 1 + (a - _e(mp.mpf(r) / n)) / m
-            if mp.im(z) == 0 and mp.re(z) <= 0:
-                raise ArithmeticError("gamma argument hit a pole (cannot occur for valid specs)")
-            acc += log_gamma(z, wp)
-        acc -= n * log_gamma(1 + mp.mpf(a) / m, wp)
-        val = mp.exp(acc)
-        if abs(mp.im(val)) > mp.mpf(2) ** (-(prec // 2)) * (1 + abs(val)):
-            raise ArithmeticError(f"imaginary residue {mp.im(val)} too large")
-    with mp.workprec(prec):
-        return +mp.re(val)
+    wp = mp.mp.prec
+    acc = mp.mpc(0)
+    for r in range(n):
+        z = 1 + (a - _e(mp.mpf(r) / n)) / m
+        acc += log_gamma(z, wp)
+    acc -= n * log_gamma(1 + mp.mpf(a) / m, wp)
+    val = mp.exp(acc)
+    if abs(mp.im(val)) > mp.mpf(2) ** (-(prec // 2)) * (1 + abs(val)):
+        raise ArithmeticError(f"imaginary residue {mp.im(val)} too large")
+    return mp.re(val)
 
 
+@guarded(extra=32)
 def log_eval_general(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
     """log zeta over {a+m, a+2m, ...} at n, via the log-gamma expansion.
 
@@ -163,34 +155,29 @@ def log_eval_general(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
     CongruenceClassSpec(a, m)
     if m < 2 or n < 2:
         raise ValueError("log_eval_general needs m, n >= 2")
-    with working(prec, extra=32):
-        zs = [(a - _e(mp.mpf(r) / n)) / m for r in range(n)]
-        zmax = max(abs(z) for z in zs)
-        if zmax >= 2:
-            raise ValueError(f"|a - e(r/n)|/m reaches {zmax} >= 2: expansion diverges")
-        for z in zs:
-            if mp.im(z) == 0 and mp.re(1 + z) <= 0:
-                raise ArithmeticError("branch-cut violation (cannot occur for valid specs)")
-        am = mp.mpf(a) / m
-        total = n * mp.log(1 + am) - mp.fsum(mp.log(1 + z) for z in zs)
-        # series terms: (zeta(k)-1) ~ 2^-k, z^k <= zmax^k
-        ratio = zmax / 2 if zmax > 1 else mp.mpf(1) / 2
-        kmax = int(mp.ceil((prec + 60) / -mp.log(ratio, 2))) + 4
-        acc = mp.mpc(0)
-        for k in range(2, kmax + 1):
-            zk = riemann_zeta(k, mp.mp.prec) - 1
-            if zk == 0:
-                continue
-            ssum = mp.fsum((z ** k for z in zs), absolute=False) - n * am ** k
-            acc += (-1) ** k * zk * ssum / k
-        total += acc
-        if abs(mp.im(total)) > mp.mpf(2) ** (-(prec // 2)) * (1 + abs(total)):
-            raise ArithmeticError(f"imaginary residue {mp.im(total)} too large")
-        total = mp.re(total)
-    with mp.workprec(prec):
-        return +total
+    zs = [(a - _e(mp.mpf(r) / n)) / m for r in range(n)]
+    zmax = max(abs(z) for z in zs)
+    if zmax >= 2:
+        raise ValueError(f"|a - e(r/n)|/m reaches {zmax} >= 2: expansion diverges")
+    am = mp.mpf(a) / m
+    total = n * mp.log(1 + am) - mp.fsum(mp.log(1 + z) for z in zs)
+    # series terms: (zeta(k)-1) ~ 2^-k, z^k <= zmax^k
+    ratio = zmax / 2 if zmax > 1 else mp.mpf(1) / 2
+    kmax = int(mp.ceil((prec + 60) / -mp.log(ratio, 2))) + 4
+    acc = mp.mpc(0)
+    for k in range(2, kmax + 1):
+        zk = riemann_zeta(k, mp.mp.prec) - 1
+        if zk == 0:
+            continue
+        ssum = mp.fsum((z ** k for z in zs), absolute=False) - n * am ** k
+        acc += (-1) ** k * zk * ssum / k
+    total += acc
+    if abs(mp.im(total)) > mp.mpf(2) ** (-(prec // 2)) * (1 + abs(total)):
+        raise ArithmeticError(f"imaginary residue {mp.im(total)} too large")
+    return mp.re(total)
 
 
+@guarded()
 def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC, tol=None):
     """log zeta over multiples of m: sum_{k>=1} zeta(sk)/(k m^{ks}).
 
@@ -201,44 +188,42 @@ def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC, tol=None):
     """
     if m < 2:
         raise ValueError("log_eval_multiples needs m >= 2")
-    with working(prec):
-        s = mp.mpmathify(s)
-        sigma = mp.re(s)
-        if sigma <= 0:
-            raise ValueError("no extension beyond Re(s) > 0 (essential singularity at 0)")
-        if tol is None:
-            tol = mp.mpf(2) ** (-(prec - 12))
-        # pole detection: s within POLE_SNAP of 1/N for some N
-        if mp.im(s) == 0 or abs(mp.im(s)) < POLE_SNAP:
-            nmax = int(mp.ceil(1 / sigma)) + 2
-            for N in range(1, nmax + 1):
-                if abs(s - mp.mpf(1) / N) < POLE_SNAP:
-                    return PoleReport(
-                        s=complex(s), pole_at_k=N,
-                        message=f"term k={N} is zeta(1): pole of the extension at s=1/{N}")
-        k0 = 1
-        while sigma * k0 <= 1:
-            k0 += 1
-        total = mp.mpc(0)
-        # initial terms, each through the continued zeta
-        for k in range(1, k0):
-            total += riemann_zeta(s * k, mp.mp.prec) / (k * mp.mpf(m) ** (s * k))
-        # convergent range: geometric in m^-sigma; |zeta(sk)| <= zeta(sigma k0)
-        zbound = riemann_zeta(sigma * k0, mp.mp.prec)
-        k = k0
-        while True:
-            term = riemann_zeta(s * k, mp.mp.prec) / (k * mp.mpf(m) ** (s * k))
-            total += term
-            k += 1
-            rem = zbound * mp.mpf(m) ** (-k * sigma) / (k * (1 - mp.mpf(m) ** (-sigma)))
-            if rem < tol:
-                break
-        if mp.im(s) == 0:
-            total = mp.re(total)
-    with mp.workprec(prec):
-        return +total
+    s = mp.mpmathify(s)
+    sigma = mp.re(s)
+    if sigma <= 0:
+        raise ValueError("no extension beyond Re(s) > 0 (essential singularity at 0)")
+    tol = mp.ldexp(1, 12 - prec) if tol is None else tol
+    # pole detection: s within POLE_SNAP of 1/N for some N
+    if mp.im(s) == 0 or abs(mp.im(s)) < POLE_SNAP:
+        nmax = int(mp.ceil(1 / sigma)) + 2
+        for N in range(1, nmax + 1):
+            if abs(s - mp.mpf(1) / N) < POLE_SNAP:
+                return PoleReport(
+                    s=complex(s), pole_at_k=N,
+                    message=f"term k={N} is zeta(1): pole of the extension at s=1/{N}")
+    k0 = 1
+    while sigma * k0 <= 1:
+        k0 += 1
+    total = mp.mpc(0)
+    # initial terms, each through the continued zeta
+    for k in range(1, k0):
+        total += riemann_zeta(s * k, mp.mp.prec) / (k * mp.mpf(m) ** (s * k))
+    # convergent range: geometric in m^-sigma; |zeta(sk)| <= zeta(sigma k0)
+    zbound = riemann_zeta(sigma * k0, mp.mp.prec)
+    k = k0
+    while True:
+        term = riemann_zeta(s * k, mp.mp.prec) / (k * mp.mpf(m) ** (s * k))
+        total += term
+        k += 1
+        rem = zbound * mp.mpf(m) ** (-k * sigma) / (k * (1 - mp.mpf(m) ** (-sigma)))
+        if rem < tol:
+            break
+    if mp.im(s) == 0:
+        total = mp.re(total)
+    return total
 
 
+@guarded(extra=32)
 def zeta_via_mobius(m: int, n: int, K: int, prec: int = DEFAULT_PREC):
     """Partial sum m^n sum_{k<=K} mu(k)/k sum_r log Gamma(1 - e(r/nk)/m).
 
@@ -248,19 +233,17 @@ def zeta_via_mobius(m: int, n: int, K: int, prec: int = DEFAULT_PREC):
     if m < 2 or n < 2 or K < 1:
         raise ValueError("need m, n >= 2 and K >= 1")
     mob = _mobius_upto(K)
-    with working(prec, extra=32):
-        wp = mp.mp.prec
-        total = mp.mpf(0)
-        for k in range(1, K + 1):
-            if mob[k] == 0:
-                continue
-            inner = mp.fsum(
-                mp.re(log_gamma(1 - _e(mp.mpf(r) / (n * k)) / m, wp))
-                for r in range(n * k))
-            total += mp.mpf(mob[k]) / k * inner
-        total *= mp.mpf(m) ** n
-    with mp.workprec(prec):
-        return +total
+    wp = mp.mp.prec
+    total = mp.mpf(0)
+    for k in range(1, K + 1):
+        if mob[k] == 0:
+            continue
+        inner = mp.fsum(
+            mp.re(log_gamma(1 - _e(mp.mpf(r) / (n * k)) / m, wp))
+            for r in range(n * k))
+        total += mp.mpf(mob[k]) / k * inner
+    total *= mp.mpf(m) ** n
+    return total
 
 
 def _mobius_upto(K: int) -> list[int]:
@@ -283,6 +266,7 @@ def _mobius_upto(K: int) -> list[int]:
     return mu
 
 
+@guarded(extra=32)
 def zeta_via_gamma_series(n: int, prec: int = DEFAULT_PREC, antisymmetric: bool = False):
     """zeta(n) as [z^n] prod_{j<n} Gamma(1 - z e(j/n)), n >= 2.
 
@@ -293,29 +277,27 @@ def zeta_via_gamma_series(n: int, prec: int = DEFAULT_PREC, antisymmetric: bool 
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    with working(prec, extra=32):
-        wp = mp.mp.prec
-        T = n
-        A = [mp.mpc(0)] * (T + 1)
-        for j in range(n):
-            w = -_e(mp.mpf(j) / n)  # log Gamma(1 + w z): -gamma w z + sum zeta(k)(-w)^k z^k /k
-            A[1] += -mp.euler * w
-            for k in range(2, T + 1):
-                A[k] += riemann_zeta(k, wp) * (-w) ** k / k
-        series = TruncatedSeries(A, T)
-        P = series.exp()
-        if antisymmetric:
-            Q = TruncatedSeries([-c for c in A], T).exp()
-            val = (P[T] - Q[T]) / 2
-        else:
-            val = P[T]
-        if abs(mp.im(val)) > mp.mpf(2) ** (-(prec // 2)) * (1 + abs(val)):
-            raise ArithmeticError("imaginary residue too large")
-        val = mp.re(val)
-    with mp.workprec(prec):
-        return +val
+    wp = mp.mp.prec
+    T = n
+    A = [mp.mpc(0)] * (T + 1)
+    for j in range(n):
+        w = -_e(mp.mpf(j) / n)  # log Gamma(1 + w z): -gamma w z + sum zeta(k)(-w)^k z^k /k
+        A[1] += -mp.euler * w
+        for k in range(2, T + 1):
+            A[k] += riemann_zeta(k, wp) * (-w) ** k / k
+    series = TruncatedSeries(A, T)
+    P = series.exp()
+    if antisymmetric:
+        Q = TruncatedSeries([-c for c in A], T).exp()
+        val = (P[T] - Q[T]) / 2
+    else:
+        val = P[T]
+    if abs(mp.im(val)) > mp.mpf(2) ** (-(prec // 2)) * (1 + abs(val)):
+        raise ArithmeticError("imaginary residue too large")
+    return mp.re(val)
 
 
+@guarded()
 def dirichlet_partition_series(spec: PartSet, f, s, tol=None, sigma_growth: float = 0.0,
                                prec: int = DEFAULT_PREC):
     """prod_{j in M} (1 - f(j) j^{-s})^{-1} with certified truncation.
@@ -326,61 +308,59 @@ def dirichlet_partition_series(spec: PartSet, f, s, tol=None, sigma_growth: floa
     Re(s) - sigma > 1; the tail is bounded by the integral estimate
     sum_{k>K} k^{sigma - Re s} <= K^{1+sigma-Re s}/(Re s - sigma - 1).
     """
-    with working(prec):
-        s = mp.mpmathify(s)
-        w = mp.re(s) - sigma_growth
-        if w <= 1:
-            raise ValueError("growth violation: need Re(s) - sigma > 1")
-        if spec.contains(1):
-            fv = mp.mpmathify(f(1))
-            if abs(fv) >= 1:
-                raise DivergentPartSetError("part 1 with |f(1)| >= 1 diverges")
-        # integral tail bound 2 K^{1-w}/(w-1); no acceleration for arbitrary f,
-        # so achievable tolerances are polynomial in the cutoff
-        if tol is None:
-            K = 10 ** 5
-        else:
-            K = int(mp.ceil((4 / (mp.mpf(tol) * (w - 1))) ** (1 / (w - 1)))) + 8
-            if K > 2 * 10 ** 6:
-                raise ArithmeticError(
-                    f"tol {tol} needs cutoff K={K}: beyond the direct-product budget")
-        K = max(K, 64, spec.tail_start() + 1)
-        total = mp.mpc(0)
-        for k in spec.parts_upto(K):
-            x = mp.mpmathify(f(k)) * mp.mpc(k) ** (-s)
-            if abs(x) >= 1:
-                raise ValueError(f"factor at part {k} leaves the convergence region")
-            total += -mp.log(1 - x)
-        bound = 2 * mp.mpf(K) ** (1 - w) / (w - 1)
-        if tol is not None and bound > mp.mpf(tol):
-            raise ArithmeticError(f"tail bound {bound} exceeds tol {tol}")
-        val = mp.exp(total)
-        if mp.im(s) == 0 and abs(mp.im(val)) < mp.mpf(2) ** (-(prec // 3)):
-            val = mp.re(val)
-    with mp.workprec(prec):
-        return +val, +bound
+    s = mp.mpmathify(s)
+    w = mp.re(s) - sigma_growth
+    if w <= 1:
+        raise ValueError("growth violation: need Re(s) - sigma > 1")
+    if spec.contains(1):
+        fv = mp.mpmathify(f(1))
+        if abs(fv) >= 1:
+            raise DivergentPartSetError("part 1 with |f(1)| >= 1 diverges")
+    # integral tail bound 2 K^{1-w}/(w-1); no acceleration for arbitrary f,
+    # so achievable tolerances are polynomial in the cutoff
+    if tol is None:
+        K = 10 ** 5
+    else:
+        K = int(mp.ceil((4 / (mp.mpf(tol) * (w - 1))) ** (1 / (w - 1)))) + 8
+        if K > 2 * 10 ** 6:
+            raise ArithmeticError(
+                f"tol {tol} needs cutoff K={K}: beyond the direct-product budget")
+    K = max(K, 64, spec.tail_start() + 1)
+    total = mp.mpc(0)
+    for k in spec.parts_upto(K):
+        x = mp.mpmathify(f(k)) * mp.mpc(k) ** (-s)
+        if abs(x) >= 1:
+            raise ValueError(f"factor at part {k} leaves the convergence region")
+        total += -mp.log(1 - x)
+    bound = 2 * mp.mpf(K) ** (1 - w) / (w - 1)
+    if tol is not None and bound > mp.mpf(tol):
+        raise ArithmeticError(f"tail bound {bound} exceeds tol {tol}")
+    val = mp.exp(total)
+    if mp.im(s) == 0 and abs(mp.im(val)) < mp.mpf(2) ** (-(prec // 3)):
+        val = mp.re(val)
+    return val, bound
 
 
+@guarded()
 def dirichlet_series_oracle(spec: PartSet, f, s, nmax: int, prec: int = DEFAULT_PREC):
     """Brute Dirichlet partial sum sum_{n<=nmax} f(n) a_n n^{-s} for
     completely multiplicative f, with a_n counted by multiplicative
     partitions. Oracle for ``dirichlet_partition_series``."""
-    with working(prec):
-        s = mp.mpmathify(s)
-        total = mp.mpc(0)
-        for n in range(1, nmax + 1):
-            fv = f(n)
-            if fv == 0:
-                continue
-            c = multiplicative_partition_count(n, spec)
-            if c:
-                total += mp.mpmathify(fv) * c * mp.mpc(n) ** (-s)
-        if mp.im(s) == 0:
-            total = mp.re(total) if abs(mp.im(total)) < mp.mpf(2) ** (-prec // 3) else total
-    with mp.workprec(prec):
-        return +total
+    s = mp.mpmathify(s)
+    total = mp.mpc(0)
+    for n in range(1, nmax + 1):
+        fv = f(n)
+        if fv == 0:
+            continue
+        c = multiplicative_partition_count(n, spec)
+        if c:
+            total += mp.mpmathify(fv) * c * mp.mpc(n) ** (-s)
+    if mp.im(s) == 0:
+        total = mp.re(total) if abs(mp.im(total)) < mp.mpf(2) ** (-prec // 3) else total
+    return total
 
 
+@guarded()
 def mainthm_reading_report(a: int, m: int, n: int, prec: int = DEFAULT_PREC) -> dict:
     """Which part-set reading matches the gamma closed form: {a+m, a+2m, ...}
     (index from 1) or the inclusive {a, a+m, ...}?
@@ -392,15 +372,14 @@ def mainthm_reading_report(a: int, m: int, n: int, prec: int = DEFAULT_PREC) -> 
     cf = closed_form_gamma(a, m, n, prec)
     ex_val, _ = euler_product(exclusive, mp.mpf(n), prec=prec)
     report = {"a": a, "m": m, "n": n, "closed_form": cf, "exclusive": ex_val}
-    with mp.workprec(prec + GUARD_BITS):
-        report["exclusive_dev"] = abs(ex_val - cf)
-        if a >= 2:
-            inclusive = PartSet(classes=((a, m),), explicit_parts=frozenset({a}))
-            in_val, _ = euler_product(inclusive, mp.mpf(n), prec=prec)
-            report["inclusive"] = in_val
-            report["inclusive_dev"] = abs(in_val - cf)
-        else:
-            report["inclusive"] = None
-            report["inclusive_dev"] = None
+    report["exclusive_dev"] = abs(ex_val - cf)
+    if a >= 2:
+        inclusive = PartSet(classes=((a, m),), explicit_parts=frozenset({a}))
+        in_val, _ = euler_product(inclusive, mp.mpf(n), prec=prec)
+        report["inclusive"] = in_val
+        report["inclusive_dev"] = abs(in_val - cf)
+    else:
+        report["inclusive"] = None
+        report["inclusive_dev"] = None
     report["matching_reading"] = "exclusive (parts a+mj, j>=1)"
     return report

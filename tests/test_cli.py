@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import mpmath as mp
+import pytest
 
 from partizeta.cli import main
 
@@ -57,6 +58,26 @@ def test_pzeta_divergent_spec_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("s", ["nan", "inf", "2,nan", "two"])
+def test_pzeta_non_numeric_s_exit_2(capsys, s):
+    code = main([*PREC_ARGS, "pzeta", "--spec", "2N", "--s", s])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--s" in err and "convert" not in err
+
+
+def test_default_tol_follows_prec(capsys):
+    # at 64 bits a fixed 2^-200 default is out of the product certificate's reach
+    code, out = run_cli(capsys, "--prec", "64", "pzeta", "--spec", "2N", "--s", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert mp.mpf(data["config"]["tolerance"]) == mp.mpf(2) ** -50
+    assert {r["route"] for r in data["results"]} == {"product", "gamma", "logseries"}
+    with mp.workprec(64):
+        for rec in data["results"]:
+            assert abs(mp.mpf(rec["value_re"]) - mp.pi / 2) < mp.mpf(2) ** -45
+
+
 def test_pzeta_bad_grammar_exit_2(capsys):
     code = main([*PREC_ARGS, "pzeta", "--spec", "wat:7", "--s", "2"])
     assert code == 2
@@ -77,6 +98,14 @@ def test_mzv_equal_args_exact(capsys):
     data = json.loads(out)
     assert data["exact_rational"] == "1/120"
     assert data["pi_power"] == 4
+
+
+def test_mzv_equal_args_numeric_at_default_prec(capsys):
+    # no precision block around the call: the value must still carry 256 bits
+    code, out = run_cli(capsys, "mzv", "--equal-args", "2", "3")
+    assert code == 0
+    with mp.workprec(300):
+        assert abs(mp.mpf(json.loads(out)["value"]) - mp.pi ** 6 / 5040) < mp.mpf("1e-70")
 
 
 def test_mzv_bruteforce_index(capsys):

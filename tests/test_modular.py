@@ -350,6 +350,18 @@ def test_hk_polynomial_structure():
     assert len(hk_polynomial(8, -1)) == 6  # degree k-3
 
 
+@pytest.mark.parametrize("sign", (-1, 1))
+def test_hk_roots_ascend_in_im_along_the_critical_line(sign):
+    # all roots share Re = 1/2, so the order must come from Im alone, not
+    # from last-bit noise in Re: each conjugate pair lists its lower root first
+    rts, _ = poly_roots(poly_to_mpc(poly_negate_var(hk_polynomial(14, sign)), PREC + 40),
+                        prec=PREC)
+    assert len(rts) == (11 if sign == -1 else 12)
+    assert max(abs(mp.re(r) - mp.mpf(1) / 2) for r in rts) < mp.mpf(2) ** -100
+    ims = [mp.im(r) for r in rts]
+    assert ims == sorted(ims) and len(set(ims)) == len(ims)
+
+
 def test_hk_zero_solver_counts_and_matching():
     with mp.workprec(PREC):
         for k in (6, 8):

@@ -250,13 +250,11 @@ def cmd_mzv(args, cfg: RunConfig) -> int:
 def cmd_padic(args, cfg: RunConfig) -> int:
     try:
         m2 = args.m2 if args.m2 is not None else padic.suggest_m2(args.p, args.a, args.k, args.m1)
-        ok = padic.interpolation_check(args.p, args.a, args.k, args.m1, m2)
-        ctx = padic.PadicContext(p=args.p, a=args.a, k=args.k)
-        diff = padic.padic_fixedlen(ctx, args.m1) - padic.padic_fixedlen(ctx, m2)
-        v = padic.padic_valuation(diff, args.p)
+        v = padic.interpolation_valuation(args.p, args.a, args.k, args.m1, m2)
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    ok = v >= args.a + 1
     _emit(cfg, {
         "command": "padic",
         "p": args.p, "a": args.a, "k": args.k, "m1": args.m1, "m2": m2,
@@ -272,11 +270,15 @@ def cmd_modular(args, cfg: RunConfig) -> int:
         print("only the 'delta' pipeline is built in; level N>1 profiles are "
               "ingested from JSON via --profile", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        if args.profile:
+    if args.profile:
+        try:
             with open(args.profile) as fh:
                 prof = modular.LProfile.from_json(fh.read(), prec=cfg.precision_bits)
-        else:
+        except (OSError, ValueError) as exc:
+            print(f"invalid --profile {args.profile!r}: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+    try:
+        if not args.profile:
             prof = modular.build_delta_profile(prec=cfg.precision_bits)
         prof.validate(tol=mp.ldexp(1, -(cfg.precision_bits // 3)))
         tau = modular.tau_recursive(30)
@@ -391,7 +393,11 @@ def main(argv=None) -> int:
     if args.command == "mzv" and not args.equal_args and not args.index:
         print("mzv needs --index or --equal-args", file=sys.stderr)
         return EXIT_INVALID
-    return args.func(args, cfg)
+    try:
+        return args.func(args, cfg)
+    except OSError as exc:  # --out or --roots-csv not writable
+        print(f"cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 composition decoupling between them.
 
 The length-k value over all partitions (weak inequalities) is
-[y^{mk}] exp(sum_j zeta(mj) y^{mj} / j); the strict-inequality MZV analogue
-flips the sign inside the exp and carries (-1)^k. For even arguments both
-reduce to exact rationals times a power of pi, computed either from the
-series with exact zeta rationals or from a Hessenberg determinant with
-factorial-weighted zeta entries; the two routes must agree identically.
+[y^{mk}] exp(sum_j zeta(mj) y^{mj} / j), i.e. the complete Bell polynomial
+B_k(a)/k! of a_j = (j-1)! zeta(mj); the strict-inequality MZV analogue
+negates the a_j and carries (-1)^k. Both are built here as that sequence and
+handed to ``numerics.bell``: the numeric values by its exp-series route, the
+exact values (even arguments: rationals times a power of pi) by its
+Hessenberg-determinant route, with the series route as the exact oracle.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import mpmath as mp
 
 from .numerics import (
     DEFAULT_PREC,
-    TruncatedSeries,
+    bell_via_determinant,
+    bell_via_series,
     guarded,
-    hessenberg_det,
     riemann_zeta,
     zeta_even_rational,
 )
@@ -67,77 +68,65 @@ def compositions(k: int) -> list[tuple[int, ...]]:
 def fixedlen_zeta(m: int, k: int, prec: int = DEFAULT_PREC):
     """zeta over length-k partitions at integer argument m >= 2.
 
-    pi^{mk} [z^{mk}] exp(sum_j zeta(mj)/j (z/pi)^{mj}), evaluated directly in
-    the y = z/pi variable so the pi powers cancel: [y^{mk}] exp(...).
+    pi^{mk} [z^{mk}] exp(sum_j zeta(mj)/j (z/pi)^{mj}) = B_k(a)/k! with
+    a_j = (j-1)! zeta(mj), by the exp-series route.
     """
     if m < 2 or k < 0:
         raise ValueError("need m >= 2, k >= 0")
-    return _exp_series_value(m, k, 1, prec)
+    return _series_value(m, k, 1, prec)
 
 
 def fixedlen_zeta_exact(m: int, k: int) -> Fraction:
     """Exact rational r with zeta over length-k partitions = r * pi^{mk}.
 
-    Even m only (odd zeta values have no exact path). Computed from the k x k
-    Hessenberg determinant with entries zeta(m(j-i+1)) (k-i)!/(pi^{...}(k-j)!)
-    expanded by the -1 subdiagonal, divided by k!.
+    Even m only (odd zeta values have no exact path). B_k(a)/k! by the
+    Hessenberg-determinant route, with a_j = (j-1)! zeta(mj)/pi^{mj}; the pi
+    powers are homogeneous in B_k, so they factor out as pi^{mk}.
     """
-    return _exact_determinant(m, k, 1)
+    return Fraction(bell_via_determinant(_exact_sequence(m, k, 1)), math.factorial(k))
 
 
 def fixedlen_zeta_exact_series(m: int, k: int) -> Fraction:
     """Same rational through the exp-series route; oracle for the determinant."""
-    if m < 2 or m % 2:
-        raise ValueError("exact route needs even m >= 2")
-    if k == 0:
-        return Fraction(1)
-    T = m * k
-    A = [Fraction(0)] * (T + 1)
-    for j in range(1, k + 1):
-        A[m * j] = zeta_even_rational(m * j) / j
-    return TruncatedSeries(A, T).exp()[T]
+    return Fraction(bell_via_series(_exact_sequence(m, k, 1)), math.factorial(k))
 
 
 def mzv_equal_args(n: int, k: int, prec: int = DEFAULT_PREC):
-    """zeta({n}^k) = (-1)^k [z^{nk}] exp(-sum_j zeta(nj)/j z^{nj})."""
+    """zeta({n}^k) = (-1)^k [z^{nk}] exp(-sum_j zeta(nj)/j z^{nj})
+    = (-1)^k B_k(-a)/k!."""
     if n < 2 or k < 0:
         raise ValueError("need n >= 2, k >= 0")
-    return _exp_series_value(n, k, -1, prec)
+    return _series_value(n, k, -1, prec)
 
 
 def mzv_equal_args_exact(n: int, k: int) -> Fraction:
-    """Exact rational r with zeta({n}^k) = r * pi^{nk}, even n.
-
-    Determinant route with beta entries -zeta(n(j-i+1)) (k-i)!/(k-j)!; the
-    pi powers are homogeneous along the expansion, so the rational factors
-    separate cleanly.
-    """
-    return (-1) ** k * _exact_determinant(n, k, -1)
+    """Exact rational r with zeta({n}^k) = r * pi^{nk}, even n, by the
+    determinant route on the negated sequence."""
+    return (-1) ** k * Fraction(bell_via_determinant(_exact_sequence(n, k, -1)),
+                                math.factorial(k))
 
 
-@guarded(extra=16)
-def _exp_series_value(m: int, k: int, sign: int, prec: int):
-    """sign^k [y^{mk}] exp(sign * sum_j zeta(mj)/j y^{mj})."""
-    T = m * k
-    A = [mp.mpf(0)] * (T + 1)
-    for j in range(1, k + 1):
-        A[m * j] = sign * riemann_zeta(m * j, mp.mp.prec) / j
-    return sign ** k * TruncatedSeries(A, T).exp()[T]
+def _zeta_sequence(m: int, k: int, sign: int, zeta) -> list:
+    """a_j = sign (j-1)! zeta(mj), j = 1..k: the Bell arguments of the
+    length-k value."""
+    return [sign * math.factorial(j - 1) * zeta(m * j) for j in range(1, k + 1)]
 
 
-def _exact_determinant(m: int, k: int, sign: int) -> Fraction:
-    """(1/k!) det of the k x k Hessenberg matrix with entries
-    sign * zeta(m(j-i+1))/pi^{m(j-i+1)} (k-i)!/(k-j)! and -1 subdiagonal."""
+def _exact_sequence(m: int, k: int, sign: int) -> list[Fraction]:
     if m < 2 or m % 2:
         raise ValueError("exact route needs even m >= 2")
     if k < 0:
         raise ValueError("k must be >= 0")
-    fact = [Fraction(math.factorial(i)) for i in range(k + 1)]
+    return _zeta_sequence(m, k, sign, zeta_even_rational)
 
-    def entry(i, j):
-        return sign * zeta_even_rational(m * (j - i + 1)) * fact[k - i] / fact[k - j]
 
-    return hessenberg_det(entry, k) / fact[k]
+@guarded(extra=16)
+def _series_value(m: int, k: int, sign: int, prec: int):
+    """sign^k B_k(a)/k! for a_j = sign (j-1)! zeta(mj), as an mpf."""
+    if k == 0:  # B_0 of the empty sequence is the exact 1
+        return mp.mpf(1)
+    a = _zeta_sequence(m, k, sign, lambda s: riemann_zeta(s, mp.mp.prec))
+    return sign ** k * bell_via_series(a) / math.factorial(k)
 
 
 # ----------------------------------------------------------------------

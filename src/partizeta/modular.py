@@ -277,11 +277,18 @@ class LProfile:
 
     @classmethod
     def from_json(cls, text: str, prec: int = DEFAULT_PREC) -> "LProfile":
+        """Parse ``to_json`` output; malformed text, a missing field or a
+        field of the wrong type raises ValueError."""
         data = json.loads(text)
-        with working(prec):
-            lam = [mp.mpf(v) for v in data["lambda"]]
-        return cls(weight=int(data["weight"]), level=int(data["level"]),
-                   sign=int(data["sign"]), lam=lam, source=data.get("source", "file"))
+        try:
+            with working(prec):
+                lam = [mp.mpf(v) for v in data["lambda"]]
+            return cls(weight=int(data["weight"]), level=int(data["level"]),
+                       sign=int(data["sign"]), lam=lam, source=data.get("source", "file"))
+        except KeyError as exc:
+            raise ValueError(f"profile has no {exc.args[0]!r} field") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed profile: {exc}") from exc
 
 
 def build_delta_profile(prec: int = DEFAULT_PREC, tol=None) -> LProfile:

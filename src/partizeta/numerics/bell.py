@@ -2,8 +2,10 @@
 
 Route one: exp of the formal series sum_j a_j x^j / j!, reading off
 k! [x^k]. Route two: the k x k Hessenberg determinant with binomially
-weighted entries and -1 subdiagonal, expanded by the subdiagonal. The
-public entry point computes both and insists they agree; a mismatch is an
+weighted entries and -1 subdiagonal, expanded by the subdiagonal. Every
+length-k value in the package (fixed-length, equal-argument MZV, p-adic) is
+B_k of a zeta sequence and goes through one of these two routes.
+``complete_bell`` computes both and insists they agree; a mismatch is an
 internal-defect signal, not a user error.
 """
 

@@ -46,14 +46,6 @@ class TruncatedSeries:
         if self.order != other.order:
             raise ValueError("series orders differ")
 
-    def __add__(self, other):
-        self._check_same_order(other)
-        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __sub__(self, other):
-        self._check_same_order(other)
-        return TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_same_order(other)

@@ -2,13 +2,16 @@
 the exact rational values of the Riemann zeta function at integers.
 
 All entries are ``fractions.Fraction``; tables are grown on demand and cached,
-then treated as immutable (concurrent reads are safe).
+then treated as immutable (concurrent reads are safe). Bernoulli numbers come
+exact from mpmath's ``bernfrac``; the Stirling numbers from their recurrence.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import mpmath as mp
 
 _bernoulli: list[Fraction] = []
 _stirling1: list[list[int]] = [[1]]
@@ -17,23 +20,17 @@ _stirling1: list[list[int]] = [[1]]
 def bernoulli_table(n: int) -> list[Fraction]:
     """B_0..B_n as exact rationals, B_1 = -1/2.
 
-    Akiyama-Tanigawa recurrence on rationals; no floating intermediates, so
-    the p-adic congruence checks downstream see exact numerators/denominators.
+    Entries come from mpmath's ``bernfrac`` (von Staudt-Clausen denominator,
+    numerator rounded from a value computed at a precision it picks itself),
+    so they are exact and independent of ``mp.prec``. The cache only grows:
+    the longer list is built first and published with one assignment.
     """
     global _bernoulli
-    if len(_bernoulli) > n:
-        return _bernoulli[: n + 1]
-    row: list[Fraction] = []
-    out = []
-    for m in range(n + 1):
-        row.append(Fraction(1, m + 1))
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-        out.append(row[0])
-    if n >= 1:
-        out[1] = -out[1]  # Akiyama-Tanigawa yields +1/2; fix the convention
-    _bernoulli = out
-    return out
+    table = _bernoulli
+    if len(table) <= n:
+        table = table + [Fraction(*mp.bernfrac(i)) for i in range(len(table), n + 1)]
+        _bernoulli = table
+    return table[: n + 1]
 
 
 def bernoulli(n: int) -> Fraction:

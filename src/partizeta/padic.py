@@ -2,10 +2,11 @@
 rational arithmetic throughout.
 
 The Euler-factor-stripped values zeta*(1-n) = (1 - p^{n-1}) zeta(1-n) obey
-the Kummer congruences; the k x k Hessenberg determinant with zeta* entries
-then interpolates the length-k value over parts prime to p at negative
-arguments. Everything here is a valuation statement about differences of
-rationals, so no floating representation appears anywhere.
+the Kummer congruences; the complete Bell polynomial of the zeta* sequence
+(``numerics.bell``, determinant route) then interpolates the length-k value
+over parts prime to p at negative arguments. Everything here is a valuation
+statement about differences of rationals, so no floating representation
+appears anywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import hessenberg_det, zeta_neg_int
+from .numerics import bell_via_determinant, zeta_neg_int
 
 INFINITE_VALUATION = math.inf
 
@@ -79,13 +80,6 @@ def zeta_star_neg(p: int, n: int) -> Fraction:
     return (1 - Fraction(p) ** (n - 1)) * zeta_neg_int(n - 1)
 
 
-def _zeta_star_entry(p: int, n: int) -> Fraction:
-    # determinant entries hit odd n too, where zeta(1-n) is a trivial zero
-    if n % 2:
-        return Fraction(0)
-    return zeta_star_neg(p, n)
-
-
 def kummer_check(p: int, a: int, k1: int, k2: int) -> bool:
     """Kummer congruence instance, exact.
 
@@ -111,32 +105,30 @@ def kummer_check(p: int, a: int, k1: int, k2: int) -> bool:
 def padic_fixedlen(ctx: PadicContext, m: int) -> Fraction:
     """Length-k zeta over parts prime to p, continued to the point s = 1 - m.
 
-    (1/k!) det of the Hessenberg matrix with entries
-    zeta*((1-m)(j-i+1)) (k-i)!/(k-j)! and -1 subdiagonal. m must be even
-    >= 2 so the even-r entries fall on trivial zeros and the odd-r entries on
-    Kummer-governed even arguments; the factorial ratios are p-integral
-    because p >= k+3.
+    B_k(a)/k! by the Hessenberg-determinant route, with
+    a_r = (r-1)! zeta*((1-m) r). m must be even >= 2, so the even-r entries
+    fall on trivial zeros and the odd-r entries on Kummer-governed even
+    arguments; 1/k! is p-integral because p >= k+3.
     """
     if m < 2 or m % 2:
         raise ValueError("evaluation points 1-m use even m >= 2")
-    k = ctx.k
-    p = ctx.p
-    fact = [Fraction(math.factorial(i)) for i in range(k + 1)]
-
-    def alpha(i, j):
-        r = j - i + 1
-        n = 1 + (m - 1) * r  # zeta* argument is (1-m) r = 1 - n
-        return _zeta_star_entry(p, n) * fact[k - i] / fact[k - j]
-
-    return hessenberg_det(alpha, k) / fact[k]
+    return Fraction(bell_via_determinant(_zeta_star_sequence(ctx.p, m, ctx.k)),
+                    math.factorial(ctx.k))
 
 
-def interpolation_check(p: int, a: int, k: int, m1: int, m2: int) -> bool:
-    """Continuity congruence of the interpolated length-k value.
+def _zeta_star_sequence(p: int, m: int, k: int) -> list[Fraction]:
+    """a_r = (r-1)! zeta*((1-m) r), r = 1..k; for even m, (1-m) r = 1 - n with
+    n = 1 + (m-1) r, and even r give odd n: trivial zeros."""
+    return [math.factorial(r - 1) * zeta_star_neg(p, 1 + (m - 1) * r) if r % 2
+            else Fraction(0) for r in range(1, k + 1)]
+
+
+def interpolation_valuation(p: int, a: int, k: int, m1: int, m2: int):
+    """v_p of the difference of the interpolated length-k values at 1-m1 and
+    1-m2 (math.inf when they are equal).
 
     Preconditions: p >= k+3 odd prime; m1, m2 in S_2 (= 2 mod p-1);
-    m1 = m2 mod p^a. True iff the determinant values at 1-m1 and 1-m2 agree
-    mod p^{a+1} (valuation of the difference >= a+1).
+    m1 = m2 mod p^a.
     """
     ctx = PadicContext(p=p, a=a, k=k)
     for name, m in (("m1", m1), ("m2", m2)):
@@ -146,8 +138,16 @@ def interpolation_check(p: int, a: int, k: int, m1: int, m2: int) -> bool:
             raise ValueError(f"precondition: {name}={m} not in S_2 (== 2 mod p-1={p-1})")
     if (m1 - m2) % p ** a:
         raise ValueError(f"precondition: m1={m1}, m2={m2} not congruent mod p^a={p ** a}")
-    diff = padic_fixedlen(ctx, m1) - padic_fixedlen(ctx, m2)
-    return padic_valuation(diff, p) >= a + 1
+    return padic_valuation(padic_fixedlen(ctx, m1) - padic_fixedlen(ctx, m2), p)
+
+
+def interpolation_check(p: int, a: int, k: int, m1: int, m2: int) -> bool:
+    """Continuity congruence of the interpolated length-k value.
+
+    True iff the values at 1-m1 and 1-m2 agree mod p^{a+1}, i.e.
+    ``interpolation_valuation`` (same preconditions) is at least a+1.
+    """
+    return interpolation_valuation(p, a, k, m1, m2) >= a + 1
 
 
 def suggest_m2(p: int, a: int, k: int, m1: int) -> int:

@@ -35,6 +35,9 @@ from .numerics import (
 from .partitions import DivergentPartSetError, PartSet, multiplicative_partition_count
 
 POLE_SNAP = 1e-6  # distance to some 1/N below which we report the pole
+# work budget of closed_form_gamma: n + 1 log-gamma calls of ~0.8 ms each at
+# 256 bits (2-core x86 VM, mpmath pure-Python backend), i.e. ~3.4 s at the cap
+GAMMA_MAX_N = 4096
 
 
 @dataclass(frozen=True)
@@ -126,11 +129,15 @@ def closed_form_gamma(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
 
     The zeta value over parts {a+m, a+2m, ...} at integer argument n. The
     product is real after pairing conjugate factors; the imaginary residue is
-    checked against 2^-(prec/2) before being discarded.
+    checked against 2^-(prec/2) before being discarded. n above GAMMA_MAX_N
+    raises ArithmeticError (work budget) before any evaluation.
     """
     CongruenceClassSpec(a, m)
     if n < 2:
         raise ValueError("closed form needs n >= 2")
+    if n > GAMMA_MAX_N:
+        raise ArithmeticError(f"closed form at n={n} needs {n + 1} log-gamma calls; "
+                              f"its work budget is n <= {GAMMA_MAX_N}")
     wp = mp.mp.prec
     acc = mp.mpc(0)
     for r in range(n):

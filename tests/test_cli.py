@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import time
 
 import mpmath as mp
 import pytest
 
 from partizeta.cli import main
+from partizeta.pzeta import GAMMA_MAX_N
 
 PREC_ARGS = ["--prec", "192"]
 
@@ -165,6 +167,37 @@ def test_modular_delta_report_and_roots_csv(tmp_path, capsys):
     with mp.workprec(160):
         re_s, im_s, res_s = period_lines[1].split(",")
         assert abs(mp.sqrt(mp.mpf(re_s) ** 2 + mp.mpf(im_s) ** 2) - 1) < mp.mpf("1e-20")
+
+
+def test_pzeta_gamma_route_work_budget(capsys):
+    # n = 10^6 would take ~10^6 log-gamma calls; the budget stops it at once
+    t0 = time.perf_counter()
+    code = main([*PREC_ARGS, "pzeta", "--spec", "2N", "--s", "1e6"])
+    assert code == 3 and time.perf_counter() - t0 < 10
+    err = capsys.readouterr().err
+    assert f"n <= {GAMMA_MAX_N}" in err and len(err.strip().splitlines()) == 1
+    assert main([*PREC_ARGS, "pzeta", "--spec", "2N", "--s", "1e6",
+                 "--routes", "product"]) == 0
+
+
+def _profile_file(tmp_path, text):
+    path = tmp_path / "profile.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["modular", "delta", "--profile", str(tmp / "missing.json")],
+    lambda tmp: ["--out", str(tmp / "no" / "such" / "x.json"), "fixedlen",
+                 "--m", "2", "--k", "1", "--exact"],
+    lambda tmp: ["modular", "delta", "--profile",
+                 _profile_file(tmp, '{"weight": 12, "level": 1, "sign": 1}')],
+    lambda tmp: ["modular", "delta", "--profile", _profile_file(tmp, "not json")],
+], ids=["missing-profile", "unwritable-out", "profile-without-lambda", "profile-not-json"])
+def test_bad_files_exit_2_with_one_line(tmp_path, capsys, argv):
+    assert main([*PREC_ARGS, *argv(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_report_determinism(tmp_path):

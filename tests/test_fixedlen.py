@@ -21,7 +21,7 @@ from partizeta.fixedlen import (
     mzv_equal_args_exact,
     shuffle_check,
 )
-from partizeta.numerics import riemann_zeta, zeta_even_rational
+from partizeta.numerics import bell_via_determinant, riemann_zeta, zeta_even_rational
 
 PREC = 256
 
@@ -67,6 +67,18 @@ def test_fixedlen_series_matches_exact_numerically():
             r = fixedlen_zeta_exact(m, k)
             want = mp.mpf(r.numerator) / r.denominator * mp.pi ** (m * k)
             assert abs(fixedlen_zeta(m, k, PREC) - want) < mp.mpf("1e-60")
+
+
+def test_odd_m_series_matches_determinant_route():
+    # odd m has no exact path: compare the numeric series value with the
+    # determinant route on mpf zeta values, B_k(a)/k!, a_j = (j-1)! zeta(3j)
+    m, k = 3, 4
+    with mp.workprec(PREC + 40):
+        a = [math.factorial(j - 1) * riemann_zeta(m * j, PREC + 40) for j in range(1, k + 1)]
+        want = bell_via_determinant(a) / math.factorial(k)
+        strict = bell_via_determinant([(-1) ** (j + 1) * v for j, v in enumerate(a, 1)])
+        assert abs(fixedlen_zeta(m, k, PREC) - want) < mp.mpf("1e-70")
+        assert abs(mzv_equal_args(m, k, PREC) - strict / math.factorial(k)) < mp.mpf("1e-70")
 
 
 # ---------------------------------------------------------------- MZV

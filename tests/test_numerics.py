@@ -58,10 +58,21 @@ def test_bernoulli_values():
 
 
 def test_bernoulli_defining_recurrence():
-    # sum_{j<=n} C(n+1, j) B_j = 0 for n >= 1 (holds in the B_1 = -1/2 convention)
-    B = bernoulli_table(20)
-    for n in range(1, 20):
+    # sum_{j<=n} C(n+1, j) B_j = 0 for n >= 1 (holds in the B_1 = -1/2
+    # convention). With B_0 = 1, n <= 130 determines B_0..B_130 exactly, which
+    # covers every m k <= 120 the exact routes use; n = 600 spot-checks the top
+    B = bernoulli_table(600)
+    for n in [*range(1, 131), 600]:
         assert sum(math.comb(n + 1, j) * B[j] for j in range(n + 1)) == 0, n
+
+
+def test_bernoulli_von_staudt_clausen():
+    # B_n + sum over primes p with (p-1) | n of 1/p is an integer, n even >= 2
+    B = bernoulli_table(600)
+    primes = [p for p in range(2, 602) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for n in range(2, 601, 2):
+        frac = B[n] + sum(Fraction(1, p) for p in primes if n % (p - 1) == 0)
+        assert frac.denominator == 1, n
 
 
 def test_stirling_triangle_row6():
@@ -246,6 +257,15 @@ def test_bell_small_cases():
     assert complete_bell([Fraction(5)]) == 5
     assert complete_bell([Fraction(1), Fraction(1)]) == 2
     assert complete_bell([Fraction(1), Fraction(1), Fraction(1)]) == 5  # Bell number
+
+
+def test_hessenberg_det_called_only_in_bell():
+    # every length-k value goes through numerics.bell; no module keeps its own
+    # determinant
+    src = pathlib.Path(partizeta.__file__).parent
+    callers = sorted(path.relative_to(src).as_posix() for path in src.rglob("*.py")
+                     if "hessenberg_det(" in path.read_text())
+    assert callers == ["numerics/bell.py"]
 
 
 @settings(max_examples=30, deadline=None)

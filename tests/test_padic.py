@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from partizeta.numerics import bernoulli, complete_bell
 from partizeta.padic import (
     INFINITE_VALUATION,
     PadicContext,
@@ -113,6 +114,21 @@ def test_padic_fixedlen_preconditions():
         padic_fixedlen(ctx, 3)  # odd evaluation index
     with pytest.raises(ValueError):
         padic_fixedlen(ctx, 0)
+
+
+@pytest.mark.parametrize("k, p", [(1, 5), (2, 7), (3, 11)])
+def test_padic_fixedlen_is_bell_of_zeta_star(k, p):
+    # (1/k!) B_k(a) with a_r = (r-1)! zeta*((1-m) r), zeta* built here from
+    # the Bernoulli numbers, both Bell routes compared by complete_bell
+    for a in (0, 1):
+        for m in (2, suggest_m2(p, a, k, 2)):
+            seq = []
+            for r in range(1, k + 1):
+                n = 1 + (m - 1) * r
+                zstar = -(1 - Fraction(p) ** (n - 1)) * bernoulli(n) / n if n % 2 == 0 else 0
+                seq.append(math.factorial(r - 1) * Fraction(zstar))
+            want = complete_bell(seq) / math.factorial(k)
+            assert padic_fixedlen(PadicContext(p=p, a=a, k=k), m) == want, (k, p, a, m)
 
 
 def test_factorial_entries_p_integral():

@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Subcommands: pzeta, fixedlen, mzv, padic, modular, selftest. Global flags
---prec/--tol/--out/--format control precision policy and emission. Reports
-are deterministic: identical invocations produce byte-identical output
-(sorted keys, fixed digit counts, no timestamps), and every report embeds
-the run configuration, a build identifier, and per-value route provenance.
+--prec/--out/--format control precision and emission; every route's
+accuracy follows --prec. Reports are deterministic: identical invocations
+produce byte-identical output (sorted keys, fixed digit counts, no
+timestamps), and every report embeds the run configuration, a build
+identifier, and per-value route provenance.
 
-Exit codes: 0 success, 1 selftest failure, 2 invalid parameters/spec,
-3 numeric failure (non-convergence, unattainable tolerance).
+Exit codes: 0 success, 1 selftest failure, 2 invalid parameters/spec/file,
+3 numeric failure (non-convergence, a certificate above its target, a
+work budget exceeded, a failed p-adic check). ``main`` is the one place
+that maps exceptions to these codes, with one stderr line each.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 
 import mpmath as mp
 
@@ -35,12 +39,6 @@ class RunConfig:
         self.precision_bits = args.prec
         if self.precision_bits < 64:
             raise ValueError("--prec must be at least 64")
-        # default 2^-(25 prec/32): 2^-200 at 256 bits, scaled with --prec so a
-        # log-series truncated at tol stays well inside the working precision
-        self.tolerance = (args.tol if args.tol is not None
-                          else mp.ldexp(1, -(25 * self.precision_bits // 32)))
-        if not self.tolerance > 0:
-            raise ValueError("--tol must be positive")
         self.fmt = args.format
         self.out = args.out
         self.digits = digits_for(self.precision_bits)
@@ -50,7 +48,6 @@ class RunConfig:
             "build": build_id(),
             "version": __version__,
             "precision_bits": self.precision_bits,
-            "tolerance": mp.nstr(self.tolerance, 17),
             "format": self.fmt,
         }
 
@@ -98,6 +95,18 @@ def _write_roots_csv(path, roots, residuals, cfg):
             writer.writerow([_numstr(cfg, mp.re(r)), _numstr(cfg, mp.im(r)), _numstr(cfg, e)])
 
 
+@contextmanager
+def _naming(what: str):
+    """Prefix a ValueError or ArithmeticError raised inside with the input it
+    concerns; ``main`` turns the class into the exit code."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{what}: {exc}") from exc
+
+
 # ----------------------------------------------------------------------
 def _pzeta_routes_at(spec, s, wanted, cfg):
     """Evaluate every applicable route at one argument; returns {name: value}
@@ -105,19 +114,14 @@ def _pzeta_routes_at(spec, s, wanted, cfg):
     routes = {}
     tails = {}
     if wanted in ("product", "all") and mp.re(s) > 1:
-        val, bound = pzeta.euler_product(spec, s, tol=cfg.tolerance,
-                                         prec=cfg.precision_bits)
-        routes["product"] = val
-        tails["product"] = bound
-    single_class = (len(spec.classes) == 1 and not spec.explicit_parts
-                    and not spec.distinct and spec.min_part == 1)
-    if wanted in ("gamma", "all") and single_class and mp.im(s) == 0 \
+        routes["product"], tails["product"] = pzeta.euler_product(
+            spec, s, prec=cfg.precision_bits)
+    cls = spec.single_class()
+    if wanted in ("gamma", "all") and cls and mp.im(s) == 0 \
             and s == mp.floor(s) and int(s) >= 2:
-        a, m = spec.classes[0]
-        routes["gamma"] = pzeta.closed_form_gamma(a, m, int(s), prec=cfg.precision_bits)
-    if wanted in ("logseries", "all") and single_class and spec.classes[0][0] == 0:
-        m = spec.classes[0][1]
-        out = pzeta.log_eval_multiples(m, s, prec=cfg.precision_bits, tol=cfg.tolerance)
+        routes["gamma"] = pzeta.closed_form_gamma(*cls, int(s), prec=cfg.precision_bits)
+    if wanted in ("logseries", "all") and cls and cls[0] == 0:
+        out = pzeta.log_eval_multiples(cls[1], s, prec=cfg.precision_bits)
         if isinstance(out, pzeta.PoleReport):
             routes["logseries"] = out
         else:
@@ -127,41 +131,26 @@ def _pzeta_routes_at(spec, s, wanted, cfg):
 
 
 def cmd_pzeta(args, cfg: RunConfig) -> int:
-    try:
+    with _naming(f"--spec {args.spec!r}"):
         spec = parse_part_set(args.spec)
-    except ValueError as exc:
-        print(f"invalid part-set spec: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     if spec.is_divergent_for_zeta():
-        print(f"divergent part set {spec.spec_string()!r}: part 1 with "
-              "unbounded multiplicity", file=sys.stderr)
-        return EXIT_INVALID
+        raise DivergentPartSetError(f"part set {spec.spec_string()!r} diverges: part 1 "
+                                    "with unbounded multiplicity")
     try:
         with working(cfg.precision_bits):
             grid = sorted((mp.mpmathify(tok) for tok in args.s.split(",") if tok.strip()),
                           key=lambda z: (mp.re(z), mp.im(z)))
     except (TypeError, ValueError):
-        print(f"invalid --s {args.s!r}: expected numbers separated by commas", file=sys.stderr)
-        return EXIT_INVALID
-    if not grid:
-        print("no s values given", file=sys.stderr)
-        return EXIT_INVALID
-    if not all(mp.isfinite(z) for z in grid):
-        print(f"--s {args.s!r}: every s must be a finite number", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError(f"--s {args.s!r}: expected numbers separated by commas") from None
+    if not grid or not all(mp.isfinite(z) for z in grid):
+        raise ValueError(f"--s {args.s!r}: give one or more finite numbers")
 
     results = []
     deviations = {}
     produced = 0
     for s in grid:  # sorted by parameter: order-stable aggregation
-        try:
+        with _naming(f"at s={mp.nstr(s, 8)}"):
             routes, tails = _pzeta_routes_at(spec, s, args.routes, cfg)
-        except (DivergentPartSetError, ValueError) as exc:
-            print(f"invalid request at s={mp.nstr(s, 8)}: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        except ArithmeticError as exc:
-            print(f"numeric failure at s={mp.nstr(s, 8)}: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
         produced += len(routes)
         for name in sorted(routes):
             val = routes[name]
@@ -190,70 +179,60 @@ def cmd_pzeta(args, cfg: RunConfig) -> int:
                         else f"s={mp.nstr(s, 8)}:{ni}-vs-{nj}"
                     deviations[key] = _numstr(cfg, abs(routes[ni] - routes[nj]))
     if not produced:
-        print(f"no applicable route {args.routes!r} for spec "
-              f"{spec.spec_string()!r}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError(f"no applicable route {args.routes!r} for spec "
+                         f"{spec.spec_string()!r} at --s {args.s!r}")
     _emit(cfg, {"command": "pzeta", "results": results,
                 "pairwise_deviation": deviations})
     return EXIT_OK
 
 
 def cmd_fixedlen(args, cfg: RunConfig) -> int:
-    try:
-        if args.exact:
-            r = fixedlen.fixedlen_zeta_exact(args.m, args.k)
-            payload = {
-                "command": "fixedlen", "kind": "fixedlen", "m": args.m, "k": args.k,
-                "route": "determinant-exact",
-                "exact_rational": f"{r.numerator}/{r.denominator}",
-                "pi_power": args.m * args.k,
-                "rendered": f"{r.numerator}/{r.denominator} * pi^{args.m * args.k}",
-            }
-        else:
-            v = fixedlen.fixedlen_zeta(args.m, args.k, prec=cfg.precision_bits)
-            payload = {"command": "fixedlen", "kind": "fixedlen", "m": args.m,
-                       "k": args.k, "route": "series-exp", "value": _numstr(cfg, v)}
-    except ValueError as exc:
-        print(f"invalid request: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.exact:
+        r = fixedlen.fixedlen_zeta_exact(args.m, args.k)
+        payload = {
+            "command": "fixedlen", "kind": "fixedlen", "m": args.m, "k": args.k,
+            "route": "determinant-exact",
+            "exact_rational": f"{r.numerator}/{r.denominator}",
+            "pi_power": args.m * args.k,
+            "rendered": f"{r.numerator}/{r.denominator} * pi^{args.m * args.k}",
+        }
+    else:
+        v = fixedlen.fixedlen_zeta(args.m, args.k, prec=cfg.precision_bits)
+        payload = {"command": "fixedlen", "kind": "fixedlen", "m": args.m,
+                   "k": args.k, "route": "series-exp", "value": _numstr(cfg, v)}
     _emit(cfg, payload)
     return EXIT_OK
 
 
 def cmd_mzv(args, cfg: RunConfig) -> int:
-    try:
-        if args.equal_args:
-            n, k = args.equal_args
-            if args.exact:
-                r = fixedlen.mzv_equal_args_exact(n, k)
-                payload = {"command": "mzv", "kind": "mzv", "index": [n] * k,
-                           "route": "determinant-exact",
-                           "exact_rational": f"{r.numerator}/{r.denominator}",
-                           "pi_power": n * k}
-            else:
-                v = fixedlen.mzv_equal_args(n, k, prec=cfg.precision_bits)
-                payload = {"command": "mzv", "kind": "mzv", "index": [n] * k,
-                           "route": "series-exp", "value": _numstr(cfg, v)}
+    if args.equal_args:
+        n, k = args.equal_args
+        if args.exact:
+            r = fixedlen.mzv_equal_args_exact(n, k)
+            payload = {"command": "mzv", "kind": "mzv", "index": [n] * k,
+                       "route": "determinant-exact",
+                       "exact_rational": f"{r.numerator}/{r.denominator}",
+                       "pi_power": n * k}
         else:
+            v = fixedlen.mzv_equal_args(n, k, prec=cfg.precision_bits)
+            payload = {"command": "mzv", "kind": "mzv", "index": [n] * k,
+                       "route": "series-exp", "value": _numstr(cfg, v)}
+    elif args.index:
+        with _naming(f"--index {args.index!r}"):
             idx = tuple(int(x) for x in args.index.split(","))
-            v, tail = fixedlen.mzv_bruteforce(idx, args.bound)
-            payload = {"command": "mzv", "kind": "mzv", "index": list(idx),
-                       "route": "bruteforce", "bound": args.bound,
-                       "value": repr(v), "tail_estimate": repr(tail)}
-    except ValueError as exc:
-        print(f"invalid request: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        v, tail = fixedlen.mzv_bruteforce(idx, args.bound)
+        payload = {"command": "mzv", "kind": "mzv", "index": list(idx),
+                   "route": "bruteforce", "bound": args.bound,
+                   "value": repr(v), "tail_estimate": repr(tail)}
+    else:
+        raise ValueError("mzv needs --index or --equal-args")
     _emit(cfg, payload)
     return EXIT_OK
 
 
 def cmd_padic(args, cfg: RunConfig) -> int:
-    try:
-        m2 = args.m2 if args.m2 is not None else padic.suggest_m2(args.p, args.a, args.k, args.m1)
-        v = padic.interpolation_valuation(args.p, args.a, args.k, args.m1, m2)
-    except ValueError as exc:
-        print(f"invalid request: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    m2 = args.m2 if args.m2 is not None else padic.suggest_m2(args.p, args.a, args.k, args.m1)
+    v = padic.interpolation_valuation(args.p, args.a, args.k, args.m1, m2)
     ok = v >= args.a + 1
     _emit(cfg, {
         "command": "padic",
@@ -266,33 +245,21 @@ def cmd_padic(args, cfg: RunConfig) -> int:
 
 
 def cmd_modular(args, cfg: RunConfig) -> int:
-    if args.action != "delta":
-        print("only the 'delta' pipeline is built in; level N>1 profiles are "
-              "ingested from JSON via --profile", file=sys.stderr)
-        return EXIT_INVALID
     if args.profile:
-        try:
-            with open(args.profile) as fh:
-                prof = modular.LProfile.from_json(fh.read(), prec=cfg.precision_bits)
-        except (OSError, ValueError) as exc:
-            print(f"invalid --profile {args.profile!r}: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-    try:
-        if not args.profile:
-            prof = modular.build_delta_profile(prec=cfg.precision_bits)
-        prof.validate(tol=mp.ldexp(1, -(cfg.precision_bits // 3)))
-        tau = modular.tau_recursive(30)
-        Z = modular.zeta_polynomial(prof, cfg.precision_bits)
-        fe = modular.functional_eq_check(Z, prof.sign, cfg.precision_bits)
-        roots, dev = modular.rh_check(Z, cfg.precision_bits)
-        R = modular.period_polynomial(prof, cfg.precision_bits)
-        rroots, rres = poly_roots(R, prec=cfg.precision_bits)
-        with working(cfg.precision_bits):
-            zres = [abs(Z(r)) for r in roots]
-        gen = modular.generating_check(prof, 12, cfg.precision_bits)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        with open(args.profile) as fh, _naming(f"--profile {args.profile!r}"):
+            prof = modular.LProfile.from_json(fh.read(), prec=cfg.precision_bits)
+            prof.validate(tol=mp.ldexp(1, -(cfg.precision_bits // 3)))
+    else:
+        prof = modular.build_delta_profile(prec=cfg.precision_bits)
+    tau = modular.tau_recursive(30)
+    Z = modular.zeta_polynomial(prof, cfg.precision_bits)
+    fe = modular.functional_eq_check(Z, prof.sign, cfg.precision_bits)
+    roots, dev = modular.rh_check(Z, cfg.precision_bits)
+    R = modular.period_polynomial(prof, cfg.precision_bits)
+    rroots, rres = poly_roots(R, prec=cfg.precision_bits)
+    with working(cfg.precision_bits):
+        zres = [abs(Z(r)) for r in roots]
+    gen = modular.generating_check(prof, 12, cfg.precision_bits)
     lam_digits = max(40, cfg.digits)  # profile decimals carry >= 40 digits
     payload = {
         "command": "modular",
@@ -335,9 +302,8 @@ def cmd_selftest(args, cfg: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="partizeta",
                                  description="partition zeta / zeta polynomial engine")
-    ap.add_argument("--prec", type=int, default=256, help="working precision in bits (>= 64)")
-    ap.add_argument("--tol", type=float, default=None,
-                    help="target tolerance (default 2^-(25 prec/32))")
+    ap.add_argument("--prec", type=int, default=256,
+                    help="working precision in bits (>= 64); every route's accuracy follows it")
     ap.add_argument("--out", default=None, help="write the report to this path")
     ap.add_argument("--format", choices=("json", "csv"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -383,21 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command; the only place where exceptions become exit codes."""
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(args)
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return args.func(args, RunConfig(args))
+    except OSError as exc:  # --profile unreadable, --out or --roots-csv unwritable
+        print(f"cannot use {exc.filename!r}: {exc.strerror}", file=sys.stderr)
         return EXIT_INVALID
-    if args.command == "mzv" and not args.equal_args and not args.index:
-        print("mzv needs --index or --equal-args", file=sys.stderr)
+    except ValueError as exc:  # includes DivergentPartSetError
+        print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        return args.func(args, cfg)
-    except OSError as exc:  # --out or --roots-csv not writable
-        print(f"cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
-        return EXIT_INVALID
+    except ArithmeticError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

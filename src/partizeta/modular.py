@@ -188,18 +188,18 @@ def _tau(n: int) -> int:
 
 
 @guarded(extra=32)
-def lambda_delta(s, tol=None, prec: int = DEFAULT_PREC):
+def lambda_delta(s, prec: int = DEFAULT_PREC):
     """Completed critical value of the weight-12 level-1 form at s in [1, 11].
 
     Split-integral series Lambda(s) = sum_n tau(n) [Gamma(s,2 pi n)/(2 pi n)^s
     + Gamma(12-s,2 pi n)/(2 pi n)^{12-s}]; terms decay like e^{-2 pi n}, and
     truncation stops once the bound |tau(n)| <= n^6.5 puts the remaining sum
-    under tol/100.
+    under 2^(10-prec)/100.
     """
     s = mp.mpf(s)
     if not (1 <= s <= 11):
         raise ValueError("critical strip for weight 12 is 1 <= s <= 11")
-    tol = mp.ldexp(1, 10 - prec) if tol is None else mp.mpf(tol)
+    target = mp.ldexp(1, 10 - prec) / 100
     wp = mp.mp.prec
     total = mp.mpf(0)
     n = 1
@@ -212,7 +212,7 @@ def lambda_delta(s, tol=None, prec: int = DEFAULT_PREC):
         # tail: sum_{j>=n} j^6.5 * 2 * max(Gamma-factor) ~ geometric in e^-2pi
         bound = (mp.mpf(n) ** mp.mpf(6.5) * 2 * mp.exp(-2 * mp.pi * n)
                  * (2 * mp.pi * n) ** 10 / (1 - mp.exp(-2 * mp.pi)) * 4)
-        if bound < tol / 100:
+        if bound < target:
             break
         if n > 200:
             raise ArithmeticError("Lambda series did not reach the tail target")
@@ -291,9 +291,9 @@ class LProfile:
             raise ValueError(f"malformed profile: {exc}") from exc
 
 
-def build_delta_profile(prec: int = DEFAULT_PREC, tol=None) -> LProfile:
+def build_delta_profile(prec: int = DEFAULT_PREC) -> LProfile:
     """Assemble the discriminant-form profile Lambda(1..11) and validate it."""
-    lam = [lambda_delta(j, tol=tol, prec=prec) for j in range(1, 12)]
+    lam = [lambda_delta(j, prec=prec) for j in range(1, 12)]
     prof = LProfile(weight=12, level=1, sign=1, lam=lam, source="computed")
     prof.validate(tol=mp.ldexp(1, -(prec // 2)))
     return prof

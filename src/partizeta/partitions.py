@@ -119,6 +119,18 @@ class PartSet:
         """1 is a member with unbounded multiplicity."""
         return self.ones_multiplicity_cap() is UNBOUNDED
 
+    def single_class(self) -> tuple[int, int] | None:
+        """(a, m) when the set is exactly {a+m, a+2m, ...} with unbounded
+        multiplicities, else None. (0, 1), all of N, is never returned: its
+        zeta diverges."""
+        if len(self.classes) != 1 or self.distinct:
+            return None
+        a, m = self.classes[0]
+        if (a, m) == (0, 1) or self.min_part > a + m \
+                or any(p <= a or (p - a) % m for p in self.explicit_parts):
+            return None
+        return a, m
+
     def ones_multiplicity_cap(self) -> int | None:
         """Highest multiplicity the part 1 may take (None = unbounded)."""
         if not self.contains(1):

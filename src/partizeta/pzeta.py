@@ -67,7 +67,7 @@ def _e(x):
 
 # ----------------------------------------------------------------------
 @guarded()
-def euler_product(spec: PartSet, s, tol=None, prec: int = DEFAULT_PREC):
+def euler_product(spec: PartSet, s, prec: int = DEFAULT_PREC):
     """prod_{k in M} (1 - k^-s)^{-1}, or prod (1 + k^-s) for distinct parts.
 
     Requires Re(s) > 1 and a nondivergent part set. The finite product stops
@@ -75,7 +75,7 @@ def euler_product(spec: PartSet, s, tol=None, prec: int = DEFAULT_PREC):
     recovered exactly as sum_j (+-1)^{j+1}/j * sum_{k>K, k in M} k^-js with
     each inner power sum evaluated by Euler-Maclaurin. The certificate
     (returned bound) collects the E-M bounds plus the geometric remainder of
-    the j-series; it must come out below tol.
+    the j-series; it must come out below 2^(12-prec), else ArithmeticError.
     """
     s = mp.mpmathify(s)
     sigma = mp.re(s)
@@ -83,7 +83,6 @@ def euler_product(spec: PartSet, s, tol=None, prec: int = DEFAULT_PREC):
         raise ValueError("euler_product needs Re(s) > 1")
     if spec.is_divergent_for_zeta():
         raise DivergentPartSetError(f"part set {spec.spec_string()} diverges")
-    tol = mp.ldexp(1, 12 - prec) if tol is None else mp.mpf(tol)
     ones = spec.ones_factor()
     # the accelerated tail converges geometrically in j, so a modest cutoff
     # suffices; it only must clear every non-congruence irregularity
@@ -117,8 +116,9 @@ def euler_product(spec: PartSet, s, tol=None, prec: int = DEFAULT_PREC):
         rem = (mp.mpf(K) ** (1 - (jmax + 1) * sigma)
                / (((jmax + 1) * sigma - 1) * (1 - mp.mpf(K) ** (-sigma))))
         err_budget += rem
-    if err_budget > tol:
-        raise ArithmeticError(f"tail certificate {err_budget} exceeds tol {tol}")
+    target = mp.ldexp(1, 12 - prec)
+    if err_budget > target:
+        raise ArithmeticError(f"tail certificate {err_budget} exceeds its target {target}")
     value = ones * mp.exp(log_total)
     return value, err_budget
 
@@ -185,13 +185,14 @@ def log_eval_general(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
 
 
 @guarded()
-def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC, tol=None):
+def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC):
     """log zeta over multiples of m: sum_{k>=1} zeta(sk)/(k m^{ks}).
 
     Defined for Re(s) > 0; this is the meromorphic extension left of
     Re(s) = 1, with poles exactly at s = 1/N (the k = N term is zeta(1)).
-    Arguments within 1e-6 of such a point return a PoleReport instead of a
-    value.
+    Arguments within 1e-6 of the nearest such point return a PoleReport
+    instead of a value. The series stops once its remainder bound is below
+    2^(12-prec).
     """
     if m < 2:
         raise ValueError("log_eval_multiples needs m >= 2")
@@ -199,15 +200,14 @@ def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC, tol=None):
     sigma = mp.re(s)
     if sigma <= 0:
         raise ValueError("no extension beyond Re(s) > 0 (essential singularity at 0)")
-    tol = mp.ldexp(1, 12 - prec) if tol is None else tol
-    # pole detection: s within POLE_SNAP of 1/N for some N
-    if mp.im(s) == 0 or abs(mp.im(s)) < POLE_SNAP:
-        nmax = int(mp.ceil(1 / sigma)) + 2
-        for N in range(1, nmax + 1):
-            if abs(s - mp.mpf(1) / N) < POLE_SNAP:
-                return PoleReport(
-                    s=complex(s), pole_at_k=N,
-                    message=f"term k={N} is zeta(1): pole of the extension at s=1/{N}")
+    # pole detection: the 1/N nearest to s is 1/floor(1/sigma) or the next
+    if abs(mp.im(s)) < POLE_SNAP:
+        N0 = int(mp.floor(1 / sigma))
+        N = min((n for n in (N0, N0 + 1) if n >= 1), key=lambda n: abs(s - mp.mpf(1) / n))
+        if abs(s - mp.mpf(1) / N) < POLE_SNAP:
+            return PoleReport(
+                s=complex(s), pole_at_k=N,
+                message=f"term k={N} is zeta(1): pole of the extension at s=1/{N}")
     k0 = 1
     while sigma * k0 <= 1:
         k0 += 1
@@ -217,13 +217,14 @@ def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC, tol=None):
         total += riemann_zeta(s * k, mp.mp.prec) / (k * mp.mpf(m) ** (s * k))
     # convergent range: geometric in m^-sigma; |zeta(sk)| <= zeta(sigma k0)
     zbound = riemann_zeta(sigma * k0, mp.mp.prec)
+    target = mp.ldexp(1, 12 - prec)
     k = k0
     while True:
         term = riemann_zeta(s * k, mp.mp.prec) / (k * mp.mpf(m) ** (s * k))
         total += term
         k += 1
         rem = zbound * mp.mpf(m) ** (-k * sigma) / (k * (1 - mp.mpf(m) ** (-sigma)))
-        if rem < tol:
+        if rem < target:
             break
     if mp.im(s) == 0:
         total = mp.re(total)

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import ast
+import contextlib
+import inspect
+import io
 import json
 import time
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from partizeta import cli
 from partizeta.cli import main
+from partizeta.fixedlen import MZV_MAX_TERMS
 from partizeta.pzeta import GAMMA_MAX_N
 
 PREC_ARGS = ["--prec", "192"]
@@ -32,6 +40,31 @@ def test_pzeta_all_routes_pi_half(capsys):
             assert abs(mp.mpf(rec["value_re"]) - mp.pi / 2) < mp.mpf("1e-35")
         for dev in data["pairwise_deviation"].values():
             assert mp.mpf(dev) < mp.mpf("1e-35")
+
+
+def test_logseries_carries_the_full_precision(capsys):
+    # the series runs to 2^(12-prec), not to a looser CLI tolerance
+    code, out = run_cli(capsys, "pzeta", "--spec", "2N", "--s", "2", "--routes", "all")
+    assert code == 0
+    data = json.loads(out)
+    assert "tolerance" not in data["config"]
+    with mp.workprec(300):
+        assert mp.mpf(data["pairwise_deviation"]["logseries-vs-product"]) <= mp.mpf(2) ** -240
+
+
+def test_no_tolerance_flag():
+    assert "--tol" not in cli.build_parser().format_help()
+
+
+def test_pzeta_all_of_n_with_capped_ones_uses_the_product(capsys):
+    # N|ones:1 is the class (0, 1) with one 1 allowed: no gamma or log-series
+    # route applies, the product gives prod_{k>=2} (1-k^-2)^-1 * 2 = 4
+    code, out = run_cli(capsys, *PREC_ARGS, "pzeta", "--spec", "N|ones:1", "--s", "2")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [r["route"] for r in results] == ["product"]
+    with mp.workprec(220):
+        assert abs(mp.mpf(results[0]["value_re"]) - 4) < mp.mpf("1e-50")
 
 
 def test_pzeta_geq2_ramanujan(capsys):
@@ -69,11 +102,10 @@ def test_pzeta_non_numeric_s_exit_2(capsys, s):
 
 
 def test_default_tol_follows_prec(capsys):
-    # at 64 bits a fixed 2^-200 default is out of the product certificate's reach
+    # at 64 bits a fixed 2^-200 target is out of the product certificate's reach
     code, out = run_cli(capsys, "--prec", "64", "pzeta", "--spec", "2N", "--s", "2")
     assert code == 0
     data = json.loads(out)
-    assert mp.mpf(data["config"]["tolerance"]) == mp.mpf(2) ** -50
     assert {r["route"] for r in data["results"]} == {"product", "gamma", "logseries"}
     with mp.workprec(64):
         for rec in data["results"]:
@@ -178,6 +210,65 @@ def test_pzeta_gamma_route_work_budget(capsys):
     assert f"n <= {GAMMA_MAX_N}" in err and len(err.strip().splitlines()) == 1
     assert main([*PREC_ARGS, "pzeta", "--spec", "2N", "--s", "1e6",
                  "--routes", "product"]) == 0
+
+
+def test_mzv_bruteforce_work_budget(capsys):
+    # 2 x 10^11 terms would exhaust memory; the budget stops it at once
+    t0 = time.perf_counter()
+    code = main([*PREC_ARGS, "mzv", "--index", "2,1", "--bound", str(10 ** 11)])
+    assert code == 3 and time.perf_counter() - t0 < 10
+    err = capsys.readouterr().err
+    assert f"<= {MZV_MAX_TERMS}" in err and len(err.strip().splitlines()) == 1
+
+
+def test_profile_failing_validation_exit_2(tmp_path, capsys):
+    # Lambda(1) != Lambda(3) breaks the functional equation: invalid input
+    path = _profile_file(tmp_path, json.dumps(
+        {"weight": 4, "level": 1, "sign": 1, "lambda": ["1", "2", "3"]}))
+    assert main([*PREC_ARGS, "modular", "delta", "--profile", path]) == 2
+    err = capsys.readouterr().err
+    assert "--profile" in err and len(err.strip().splitlines()) == 1
+
+
+def test_exit_codes_mapped_only_in_main():
+    # every except clause outside main re-raises; main's return the exit code
+    tree = ast.parse(inspect.getsource(cli))
+    for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef)):
+        for handler in (n for n in ast.walk(fn) if isinstance(n, ast.ExceptHandler)):
+            kinds = {type(n) for s in handler.body for n in ast.walk(s)}
+            if fn.name == "main":
+                assert ast.Return in kinds and ast.Raise not in kinds
+            else:
+                assert ast.Raise in kinds and ast.Return not in kinds, fn.name
+
+
+_SPEC_TOKENS = st.one_of(
+    st.just("N"), st.just("distinct"),
+    st.integers(0, 8).map(lambda m: f"{m}N"),
+    st.tuples(st.integers(0, 8), st.integers(0, 8)).map(lambda am: f"{am[0]}+{am[1]}N"),
+    st.integers(0, 8).map(lambda g: f"geq:{g}"),
+    st.integers(0, 8).map(lambda o: f"ones:{o}"),
+    st.lists(st.integers(0, 8), max_size=3).map(
+        lambda ps: "finite:{" + ",".join(map(str, ps)) + "}"),
+)
+_S_TOKENS = st.sampled_from(["nan", "abc", "0", "-1", "1e-9", "0.5", "2", "3.3", "2+1j"])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(spec=st.lists(_SPEC_TOKENS, min_size=1, max_size=3).map("|".join),
+       s=st.lists(_S_TOKENS, min_size=1, max_size=2).map(",".join),
+       routes=st.sampled_from(["all", "product", "gamma", "logseries"]))
+def test_pzeta_exit_code_contract(spec, s, routes):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # --s=... : argparse would read a leading "-1" as an option
+        code = main(["--prec", "64", "pzeta", "--spec", spec, f"--s={s}", "--routes", routes])
+    assert code in (0, 2, 3)
+    if code:
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1 and "Traceback" not in lines[0], (spec, s, lines)
+    else:
+        assert json.loads(out.getvalue())["results"]
 
 
 def _profile_file(tmp_path, text):

@@ -9,6 +9,7 @@ import mpmath as mp
 import pytest
 
 from partizeta.fixedlen import (
+    MZV_MAX_TERMS,
     MZVIndex,
     compositions,
     decoupling_check,
@@ -89,6 +90,17 @@ def test_mzv_equal_args_values():
         assert abs(mzv_equal_args(3, 1, PREC) - riemann_zeta(3, PREC)) < mp.mpf("1e-70")
 
 
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("k", [6, 8, 10])
+def test_mzv_equal_args_keeps_relative_precision(n, k):
+    # zeta({7}^10) ~ 2^-150 comes out of O(1) series terms: the cancellation
+    # must not eat into the 256 bits
+    v = mzv_equal_args(n, k, prec=PREC)
+    with mp.workprec(1400):
+        ref = mzv_equal_args(n, k, prec=1400)
+        assert abs(v - ref) < mp.mpf(2) ** -248 * ref
+
+
 def test_mzv_exact_family():
     for k in range(1, 11):
         assert mzv_equal_args_exact(2, k) == Fraction(1, math.factorial(2 * k + 1))
@@ -142,6 +154,11 @@ def test_mzv_bruteforce_high_precision_path():
 
 
 # ---------------------------------------------------------------- compositions
+def test_mzv_bruteforce_work_budget():
+    with pytest.raises(ArithmeticError, match=f"<= {MZV_MAX_TERMS}"):
+        mzv_bruteforce((2, 1), MZV_MAX_TERMS // 2 + 1)
+
+
 def test_compositions_small():
     assert compositions(1) == [(1,)]
     assert compositions(2) == [(1, 1), (2,)]

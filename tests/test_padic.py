@@ -131,6 +131,13 @@ def test_padic_fixedlen_is_bell_of_zeta_star(k, p):
             assert padic_fixedlen(PadicContext(p=p, a=a, k=k), m) == want, (k, p, a, m)
 
 
+@pytest.mark.parametrize("k, p", [(1, 5), (2, 7), (3, 11)])
+def test_padic_fixedlen_p_integral(k, p):
+    # the 1/k! in B_k(a)/k! and every zeta* entry stay p-integral on S_2
+    for m in range(2, 2 + 6 * (p - 1), p - 1):
+        assert padic_valuation(padic_fixedlen(PadicContext(p=p, a=0, k=k), m), p) >= 0, m
+
+
 def test_factorial_entries_p_integral():
     # (k-i)!/(k-j)! has zero p-valuation whenever p >= k+3
     for k in (1, 2, 3, 4):

@@ -169,6 +169,14 @@ def test_log_eval_multiples_values_and_poles():
         log_eval_multiples(2, mp.mpf("-0.5"), prec=PREC)
 
 
+def test_log_eval_multiples_snaps_to_the_nearest_pole():
+    # 1/999 is also within POLE_SNAP of the first point; 1/1000 is nearer
+    near = log_eval_multiples(2, mp.mpf(1) / 1000 + mp.mpf("3e-7"), prec=PREC)
+    assert near.pole_at_k == 1000
+    tiny = log_eval_multiples(2, mp.mpf("1e-9"), prec=PREC)
+    assert tiny.pole_at_k == 10 ** 9 and tiny.message.endswith("s=1/1000000000")
+
+
 def test_log_eval_multiples_complex_point_finite():
     out = log_eval_multiples(3, mp.mpc("0.7", "0.3"), prec=PREC)
     assert not isinstance(out, PoleReport)

@@ -299,9 +299,15 @@ def cmd_selftest(args, cfg: RunConfig) -> int:
 
 
 # ----------------------------------------------------------------------
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, in every subcommand too, exit 2 with one stderr line."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="partizeta",
-                                 description="partition zeta / zeta polynomial engine")
+    ap = _Parser(prog="partizeta", description="partition zeta / zeta polynomial engine")
     ap.add_argument("--prec", type=int, default=256,
                     help="working precision in bits (>= 64); every route's accuracy follows it")
     ap.add_argument("--out", default=None, help="write the report to this path")

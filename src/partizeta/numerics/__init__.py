@@ -17,7 +17,14 @@ from .tables import (
 )
 from .series import TruncatedSeries
 from .gamma import incomplete_gamma_upper, log_gamma
-from .zeta import euler_bernoulli_genfunc_check, power_sum_tail, riemann_zeta
+from .zeta import (
+    direct_zeta_start,
+    euler_bernoulli_genfunc_check,
+    power_sum_tail,
+    power_sum_tails,
+    riemann_zeta,
+    zeta_multiples_direct,
+)
 from .bell import bell_via_determinant, bell_via_series, complete_bell, hessenberg_det
 from .poly import (
     binomial_poly,
@@ -41,6 +48,7 @@ __all__ = [
     "binomial_poly",
     "complete_bell",
     "digits_for",
+    "direct_zeta_start",
     "euler_bernoulli_genfunc_check",
     "guarded",
     "hessenberg_det",
@@ -53,10 +61,12 @@ __all__ = [
     "poly_to_mpc",
     "poly_trim",
     "power_sum_tail",
+    "power_sum_tails",
     "riemann_zeta",
     "stirling1",
     "stirling1_table",
     "working",
     "zeta_even_rational",
+    "zeta_multiples_direct",
     "zeta_neg_int",
 ]

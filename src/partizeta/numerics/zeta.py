@@ -1,10 +1,12 @@
 """The Riemann zeta function and certified power-sum tails.
 
 ``riemann_zeta`` wraps mpmath's ``zeta`` (analytic continuation included)
-with the pole rejections this package relies on. ``power_sum_tail`` is the
-one Euler-Maclaurin engine: sum_{i >= N} (i + c)^{-w} with an explicit
-remainder bound, which the restricted-part-set Euler products use for their
-congruence-class tails.
+with the pole rejections this package relies on. ``power_sum_tails`` is the
+one Euler-Maclaurin engine: sum_{i >= N} (i + c)^{-js} for j = 1..J from one
+setup, each with an explicit remainder bound, which the restricted-part-set
+Euler products use for their congruence-class tails. ``zeta_multiples_direct``
+gives zeta(sk) at the k where a short direct sum already reaches the
+working precision, which the log series over multiples uses.
 """
 
 from __future__ import annotations
@@ -19,32 +21,104 @@ from .series import TruncatedSeries
 from .tables import zeta_neg_int
 
 
-@guarded()
 def power_sum_tail(w, c, N: int, prec: int = DEFAULT_PREC):
-    """(value, bound) for sum_{i=N}^{inf} (i+c)^{-w}, Re(w) > 1, c >= 0.
+    """(value, bound) for sum_{i=N}^{inf} (i+c)^{-w}, Re(w) > 1, c >= 0:
+    the j = 1 entry of ``power_sum_tails``."""
+    return power_sum_tails(w, 1, c, N, prec)[0]
 
-    Euler-Maclaurin at x0 = N + c; the returned bound covers the truncated
-    correction terms (first omitted term times the standard complex factor),
-    not arithmetic rounding, which the guard bits absorb.
+
+@guarded()
+def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
+    """[(value, bound)] for sum_{i=N}^{inf} (i+c)^{-js}, j = 1..J; Re(s) > 1,
+    c >= 0.
+
+    Euler-Maclaurin at x0 = N_eff + c, set up once for all J multiples: the
+    powers (i+c)^{-js} and x0^{-js} are running products of the j = 1
+    powers, and B_{2v}/(2v)! x0^{1-2v} is shared. Each bound covers the
+    truncated correction terms (first omitted term times the standard
+    complex factor), not arithmetic rounding, which the guard bits absorb.
     """
-    w = mp.mpmathify(w)
-    if mp.re(w) <= 1:
-        raise ValueError("power_sum_tail wants Re(w) > 1")
+    s = mp.mpmathify(s)
+    if mp.re(s) <= 1:
+        raise ValueError("power_sum_tails wants Re(s) > 1")
     V = max(8, (prec + 40) // 6)
     # the correction series is asymptotic: terms shrink only while
-    # 2v < 2 pi x0, so push the expansion point out past ~V first
-    N_eff = max(N, V + 2 + int(abs(mp.im(w)) / 4))
-    head = mp.fsum((n + mp.mpf(c)) ** (-w) for n in range(N, N_eff))
-    x0 = N_eff + mp.mpf(c)
-    res = x0 ** (1 - w) / (w - 1) + x0 ** (-w) / 2
-    rising = w  # (w)_{2v-1} for v = 1
-    for v in range(1, V + 1):
-        res += mp.bernoulli(2 * v) / mp.factorial(2 * v) * rising * x0 ** (-w - 2 * v + 1)
-        rising = rising * (w + 2 * v - 1) * (w + 2 * v)
-    nxt = abs(mp.bernoulli(2 * V + 2) / mp.factorial(2 * V + 2) * rising
-              * x0 ** (-w - 2 * V - 1))
-    corr = abs((w + 2 * V + 1) / (mp.re(w) + 2 * V + 1))
-    return res + head, nxt * (corr + 1)
+    # 2v < 2 pi x0, so push the expansion point out past ~V, far enough for
+    # the largest |Im(js)|
+    N_eff = max(N, V + 2 + int(J * abs(mp.im(s)) / 4))
+    c = mp.mpf(c)
+    base = [(n + c) ** (-s) for n in range(N, N_eff)]
+    x0 = N_eff + c
+    x0_s = x0 ** (-s)
+    coef = []  # B_{2v}/(2v)! x0^{1-2v}, v = 1..V+1
+    x0_odd, x0_m2 = 1 / x0, x0 ** -2
+    for v in range(1, V + 2):
+        coef.append(mp.bernoulli(2 * v) / mp.factorial(2 * v) * x0_odd)
+        x0_odd *= x0_m2
+    out = []
+    head, x0_w = [1] * len(base), 1  # (i+c)^{-w} and x0^{-w} at w = js
+    for j in range(1, J + 1):
+        head = [h * b for h, b in zip(head, base)]
+        x0_w *= x0_s
+        w = j * s
+        res = x0 / (w - 1) + mp.mpf(1) / 2
+        rising = w  # (w)_{2v-1} for v = 1
+        for v in range(1, V + 1):
+            res += coef[v - 1] * rising
+            rising = rising * (w + 2 * v - 1) * (w + 2 * v)
+        nxt = abs(coef[V] * rising * x0_w)
+        corr = abs((w + 2 * V + 1) / (mp.re(w) + 2 * V + 1))
+        out.append((x0_w * res + mp.fsum(head), nxt * (corr + 1)))
+    return out
+
+
+# a direct sum of at most this many terms stands in for zeta(w) once Re(w)
+# is large enough (see direct_zeta_start)
+DIRECT_MAX_TERMS = 40
+
+
+def direct_zeta_start(sigma, prec: int) -> int:
+    """Least k with sigma k > 1 + prec / log2(DIRECT_MAX_TERMS), sigma > 0.
+
+    From there on zeta(sk), Re(s) = sigma, is the sum of its first
+    DIRECT_MAX_TERMS terms to 2^-prec: the omitted terms add up to at most
+    DIRECT_MAX_TERMS^{1 - sigma k}/(sigma k - 1).
+    """
+    return int(mp.floor((1 + prec / mp.log(DIRECT_MAX_TERMS, 2)) / sigma)) + 1
+
+
+@guarded()
+def zeta_multiples_direct(s, k_first: int, k_last: int, prec: int = DEFAULT_PREC):
+    """[zeta(sk) for k = k_first..k_last] by direct sums, for
+    k_first >= direct_zeta_start(Re(s), prec).
+
+    zeta(sk) = sum_{n <= N_k} (n^{-s})^k, where N_k <= DIRECT_MAX_TERMS is the
+    least N whose omitted terms, at most N^{1 - sigma k}/(sigma k - 1), stay
+    below 2^-prec. The powers are running products of n^{-s}.
+    """
+    s = mp.mpmathify(s)
+    if k_first < direct_zeta_start(mp.re(s), prec):
+        raise ValueError(f"zeta(s k) at k={k_first} needs more than "
+                         f"{DIRECT_MAX_TERMS} direct terms")
+    sigma = float(mp.re(s))
+
+    def enough(n, k):  # n^{1 - sigma k}/(sigma k - 1) <= 2^-prec
+        x = sigma * k - 1
+        return x * math.log2(n) + math.log2(x) >= prec
+
+    n_max = DIRECT_MAX_TERMS
+    while n_max > 2 and enough(n_max - 1, k_first):
+        n_max -= 1
+    base = [mp.mpf(n) ** (-s) for n in range(2, n_max + 1)]
+    powers = [mp.mpf(n) ** (-s * k_first) for n in range(2, n_max + 1)]
+    out = []
+    for k in range(k_first, k_last + 1):
+        while n_max > 2 and enough(n_max - 1, k):
+            n_max -= 1
+        del powers[n_max - 1:]  # keep n = 2..n_max
+        out.append(1 + mp.fsum(powers))
+        powers = [p * b for p, b in zip(powers, base)]
+    return out
 
 
 @guarded()

@@ -4,14 +4,18 @@ Routes implemented:
 
 * ``euler_product`` -- the defining product over the parts, truncated at a
   finite cutoff with the remaining log-tail summed exactly through
-  congruence-class power sums (Euler-Maclaurin, certified bound).
+  congruence-class power sums: one batched Euler-Maclaurin pass per residue
+  class serves every multiple js (``power_sum_tails``, certified bounds).
 * ``closed_form_gamma`` -- the gamma-product closed form for a single
   congruence class {a+m, a+2m, ...} at integer argument n >= 2.
 * ``log_eval_general`` -- the log-gamma Taylor expansion of the same closed
   form (series in zeta(k) - 1).
 * ``log_eval_multiples`` -- log zeta over multiples of m as sum_k
   zeta(sk)/(k m^{ks}), valid on Re(s) > 0 away from s = 1/N, where the k = N
-  term hits the zeta pole; those points come back as ``PoleReport``.
+  term hits the zeta pole; those points come back as ``PoleReport``. zeta(sk)
+  is mpmath's zeta at small and moderate Re(sk) and a direct sum of at most
+  40 terms once that reaches the working precision
+  (``zeta_multiples_direct``).
 
 Cross-route agreement is the correctness argument; the test-suite grids
 exercise it at 10^-35.
@@ -27,10 +31,12 @@ from .numerics import (
     DEFAULT_PREC,
     GUARD_BITS,
     TruncatedSeries,
+    direct_zeta_start,
     guarded,
     log_gamma,
-    power_sum_tail,
+    power_sum_tails,
     riemann_zeta,
+    zeta_multiples_direct,
 )
 from .partitions import DivergentPartSetError, PartSet, multiplicative_partition_count
 
@@ -38,6 +44,14 @@ POLE_SNAP = 1e-6  # distance to some 1/N below which we report the pole
 # work budget of closed_form_gamma: n + 1 log-gamma calls of ~0.8 ms each at
 # 256 bits (2-core x86 VM, mpmath pure-Python backend), i.e. ~3.4 s at the cap
 GAMMA_MAX_N = 4096
+# work budget of log_eval_multiples: its riemann_zeta calls below the
+# direct-sum range, ~(1 + wp / 5.3)/Re(s) of them at working precision
+# wp = prec + 40; each takes ~0.6 ms at wp = 104 and ~2.4 ms at wp = 296
+# (same VM), i.e. ~1.2 s (prec 64) or ~4.9 s (prec 256) at the cap
+LOG_SERIES_MAX_ZETA = 2048
+_LOG_SERIES_OVER = (f"the log series needs more than {LOG_SERIES_MAX_ZETA} zeta(sk) calls "
+                    f"at this Re(s); its work budget is LOG_SERIES_MAX_ZETA = "
+                    f"{LOG_SERIES_MAX_ZETA}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +86,9 @@ def euler_product(spec: PartSet, s, prec: int = DEFAULT_PREC):
 
     Requires Re(s) > 1 and a nondivergent part set. The finite product stops
     at a cutoff K >= 64; the dropped log-tail sum_{k>K} -log(1 -+ k^-s) is
-    recovered exactly as sum_j (+-1)^{j+1}/j * sum_{k>K, k in M} k^-js with
-    each inner power sum evaluated by Euler-Maclaurin. The certificate
+    recovered exactly as sum_j (+-1)^{j+1}/j * sum_{k>K, k in M} k^-js, the
+    inner power sums of each residue class evaluated for all j by one
+    Euler-Maclaurin setup (``power_sum_tails``). The certificate
     (returned bound) collects the E-M bounds plus the geometric remainder of
     the j-series; it must come out below 2^(12-prec), else ArithmeticError.
     """
@@ -99,17 +114,19 @@ def euler_product(spec: PartSet, s, prec: int = DEFAULT_PREC):
     err_budget = mp.mpf(0)
     if M is not None:
         jmax = max(4, int(mp.ceil((prec + 60) / (sigma * mp.log(K, 2)))) + 1)
+        tails = []
+        for r in residues:
+            # members > K congruent to r mod M: first is K+((r-K) mod M or M)
+            step = (r - K) % M
+            first = K + (step if step else M)
+            i0 = (first - r) // M  # first = r + M*i0
+            tails.append(power_sum_tails(s, jmax, mp.mpf(r) / M, i0, prec + GUARD_BITS))
+        M_s = mp.mpf(M) ** (-s)
+        M_w = 1  # M^{-js}
         for j in range(1, jmax + 1):
-            w = s * j
-            inner = mp.mpf(0) if mp.im(s) == 0 else mp.mpc(0)
-            for r in residues:
-                # members > K congruent to r mod M: first is K+((r-K) mod M or M)
-                step = (r - K) % M
-                first = K + (step if step else M)
-                i0 = (first - r) // M  # first = r + M*i0
-                val, bnd = power_sum_tail(w, mp.mpf(r) / M, i0, prec + GUARD_BITS)
-                inner += val * mp.mpf(M) ** (-w)
-                err_budget += bnd * mp.mpf(M) ** (-mp.re(w))
+            M_w *= M_s
+            inner = mp.fsum(t[j - 1][0] for t in tails) * M_w
+            err_budget += mp.fsum(t[j - 1][1] for t in tails) * abs(M_w)
             sign = (-1) ** (j + 1) if spec.distinct else 1
             log_total += sign * inner / j
         # remainder of the j-series: sum_{k>K} k^{-j sigma} <= K^{1-j sigma}/(j sigma - 1)
@@ -192,7 +209,10 @@ def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC):
     Re(s) = 1, with poles exactly at s = 1/N (the k = N term is zeta(1)).
     Arguments within 1e-6 of the nearest such point return a PoleReport
     instead of a value. The series stops once its remainder bound is below
-    2^(12-prec).
+    2^(12-prec). zeta(sk) is a direct sum (``zeta_multiples_direct``) from
+    k = direct_zeta_start(Re(s), working precision) on; the riemann_zeta
+    calls below that, about (1 + (prec + 40)/5.3)/Re(s), are capped at
+    LOG_SERIES_MAX_ZETA (ArithmeticError past it, before the evaluation).
     """
     if m < 2:
         raise ValueError("log_eval_multiples needs m >= 2")
@@ -208,24 +228,37 @@ def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC):
             return PoleReport(
                 s=complex(s), pole_at_k=N,
                 message=f"term k={N} is zeta(1): pole of the extension at s=1/{N}")
-    k0 = 1
+    wp = mp.mp.prec
+    k0 = int(mp.floor(1 / sigma))  # least k with sigma k > 1
     while sigma * k0 <= 1:
         k0 += 1
-    total = mp.mpc(0)
-    # initial terms, each through the continued zeta
-    for k in range(1, k0):
-        total += riemann_zeta(s * k, mp.mp.prec) / (k * mp.mpf(m) ** (s * k))
+    # zeta(sk) goes through riemann_zeta below kd, and is a short direct sum
+    # from there on; the budget counts the riemann_zeta calls
+    kd = direct_zeta_start(sigma, wp)
+    if k0 > LOG_SERIES_MAX_ZETA:
+        raise ArithmeticError(_LOG_SERIES_OVER)
     # convergent range: geometric in m^-sigma; |zeta(sk)| <= zeta(sigma k0)
-    zbound = riemann_zeta(sigma * k0, mp.mp.prec)
+    zbound = riemann_zeta(sigma * k0, wp)
     target = mp.ldexp(1, 12 - prec)
+    m_sigma = mp.mpf(m) ** (-sigma)
+    geo = m_sigma ** k0  # m^{-k sigma}
     k = k0
-    while True:
-        term = riemann_zeta(s * k, mp.mp.prec) / (k * mp.mpf(m) ** (s * k))
-        total += term
+    while True:  # the series stops once its remainder bound is below target
         k += 1
-        rem = zbound * mp.mpf(m) ** (-k * sigma) / (k * (1 - mp.mpf(m) ** (-sigma)))
-        if rem < target:
+        geo *= m_sigma
+        if min(k, kd) > LOG_SERIES_MAX_ZETA:
+            raise ArithmeticError(_LOG_SERIES_OVER)
+        if zbound * geo / (k * (1 - m_sigma)) < target:
             break
+    kmax = k - 1
+    direct = zeta_multiples_direct(s, kd, kmax, wp) if kd <= kmax else []
+    m_s = mp.mpf(m) ** (-s)
+    weight = 1  # m^{-sk}
+    total = mp.mpc(0)
+    for k in range(1, kmax + 1):
+        weight *= m_s
+        z = riemann_zeta(s * k, wp) if k < kd else direct[k - kd]
+        total += z * weight / k
     if mp.im(s) == 0:
         total = mp.re(total)
     return total

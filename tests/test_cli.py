@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from partizeta import cli
 from partizeta.cli import main
 from partizeta.fixedlen import MZV_MAX_TERMS
-from partizeta.pzeta import GAMMA_MAX_N
+from partizeta.pzeta import GAMMA_MAX_N, LOG_SERIES_MAX_ZETA
 
 PREC_ARGS = ["--prec", "192"]
 
@@ -212,6 +212,25 @@ def test_pzeta_gamma_route_work_budget(capsys):
                  "--routes", "product"]) == 0
 
 
+def test_logseries_work_budget(capsys):
+    # ~28,000 zeta(sk) calls below the direct-sum range; the budget stops it at once
+    t0 = time.perf_counter()
+    code = main(["pzeta", "--spec", "2N", "--s", "0.00201", "--routes", "logseries"])
+    assert code == 3 and time.perf_counter() - t0 < 10
+    err = capsys.readouterr().err
+    assert f"LOG_SERIES_MAX_ZETA = {LOG_SERIES_MAX_ZETA}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_usage_error_exits_2_with_one_line(capsys):
+    # argparse reads "-1,2" as an option, so --s has no value
+    with pytest.raises(SystemExit) as exc:
+        main(["pzeta", "--spec", "2N", "--s", "-1,2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "--s" in err
+
+
 def test_mzv_bruteforce_work_budget(capsys):
     # 2 x 10^11 terms would exhaust memory; the budget stops it at once
     t0 = time.perf_counter()
@@ -254,21 +273,55 @@ _SPEC_TOKENS = st.one_of(
 _S_TOKENS = st.sampled_from(["nan", "abc", "0", "-1", "1e-9", "0.5", "2", "3.3", "2+1j"])
 
 
+def _run_at_prec_64(argv) -> tuple[int, str, list[str]]:
+    """Run the CLI at --prec 64, usage errors included: exit 0/1/2/3 and never
+    a traceback. Returns (code, stdout, stderr lines)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["--prec", "64", *argv])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    return code, out.getvalue(), err.getvalue().strip().splitlines()
+
+
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(spec=st.lists(_SPEC_TOKENS, min_size=1, max_size=3).map("|".join),
        s=st.lists(_S_TOKENS, min_size=1, max_size=2).map(",".join),
        routes=st.sampled_from(["all", "product", "gamma", "logseries"]))
 def test_pzeta_exit_code_contract(spec, s, routes):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        # --s=... : argparse would read a leading "-1" as an option
-        code = main(["--prec", "64", "pzeta", "--spec", spec, f"--s={s}", "--routes", routes])
+    # --s=... : argparse would read a leading "-1" as an option
+    code, out, err = _run_at_prec_64(["pzeta", "--spec", spec, f"--s={s}", "--routes", routes])
     assert code in (0, 2, 3)
     if code:
-        lines = err.getvalue().strip().splitlines()
-        assert len(lines) == 1 and "Traceback" not in lines[0], (spec, s, lines)
+        assert len(err) == 1, (spec, s, err)
     else:
-        assert json.loads(out.getvalue())["results"]
+        assert json.loads(out)["results"]
+
+
+_SMALL = st.integers(-2, 8).map(str)
+_EXACT = st.sampled_from([[], ["--exact"]])
+
+
+@settings(derandomize=True, max_examples=45, deadline=None, database=None)
+@given(argv=st.one_of(
+    st.tuples(_SMALL, _SMALL, _EXACT).map(
+        lambda t: ["fixedlen", "--m", t[0], "--k", t[1], *t[2]]),
+    st.tuples(_SMALL, _SMALL, _EXACT).map(
+        lambda t: ["mzv", "--equal-args", t[0], t[1], *t[2]]),
+    st.tuples(st.integers(-1, 13).map(str), st.integers(-1, 3).map(str), _SMALL, _SMALL,
+              st.one_of(st.just([]), _SMALL.map(lambda m2: ["--m2", m2]))).map(
+        lambda t: ["padic", "--p", t[0], "--a", t[1], "--k", t[2], "--m1", t[3], *t[4]]),
+))
+def test_fixedlen_mzv_padic_exit_code_contract(argv):
+    code, out, err = _run_at_prec_64(argv)
+    if out:  # a failed p-adic congruence exits 3 and still writes its report
+        assert code in (0, 3)
+        json.loads(out)
+    else:
+        assert code and len(err) == 1, (argv, err)
 
 
 def _profile_file(tmp_path, text):

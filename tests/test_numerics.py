@@ -36,6 +36,7 @@ from partizeta.numerics import (
     poly_eval,
     poly_roots,
     power_sum_tail,
+    power_sum_tails,
     riemann_zeta,
     stirling1,
     stirling1_table,
@@ -243,6 +244,27 @@ def test_power_sum_tail_vs_hurwitz_oracle():
             val, bound = power_sum_tail(w, c, N, PREC)
             ref = mp.zeta(w, N + c)
             assert abs(val - ref) <= bound + TOL * max(1, abs(ref))
+
+
+def test_power_sum_tails_first_entry_is_power_sum_tail():
+    # real s: the batch sets up Euler-Maclaurin exactly as the single tail does
+    for s, c, N in ((mp.mpf("2.013"), mp.mpf(0), 32), (mp.mpf(3), mp.mpf(1) / 3, 11)):
+        assert power_sum_tails(s, 9, c, N, PREC)[0] == power_sum_tail(s, c, N, PREC)
+
+
+@pytest.mark.parametrize("s, J", [(mp.mpf("1.05"), 14), (mp.mpf(3), 6),
+                                  (mp.mpc("1.5", "7"), 10), (mp.mpc(2, -30), 8)])
+@pytest.mark.parametrize("c", [mp.mpf(0), mp.mpf(1) / 3])
+@pytest.mark.parametrize("prec", [64, PREC])
+def test_power_sum_tails_bounds_cover_the_error(s, J, c, prec):
+    N = 5
+    tails = power_sum_tails(s, J, c, N, prec)
+    assert len(tails) == J
+    with mp.workprec(2 * prec):
+        for j, (val, bound) in enumerate(tails, 1):
+            ref = mp.zeta(j * s, N + c)
+            # the bound leaves out the final rounding to prec bits
+            assert abs(val - ref) <= bound + mp.ldexp(abs(ref), 1 - prec), (j, val, ref)
 
 
 def test_euler_generating_function_small_orders():

@@ -5,7 +5,8 @@ from __future__ import annotations
 import mpmath as mp
 import pytest
 
-from partizeta.numerics import riemann_zeta
+from partizeta import pzeta
+from partizeta.numerics import GUARD_BITS, direct_zeta_start, riemann_zeta
 from partizeta.partitions import DivergentPartSetError, PartSet, parse_part_set
 from partizeta.pzeta import (
     CongruenceClassSpec,
@@ -175,6 +176,38 @@ def test_log_eval_multiples_snaps_to_the_nearest_pole():
     assert near.pole_at_k == 1000
     tiny = log_eval_multiples(2, mp.mpf("1e-9"), prec=PREC)
     assert tiny.pole_at_k == 10 ** 9 and tiny.message.endswith("s=1/1000000000")
+
+
+@pytest.mark.parametrize("m, s, prec", [(2, mp.mpf("0.75"), 128), (3, mp.mpc("1.5", "2"), 128),
+                                        (5, mp.mpf("0.3"), 64), (2, mp.mpf("2.5"), 256)])
+def test_log_eval_multiples_matches_a_zeta_reference(m, s, prec):
+    # the k-range straddles the direct-sum start: zeta(sk) comes from
+    # riemann_zeta below it and from short direct sums above it
+    kmax = int(2 * prec / (mp.re(s) * mp.log(m, 2))) + 8  # m^{-k Re s} < 2^{-2 prec}
+    assert direct_zeta_start(mp.re(s), prec + GUARD_BITS) < kmax // 2
+    value = log_eval_multiples(m, s, prec=prec)
+    with mp.workprec(2 * prec):
+        ref = mp.fsum(mp.zeta(s * k) / (k * mp.mpf(m) ** (s * k)) for k in range(1, kmax + 1))
+        assert abs(value - ref) <= mp.ldexp(1, 12 - prec), (value, ref)
+
+
+def test_log_eval_multiples_work_budget(monkeypatch):
+    calls = []
+
+    def counted(s, prec):
+        calls.append(s)
+        return riemann_zeta(s, prec)
+
+    monkeypatch.setattr(pzeta, "riemann_zeta", counted)
+    # k0 = 498 continued terms, then ~28,000 zeta calls: refused after the one
+    # call that sizes the series
+    with pytest.raises(ArithmeticError, match="LOG_SERIES_MAX_ZETA"):
+        log_eval_multiples(2, mp.mpf("0.00201"), prec=PREC)
+    assert len(calls) == 1
+    # k0 = 10^9 (off the real axis, so no pole snap): refused before any call
+    with pytest.raises(ArithmeticError, match="LOG_SERIES_MAX_ZETA"):
+        log_eval_multiples(2, mp.mpc("1e-9", 1), prec=PREC)
+    assert len(calls) == 1
 
 
 def test_log_eval_multiples_complex_point_finite():

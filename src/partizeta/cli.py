@@ -7,10 +7,10 @@ produce byte-identical output (sorted keys, fixed digit counts, no
 timestamps), and every report embeds the run configuration, a build
 identifier, and per-value route provenance.
 
-Exit codes: 0 success, 1 selftest failure, 2 invalid parameters/spec/file,
-3 numeric failure (non-convergence, a certificate above its target, a
-work budget exceeded, a failed p-adic check). ``main`` is the one place
-that maps exceptions to these codes, with one stderr line each.
+Exit codes: 0 success (a reader closing stdout early included), 1 selftest
+failure, 2 invalid parameters/spec/file, 3 numeric failure (non-convergence,
+a certificate above its target, a work budget exceeded, a failed p-adic
+check). ``main`` maps exceptions to these codes, one stderr line each.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -358,7 +359,12 @@ def main(argv=None) -> int:
     """Run one command; the only place where exceptions become exit codes."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, RunConfig(args))
+        code = args.func(args, RunConfig(args))
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader went away (`partizeta selftest | head -3`)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:  # --profile unreadable, --out or --roots-csv unwritable
         print(f"cannot use {exc.filename!r}: {exc.strerror}", file=sys.stderr)
         return EXIT_INVALID

@@ -182,8 +182,8 @@ _TAU_CACHE: list[int] = []
 
 def _tau(n: int) -> int:
     global _TAU_CACHE
-    if len(_TAU_CACHE) < n:
-        _TAU_CACHE = tau_recursive(max(n, 64))
+    if len(_TAU_CACHE) < n:  # grown by doubling: each rebuild starts from scratch
+        _TAU_CACHE = tau_recursive(max(n, 2 * len(_TAU_CACHE), 64))
     return _TAU_CACHE[n - 1]
 
 
@@ -200,22 +200,20 @@ def lambda_delta(s, prec: int = DEFAULT_PREC):
     if not (1 <= s <= 11):
         raise ValueError("critical strip for weight 12 is 1 <= s <= 11")
     target = mp.ldexp(1, 10 - prec) / 100
+
+    def tail(n):  # sum_{j>=n} j^6.5 * 2 * max(Gamma-factor), decreasing for n >= 3
+        return (mp.mpf(n) ** mp.mpf(6.5) * 2 * mp.exp(-2 * mp.pi * n)
+                * (2 * mp.pi * n) ** 10 / (1 - mp.exp(-2 * mp.pi)) * 4)
+
+    n_stop = 2  # the series keeps the terms n < n_stop, about prec ln 2/(2 pi) of them
+    while tail(n_stop) >= target:
+        n_stop += 1
     wp = mp.mp.prec
     total = mp.mpf(0)
-    n = 1
-    while True:
+    for n in range(1, n_stop):
         x = 2 * mp.pi * n
-        term = (_tau(n) * (incomplete_gamma_upper(s, x, wp) / x ** s
-                           + incomplete_gamma_upper(12 - s, x, wp) / x ** (12 - s)))
-        total += term
-        n += 1
-        # tail: sum_{j>=n} j^6.5 * 2 * max(Gamma-factor) ~ geometric in e^-2pi
-        bound = (mp.mpf(n) ** mp.mpf(6.5) * 2 * mp.exp(-2 * mp.pi * n)
-                 * (2 * mp.pi * n) ** 10 / (1 - mp.exp(-2 * mp.pi)) * 4)
-        if bound < target:
-            break
-        if n > 200:
-            raise ArithmeticError("Lambda series did not reach the tail target")
+        total += (_tau(n) * (incomplete_gamma_upper(s, x, wp) / x ** s
+                             + incomplete_gamma_upper(12 - s, x, wp) / x ** (12 - s)))
     return total
 
 
@@ -236,8 +234,12 @@ class LProfile:
             raise ValueError("weight must be even >= 4")
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +-1")
+        if self.level < 1:
+            raise ValueError("level must be >= 1")
         if len(self.lam) != self.weight - 1:
-            raise ValueError(f"need {self.weight - 1} Lambda values")
+            raise ValueError(f"need weight - 1 Lambda values, got {len(self.lam)}")
+        if not all(mp.isfinite(v) for v in self.lam):
+            raise ValueError("Lambda values must be finite")
 
     def validate(self, tol=1e-20) -> None:
         """Functional equation, monotone chain, and the sign -1 central zero.
@@ -279,15 +281,15 @@ class LProfile:
     def from_json(cls, text: str, prec: int = DEFAULT_PREC) -> "LProfile":
         """Parse ``to_json`` output; malformed text, a missing field or a
         field of the wrong type raises ValueError."""
-        data = json.loads(text)
         try:
+            data = json.loads(text)
             with working(prec):
                 lam = [mp.mpf(v) for v in data["lambda"]]
             return cls(weight=int(data["weight"]), level=int(data["level"]),
                        sign=int(data["sign"]), lam=lam, source=data.get("source", "file"))
         except KeyError as exc:
             raise ValueError(f"profile has no {exc.args[0]!r} field") from exc
-        except TypeError as exc:
+        except (TypeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed profile: {exc}") from exc
 
 

@@ -142,13 +142,6 @@ class PartSet:
             caps.append(self.max_ones)
         return min(caps) if caps else UNBOUNDED
 
-    def ones_factor(self) -> int:
-        """Multiplicity count for the part 1 in zeta sums: cap+1 repeats."""
-        cap = self.ones_multiplicity_cap()
-        if cap is UNBOUNDED:
-            raise DivergentPartSetError(f"part set {self.spec_string()} diverges")
-        return cap + 1
-
     def tail_classes(self, bound: int):
         """Disjoint congruence description of members > bound.
 
@@ -358,7 +351,8 @@ def brute_zeta(constraints: PartSet, s, part_bound: int, length_bound: int,
 
 
 def multiplicative_partition_count(n: int, constraints: PartSet) -> int:
-    """Number of multisets of parts with product n (each ordering once).
+    """Number of multisets of parts with product n (each ordering once; sets
+    for distinct parts).
 
     The Dirichlet coefficient a_n of the part-set zeta function. Part sets
     containing 1 are rejected: 1 may repeat freely in a product.
@@ -371,10 +365,9 @@ def multiplicative_partition_count(n: int, constraints: PartSet) -> int:
     def rec(m: int, max_divisor: int) -> int:
         if m == 1:
             return 1
-        total = 0
-        for d in range(2, min(m, max_divisor) + 1):
-            if m % d == 0 and constraints.contains(d):
-                total += rec(m // d, d)
-        return total
+        small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+        divisors = set(small) | {m // d for d in small}
+        return sum(rec(m // d, d - 1 if constraints.distinct else d) for d in divisors
+                   if 2 <= d <= max_divisor and constraints.contains(d))
 
     return rec(n, n)

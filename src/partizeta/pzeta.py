@@ -6,6 +6,9 @@ Routes implemented:
   finite cutoff with the remaining log-tail summed exactly through
   congruence-class power sums: one batched Euler-Maclaurin pass per residue
   class serves every multiple js (``power_sum_tails``, certified bounds).
+* ``dirichlet_partition_series`` -- the same product with a periodic weight
+  chi, |chi| <= 1; ``euler_product`` is its chi = 1 case. The tests check it
+  against a k-series in mpmath's Hurwitz zeta and the brute Dirichlet series.
 * ``closed_form_gamma`` -- the gamma-product closed form for a single
   congruence class {a+m, a+2m, ...} at integer argument n >= 2.
 * ``log_eval_general`` -- the log-gamma Taylor expansion of the same closed
@@ -23,6 +26,7 @@ exercise it at 10^-35.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -82,62 +86,92 @@ def _e(x):
 # ----------------------------------------------------------------------
 @guarded()
 def euler_product(spec: PartSet, s, prec: int = DEFAULT_PREC):
-    """prod_{k in M} (1 - k^-s)^{-1}, or prod (1 + k^-s) for distinct parts.
+    """prod_{k in M} (1 - k^-s)^{-1}, or prod (1 + k^-s) for distinct parts:
+    ``dirichlet_partition_series`` at the weight chi = 1, (value, bound)."""
+    return dirichlet_partition_series(spec, (1,), s, prec)
 
-    Requires Re(s) > 1 and a nondivergent part set. The finite product stops
-    at a cutoff K >= 64; the dropped log-tail sum_{k>K} -log(1 -+ k^-s) is
-    recovered exactly as sum_j (+-1)^{j+1}/j * sum_{k>K, k in M} k^-js, the
-    inner power sums of each residue class evaluated for all j by one
-    Euler-Maclaurin setup (``power_sum_tails``). The certificate
-    (returned bound) collects the E-M bounds plus the geometric remainder of
-    the j-series; it must come out below 2^(12-prec), else ArithmeticError.
+
+@guarded()
+def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
+    """prod_{k in M} (1 - chi(k) k^-s)^{-1}, or prod (1 + chi(k) k^-s) for
+    distinct parts, as (value, certificate); Re(s) > 1.
+
+    The weight is periodic, one period chi = (chi(0), ..., chi(q-1)) with
+    chi(k) = chi[k % q] and every |chi(r)| <= 1. The part 1 contributes
+    sum_{i <= cap} chi(1)^i, or 1/(1 - chi(1)) if its multiplicity is
+    unbounded (divergent unless |chi(1)| < 1). Complete multiplicativity is
+    needed only for the Dirichlet-series identity that
+    ``dirichlet_series_oracle`` checks, not for the product.
+
+    The finite product stops at a cutoff K >= 64; the dropped log-tail is
+    sum_j 1/j sum_r chi(r)^j sum_{k>K, k = r mod L} k^-js over the member
+    classes r mod L = lcm(q, M), each class's power sums for all j from one
+    Euler-Maclaurin setup (``power_sum_tails``). The certificate (E-M bounds
+    plus the j-series remainder) must come out below 2^(12-prec), else
+    ArithmeticError.
     """
     s = mp.mpmathify(s)
     sigma = mp.re(s)
     if sigma <= 1:
-        raise ValueError("euler_product needs Re(s) > 1")
-    if spec.is_divergent_for_zeta():
-        raise DivergentPartSetError(f"part set {spec.spec_string()} diverges")
-    ones = spec.ones_factor()
+        raise ValueError("the Euler product needs Re(s) > 1")
+    chi = _period(chi)
+    q = len(chi)
+    cap = spec.ones_multiplicity_cap()
+    c1 = chi[1 % q]
+    if cap is None and not abs(c1) < 1:
+        raise DivergentPartSetError(f"part set {spec.spec_string()} diverges: part 1 "
+                                    f"repeats without bound at weight {c1}")
+    ones = 1 / (1 - c1) if cap is None else sum(c1 ** i for i in range(cap + 1))
+    # distinct parts: log prod (1 + chi k^-s) = -(sum -log(1 - (-chi) k^-s))
+    sign = -1 if spec.distinct else 1
+    chi = [sign * c for c in chi]
     # the accelerated tail converges geometrically in j, so a modest cutoff
     # suffices; it only must clear every non-congruence irregularity
     K = max(64, spec.tail_start() + 1)
-    # finite part over parts in (1, K]
+    # finite part over parts in (1, K]; the part 1 is the factor `ones`
     log_total = mp.mpf(0) if mp.im(s) == 0 else mp.mpc(0)
     for k in spec.parts_upto(K):
-        if k == 1:
-            continue  # folded into ones_factor
-        x = mp.mpf(k) ** (-s) if mp.im(s) == 0 else mp.mpc(k) ** (-s)
-        log_total += mp.log(1 + x) if spec.distinct else -mp.log(1 - x)
-    # accelerated tail over k > K
+        if k > 1 and chi[k % q] != 0:
+            x = mp.mpf(k) ** (-s) if mp.im(s) == 0 else mp.mpc(k) ** (-s)
+            log_total += -mp.log(1 - chi[k % q] * x)
     M, residues = spec.tail_classes(K)
     err_budget = mp.mpf(0)
     if M is not None:
+        L = math.lcm(q, M)
         jmax = max(4, int(mp.ceil((prec + 60) / (sigma * mp.log(K, 2)))) + 1)
-        tails = []
-        for r in residues:
-            # members > K congruent to r mod M: first is K+((r-K) mod M or M)
-            step = (r - K) % M
-            first = K + (step if step else M)
-            i0 = (first - r) // M  # first = r + M*i0
-            tails.append(power_sum_tails(s, jmax, mp.mpf(r) / M, i0, prec + GUARD_BITS))
-        M_s = mp.mpf(M) ** (-s)
-        M_w = 1  # M^{-js}
+        classes = []  # (chi(r), power-sum tails) per class r mod L of nonzero weight
+        for r in (r0 + M * t for r0 in residues for t in range(L // M)):
+            if chi[r % q] != 0:
+                # members > K congruent to r mod L: first is K+((r-K) mod L or L)
+                step = (r - K) % L
+                i0 = (K + (step if step else L) - r) // L  # first = r + L*i0
+                classes.append((chi[r % q], power_sum_tails(
+                    s, jmax, mp.mpf(r) / L, i0, prec + GUARD_BITS)))
+        L_s = mp.mpf(L) ** (-s)
+        L_w = 1  # L^{-js}
         for j in range(1, jmax + 1):
-            M_w *= M_s
-            inner = mp.fsum(t[j - 1][0] for t in tails) * M_w
-            err_budget += mp.fsum(t[j - 1][1] for t in tails) * abs(M_w)
-            sign = (-1) ** (j + 1) if spec.distinct else 1
-            log_total += sign * inner / j
-        # remainder of the j-series: sum_{k>K} k^{-j sigma} <= K^{1-j sigma}/(j sigma - 1)
-        rem = (mp.mpf(K) ** (1 - (jmax + 1) * sigma)
-               / (((jmax + 1) * sigma - 1) * (1 - mp.mpf(K) ** (-sigma))))
-        err_budget += rem
+            L_w *= L_s
+            inner = mp.fsum(c ** j * t[j - 1][0] for c, t in classes) * L_w
+            err_budget += mp.fsum(abs(c) ** j * t[j - 1][1] for c, t in classes) * abs(L_w)
+            log_total += inner / j
+        # j-series remainder (|chi| <= 1): sum_{k>K} k^{-j sigma} <= K^{1-j sigma}/(j sigma - 1)
+        err_budget += (mp.mpf(K) ** (1 - (jmax + 1) * sigma)
+                       / (((jmax + 1) * sigma - 1) * (1 - mp.mpf(K) ** (-sigma))))
     target = mp.ldexp(1, 12 - prec)
     if err_budget > target:
         raise ArithmeticError(f"tail certificate {err_budget} exceeds its target {target}")
-    value = ones * mp.exp(log_total)
-    return value, err_budget
+    return ones * mp.exp(sign * log_total), err_budget
+
+
+def _period(chi) -> list:
+    """One period of a weight as mpmath numbers, each of modulus <= 1."""
+    chi = [mp.mpmathify(c) for c in chi]
+    if not chi:
+        raise ValueError("the weight needs one period, chi = (chi(0), ..., chi(q-1))")
+    for r, c in enumerate(chi):
+        if not abs(c) <= 1:
+            raise ValueError(f"weight at residue {r} has |chi({r})| = {abs(c)} > 1")
+    return chi
 
 
 @guarded(extra=32)
@@ -339,66 +373,14 @@ def zeta_via_gamma_series(n: int, prec: int = DEFAULT_PREC, antisymmetric: bool 
 
 
 @guarded()
-def dirichlet_partition_series(spec: PartSet, f, s, tol=None, sigma_growth: float = 0.0,
-                               prec: int = DEFAULT_PREC):
-    """prod_{j in M} (1 - f(j) j^{-s})^{-1} with certified truncation.
-
-    f is evaluated pointwise (completely multiplicative in the intended
-    interpretation, where the product equals sum f(n_lambda) n_lambda^{-s}
-    over partitions with parts in M). Growth contract |f(j)| <= j^sigma with
-    Re(s) - sigma > 1; the tail is bounded by the integral estimate
-    sum_{k>K} k^{sigma - Re s} <= K^{1+sigma-Re s}/(Re s - sigma - 1).
-    """
-    s = mp.mpmathify(s)
-    w = mp.re(s) - sigma_growth
-    if w <= 1:
-        raise ValueError("growth violation: need Re(s) - sigma > 1")
-    if spec.contains(1):
-        fv = mp.mpmathify(f(1))
-        if abs(fv) >= 1:
-            raise DivergentPartSetError("part 1 with |f(1)| >= 1 diverges")
-    # integral tail bound 2 K^{1-w}/(w-1); no acceleration for arbitrary f,
-    # so achievable tolerances are polynomial in the cutoff
-    if tol is None:
-        K = 10 ** 5
-    else:
-        K = int(mp.ceil((4 / (mp.mpf(tol) * (w - 1))) ** (1 / (w - 1)))) + 8
-        if K > 2 * 10 ** 6:
-            raise ArithmeticError(
-                f"tol {tol} needs cutoff K={K}: beyond the direct-product budget")
-    K = max(K, 64, spec.tail_start() + 1)
-    total = mp.mpc(0)
-    for k in spec.parts_upto(K):
-        x = mp.mpmathify(f(k)) * mp.mpc(k) ** (-s)
-        if abs(x) >= 1:
-            raise ValueError(f"factor at part {k} leaves the convergence region")
-        total += -mp.log(1 - x)
-    bound = 2 * mp.mpf(K) ** (1 - w) / (w - 1)
-    if tol is not None and bound > mp.mpf(tol):
-        raise ArithmeticError(f"tail bound {bound} exceeds tol {tol}")
-    val = mp.exp(total)
-    if mp.im(s) == 0 and abs(mp.im(val)) < mp.mpf(2) ** (-(prec // 3)):
-        val = mp.re(val)
-    return val, bound
-
-
-@guarded()
-def dirichlet_series_oracle(spec: PartSet, f, s, nmax: int, prec: int = DEFAULT_PREC):
-    """Brute Dirichlet partial sum sum_{n<=nmax} f(n) a_n n^{-s} for
-    completely multiplicative f, with a_n counted by multiplicative
-    partitions. Oracle for ``dirichlet_partition_series``."""
-    s = mp.mpmathify(s)
-    total = mp.mpc(0)
-    for n in range(1, nmax + 1):
-        fv = f(n)
-        if fv == 0:
-            continue
-        c = multiplicative_partition_count(n, spec)
-        if c:
-            total += mp.mpmathify(fv) * c * mp.mpc(n) ** (-s)
-    if mp.im(s) == 0:
-        total = mp.re(total) if abs(mp.im(total)) < mp.mpf(2) ** (-prec // 3) else total
-    return total
+def dirichlet_series_oracle(spec: PartSet, chi, s, nmax: int, prec: int = DEFAULT_PREC):
+    """Brute Dirichlet partial sum sum_{n<=nmax} chi(n) a_n n^{-s}, the weight
+    given by one period as in ``dirichlet_partition_series`` and completely
+    multiplicative, with a_n counted by multiplicative partitions. Oracle
+    for ``dirichlet_partition_series``."""
+    s, chi = mp.mpmathify(s), _period(chi)
+    return mp.fsum(chi[n % len(chi)] * multiplicative_partition_count(n, spec) * mp.mpf(n) ** (-s)
+                   for n in range(1, nmax + 1) if chi[n % len(chi)] != 0)
 
 
 @guarded()

@@ -7,7 +7,11 @@ import contextlib
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 from partizeta import cli
 from partizeta.cli import main
 from partizeta.fixedlen import MZV_MAX_TERMS
+from partizeta.padic import PADIC_MAX_BERNOULLI
 from partizeta.pzeta import GAMMA_MAX_N, LOG_SERIES_MAX_ZETA
 
 PREC_ARGS = ["--prec", "192"]
@@ -176,6 +181,16 @@ def test_padic_invalid_exit_2(capsys):
                  "--m1", "2"]) == 2
 
 
+def test_padic_bernoulli_work_budget(capsys):
+    # suggest_m2 gives m2 = 10102, which needs B_50506: refused at once
+    t0 = time.perf_counter()
+    code = main([*PREC_ARGS, "padic", "--p", "101", "--a", "1", "--k", "5", "--m1", "2"])
+    assert code == 3 and time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert not out and f"PADIC_MAX_BERNOULLI = {PADIC_MAX_BERNOULLI}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_modular_delta_report_and_roots_csv(tmp_path, capsys):
     csv_path = tmp_path / "roots.csv"
     code, out = run_cli(capsys, "--prec", "128", "modular", "delta", "--report",
@@ -220,6 +235,29 @@ def test_logseries_work_budget(capsys):
     err = capsys.readouterr().err
     assert f"LOG_SERIES_MAX_ZETA = {LOG_SERIES_MAX_ZETA}" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _cli_process(*argv, unbuffered):
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "partizeta.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def test_closed_stdout_exits_0_quietly():
+    # `partizeta selftest | head -3`: each line goes out as it is printed
+    with _cli_process("selftest", unbuffered=True) as proc:
+        lines = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0 and proc.stderr.read() == ""
+    assert all(line.startswith("[PASS] A") for line in lines)
+    # buffered: the report goes out at the final flush, into a closed pipe
+    with _cli_process("fixedlen", "--m", "2", "--k", "1", "--exact", unbuffered=False) as proc:
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0 and proc.stderr.read() == ""
 
 
 def test_usage_error_exits_2_with_one_line(capsys):
@@ -322,6 +360,64 @@ def test_fixedlen_mzv_padic_exit_code_contract(argv):
         json.loads(out)
     else:
         assert code and len(err) == 1, (argv, err)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+    | st.integers(-10 ** 30, 10 ** 30) | st.sampled_from([10 ** 4000, -(10 ** 400)]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_LAMBDA_ENTRY = st.one_of(
+    st.sampled_from(["1", "2", "0", "-1", "nan", "inf", "-inf", "1e999999", "1e-999999",
+                     "abc", "", "1,5", "0x10"]),
+    st.floats(), st.integers(-10 ** 20, 10 ** 20), _JSON)
+# weight-4 profiles with Lambda(1) = Lambda(3), Lambda(2) <= Lambda(3): valid as they stand
+_VALID = {"weight": 4, "level": 1, "sign": 1, "lambda": ["2", "1", "2"], "source": "fuzz"}
+
+
+@st.composite
+def _profile_texts(draw):
+    prof = dict(_VALID, sign=draw(st.sampled_from([1, -1])))
+    if prof["sign"] == -1:
+        prof["lambda"] = ["2", "0", "-2"]
+    for key in draw(st.lists(st.sampled_from(sorted(_VALID)), max_size=2, unique=True)):
+        action = draw(st.sampled_from(["drop", "json", "entries"]))
+        if action == "drop":
+            del prof[key]
+        elif action == "entries" and key == "lambda":
+            prof[key] = draw(st.lists(_LAMBDA_ENTRY, max_size=5))
+        else:
+            prof[key] = draw(st.one_of(_JSON, st.sampled_from([0, -4, 5, 12, 2.5, "4", "x"])))
+    if draw(st.booleans()):
+        return json.dumps(prof)
+    return draw(st.sampled_from([json.dumps(prof)[:-1], json.dumps([prof]), "[" * 5000,
+                                 json.dumps(prof).replace('"2"', "2e999"), ""]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(text=_profile_texts())
+def test_modular_profile_exit_code_contract(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("profile") / "profile.json"
+    path.write_text(text)
+    code, out, err = _run_at_prec_64(["modular", "delta", "--profile", str(path)])
+    if code:
+        assert code in (2, 3) and len(err) == 1 and not out, (text, err)
+    else:
+        profile = json.loads(out)["profile"]
+        assert profile["weight"] == 4 and all(mp.isfinite(mp.mpf(v)) for v in profile["lambda"])
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(dict(_VALID, **{"lambda": ["nan", "1", "nan"]})),
+    json.dumps(dict(_VALID, level=0)),
+    json.dumps(dict(_VALID, weight=float("inf"))),
+    "[" * 5000,
+], ids=["nan-lambda", "level-0", "infinite-weight", "nested-too-deep"])
+def test_modular_profile_invalid_exit_2(tmp_path, text):
+    code, out, err = _run_at_prec_64(["modular", "delta", "--profile",
+                                      _profile_file(tmp_path, text)])
+    assert code == 2 and len(err) == 1 and not out, err
 
 
 def _profile_file(tmp_path, text):

@@ -115,6 +115,14 @@ def test_lambda_delta_noninteger_argument_symmetry():
         assert a > 0
 
 
+def test_lambda_delta_meets_its_target_at_high_precision():
+    # ~prec ln 2/(2 pi) = 221 terms at 2000 bits: the term count follows the target
+    v = lambda_delta(6, prec=2000)
+    w = lambda_delta(6, prec=2064)
+    with mp.workprec(2100):
+        assert abs(v - w) < mp.ldexp(1, 10 - 2000) / 100
+
+
 def test_lambda_delta_monotone_chain(delta):
     chain = delta.lam[5:]
     assert all(chain[i] <= chain[i + 1] for i in range(len(chain) - 1))

@@ -11,6 +11,7 @@ import pytest
 from partizeta.numerics import bernoulli, complete_bell
 from partizeta.padic import (
     INFINITE_VALUATION,
+    PADIC_MAX_BERNOULLI,
     PadicContext,
     interpolation_check,
     is_prime,
@@ -178,3 +179,15 @@ def test_interpolation_preconditions_named():
         interpolation_check(7, 1, 2, 2, 8)  # 8 == 2 mod 6 but not mod 7
     with pytest.raises(ValueError, match="k\\+3"):
         interpolation_check(5, 0, 3, 2, 6)
+
+
+def test_bernoulli_work_budget():
+    # past the cap the checks refuse before the Bernoulli table grows
+    assert PADIC_MAX_BERNOULLI < 2054
+    with pytest.raises(ArithmeticError, match="PADIC_MAX_BERNOULLI"):
+        kummer_check(7, 0, 2, 2054)
+    # the largest index is 1 + (m - 1) r for the largest odd r <= k: r = 3 at k = 4
+    with pytest.raises(ArithmeticError, match="B_2074"):
+        interpolation_check(11, 0, 4, 2, 692)
+    with pytest.raises(ArithmeticError, match="B_50506"):
+        interpolation_check(101, 1, 5, 2, suggest_m2(101, 1, 5, 2))

@@ -226,6 +226,9 @@ def test_multiplicative_partition_counts():
     assert multiplicative_partition_count(12, geq2) == 4  # 12, 2*6, 3*4, 2*2*3
     for p in (2, 3, 5, 7, 11, 13):
         assert multiplicative_partition_count(p, geq2) == 1
+    distinct = parse_part_set("geq:2|distinct")  # 2*2*3 repeats a part
+    assert multiplicative_partition_count(12, distinct) == 3
+    assert multiplicative_partition_count(24, distinct) == 5  # 24, 2*12, 3*8, 4*6, 2*3*4
 
 
 def test_multiplicative_partition_rejects_one():

@@ -249,40 +249,84 @@ def test_gamma_series_route():
 
 
 # ---------------------------------------------------------------- dirichlet series
+CHI4 = (0, 1, 0, -1)  # the character mod 4
+ODD3 = PartSet(classes=((1, 2),), min_part=3)
+
+
+def _hurwitz_product(spec, firsts, L, chi, s, bits=128):
+    """exp sum_k (1/k) sum_f chi(f)^k L^{-sk} zeta(sk, f/L): the weighted
+    product over the union of the classes {f, f+L, f+2L, ...}, through
+    mpmath's Hurwitz zeta; no finite product and no Euler-Maclaurin tail."""
+    assert {n for n in range(1, 300) if spec.contains(n)} \
+        == {f + L * i for f in firsts for i in range(300) if f + L * i < 300}
+    with mp.workprec(bits):
+        s = mp.mpmathify(s)
+        kmax = int(bits / (mp.re(s) * mp.log(min(firsts), 2))) + 1
+        total = 0
+        for k in range(1, kmax + 1):
+            for f in firsts:
+                c = mp.mpmathify(chi[f % len(chi)])
+                if c:
+                    total += c ** k * mp.mpf(L) ** (-s * k) * mp.zeta(s * k, mp.mpf(f) / L) / k
+        return mp.exp(total)
+
+
+@pytest.mark.parametrize("spec, firsts, L, chi, s", [
+    (ODD3, (3, 5), 4, CHI4, 2),
+    (parse_part_set("geq:2"), (2, 3), 2, (1, -1), 3),  # (-1)^k
+    (ODD3, (3, 5), 4, CHI4, mp.mpc(5, 0.5)),
+    # a complex character mod 5 on odd parts >= 5: classes refined mod L = 10
+    (parse_part_set("3+2N"), (5, 7, 9, 11, 13), 10, (0, 1, 1j, -1j, -1), 3),
+], ids=["chi4-odd3", "sign-geq2", "chi4-odd3-complex-s", "chi5-odd5"])
+def test_dirichlet_matches_hurwitz_k_series(spec, firsts, L, chi, s):
+    v, bound = dirichlet_partition_series(spec, chi, s, prec=PREC)
+    assert bound < mp.ldexp(1, 12 - PREC)
+    with mp.workprec(PREC):
+        assert abs(v - _hurwitz_product(spec, firsts, L, chi, s)) < mp.mpf("1e-35")
+
+
 def test_dirichlet_reduces_to_euler_product():
-    with mp.workprec(160):
-        v, bound = dirichlet_partition_series(parse_part_set("2N"), lambda j: 1,
-                                              mp.mpf(3), tol=mp.mpf("1e-8"), prec=140)
-        ref, _ = euler_product(parse_part_set("2N"), mp.mpf(3), prec=140)
-        assert abs(v - ref) < mp.mpf("1e-7")
+    for text, s in (("distinct", mp.mpf(3)), ("ones:2|3+4N", mp.mpf(3)), ("2N", mp.mpc(4, 0.5))):
+        spec = parse_part_set(text)
+        assert dirichlet_partition_series(spec, (1,), s, prec=128) \
+            == euler_product(spec, s, prec=128), text
 
 
 def test_dirichlet_self_consistency_two_truncations():
-    f = lambda j: (-1) ** j
-    with mp.workprec(120):
-        v1, b1 = dirichlet_partition_series(parse_part_set("geq:2"), f, mp.mpf(3),
-                                            tol=mp.mpf("1e-6"), prec=100)
-        v2, b2 = dirichlet_partition_series(parse_part_set("geq:2"), f, mp.mpf(3),
-                                            tol=mp.mpf("1e-9"), prec=100)
-        assert abs(v1 - v2) < mp.mpf("2e-6")
+    # geq:2 again, but with an explicit part 100 that moves the cutoff
+    # K = max(64, tail_start + 1) from 64 to 101
+    late = PartSet(classes=((0, 1),), min_part=2, explicit_parts=frozenset({100}))
+    assert late.parts_upto(300) == parse_part_set("geq:2").parts_upto(300)
+    v1, b1 = dirichlet_partition_series(parse_part_set("geq:2"), (1, -1), 3, prec=PREC)
+    v2, b2 = dirichlet_partition_series(late, (1, -1), 3, prec=PREC)
+    with mp.workprec(PREC):
+        assert abs(v1 - v2) < b1 + b2 + mp.ldexp(1, 4 - PREC)
 
 
 def test_dirichlet_character_oracle():
-    def chi(j):  # period-4 completely multiplicative sign map
-        return 0 if j % 2 == 0 else (1 if j % 4 == 1 else -1)
-
-    odd3 = PartSet(classes=((1, 2),), min_part=3)
-    with mp.workprec(120):
-        prod, bound = dirichlet_partition_series(odd3, chi, mp.mpf(2),
-                                                 tol=mp.mpf("2e-5"), prec=100)
-        brute = dirichlet_series_oracle(odd3, chi, mp.mpf(2), 5000, prec=100)
+    prod, bound = dirichlet_partition_series(ODD3, CHI4, mp.mpf(2), prec=100)
+    brute = dirichlet_series_oracle(ODD3, CHI4, mp.mpf(2), 5000, prec=100)
+    with mp.workprec(100):
         assert abs(prod - brute) < mp.mpf("1e-4")
 
 
-def test_dirichlet_growth_gate_and_budget():
-    with pytest.raises(ValueError):
-        dirichlet_partition_series(parse_part_set("geq:2"), lambda j: 1, mp.mpf(2),
-                                   sigma_growth=1.5, prec=100)
-    with pytest.raises(ArithmeticError):
-        dirichlet_partition_series(parse_part_set("geq:2"), lambda j: 1, mp.mpf(2),
-                                   tol=mp.mpf("1e-30"), prec=100)
+def test_dirichlet_input_checks():
+    geq2 = parse_part_set("geq:2")
+    with pytest.raises(ValueError, match="Re"):
+        dirichlet_partition_series(geq2, CHI4, 1, prec=100)
+    with pytest.raises(ValueError, match="residue 2"):
+        dirichlet_partition_series(geq2, (1, 0, mp.mpf("1.5")), 2, prec=100)
+    with pytest.raises(ValueError, match="residue 0"):
+        dirichlet_partition_series(geq2, (mp.nan,), 2, prec=100)
+    with pytest.raises(ValueError, match="period"):
+        dirichlet_partition_series(geq2, (), 2, prec=100)
+    # the part 1 repeats without bound: only |chi(1)| < 1 converges, to a
+    # factor 1/(1 - chi(1))
+    every = PartSet(classes=((0, 1),))
+    with pytest.raises(DivergentPartSetError):
+        dirichlet_partition_series(every, CHI4, 2, prec=100)
+    half = (mp.mpf(1) / 2,)
+    v_all, _ = dirichlet_partition_series(every, half, 2, prec=100)
+    v_geq2, _ = dirichlet_partition_series(geq2, half, 2, prec=100)
+    with mp.workprec(100):
+        assert abs(v_all - 2 * v_geq2) < mp.ldexp(1, 4 - 100)

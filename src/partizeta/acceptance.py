@@ -301,7 +301,7 @@ def criterion_15(prec=PREC):
         solver_dev = mp.mpf(0)
         for k in (6, 8, 12):
             for sign in (-1, 1):
-                ords = modular.hk_zero_solver(k, sign, prec=prec, tol=mp.mpf("1e-30"))
+                ords = modular.hk_zero_solver(k, sign, prec=prec)
                 Hk = modular.hk_polynomial(k, sign)
                 rts, _ = poly_roots(poly_to_mpc(poly_negate_var(Hk), prec + 40), prec=prec)
                 got = sorted(mp.im(r) for r in rts)
@@ -313,8 +313,7 @@ def criterion_15(prec=PREC):
         for k in (20, 30, 40):
             for sign, ref in ((-1, (k - 3) * (k - 1) / (2 * mp.pi)),
                               (1, (k - 3) * (k - 1) / mp.pi)):
-                ords = modular.hk_zero_solver(k, sign, prec=64, tol=mp.mpf("1e-8"),
-                                              largest_only=True)
+                ords = modular.hk_zero_solver(k, sign, prec=64, largest_only=True)
                 gap = abs(max(abs(t) for t in ords) - ref)
                 slack_worst = max(slack_worst, gap)
                 if gap >= 1:

@@ -21,7 +21,7 @@ import io
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import mpmath as mp
 
@@ -57,16 +57,14 @@ def _numstr(cfg, x) -> str:
     return mp.nstr(mp.mpmathify(x), cfg.digits)
 
 
-def _emit(cfg: RunConfig, payload: dict, rows_csv=None) -> None:
+def _emit(cfg: RunConfig, payload: dict) -> None:
     payload = {"config": cfg.header(), **payload}
     if cfg.fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        rows = rows_csv if rows_csv is not None else _flatten_csv(payload)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(_flatten_csv(payload))
         text = buf.getvalue()
     if cfg.out:
         with open(cfg.out, "w") as fh:
@@ -246,21 +244,24 @@ def cmd_padic(args, cfg: RunConfig) -> int:
 
 
 def cmd_modular(args, cfg: RunConfig) -> int:
-    if args.profile:
-        with open(args.profile) as fh, _naming(f"--profile {args.profile!r}"):
-            prof = modular.LProfile.from_json(fh.read(), prec=cfg.precision_bits)
+    # a failure anywhere in a profile's pipeline names the file it came from
+    naming = _naming(f"--profile {args.profile!r}") if args.profile else nullcontext()
+    with naming:
+        if args.profile:
+            with open(args.profile) as fh:
+                prof = modular.LProfile.from_json(fh.read(), prec=cfg.precision_bits)
             prof.validate(tol=mp.ldexp(1, -(cfg.precision_bits // 3)))
-    else:
-        prof = modular.build_delta_profile(prec=cfg.precision_bits)
-    tau = modular.tau_recursive(30)
-    Z = modular.zeta_polynomial(prof, cfg.precision_bits)
-    fe = modular.functional_eq_check(Z, prof.sign, cfg.precision_bits)
-    roots, dev = modular.rh_check(Z, cfg.precision_bits)
-    R = modular.period_polynomial(prof, cfg.precision_bits)
-    rroots, rres = poly_roots(R, prec=cfg.precision_bits)
-    with working(cfg.precision_bits):
-        zres = [abs(Z(r)) for r in roots]
-    gen = modular.generating_check(prof, 12, cfg.precision_bits)
+        else:
+            prof = modular.build_delta_profile(prec=cfg.precision_bits)
+        tau = modular.tau_recursive(30)
+        Z = modular.zeta_polynomial(prof, cfg.precision_bits)
+        fe = modular.functional_eq_check(Z, prof.sign, cfg.precision_bits)
+        roots, dev = modular.rh_check(Z, cfg.precision_bits)
+        R = modular.period_polynomial(prof, cfg.precision_bits)
+        rroots, rres = poly_roots(R, prec=cfg.precision_bits)
+        with working(cfg.precision_bits):
+            zres = [abs(Z(r)) for r in roots]
+        gen = modular.generating_check(prof, 12, cfg.precision_bits)
     lam_digits = max(40, cfg.digits)  # profile decimals carry >= 40 digits
     payload = {
         "command": "modular",

@@ -91,6 +91,13 @@ def fixedlen_zeta_exact_series(m: int, k: int) -> Fraction:
     return Fraction(bell_via_series(_exact_sequence(m, k, 1)), math.factorial(k))
 
 
+# work budget of mzv_equal_args: k zeta values and a length-k exp series at
+# wp = prec + n log2(k!) bits, counted as k x wp. Near the cap at prec 256,
+# (2, 140) takes 1.4 s and (20, 45) 2.2 s; (2, 300) would need 1.3 x 10^6 and
+# ~25 s (2-core x86 VM, mpmath pure-Python backend, one fresh process each)
+MZV_EQUAL_ARGS_MAX_WORK = 2 ** 18
+
+
 @guarded()
 def mzv_equal_args(n: int, k: int, prec: int = DEFAULT_PREC):
     """zeta({n}^k) = (-1)^k [z^{nk}] exp(-sum_j zeta(nj)/j z^{nj})
@@ -98,11 +105,20 @@ def mzv_equal_args(n: int, k: int, prec: int = DEFAULT_PREC):
 
     The series terms are O(1) while the value is at least (k!)^-n (the term
     n_i = i), so the series runs n log2(k!) bits above the working precision
-    to absorb the cancellation.
+    to absorb the cancellation. k times that precision above
+    MZV_EQUAL_ARGS_MAX_WORK raises ArithmeticError (work budget) before any
+    evaluation.
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2, k >= 0")
-    return _series_value(n, k, -1, prec + math.ceil(n * math.log2(math.factorial(k))))
+    wp = prec  # checked alone first: k! is slow for a huge k
+    if k * wp <= MZV_EQUAL_ARGS_MAX_WORK:
+        wp += math.ceil(n * math.log2(math.factorial(k)))
+    if k * wp > MZV_EQUAL_ARGS_MAX_WORK:
+        raise ArithmeticError(f"zeta({{{n}}}^{k}) at {prec} bits needs k x working "
+                              f"precision >= {k * wp} bits; its work budget is "
+                              f"MZV_EQUAL_ARGS_MAX_WORK = {MZV_EQUAL_ARGS_MAX_WORK}")
+    return _series_value(n, k, -1, wp)
 
 
 def mzv_equal_args_exact(n: int, k: int) -> Fraction:

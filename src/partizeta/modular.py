@@ -23,6 +23,7 @@ import mpmath as mp
 from .numerics import (
     DEFAULT_PREC,
     GUARD_BITS,
+    RootFindingError,
     binomial_poly,
     guarded,
     incomplete_gamma_upper,
@@ -240,6 +241,8 @@ class LProfile:
             raise ValueError(f"need weight - 1 Lambda values, got {len(self.lam)}")
         if not all(mp.isfinite(v) for v in self.lam):
             raise ValueError("Lambda values must be finite")
+        if not any(self.lam):
+            raise ValueError("Lambda values must not all be zero")
 
     def validate(self, tol=1e-20) -> None:
         """Functional equation, monotone chain, and the sign -1 central zero.
@@ -279,18 +282,25 @@ class LProfile:
 
     @classmethod
     def from_json(cls, text: str, prec: int = DEFAULT_PREC) -> "LProfile":
-        """Parse ``to_json`` output; malformed text, a missing field or a
-        field of the wrong type raises ValueError."""
+        """Parse ``to_json`` output. Weight, level and sign must be JSON
+        integers and lambda a list of numbers or numeric strings; malformed
+        text, a missing field or a field of another type raises ValueError."""
         try:
             data = json.loads(text)
-            with working(prec):
-                lam = [mp.mpf(v) for v in data["lambda"]]
-            return cls(weight=int(data["weight"]), level=int(data["level"]),
-                       sign=int(data["sign"]), lam=lam, source=data.get("source", "file"))
+            fields = {key: data[key] for key in ("weight", "level", "sign")}
+            lam = data["lambda"]
         except KeyError as exc:
             raise ValueError(f"profile has no {exc.args[0]!r} field") from exc
-        except (TypeError, OverflowError, RecursionError) as exc:
+        except (TypeError, RecursionError) as exc:
             raise ValueError(f"malformed profile: {exc}") from exc
+        for key, value in fields.items():
+            if type(value) is not int:  # bool is an int subclass; 4.7 is not 4
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if type(lam) is not list or any(type(v) not in (int, float, str) for v in lam):
+            raise ValueError("lambda must be a list of numbers or numeric strings")
+        with working(prec):
+            lam = [mp.mpf(v) for v in lam]
+        return cls(lam=lam, source=data.get("source", "file"), **fields)
 
 
 def build_delta_profile(prec: int = DEFAULT_PREC) -> LProfile:
@@ -445,18 +455,19 @@ def hk_polynomial(k: int, sign: int) -> list[Fraction]:
 
 
 @guarded()
-def hk_zero_solver(k: int, sign: int, prec: int = DEFAULT_PREC, tol=None,
+def hk_zero_solver(k: int, sign: int, prec: int = DEFAULT_PREC,
                    largest_only: bool = False) -> list:
-    """Ordinates t of the zeros 1/2 + it of H_k^{sign}(-s), by bisection.
+    """Ordinates t of the zeros 1/2 + it of H_k^{sign}(-s), to prec bits.
 
     h_k(t) = sum_{j=0}^{k-3} arccot(2t/(2j+1)) decreases from (k-2) pi to 0;
     zeros sit where it crosses {pi, ..., (k-3) pi} (sign -) or
-    {pi/2, ..., (k-5/2) pi} (sign +). Returns k-3 resp. k-2 ordinates,
+    {pi/2, ..., (k-5/2) pi} (sign +). Each crossing is one bracketed
+    ``mp.findroot`` (Anderson-Bjoerck) at the working precision; a root it
+    cannot verify raises RootFindingError. Returns k-3 resp. k-2 ordinates,
     descending (only the top one when largest_only).
     """
     if k < 6 or k % 2:
         raise ValueError("need even k >= 6")
-    tol = mp.ldexp(1, -(prec // 2)) if tol is None else mp.mpf(tol)
 
     def h(t):
         return mp.fsum(mp.pi / 2 - mp.atan(2 * t / (2 * j + 1)) for j in range(k - 2))
@@ -467,18 +478,12 @@ def hk_zero_solver(k: int, sign: int, prec: int = DEFAULT_PREC, tol=None,
         targets = [mp.pi / 2 + mp.pi * i for i in range(0, k - 2)]
     if largest_only:
         targets = targets[:1]  # smallest target value = highest ordinate
-    tmax = mp.mpf((k - 2) ** 2) / mp.pi + 8
-    out = []
-    for tgt in targets:
-        lo, hi = -tmax, tmax  # h(lo) ~ (k-2) pi > tgt > 0 ~ h(hi)
-        while hi - lo > tol / 4:
-            mid = (lo + hi) / 2
-            if h(mid) > tgt:
-                lo = mid
-            else:
-                hi = mid
-        out.append((lo + hi) / 2)
-    return out
+    tmax = mp.mpf((k - 2) ** 2) / mp.pi + 8  # h(-tmax) ~ (k-2) pi > target > 0 ~ h(tmax)
+    try:
+        return [mp.findroot(lambda t: h(t) - tgt, (-tmax, tmax), solver="anderson")
+                for tgt in targets]
+    except ValueError as exc:
+        raise RootFindingError(f"H_{k} zero solver: {exc}") from exc
 
 
 def ehrhart_simplex_count(k: int, dilation: int) -> int:

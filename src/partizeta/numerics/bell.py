@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath as mp
+
 from .series import TruncatedSeries
 
 
@@ -55,12 +57,12 @@ def bell_via_determinant(a):
     return hessenberg_det(entry, k)
 
 
-def complete_bell(a, tol=None):
+def complete_bell(a):
     """B_k(a_1..a_k), both routes compared.
 
-    Exact domains must agree exactly; floating domains within ``tol``
-    (default: 2^-30 absolute+relative mix). Disagreement raises
-    ArithmeticError.
+    Exact domains must agree exactly; mpf/mpc values within 2^-(mp.prec/2)
+    relative, the scale ``poly_roots`` checks its residuals against.
+    Disagreement raises ArithmeticError.
     """
     if not a:
         raise ValueError("complete_bell wants k >= 1 values")
@@ -68,12 +70,9 @@ def complete_bell(a, tol=None):
     v2 = bell_via_determinant(a)
     exact = all(isinstance(v, (int, Fraction)) for v in a)
     if exact:
-        if v1 != v2:
-            raise ArithmeticError(f"Bell routes disagree: {v1} vs {v2}")
-        return v1
-    if tol is None:
-        tol = 2.0 ** -30
-    scale = 1 + abs(v1)
-    if abs(v1 - v2) > tol * scale:
+        agree = v1 == v2
+    else:
+        agree = abs(v1 - v2) <= mp.ldexp(max(abs(v1), abs(v2)), -(mp.mp.prec // 2))
+    if not agree:
         raise ArithmeticError(f"Bell routes disagree: {v1} vs {v2}")
     return v1

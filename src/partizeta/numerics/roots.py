@@ -3,10 +3,11 @@ contract and a stable order.
 
 Roots come back as ``mpc``, sorted by real part rounded to 2^-(prec/2) and
 then by imaginary part, so conjugate pairs on a common vertical line (the
-critical line Re = 1/2, say) always list the lower root first. Residuals
-|p(root)| are checked against 2^-(prec/2) times the coefficient sup norm;
-non-convergence and a broken contract raise ``RootFindingError``. Double
-roots converge; roots of multiplicity three or more do not.
+critical line Re = 1/2, say) always list the lower root first. Each residual
+|p(z)| is checked against 2^-(prec/2) times sum_i |c_i| |z|^i, the scale of
+its own normwise backward error; non-convergence and a broken contract raise
+``RootFindingError``. Double roots converge; roots of multiplicity three or
+more do not.
 """
 
 from __future__ import annotations
@@ -21,12 +22,16 @@ class RootFindingError(ArithmeticError):
     pass
 
 
+# Durand-Kerner sweeps before polyroots gives up
+MAX_STEPS = 400
+
+
 @guarded()
-def poly_roots(coeffs, prec: int = DEFAULT_PREC, max_iterations: int = 400):
+def poly_roots(coeffs, prec: int = DEFAULT_PREC):
     """All complex roots of c_0 + c_1 z + ... + c_n z^n, degree >= 1.
 
     Returns (roots, residuals) in the order described above. Residual
-    contract: |p(root)| <= 2^-(prec/2) * max|c_i| for every root.
+    contract: |p(z)| <= 2^-(prec/2) * sum_i |c_i| |z|^i for every root z.
     """
     coeffs = poly_trim(list(coeffs))
     n = len(coeffs) - 1
@@ -40,18 +45,19 @@ def poly_roots(coeffs, prec: int = DEFAULT_PREC, max_iterations: int = 400):
     # 2^-(wp/2), below that stop; simple roots converge quadratically past it.
     with mp.workprec(prec + 24):
         try:
-            roots = mp.polyroots(co[::-1], maxsteps=max_iterations,
+            roots = mp.polyroots(co[::-1], maxsteps=MAX_STEPS,
                                  extraprec=wp - prec - 24)
         except mp.libmp.NoConvergence as exc:
             raise RootFindingError(f"polyroots did not converge: {exc}") from exc
     with mp.workprec(wp):
         roots = [mp.mpc(z) for z in roots]
         residuals = [abs(poly_eval(co, z)) for z in roots]
-        bound = mp.ldexp(max(abs(c) for c in co), -(prec // 2))
-    worst = max(residuals)
-    if worst > bound:
-        raise RootFindingError(
-            f"roots miss the residual contract (worst {worst}, bound {bound})")
+        moduli = [abs(c) for c in co]
+        bounds = [mp.ldexp(poly_eval(moduli, abs(z)), -(prec // 2)) for z in roots]
+    for res, bound in zip(residuals, bounds):
+        if res > bound:
+            raise RootFindingError(
+                f"a root misses the residual contract (residual {res}, bound {bound})")
     order = sorted(range(n), key=lambda i: (mp.nint(mp.ldexp(roots[i].real, prec // 2)),
                                             roots[i].imag))
     return [roots[i] for i in order], [residuals[i] for i in order]

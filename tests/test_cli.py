@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from partizeta import cli
 from partizeta.cli import main
-from partizeta.fixedlen import MZV_MAX_TERMS
+from partizeta.fixedlen import MZV_EQUAL_ARGS_MAX_WORK, MZV_MAX_TERMS
 from partizeta.padic import PADIC_MAX_BERNOULLI
 from partizeta.pzeta import GAMMA_MAX_N, LOG_SERIES_MAX_ZETA
 
@@ -145,6 +145,16 @@ def test_mzv_equal_args_numeric_at_default_prec(capsys):
     assert code == 0
     with mp.workprec(300):
         assert abs(mp.mpf(json.loads(out)["value"]) - mp.pi ** 6 / 5040) < mp.mpf("1e-70")
+
+
+def test_mzv_equal_args_work_budget(capsys):
+    # k x working precision 1.3 x 10^6 bits, ~25 s; the budget stops it at once
+    t0 = time.perf_counter()
+    code = main(["mzv", "--equal-args", "2", "300"])
+    assert code == 3 and time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert f"MZV_EQUAL_ARGS_MAX_WORK = {MZV_EQUAL_ARGS_MAX_WORK}" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_mzv_bruteforce_index(capsys):
@@ -413,11 +423,17 @@ def test_modular_profile_exit_code_contract(tmp_path_factory, text):
     json.dumps(dict(_VALID, level=0)),
     json.dumps(dict(_VALID, weight=float("inf"))),
     "[" * 5000,
-], ids=["nan-lambda", "level-0", "infinite-weight", "nested-too-deep"])
+    json.dumps(dict(_VALID, **{"lambda": "212"})),
+    json.dumps(dict(_VALID, weight=4.7)),
+    json.dumps(dict(_VALID, level=True)),
+    json.dumps(dict(_VALID, **{"lambda": ["0", "0", "0"]})),
+], ids=["nan-lambda", "level-0", "infinite-weight", "nested-too-deep", "lambda-string",
+        "float-weight", "bool-level", "zero-lambda"])
 def test_modular_profile_invalid_exit_2(tmp_path, text):
     code, out, err = _run_at_prec_64(["modular", "delta", "--profile",
                                       _profile_file(tmp_path, text)])
     assert code == 2 and len(err) == 1 and not out, err
+    assert "--profile" in err[0]
 
 
 def _profile_file(tmp_path, text):

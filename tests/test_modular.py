@@ -374,7 +374,7 @@ def test_hk_zero_solver_counts_and_matching():
     with mp.workprec(PREC):
         for k in (6, 8):
             for sign in (-1, 1):
-                ords = hk_zero_solver(k, sign, prec=PREC, tol=mp.mpf("1e-30"))
+                ords = hk_zero_solver(k, sign, prec=PREC)
                 assert len(ords) == (k - 3 if sign == -1 else k - 2)
                 rts, _ = poly_roots(poly_to_mpc(poly_negate_var(hk_polynomial(k, sign)),
                                                 PREC + 40), prec=PREC)
@@ -382,9 +382,23 @@ def test_hk_zero_solver_counts_and_matching():
                 assert max(abs(a - b) for a, b in zip(sorted(ords), got)) < mp.mpf("1e-20")
 
 
+@pytest.mark.parametrize("prec", [64, 136])
+def test_hk_zero_solver_full_precision(prec):
+    # every ordinate to prec bits, against the polynomial's roots at 2 prec + 64
+    for k in (6, 12, 20):
+        for sign in (-1, 1):
+            ords = hk_zero_solver(k, sign, prec=prec)
+            rts, _ = poly_roots(poly_negate_var(hk_polynomial(k, sign)), prec=2 * prec + 64)
+            want = sorted((mp.im(r) for r in rts), reverse=True)
+            assert len(ords) == len(want)
+            with mp.workprec(2 * prec + 64):
+                assert all(abs(t - w) <= mp.ldexp(max(1, abs(w)), 1 - prec)
+                           for t, w in zip(ords, want))
+
+
 def test_hk_solver_weight6_explicit_roots():
     with mp.workprec(PREC):
-        ords = sorted(hk_zero_solver(6, -1, prec=PREC, tol=mp.mpf("1e-40")))
+        ords = sorted(hk_zero_solver(6, -1, prec=PREC))
         want = sorted([-mp.sqrt(11) / 2, mp.mpf(0), mp.sqrt(11) / 2])
         assert max(abs(a - b) for a, b in zip(ords, want)) < mp.mpf("1e-35")
         # largest ordinate vs (k-3)(k-1)/(2 pi): same order of magnitude

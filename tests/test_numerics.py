@@ -10,8 +10,11 @@ home-grown Euler-Maclaurin tail, and the residual contract for the roots.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import math
 import pathlib
+import pkgutil
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partizeta
+from partizeta.modular import hk_polynomial, hk_zero_solver
 from partizeta.pzeta import closed_form_gamma
+from partizeta.numerics import roots as roots_module
 from partizeta.numerics import (
     RootFindingError,
     TruncatedSeries,
@@ -34,6 +39,7 @@ from partizeta.numerics import (
     incomplete_gamma_upper,
     log_gamma,
     poly_eval,
+    poly_negate_var,
     poly_roots,
     power_sum_tail,
     power_sum_tails,
@@ -300,7 +306,7 @@ def test_bell_routes_agree_exactly(values):
 def test_bell_float_domain():
     with mp.workprec(120):
         vals = [mp.mpf("0.5"), mp.mpf("-1.25"), mp.mpf(2)]
-        v = complete_bell(vals, tol=mp.mpf(2) ** -80)
+        v = complete_bell(vals)
         ref = complete_bell([Fraction(1, 2), Fraction(-5, 4), Fraction(2)])
         assert abs(v - mp.mpf(ref.numerator) / ref.denominator) < mp.mpf(2) ** -80
 
@@ -360,9 +366,41 @@ def test_roots_double_roots(coeffs, want, prec):
         assert sum(abs(z - w) < near for z in roots) == want.count(w)
 
 
-def test_roots_nonconvergence_raises():
+def test_roots_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(roots_module, "MAX_STEPS", 1)
     with pytest.raises(RootFindingError):
-        poly_roots([1, 0, 1], prec=PREC, max_iterations=1)
+        poly_roots([1, 0, 1], prec=PREC)
+
+
+@pytest.mark.parametrize("prec", [64, 256])
+def test_roots_reject_a_moved_simple_root(monkeypatch, prec):
+    # a simple root moved by delta leaves a residual ~ |p'(z)| delta, far above
+    # 2^-(prec/2) sum_i |c_i| |z|^i (a double root would leave ~ delta^2)
+    found = mp.polyroots
+
+    def moved(*args, **kwargs):
+        zs = found(*args, **kwargs)
+        zs[0] *= 1 + mp.ldexp(1, -(prec // 4))
+        return zs
+
+    monkeypatch.setattr(mp, "polyroots", moved)
+    with pytest.raises(RootFindingError):
+        poly_roots([-6, 11, -6, 1], prec=prec)
+
+
+@pytest.mark.parametrize("k, sign, prec", [(20, 1, 64), (22, -1, 64), (30, -1, 64),
+                                           (36, 1, 256)])
+def test_roots_accept_accurate_roots_of_hk(k, sign, prec):
+    # |H(z)| at an accurate root grows like sum_i |c_i| |z|^i, not max|c_i|:
+    # a bound scaled by the coefficient sup norm alone rejected these
+    H = poly_negate_var(hk_polynomial(k, sign))
+    rts, _ = poly_roots(H, prec=prec)
+    ords = hk_zero_solver(k, sign, prec=prec)
+    with mp.workprec(prec):
+        assert max(abs(mp.re(r) - mp.mpf(1) / 2) for r in rts) < mp.ldexp(1, 4 - prec)
+        got = sorted((mp.im(r) for r in rts), reverse=True)
+        assert max(abs(a - b) / max(1, abs(b)) for a, b in zip(ords, got)) \
+            < mp.ldexp(1, 4 - prec)
 
 
 def test_roots_rejects_constants():
@@ -392,3 +430,28 @@ def test_workprec_only_in_the_precision_policy():
     sites = {path.relative_to(src).as_posix(): path.read_text().count("with mp.workprec(")
              for path in src.rglob("*.py") if path.name != "hp.py"}
     assert {name: n for name, n in sites.items() if n} == {"numerics/roots.py": 2}
+
+
+def test_prec_is_the_only_accuracy_setting():
+    # a tol, rel_tol or max_iterations parameter would be an accuracy setting
+    # beside prec. The two exemptions serve callers in the package that pass
+    # different values; finding them also shows the scan reaches methods.
+    knobs = {"tol", "rel_tol", "max_iterations"}
+    found = set()
+    for info in pkgutil.walk_packages(partizeta.__path__, "partizeta."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", getattr(obj, attr)) for attr in dir(obj)
+                            if not attr.startswith("_")]
+            for qualname, member in members:
+                try:
+                    params = inspect.signature(member).parameters
+                except (TypeError, ValueError):  # not callable, or built in (exceptions)
+                    continue
+                found |= {(module.__name__, qualname, p) for p in knobs & set(params)}
+    assert found == {("partizeta.modular", "LProfile.validate", "tol"),
+                     ("partizeta.numerics.poly", "poly_trim", "rel_tol")}

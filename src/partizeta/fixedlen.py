@@ -81,7 +81,9 @@ def fixedlen_zeta_exact(m: int, k: int) -> Fraction:
 
     Even m only (odd zeta values have no exact path). B_k(a)/k! by the
     Hessenberg-determinant route, with a_j = (j-1)! zeta(mj)/pi^{mj}; the pi
-    powers are homogeneous in B_k, so they factor out as pi^{mk}.
+    powers are homogeneous in B_k, so they factor out as pi^{mk}. Work
+    m k^3 + (m k)^3 / 100 above EXACT_MAX_WORK raises ArithmeticError (work
+    budget) before any evaluation.
     """
     return Fraction(bell_via_determinant(_exact_sequence(m, k, 1)), math.factorial(k))
 
@@ -112,18 +114,24 @@ def mzv_equal_args(n: int, k: int, prec: int = DEFAULT_PREC):
     if n < 2 or k < 0:
         raise ValueError("need n >= 2, k >= 0")
     wp = prec  # checked alone first: k! is slow for a huge k
-    if k * wp <= MZV_EQUAL_ARGS_MAX_WORK:
-        wp += math.ceil(n * math.log2(math.factorial(k)))
+    if k * wp <= MZV_EQUAL_ARGS_MAX_WORK and k > 1:
+        # n log2(k!) >= n (bit_length(k!) - 1), checked in integers first:
+        # n may not fit a float
+        k_fact = math.factorial(k)
+        wp += n * (k_fact.bit_length() - 1)
+        if k * wp <= MZV_EQUAL_ARGS_MAX_WORK:
+            wp = prec + math.ceil(n * math.log2(k_fact))
     if k * wp > MZV_EQUAL_ARGS_MAX_WORK:
         raise ArithmeticError(f"zeta({{{n}}}^{k}) at {prec} bits needs k x working "
-                              f"precision >= {k * wp} bits; its work budget is "
+                              f"precision above its work budget "
                               f"MZV_EQUAL_ARGS_MAX_WORK = {MZV_EQUAL_ARGS_MAX_WORK}")
     return _series_value(n, k, -1, wp)
 
 
 def mzv_equal_args_exact(n: int, k: int) -> Fraction:
     """Exact rational r with zeta({n}^k) = r * pi^{nk}, even n, by the
-    determinant route on the negated sequence."""
+    determinant route on the negated sequence, under the work budget
+    EXACT_MAX_WORK of ``fixedlen_zeta_exact``."""
     return (-1) ** k * Fraction(bell_via_determinant(_exact_sequence(n, k, -1)),
                                 math.factorial(k))
 
@@ -134,11 +142,24 @@ def _zeta_sequence(m: int, k: int, sign: int, zeta) -> list:
     return [sign * math.factorial(j - 1) * zeta(m * j) for j in range(1, k + 1)]
 
 
+# work budget of the exact routes: m k^3 + (m k)^3 / 100, their cost in units
+# of ~50 ns. The k x k determinant over rationals of ~m k log(m k) bits takes
+# ~m k^3 and growing the exact Bernoulli table to B_{mk} ~(m k)^3 / 100:
+# (2, 300) at 5.6 x 10^7 takes 2.7 s, (4, 150) 0.9 s, (1000, 1) 0.5 s, and
+# (2, 400) at 1.3 x 10^8 takes 6.7 s (2-core x86 VM, CPython 3.11, one fresh
+# process each)
+EXACT_MAX_WORK = 2 ** 26
+
+
 def _exact_sequence(m: int, k: int, sign: int) -> list[Fraction]:
     if m < 2 or m % 2:
         raise ValueError("exact route needs even m >= 2")
     if k < 0:
         raise ValueError("k must be >= 0")
+    if m * k ** 3 + (m * k) ** 3 // 100 > EXACT_MAX_WORK:
+        raise ArithmeticError(f"the exact length-{k} value at argument {m} needs "
+                              f"m k^3 + (m k)^3 / 100 above its work budget "
+                              f"EXACT_MAX_WORK = {EXACT_MAX_WORK}")
     return _zeta_sequence(m, k, sign, zeta_even_rational)
 
 

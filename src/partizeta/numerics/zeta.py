@@ -3,10 +3,14 @@
 ``riemann_zeta`` wraps mpmath's ``zeta`` (analytic continuation included)
 with the pole rejections this package relies on. ``power_sum_tails`` is the
 one Euler-Maclaurin engine: sum_{i >= N} (i + c)^{-js} for j = 1..J from one
-setup, each with an explicit remainder bound, which the restricted-part-set
-Euler products use for their congruence-class tails. ``zeta_multiples_direct``
-gives zeta(sk) at the k where a short direct sum already reaches the
-working precision, which the log series over multiples uses.
+setup, which the restricted-part-set Euler products use for their
+congruence-class tails. Each multiple runs only as many correction terms as
+its x0^{-js} factor leaves visible at the working precision (a search in
+float log2 magnitudes), and carries an explicit remainder bound computed in
+mp arithmetic at that order, so the bound holds whatever the search chose.
+``zeta_multiples_direct`` gives zeta(sk) at the k where a short direct sum
+already reaches the working precision, which the log series over multiples
+uses.
 """
 
 from __future__ import annotations
@@ -27,6 +31,14 @@ def power_sum_tail(w, c, N: int, prec: int = DEFAULT_PREC):
     return power_sum_tails(w, 1, c, N, prec)[0]
 
 
+# work budget of power_sum_tails: J x (N_eff - N + V), the multiples times
+# the head powers and correction terms one setup may need. The 2N product
+# at s = 2 needs 1.2 x 10^5 at 2048 bits (~0.9 s) and 2.5 x 10^5 at 3000
+# bits (~4 s; 2-core x86 VM, mpmath pure-Python backend); 8192 bits would
+# need 1.9 x 10^6
+POWER_SUM_MAX_WORK = 2 ** 18
+
+
 @guarded()
 def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
     """[(value, bound)] for sum_{i=N}^{inf} (i+c)^{-js}, j = 1..J; Re(s) > 1,
@@ -34,9 +46,17 @@ def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
 
     Euler-Maclaurin at x0 = N_eff + c, set up once for all J multiples: the
     powers (i+c)^{-js} and x0^{-js} are running products of the j = 1
-    powers, and B_{2v}/(2v)! x0^{1-2v} is shared. Each bound covers the
-    truncated correction terms (first omitted term times the standard
-    complex factor), not arithmetic rounding, which the guard bits absorb.
+    powers, and B_{2v}/(2v)! x0^{1-2v} is shared. Each multiple sums its
+    own number V_j <= V of correction terms: the least order whose first
+    omitted term, estimated from float log2 magnitudes, is below
+    2^-(wp+8) at working precision wp; the factor x0^{-js} makes late
+    multiples need few. Each bound is then computed in mp arithmetic at
+    V_j: the first omitted term times 1 + |w+2V_j+1|/(Re w+2V_j+1), w = js
+    (the Backlund remainder bound plus the term itself), so it holds
+    whatever the float estimate said. It covers the truncated correction,
+    not arithmetic rounding, which the guard bits absorb. J x (N_eff - N + V)
+    above POWER_SUM_MAX_WORK raises ArithmeticError (work budget) before any
+    power is computed.
     """
     s = mp.mpmathify(s)
     if mp.re(s) <= 1:
@@ -46,6 +66,10 @@ def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
     # 2v < 2 pi x0, so push the expansion point out past ~V, far enough for
     # the largest |Im(js)|
     N_eff = max(N, V + 2 + int(J * abs(mp.im(s)) / 4))
+    if J * (N_eff - N + V) > POWER_SUM_MAX_WORK:
+        raise ArithmeticError(f"the power-sum tails of {J} multiples at {prec} bits need "
+                              f"{J * (N_eff - N + V)} powers and correction terms; their "
+                              f"work budget is POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}")
     c = mp.mpf(c)
     base = [(n + c) ** (-s) for n in range(N, N_eff)]
     x0 = N_eff + c
@@ -55,21 +79,38 @@ def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
     for v in range(1, V + 2):
         coef.append(mp.bernoulli(2 * v) / mp.factorial(2 * v) * x0_odd)
         x0_odd *= x0_m2
+    log2_coef = [_log2(a) for a in coef]
+    sr, si = float(mp.re(s)), float(mp.im(s))
+    # term v of multiple j is coef[v-1] (js)_{2v-1} x0^{-js}; the sum stops
+    # at the first term whose log2 estimate is below -(wp + 8)
+    cut, log2_x0 = -(mp.mp.prec + 8), math.log2(float(x0))
     out = []
     head, x0_w = [1] * len(base), 1  # (i+c)^{-w} and x0^{-w} at w = js
     for j in range(1, J + 1):
         head = [h * b for h, b in zip(head, base)]
         x0_w *= x0_s
         w = j * s
+        wr, wi = j * sr, j * si
         res = x0 / (w - 1) + mp.mpf(1) / 2
-        rising = w  # (w)_{2v-1} for v = 1
-        for v in range(1, V + 1):
-            res += coef[v - 1] * rising
-            rising = rising * (w + 2 * v - 1) * (w + 2 * v)
-        nxt = abs(coef[V] * rising * x0_w)
-        corr = abs((w + 2 * V + 1) / (mp.re(w) + 2 * V + 1))
+        drop = cut + wr * log2_x0
+        # order terms summed so far; rising = (w)_{2 order + 1}
+        order, rising, log2_rising = 0, w, math.log2(math.hypot(wr, wi))
+        while order < V and log2_coef[order] + log2_rising >= drop:
+            res += coef[order] * rising
+            rising = rising * (w + 2 * order + 1) * (w + 2 * order + 2)
+            log2_rising += math.log2(math.hypot(wr + 2 * order + 1, wi)
+                                     * math.hypot(wr + 2 * order + 2, wi))
+            order += 1
+        nxt = abs(coef[order] * rising * x0_w)
+        corr = abs((w + 2 * order + 1) / (mp.re(w) + 2 * order + 1))
         out.append((x0_w * res + mp.fsum(head), nxt * (corr + 1)))
     return out
+
+
+def _log2(x) -> float:
+    """log2|x| of a nonzero mpf, as a float."""
+    man, exp = mp.frexp(x)
+    return exp + math.log2(abs(float(man)))
 
 
 # a direct sum of at most this many terms stands in for zeta(w) once Re(w)

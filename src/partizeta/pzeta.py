@@ -2,8 +2,8 @@
 
 Routes implemented:
 
-* ``euler_product`` -- the defining product over the parts, truncated at a
-  finite cutoff with the remaining log-tail summed exactly through
+* ``euler_product`` -- the defining product over the parts, multiplied out
+  up to a finite cutoff, with the remaining log-tail summed exactly through
   congruence-class power sums: one batched Euler-Maclaurin pass per residue
   class serves every multiple js (``power_sum_tails``, certified bounds).
 * ``dirichlet_partition_series`` -- the same product with a periodic weight
@@ -103,12 +103,14 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     needed only for the Dirichlet-series identity that
     ``dirichlet_series_oracle`` checks, not for the product.
 
-    The finite product stops at a cutoff K >= 64; the dropped log-tail is
-    sum_j 1/j sum_r chi(r)^j sum_{k>K, k = r mod L} k^-js over the member
-    classes r mod L = lcm(q, M), each class's power sums for all j from one
-    Euler-Maclaurin setup (``power_sum_tails``). The certificate (E-M bounds
-    plus the j-series remainder) must come out below 2^(12-prec), else
-    ArithmeticError.
+    The factors up to a cutoff K >= 64 are multiplied out as one product P;
+    the dropped log-tail T is sum_j 1/j sum_r chi(r)^j sum_{k>K, k = r mod L}
+    k^-js over the member classes r mod L = lcm(q, M), each class's power
+    sums for all j from one Euler-Maclaurin setup (``power_sum_tails``). The
+    value is P^-1 exp(T), or P exp(-T) for distinct parts: only exp of the
+    tail is taken, so no branch of log enters, complex s included. The
+    certificate (E-M bounds plus the j-series remainder) must come out
+    below 2^(12-prec), else ArithmeticError.
     """
     s = mp.mpmathify(s)
     sigma = mp.re(s)
@@ -128,12 +130,13 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     # the accelerated tail converges geometrically in j, so a modest cutoff
     # suffices; it only must clear every non-congruence irregularity
     K = max(64, spec.tail_start() + 1)
-    # finite part over parts in (1, K]; the part 1 is the factor `ones`
-    log_total = mp.mpf(0) if mp.im(s) == 0 else mp.mpc(0)
+    # finite part over parts in (1, K], one product; the part 1 is the
+    # factor `ones`
+    finite = mp.mpf(1)
     for k in spec.parts_upto(K):
         if k > 1 and chi[k % q] != 0:
-            x = mp.mpf(k) ** (-s) if mp.im(s) == 0 else mp.mpc(k) ** (-s)
-            log_total += -mp.log(1 - chi[k % q] * x)
+            finite *= 1 - chi[k % q] * mp.mpf(k) ** (-s)
+    log_tail = 0
     M, residues = spec.tail_classes(K)
     err_budget = mp.mpf(0)
     if M is not None:
@@ -153,14 +156,14 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
             L_w *= L_s
             inner = mp.fsum(c ** j * t[j - 1][0] for c, t in classes) * L_w
             err_budget += mp.fsum(abs(c) ** j * t[j - 1][1] for c, t in classes) * abs(L_w)
-            log_total += inner / j
+            log_tail += inner / j
         # j-series remainder (|chi| <= 1): sum_{k>K} k^{-j sigma} <= K^{1-j sigma}/(j sigma - 1)
         err_budget += (mp.mpf(K) ** (1 - (jmax + 1) * sigma)
                        / (((jmax + 1) * sigma - 1) * (1 - mp.mpf(K) ** (-sigma))))
     target = mp.ldexp(1, 12 - prec)
     if err_budget > target:
         raise ArithmeticError(f"tail certificate {err_budget} exceeds its target {target}")
-    return ones * mp.exp(sign * log_total), err_budget
+    return ones * finite ** -sign * mp.exp(sign * log_tail), err_budget
 
 
 def _period(chi) -> list:

@@ -258,19 +258,36 @@ def test_power_sum_tails_first_entry_is_power_sum_tail():
         assert power_sum_tails(s, 9, c, N, PREC)[0] == power_sum_tail(s, c, N, PREC)
 
 
-@pytest.mark.parametrize("s, J", [(mp.mpf("1.05"), 14), (mp.mpf(3), 6),
-                                  (mp.mpc("1.5", "7"), 10), (mp.mpc(2, -30), 8)])
-@pytest.mark.parametrize("c", [mp.mpf(0), mp.mpf(1) / 3])
-@pytest.mark.parametrize("prec", [64, PREC])
-def test_power_sum_tails_bounds_cover_the_error(s, J, c, prec):
-    N = 5
+def _assert_bounds_cover_the_error(s, J, c, N, prec):
     tails = power_sum_tails(s, J, c, N, prec)
     assert len(tails) == J
-    with mp.workprec(2 * prec):
+    # mp.zeta(w, a) at complex w is accurate only to ~2^-(wp+15) absolute at
+    # wp bits: at 2 prec that is coarser than 2^-prec relative on the late
+    # multiples of s = 2+5i, so the reference gets 64 bits more
+    with mp.workprec(2 * prec + 64):
         for j, (val, bound) in enumerate(tails, 1):
             ref = mp.zeta(j * s, N + c)
             # the bound leaves out the final rounding to prec bits
             assert abs(val - ref) <= bound + mp.ldexp(abs(ref), 1 - prec), (j, val, ref)
+
+
+# s = 3 at J = 40 and s = 2+5i at J = 20: the late multiples fall to a few
+# correction terms, or none
+@pytest.mark.parametrize("s, J", [(mp.mpf("1.05"), 14), (mp.mpf(3), 6),
+                                  (mp.mpc("1.5", "7"), 10), (mp.mpc(2, -30), 8),
+                                  (mp.mpf(3), 40), (mp.mpc(2, 5), 20)])
+@pytest.mark.parametrize("c", [mp.mpf(0), mp.mpf(1) / 3])
+@pytest.mark.parametrize("prec", [64, PREC])
+def test_power_sum_tails_bounds_cover_the_error(s, J, c, prec):
+    _assert_bounds_cover_the_error(s, J, c, 5, prec)
+
+
+@pytest.mark.parametrize("c", [mp.mpf(0), mp.mpf(1) / 2])
+@pytest.mark.parametrize("prec", [64, PREC])
+def test_power_sum_tails_bounds_cover_the_error_of_the_2N_product(c, prec):
+    # the tail classes of 2N at s near 2: J = 28 multiples from N = 33, whose
+    # orders fall from ~50 to ~3 at 256 bits
+    _assert_bounds_cover_the_error(mp.mpf("2.0037"), 28, c, 33, prec)
 
 
 def test_euler_generating_function_small_orders():

@@ -69,7 +69,9 @@ def fixedlen_zeta(m: int, k: int, prec: int = DEFAULT_PREC):
     """zeta over length-k partitions at integer argument m >= 2.
 
     pi^{mk} [z^{mk}] exp(sum_j zeta(mj)/j (z/pi)^{mj}) = B_k(a)/k! with
-    a_j = (j-1)! zeta(mj), by the exp-series route.
+    a_j = (j-1)! zeta(mj), by the exp-series route. k (k + prec) above
+    SERIES_MAX_WORK raises ArithmeticError (work budget) before any
+    evaluation.
     """
     if m < 2 or k < 0:
         raise ValueError("need m >= 2, k >= 0")
@@ -93,13 +95,6 @@ def fixedlen_zeta_exact_series(m: int, k: int) -> Fraction:
     return Fraction(bell_via_series(_exact_sequence(m, k, 1)), math.factorial(k))
 
 
-# work budget of mzv_equal_args: k zeta values and a length-k exp series at
-# wp = prec + n log2(k!) bits, counted as k x wp. Near the cap at prec 256,
-# (2, 140) takes 1.4 s and (20, 45) 2.2 s; (2, 300) would need 1.3 x 10^6 and
-# ~25 s (2-core x86 VM, mpmath pure-Python backend, one fresh process each)
-MZV_EQUAL_ARGS_MAX_WORK = 2 ** 18
-
-
 @guarded()
 def mzv_equal_args(n: int, k: int, prec: int = DEFAULT_PREC):
     """zeta({n}^k) = (-1)^k [z^{nk}] exp(-sum_j zeta(nj)/j z^{nj})
@@ -107,25 +102,22 @@ def mzv_equal_args(n: int, k: int, prec: int = DEFAULT_PREC):
 
     The series terms are O(1) while the value is at least (k!)^-n (the term
     n_i = i), so the series runs n log2(k!) bits above the working precision
-    to absorb the cancellation. k times that precision above
-    MZV_EQUAL_ARGS_MAX_WORK raises ArithmeticError (work budget) before any
-    evaluation.
+    to absorb the cancellation. Past SERIES_MAX_WORK at that precision it
+    raises ArithmeticError (work budget) before any evaluation.
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2, k >= 0")
     wp = prec  # checked alone first: k! is slow for a huge k
-    if k * wp <= MZV_EQUAL_ARGS_MAX_WORK and k > 1:
+    if k * (k + wp) <= SERIES_MAX_WORK and k > 1:
         # n log2(k!) >= n (bit_length(k!) - 1), checked in integers first:
         # n may not fit a float
         k_fact = math.factorial(k)
         wp += n * (k_fact.bit_length() - 1)
-        if k * wp <= MZV_EQUAL_ARGS_MAX_WORK:
+        if k * (k + wp) <= SERIES_MAX_WORK:
             wp = prec + math.ceil(n * math.log2(k_fact))
-    if k * wp > MZV_EQUAL_ARGS_MAX_WORK:
-        raise ArithmeticError(f"zeta({{{n}}}^{k}) at {prec} bits needs k x working "
-                              f"precision above its work budget "
-                              f"MZV_EQUAL_ARGS_MAX_WORK = {MZV_EQUAL_ARGS_MAX_WORK}")
-    return _series_value(n, k, -1, wp)
+    # a wp past the budget is refused either way, and one of 10^400 bits
+    # would overflow mpmath's precision setting
+    return _series_value(n, k, -1, min(wp, SERIES_MAX_WORK))
 
 
 def mzv_equal_args_exact(n: int, k: int) -> Fraction:
@@ -163,9 +155,25 @@ def _exact_sequence(m: int, k: int, sign: int) -> list[Fraction]:
     return _zeta_sequence(m, k, sign, zeta_even_rational)
 
 
+# work budget of the numeric length-k values, k x (k + prec) at series
+# precision prec: the exp series takes ~k^2/2 products, and the k zeta values
+# cost more as prec grows. Near the cap, fixedlen (2, 480) at 64 bits takes
+# 0.4 s, (8, 399) at 256 0.4 s and (3, 31) at 8192 1.8 s; mzv, whose series
+# precision is prec + n log2(k!), (2, 135) at 256 0.6 s and (20, 53) 2.2 s
+# (2-core x86 VM, mpmath pure-Python backend, one fresh process each).
+# fixedlen (2, 1000) at 64 bits, 1.1 x 10^6, takes 2.0 s
+SERIES_MAX_WORK = 2 ** 18
+
+
 @guarded(extra=16)
 def _series_value(m: int, k: int, sign: int, prec: int):
-    """sign^k B_k(a)/k! for a_j = sign (j-1)! zeta(mj), as an mpf."""
+    """sign^k B_k(a)/k! for a_j = sign (j-1)! zeta(mj), as an mpf.
+    k x (k + prec) above SERIES_MAX_WORK raises ArithmeticError (work
+    budget) before any zeta value is computed."""
+    if k * (k + prec) > SERIES_MAX_WORK:
+        raise ArithmeticError(f"the length-{k} series at argument {m} needs k (k + working "
+                              f"precision) above its work budget "
+                              f"SERIES_MAX_WORK = {SERIES_MAX_WORK}")
     if k == 0:  # B_0 of the empty sequence is the exact 1
         return mp.mpf(1)
     a = _zeta_sequence(m, k, sign, lambda s: riemann_zeta(s, mp.mp.prec))

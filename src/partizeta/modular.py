@@ -489,10 +489,11 @@ def hk_zero_solver(k: int, sign: int, prec: int = DEFAULT_PREC,
 def ehrhart_simplex_count(k: int, dilation: int) -> int:
     """Lattice points of the dilated simplex conv{e_1..e_{k-3}, -sum e_j}.
 
-    Membership x = sum c_i v_i with c_i >= 0, sum c_i = dilation is solved
-    exactly in rationals: c_last = (dilation - sum x)/(k-2) and
-    c_i = x_i + c_last. Exhaustive box scan, so (2m+1)^{k-3} must stay small
-    (<= ~10^7 enforced).
+    Membership x = sum c_i v_i with c_i >= 0, sum c_i = dilation, solved
+    exactly: c_last = r/(k-2) with r = dilation - sum x, and
+    c_i = x_i + c_last, so x is a member iff r >= 0 and (k-2) x_i + r >= 0
+    for every i, an integer test. Exhaustive box scan, so (2m+1)^{k-3} must
+    stay small (<= ~10^7 enforced).
     """
     if k < 6 or k % 2:
         raise ValueError("need even k >= 6")
@@ -504,10 +505,8 @@ def ehrhart_simplex_count(k: int, dilation: int) -> int:
     count = 0
     vertices = k - 2
     for x in itertools.product(range(-dilation, dilation + 1), repeat=d):
-        c_last = Fraction(dilation - sum(x), vertices)
-        if c_last < 0:
-            continue
-        if all(xi + c_last >= 0 for xi in x):
+        r = dilation - sum(x)
+        if r >= 0 and vertices * min(x) + r >= 0:
             count += 1
     return count
 

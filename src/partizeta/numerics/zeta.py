@@ -4,10 +4,12 @@
 with the pole rejections this package relies on. ``power_sum_tails`` is the
 one Euler-Maclaurin engine: sum_{i >= N} (i + c)^{-js} for j = 1..J from one
 setup, which the restricted-part-set Euler products use for their
-congruence-class tails. Each multiple runs only as many correction terms as
-its x0^{-js} factor leaves visible at the working precision (a search in
-float log2 magnitudes), and carries an explicit remainder bound computed in
-mp arithmetic at that order, so the bound holds whatever the search chose.
+congruence-class tails. Its correction loop runs on fixed-point Python
+integers: each multiple sums only as many correction terms as its x0^{-js}
+factor leaves visible at the working precision (an exact integer
+comparison), and carries an explicit remainder bound computed in mp
+arithmetic at that order from the first omitted term, rounded up by the
+fixed-point truncation.
 ``zeta_multiples_direct`` gives zeta(sk) at the k where a short direct sum
 already reaches the working precision, which the log series over multiples
 uses.
@@ -19,6 +21,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .hp import DEFAULT_PREC, guarded
 from .series import TruncatedSeries
@@ -33,9 +36,9 @@ def power_sum_tail(w, c, N: int, prec: int = DEFAULT_PREC):
 
 # work budget of power_sum_tails: J x (N_eff - N + V), the multiples times
 # the head powers and correction terms one setup may need. The 2N product
-# at s = 2 needs 1.2 x 10^5 at 2048 bits (~0.9 s) and 2.5 x 10^5 at 3000
-# bits (~4 s; 2-core x86 VM, mpmath pure-Python backend); 8192 bits would
-# need 1.9 x 10^6
+# at s = 2 needs 1.2 x 10^5 at 2048 bits (0.45 s) and 2.5 x 10^5 at 3000
+# bits (1.5 s; 2-core x86 VM, mpmath pure-Python backend, one fresh process
+# each); 8192 bits would need 1.9 x 10^6
 POWER_SUM_MAX_WORK = 2 ** 18
 
 
@@ -46,17 +49,21 @@ def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
 
     Euler-Maclaurin at x0 = N_eff + c, set up once for all J multiples: the
     powers (i+c)^{-js} and x0^{-js} are running products of the j = 1
-    powers, and B_{2v}/(2v)! x0^{1-2v} is shared. Each multiple sums its
-    own number V_j <= V of correction terms: the least order whose first
-    omitted term, estimated from float log2 magnitudes, is below
-    2^-(wp+8) at working precision wp; the factor x0^{-js} makes late
-    multiples need few. Each bound is then computed in mp arithmetic at
-    V_j: the first omitted term times 1 + |w+2V_j+1|/(Re w+2V_j+1), w = js
-    (the Backlund remainder bound plus the term itself), so it holds
-    whatever the float estimate said. It covers the truncated correction,
-    not arithmetic rounding, which the guard bits absorb. J x (N_eff - N + V)
-    above POWER_SUM_MAX_WORK raises ArithmeticError (work budget) before any
-    power is computed.
+    powers, and B_{2v}/(2v)! x0^{1-2v} is shared. The correction terms of
+    multiple j are x0^{-w} T_v, w = js, T_v = B_{2v}/(2v)! x0^{1-2v}
+    (w)_{2v-1}; the loop over v runs on Python integers scaled by 2^F,
+    F = wp + 32 at working precision wp, stepping T_{v+1} = T_v rho_v
+    (w+2v-1)(w+2v) with the ratios rho_v = coef_{v+1}/coef_v shared by all
+    j. Each multiple sums its own number V_j <= V of terms: it stops at the
+    first whose |x0^{-w} T_v| is below 2^-(wp+8), an exact integer
+    comparison; the factor x0^{-js} makes late multiples need few. Each
+    bound is then computed in mp arithmetic at V_j: the first omitted term,
+    rounded up by the fixed-point truncation, times
+    1 + |w+2V_j+1|/(Re w+2V_j+1) (the Backlund remainder bound plus the term
+    itself). It covers the truncated correction, not arithmetic rounding,
+    which the guard bits absorb. J x (N_eff - N + V) above
+    POWER_SUM_MAX_WORK raises ArithmeticError (work budget) before any power
+    is computed.
     """
     s = mp.mpmathify(s)
     if mp.re(s) <= 1:
@@ -79,11 +86,25 @@ def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
     for v in range(1, V + 2):
         coef.append(mp.bernoulli(2 * v) / mp.factorial(2 * v) * x0_odd)
         x0_odd *= x0_m2
-    log2_coef = [_log2(a) for a in coef]
-    sr, si = float(mp.re(s)), float(mp.im(s))
-    # term v of multiple j is coef[v-1] (js)_{2v-1} x0^{-js}; the sum stops
-    # at the first term whose log2 estimate is below -(wp + 8)
-    cut, log2_x0 = -(mp.mp.prec + 8), math.log2(float(x0))
+    wp = mp.mp.prec
+    F = wp + 32
+    # T_{v+1} = T_v q_v, q_v = rho_v (w^2 + (4v-1) w + (2v-1) 2v); quad[v-1]
+    # holds the three coefficients at scale 2^(F+G). rho_v = m 2^e with
+    # |rho_v| >= 1/(60 x0^2) > 2^-G and m of at most wp bits, so
+    # e > -(G + wp) and they are exact integers
+    G = 2 * math.ceil(math.log2(x0)) + 6
+    FG = F + G
+    quad = []
+    for v in range(V):
+        rho = to_fixed((coef[v + 1] / coef[v])._mpf_, FG)
+        quad.append((rho, (4 * v + 3) * rho, (2 * v + 1) * (2 * v + 2) * rho))
+    coef1 = to_fixed(coef[0]._mpf_, F)
+
+    def fixed(n):  # n 2^-F as an mpf
+        return mp.mpf(from_man_exp(n, -F))
+
+    sr, si = to_fixed(mp.re(s)._mpf_, F), to_fixed(mp.im(s)._mpf_, F)
+    log2_x0 = math.log2(x0)
     out = []
     head, x0_w = [1] * len(base), 1  # (i+c)^{-w} and x0^{-w} at w = js
     for j in range(1, J + 1):
@@ -91,26 +112,40 @@ def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
         x0_w *= x0_s
         w = j * s
         wr, wi = j * sr, j * si
-        res = x0 / (w - 1) + mp.mpf(1) / 2
-        drop = cut + wr * log2_x0
-        # order terms summed so far; rising = (w)_{2 order + 1}
-        order, rising, log2_rising = 0, w, math.log2(math.hypot(wr, wi))
-        while order < V and log2_coef[order] + log2_rising >= drop:
-            res += coef[order] * rising
-            rising = rising * (w + 2 * order + 1) * (w + 2 * order + 2)
-            log2_rising += math.log2(math.hypot(wr + 2 * order + 1, wi)
-                                     * math.hypot(wr + 2 * order + 2, wi))
-            order += 1
-        nxt = abs(coef[order] * rising * x0_w)
+        w2r, w2i = wr * wr - wi * wi >> F, 2 * wr * wi >> F  # w^2
+        # |x0^{-w} T| < 2^-(wp+8) once |T| < limit in fixed point;
+        # limit >= 2^27 since Re(w) > 1 and x0 >= 10
+        limit = 1 << (F - wp - 8 + math.floor(float(mp.re(w)) * log2_x0))
+        tr, ti = coef1 * wr >> F, coef1 * wi >> F  # T_1 = coef_1 w
+        acc_r = acc_i = order = 0  # order = terms summed so far
+        if wi:
+            limit2 = limit * limit
+            while order < V and tr * tr + ti * ti >= limit2:
+                acc_r += tr
+                acc_i += ti
+                a, b, g = quad[order]
+                qr, qi = (a * w2r + b * wr >> F) + g, a * w2i + b * wi >> F
+                tr, ti = tr * qr - ti * qi >> FG, tr * qi + ti * qr >> FG
+                order += 1
+        else:
+            while order < V and abs(tr) >= limit:
+                acc_r += tr
+                a, b, g = quad[order]
+                tr = tr * ((a * w2r + b * wr >> F) + g) >> FG
+                order += 1
+        # each step truncates T once (< 1 ulp); an earlier truncation grows
+        # as T does, and every summed |T| is >= limit >= 2^27 ulps, so T is
+        # off by < order + 1 ulps plus order 2^-27 |T| per part; q_v's own
+        # rounding (rho_v in mp, w^2 and q_v truncated) adds ~2^-(wp-8) |T|
+        # per step, and 2^-20 |T| per step covers both
+        slack = order + 1 + (order * (abs(tr) + abs(ti)) >> 20)
+        nxt = (mp.hypot(fixed(tr), fixed(ti)) + fixed(2 * slack)) * abs(x0_w)
         corr = abs((w + 2 * order + 1) / (mp.re(w) + 2 * order + 1))
+        res = x0 / (w - 1) + mp.mpf(1) / 2 + fixed(acc_r)
+        if wi:
+            res += mp.mpc(0, fixed(acc_i))
         out.append((x0_w * res + mp.fsum(head), nxt * (corr + 1)))
     return out
-
-
-def _log2(x) -> float:
-    """log2|x| of a nonzero mpf, as a float."""
-    man, exp = mp.frexp(x)
-    return exp + math.log2(abs(float(man)))
 
 
 # a direct sum of at most this many terms stands in for zeta(w) once Re(w)

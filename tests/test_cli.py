@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from partizeta import cli
 from partizeta.cli import main
-from partizeta.fixedlen import EXACT_MAX_WORK, MZV_EQUAL_ARGS_MAX_WORK, MZV_MAX_TERMS
+from partizeta.fixedlen import EXACT_MAX_WORK, MZV_MAX_TERMS, SERIES_MAX_WORK
 from partizeta.numerics.zeta import POWER_SUM_MAX_WORK
 from partizeta.padic import PADIC_MAX_BERNOULLI
 from partizeta.pzeta import GAMMA_MAX_N, LOG_SERIES_MAX_ZETA
@@ -149,12 +149,12 @@ def test_mzv_equal_args_numeric_at_default_prec(capsys):
 
 
 def test_mzv_equal_args_work_budget(capsys):
-    # k x working precision 1.3 x 10^6 bits, ~25 s; the budget stops it at once
+    # k (k + working precision) = 1.4 x 10^6, ~25 s; the budget stops it at once
     t0 = time.perf_counter()
     code = main(["mzv", "--equal-args", "2", "300"])
     assert code == 3 and time.perf_counter() - t0 < 1
     err = capsys.readouterr().err
-    assert f"MZV_EQUAL_ARGS_MAX_WORK = {MZV_EQUAL_ARGS_MAX_WORK}" in err
+    assert f"SERIES_MAX_WORK = {SERIES_MAX_WORK}" in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -166,10 +166,15 @@ def test_mzv_equal_args_work_budget(capsys):
      f"EXACT_MAX_WORK = {EXACT_MAX_WORK}"),
     # n log2(k!) is checked in integers: 10^400 fits no float
     (["mzv", "--equal-args", str(10 ** 400), "2"],
-     f"MZV_EQUAL_ARGS_MAX_WORK = {MZV_EQUAL_ARGS_MAX_WORK}"),
+     f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
     # the 2N product at 8192 bits needs 1.9 x 10^6 powers and correction terms
     (["--prec", "8192", "pzeta", "--spec", "2N", "--s", "2", "--routes", "product"],
      f"POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}"),
+    # k (k + prec) = 1.1 x 10^6, four times the budget; a huge k would build
+    # k zeta values
+    (["--prec", "64", "fixedlen", "--m", "2", "--k", "1000"],
+     f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
+    (["fixedlen", "--m", "8", "--k", str(10 ** 400)], f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
 ])
 def test_work_budgets_refuse_at_once(capsys, argv, budget):
     t0 = time.perf_counter()
@@ -374,15 +379,14 @@ def test_pzeta_exit_code_contract(spec, s, routes):
 
 _SMALL = st.integers(-2, 8).map(str)
 _EXACT = st.sampled_from([[], ["--exact"]])
-# the exact routes refuse sizes past their work budget at once
+# the fixedlen routes refuse sizes past their work budgets at once
 _SIZE = st.one_of(_SMALL, st.sampled_from(["1000", str(10 ** 400)]))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(argv=st.one_of(
-    st.tuples(_SMALL, _SMALL, _EXACT).map(
+    st.tuples(_SIZE, _SIZE, _EXACT).map(
         lambda t: ["fixedlen", "--m", t[0], "--k", t[1], *t[2]]),
-    st.tuples(_SIZE, _SIZE).map(lambda t: ["fixedlen", "--m", t[0], "--k", t[1], "--exact"]),
     st.tuples(_SMALL, _SMALL, _EXACT).map(
         lambda t: ["mzv", "--equal-args", t[0], t[1], *t[2]]),
     st.tuples(_SIZE, _SIZE).map(lambda t: ["mzv", "--equal-args", t[0], t[1], "--exact"]),

@@ -413,6 +413,9 @@ def test_ehrhart_counts_match_polynomial():
     assert ehrhart_simplex_count(6, 4) == 69
     for m in range(0, 9):
         assert ehrhart_simplex_count(6, m) == poly_eval(H6, Fraction(m))
+    H8 = hk_polynomial(8, -1)
+    for m in range(0, 4):
+        assert ehrhart_simplex_count(8, m) == poly_eval(H8, Fraction(m))
 
 
 def test_ehrhart_resource_gate():

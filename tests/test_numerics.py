@@ -262,9 +262,11 @@ def _assert_bounds_cover_the_error(s, J, c, N, prec):
     tails = power_sum_tails(s, J, c, N, prec)
     assert len(tails) == J
     # mp.zeta(w, a) at complex w is accurate only to ~2^-(wp+15) absolute at
-    # wp bits: at 2 prec that is coarser than 2^-prec relative on the late
-    # multiples of s = 2+5i, so the reference gets 64 bits more
-    with mp.workprec(2 * prec + 64):
+    # wp bits, and the value is ~(N+c)^-Re(w): the reference needs prec +
+    # Re(Js) log2(N+c) bits and a margin (at 192 bits it is wrong for j = 20,
+    # s = 3+0.8i, N = 33)
+    extra = int(J * mp.re(s) * mp.log(N + c, 2))
+    with mp.workprec(max(2 * prec, prec + extra) + 64):
         for j, (val, bound) in enumerate(tails, 1):
             ref = mp.zeta(j * s, N + c)
             # the bound leaves out the final rounding to prec bits
@@ -288,6 +290,18 @@ def test_power_sum_tails_bounds_cover_the_error_of_the_2N_product(c, prec):
     # the tail classes of 2N at s near 2: J = 28 multiples from N = 33, whose
     # orders fall from ~50 to ~3 at 256 bits
     _assert_bounds_cover_the_error(mp.mpf("2.0037"), 28, c, 33, prec)
+
+
+# the tail classes of the scan workload's Euler products: distinct near
+# s = 2.5 (class 0 mod 1 from N = 65), the classes 1 and 5 mod 6 of 3N|1+2N,
+# and 2+2N at complex s (class 0 mod 2 from N = 33)
+@pytest.mark.parametrize("s, J, c, N", [(mp.mpf("2.5"), 23, mp.mpf(0), 65),
+                                        (mp.mpf("2.2"), 10, mp.mpf(1) / 6, 11),
+                                        (mp.mpf("2.2"), 10, mp.mpf(5) / 6, 10),
+                                        (mp.mpc(3, "0.8"), 20, mp.mpf(0), 33)])
+@pytest.mark.parametrize("prec", [64, PREC, 512])
+def test_power_sum_tails_bounds_cover_the_error_of_scan_shapes(s, J, c, N, prec):
+    _assert_bounds_cover_the_error(s, J, c, N, prec)
 
 
 def test_euler_generating_function_small_orders():

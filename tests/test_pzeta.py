@@ -63,6 +63,18 @@ def test_euler_product_certificate_is_honest():
             assert err <= bound + mp.mpf(2) ** (-(prec - 6))
 
 
+@pytest.mark.parametrize("spec", ["2N", "distinct", "geq:2", "3N|1+2N", "2+2N"])
+@pytest.mark.parametrize("s", [mp.mpf(3), mp.mpc(3, 1)])
+@pytest.mark.parametrize("prec", [64, 128, 256, 512, 1024])
+def test_euler_product_precision_sweep(spec, s, prec):
+    # within the certificate plus the final rounding of the same call at
+    # 2 prec + 64
+    v, bound = euler_product(parse_part_set(spec), s, prec=prec)
+    ref, _ = euler_product(parse_part_set(spec), s, prec=2 * prec + 64)
+    with mp.workprec(2 * prec + 64):
+        assert abs(v - ref) <= bound + mp.ldexp(abs(v), 1 - prec)
+
+
 def test_euler_product_rejects_divergent_and_domain():
     with pytest.raises(DivergentPartSetError):
         euler_product(parse_part_set("0+1N"), mp.mpf(2), prec=PREC)

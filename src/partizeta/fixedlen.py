@@ -20,6 +20,7 @@ import mpmath as mp
 
 from .numerics import (
     DEFAULT_PREC,
+    GUARD_BITS,
     bell_via_determinant,
     bell_via_series,
     guarded,
@@ -69,9 +70,9 @@ def fixedlen_zeta(m: int, k: int, prec: int = DEFAULT_PREC):
     """zeta over length-k partitions at integer argument m >= 2.
 
     pi^{mk} [z^{mk}] exp(sum_j zeta(mj)/j (z/pi)^{mj}) = B_k(a)/k! with
-    a_j = (j-1)! zeta(mj), by the exp-series route. k (k + prec) above
-    SERIES_MAX_WORK raises ArithmeticError (work budget) before any
-    evaluation.
+    a_j = (j-1)! zeta(mj), by the exp-series route. Work past
+    SERIES_MAX_WORK (the series products plus the zeta values, see there)
+    raises ArithmeticError (work budget) before any evaluation.
     """
     if m < 2 or k < 0:
         raise ValueError("need m >= 2, k >= 0")
@@ -107,17 +108,16 @@ def mzv_equal_args(n: int, k: int, prec: int = DEFAULT_PREC):
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2, k >= 0")
-    wp = prec  # checked alone first: k! is slow for a huge k
-    if k * (k + wp) <= SERIES_MAX_WORK and k > 1:
+    wp = prec
+    if k > 1:
+        _check_series_work(n, k, wp)  # checked alone first: k! is slow for a huge k
         # n log2(k!) >= n (bit_length(k!) - 1), checked in integers first:
-        # n may not fit a float
+        # n may not fit a float, and a precision of 10^400 bits would
+        # overflow mpmath's precision setting
         k_fact = math.factorial(k)
-        wp += n * (k_fact.bit_length() - 1)
-        if k * (k + wp) <= SERIES_MAX_WORK:
-            wp = prec + math.ceil(n * math.log2(k_fact))
-    # a wp past the budget is refused either way, and one of 10^400 bits
-    # would overflow mpmath's precision setting
-    return _series_value(n, k, -1, min(wp, SERIES_MAX_WORK))
+        _check_series_work(n, k, prec + n * (k_fact.bit_length() - 1))
+        wp = prec + math.ceil(n * math.log2(k_fact))
+    return _series_value(n, k, -1, wp)
 
 
 def mzv_equal_args_exact(n: int, k: int) -> Fraction:
@@ -155,25 +155,68 @@ def _exact_sequence(m: int, k: int, sign: int) -> list[Fraction]:
     return _zeta_sequence(m, k, sign, zeta_even_rational)
 
 
-# work budget of the numeric length-k values, k x (k + prec) at series
-# precision prec: the exp series takes ~k^2/2 products, and the k zeta values
-# cost more as prec grows. Near the cap, fixedlen (2, 480) at 64 bits takes
-# 0.4 s, (8, 399) at 256 0.4 s and (3, 31) at 8192 1.8 s; mzv, whose series
-# precision is prec + n log2(k!), (2, 135) at 256 0.6 s and (20, 53) 2.2 s
-# (2-core x86 VM, mpmath pure-Python backend, one fresh process each).
-# fixedlen (2, 1000) at 64 bits, 1.1 x 10^6, takes 2.0 s
+# work budget of the numeric length-k values at series precision p, in units
+# of ~5 us: k^2 (p + 900)/1000 for the exp series (~k^2/2 products) plus the
+# k zeta values (see _zeta_work), but at least k (k + p). That floor caps p
+# at 2^18/k bits: past it one product, and the exact 3^s of mpmath's cheap
+# zeta branch, cost more than linearly in p, which the model does not count
+# (mzv (10^7, 2) at 64 bits would run its series and zeta(10^7) at
+# 10^7 bits). Near the cap, fixedlen (2, 480) at 64 bits (2.6 x 10^5) takes
+# 1.0 s, (8, 399) at 256 (2.6 x 10^5) 1.0 s and mzv, whose series precision
+# is prec + n log2(k!), (2, 129) at 256 (2.5 x 10^5) 1.1 s. Past it, mzv
+# (2, 135) at 256 (2.9 x 10^5) took 1.2 s, mzv (1000, 8) at 64 (6.4 x 10^5,
+# nearly all of it zeta(1000) at 15,480 bits) 3.7 s, fixedlen (3, 31) at
+# 8192 (5.9 x 10^5) 3.4 s, (1835, 1) at 15000 (1.1 x 10^6, Borwein's method
+# just past the Euler product's cutoff) 3.1 s, (22000, 1) at 262000
+# (5.9 x 10^6, an Euler product over 687 primes) 16 s and mzv (20, 53) at
+# 256 (1.0 x 10^6) 3.9 s (2-core x86 VM, mpmath 1.3 pure-Python backend,
+# one fresh process each)
 SERIES_MAX_WORK = 2 ** 18
 
+# bits _series_value works above its precision
+_SERIES_EXTRA_BITS = 16
+# mpmath's zeta(s) at integer s runs mpf_zeta_int (mpmath.libmp.gammazeta)
+# at 20 bits above the precision it is called at, which is the series
+# precision plus _series_value's and riemann_zeta's guard bits
+_ZETA_EXTRA_BITS = _SERIES_EXTRA_BITS + 2 * GUARD_BITS + 20
 
-@guarded(extra=16)
+
+def _zeta_work(s: int, W: int) -> int:
+    """Work units of mpmath's zeta(s), integer s >= 2, when mpf_zeta_int
+    runs at W bits; the branch tests are mpf_zeta_int's own."""
+    if 1000 * s >= 431 * W:  # 1 + 2^-s + 3^-s (and 1 once s >= W)
+        return 0
+    m = W / (s - 1) + 1
+    terms = int(2 ** m + 1) if m < 30 else 0
+    if m < 30 and terms < int(W / 2.54 + 5) / 10:
+        # Euler product over the primes below `terms`: a power and a
+        # product at W bits each, ~W^2/10^7 units per prime
+        return int(terms / math.log(terms) * W * W / 10 ** 7)
+    # Borwein's method: ~W/2.54 terms, each a division by an (s log2 W)-bit
+    # power
+    return W * W * (s + 60) // 400000
+
+
+def _check_series_work(m: int, k: int, prec: int) -> None:
+    """ArithmeticError (work budget) if the length-k series at argument m
+    and series precision prec needs more than SERIES_MAX_WORK."""
+    work = k * (k + prec)
+    if work <= SERIES_MAX_WORK:  # k and prec are small now: the zeta values can be counted
+        W = prec + _ZETA_EXTRA_BITS
+        work = max(work, k * k * (prec + 900) // 1000
+                   + sum(_zeta_work(m * j, W) for j in range(1, k + 1)))
+    if work > SERIES_MAX_WORK:
+        raise ArithmeticError(f"the length-{k} series at argument {m} needs more work "
+                              f"(series products and zeta values) than its budget "
+                              f"SERIES_MAX_WORK = {SERIES_MAX_WORK}")
+
+
+@guarded(extra=_SERIES_EXTRA_BITS)
 def _series_value(m: int, k: int, sign: int, prec: int):
     """sign^k B_k(a)/k! for a_j = sign (j-1)! zeta(mj), as an mpf.
-    k x (k + prec) above SERIES_MAX_WORK raises ArithmeticError (work
-    budget) before any zeta value is computed."""
-    if k * (k + prec) > SERIES_MAX_WORK:
-        raise ArithmeticError(f"the length-{k} series at argument {m} needs k (k + working "
-                              f"precision) above its work budget "
-                              f"SERIES_MAX_WORK = {SERIES_MAX_WORK}")
+    Work past SERIES_MAX_WORK raises ArithmeticError (work budget) before
+    any zeta value is computed."""
+    _check_series_work(m, k, prec)
     if k == 0:  # B_0 of the empty sequence is the exact 1
         return mp.mpf(1)
     a = _zeta_sequence(m, k, sign, lambda s: riemann_zeta(s, mp.mp.prec))

@@ -4,12 +4,16 @@
 with the pole rejections this package relies on. ``power_sum_tails`` is the
 one Euler-Maclaurin engine: sum_{i >= N} (i + c)^{-js} for j = 1..J from one
 setup, which the restricted-part-set Euler products use for their
-congruence-class tails. Its correction loop runs on fixed-point Python
-integers: each multiple sums only as many correction terms as its x0^{-js}
-factor leaves visible at the working precision (an exact integer
-comparison), and carries an explicit remainder bound computed in mp
-arithmetic at that order from the first omitted term, rounded up by the
-fixed-point truncation.
+congruence-class tails. Past the base powers (i + c)^{-s} and x0^{-s},
+computed once in mp, it runs on fixed-point Python integers: the powers of
+every multiple, the correction terms, the assembly and the certificate.
+Each multiple sums only as many correction terms as its x0^{-js} factor
+leaves visible at the working precision (an exact integer comparison) and
+carries an explicit bound, rounded up: the first omitted term plus the
+truncation of every fixed-point step (Johansson, "Rigorous high-precision
+computation of the Hurwitz zeta function and its derivatives", 2015, for
+the remainder). The ratios of consecutive B_2v/(2v)! come exact from the
+tangent numbers, once per working precision.
 ``zeta_multiples_direct`` gives zeta(sk) at the k where a short direct sum
 already reaches the working precision, which the log series over multiples
 uses.
@@ -21,7 +25,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
 
 from .hp import DEFAULT_PREC, guarded
 from .series import TruncatedSeries
@@ -36,10 +40,49 @@ def power_sum_tail(w, c, N: int, prec: int = DEFAULT_PREC):
 
 # work budget of power_sum_tails: J x (N_eff - N + V), the multiples times
 # the head powers and correction terms one setup may need. The 2N product
-# at s = 2 needs 1.2 x 10^5 at 2048 bits (0.45 s) and 2.5 x 10^5 at 3000
-# bits (1.5 s; 2-core x86 VM, mpmath pure-Python backend, one fresh process
-# each); 8192 bits would need 1.9 x 10^6
+# at s = 2 needs 1.2 x 10^5 at 2048 bits (0.6-0.7 s) and 2.5 x 10^5 at 3000
+# bits (2.2-2.5 s; 2-core x86 VM in its slow state, mpmath pure-Python
+# backend, one fresh process each); 8192 bits would need 1.9 x 10^6
 POWER_SUM_MAX_WORK = 2 ** 18
+
+# floor(beta_v 2^F) by F (V is a function of the precision, so of F), filled
+# on first use by power_sum_tails, which holds the precision lock
+_BERNOULLI_RATIOS: dict[int, list[int]] = {}
+
+
+def _bernoulli_ratios(V: int, F: int) -> list[int]:
+    """floor(beta_v 2^F), v = 1..V, beta_v = (B_{2v+2}/(2v+2)!)/(B_{2v}/(2v)!).
+
+    B_{2n} = (-1)^(n-1) 2n T_n/(4^n (4^n - 1)) with the tangent numbers T_n,
+    so beta_v = -T_{v+1} (4^v - 1)/(8 v (2v+1) T_v (4^(v+1) - 1)); T_1..T_{V+1}
+    come exact from Brent and Harvey's integer recurrence ("Fast computation
+    of Bernoulli, tangent and secant numbers", 2011): 0.5 ms at V = 56 and
+    42 ms at V = 354, against 10 ms and 205 ms through mpmath's bernfrac
+    (2-core x86 VM, CPython 3.11). The package's exact Bernoulli table
+    (``bernoulli_table``, from bernfrac) would make a fresh CLI process
+    with a product route ~14 ms slower at 256 bits.
+    """
+    if F not in _BERNOULLI_RATIOS:
+        T = [0, 1] + [0] * V  # T_0..T_{V+1}
+        for k in range(2, V + 2):
+            T[k] = (k - 1) * T[k - 1]
+        for k in range(2, V + 2):
+            for j in range(k, V + 2):
+                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+        _BERNOULLI_RATIOS[F] = [
+            -(T[v + 1] * (4 ** v - 1) << F) // (8 * v * (2 * v + 1) * T[v] * (4 ** (v + 1) - 1))
+            for v in range(1, V + 1)]
+    return _BERNOULLI_RATIOS[F]
+
+
+def _modulus(re: int, im: int) -> int:
+    """An integer >= |re + i im|."""
+    return math.isqrt(re * re + im * im) + 1 if im else abs(re)
+
+
+def _pow2_above(num: int, den: int) -> int:
+    """A k >= 0 with num <= den 2^k (den > 0); 0 when num <= den."""
+    return 0 if num <= den else num.bit_length() - den.bit_length() + 1
 
 
 @guarded()
@@ -47,23 +90,28 @@ def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
     """[(value, bound)] for sum_{i=N}^{inf} (i+c)^{-js}, j = 1..J; Re(s) > 1,
     c >= 0.
 
-    Euler-Maclaurin at x0 = N_eff + c, set up once for all J multiples: the
-    powers (i+c)^{-js} and x0^{-js} are running products of the j = 1
-    powers, and B_{2v}/(2v)! x0^{1-2v} is shared. The correction terms of
-    multiple j are x0^{-w} T_v, w = js, T_v = B_{2v}/(2v)! x0^{1-2v}
-    (w)_{2v-1}; the loop over v runs on Python integers scaled by 2^F,
-    F = wp + 32 at working precision wp, stepping T_{v+1} = T_v rho_v
-    (w+2v-1)(w+2v) with the ratios rho_v = coef_{v+1}/coef_v shared by all
-    j. Each multiple sums its own number V_j <= V of terms: it stops at the
-    first whose |x0^{-w} T_v| is below 2^-(wp+8), an exact integer
+    Euler-Maclaurin at x0 = N_eff + c, set up once for all J multiples.
+    Only the base powers (i+c)^{-s}, N <= i < N_eff, and x0^{-s} are mp
+    numbers; everything after them runs on Python integers scaled by 2^F,
+    F = wp + 32 at working precision wp (pairs of them for complex s), with
+    s and c first truncated to that grid (exact for arguments of at most wp
+    bits). The head powers (i+c)^{-js} and x0^{-js} are running products of
+    the j = 1 powers; a head power whose fixed-point value reaches 0 stays 0
+    and is dropped. Multiple j adds x0^{-w} (x0/(w-1) + 1/2 + sum_v T_v),
+    w = js, T_v = B_{2v}/(2v)! x0^{1-2v} (w)_{2v-1}, stepped as
+    T_{v+1} = T_v rho_v (w+2v-1)(w+2v) with rho_v = beta_v x0^{-2}; the
+    ratios beta_v do not depend on x0 and are built once per working
+    precision. Each multiple sums its own number V_j <= V of terms: it stops
+    at the first whose |x0^{-w} T_v| is below 2^-(wp+8), an exact integer
     comparison; the factor x0^{-js} makes late multiples need few. Each
-    bound is then computed in mp arithmetic at V_j: the first omitted term,
-    rounded up by the fixed-point truncation, times
-    1 + |w+2V_j+1|/(Re w+2V_j+1) (the Backlund remainder bound plus the term
-    itself). It covers the truncated correction, not arithmetic rounding,
-    which the guard bits absorb. J x (N_eff - N + V) above
-    POWER_SUM_MAX_WORK raises ArithmeticError (work budget) before any power
-    is computed.
+    bound is an integer rounded up: the first omitted term, rounded up by the
+    fixed-point truncation, times 1 + |w+2V_j+1|/(Re w+2V_j+1) (the Backlund
+    remainder bound plus the term itself), plus the truncation ulps of every
+    power, correction term and assembly step. Relative rounding at 2^-wp
+    (the mp base powers, rho_v) is left to the guard bits. Each value and
+    bound becomes an mp number once. J x (N_eff - N + V) above
+    POWER_SUM_MAX_WORK raises ArithmeticError (work budget) before any
+    power is computed.
     """
     s = mp.mpmathify(s)
     if mp.re(s) <= 1:
@@ -77,74 +125,125 @@ def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
         raise ArithmeticError(f"the power-sum tails of {J} multiples at {prec} bits need "
                               f"{J * (N_eff - N + V)} powers and correction terms; their "
                               f"work budget is POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}")
-    c = mp.mpf(c)
-    base = [(n + c) ** (-s) for n in range(N, N_eff)]
-    x0 = N_eff + c
-    x0_s = x0 ** (-s)
-    coef = []  # B_{2v}/(2v)! x0^{1-2v}, v = 1..V+1
-    x0_odd, x0_m2 = 1 / x0, x0 ** -2
-    for v in range(1, V + 2):
-        coef.append(mp.bernoulli(2 * v) / mp.factorial(2 * v) * x0_odd)
-        x0_odd *= x0_m2
     wp = mp.mp.prec
     F = wp + 32
-    # T_{v+1} = T_v q_v, q_v = rho_v (w^2 + (4v-1) w + (2v-1) 2v); quad[v-1]
-    # holds the three coefficients at scale 2^(F+G). rho_v = m 2^e with
-    # |rho_v| >= 1/(60 x0^2) > 2^-G and m of at most wp bits, so
-    # e > -(G + wp) and they are exact integers
-    G = 2 * math.ceil(math.log2(x0)) + 6
-    FG = F + G
-    quad = []
-    for v in range(V):
-        rho = to_fixed((coef[v + 1] / coef[v])._mpf_, FG)
-        quad.append((rho, (4 * v + 3) * rho, (2 * v + 1) * (2 * v + 2) * rho))
-    coef1 = to_fixed(coef[0]._mpf_, F)
+    ONE = 1 << F
 
-    def fixed(n):  # n 2^-F as an mpf
+    def fixed(n):  # n 2^-F as an mpf, exactly
         return mp.mpf(from_man_exp(n, -F))
 
-    sr, si = to_fixed(mp.re(s)._mpf_, F), to_fixed(mp.im(s)._mpf_, F)
-    log2_x0 = math.log2(x0)
+    def pair(z):  # z 2^F as two integers, each truncated once
+        if isinstance(z, mp.mpc):
+            return to_fixed(z._mpc_[0], F), to_fixed(z._mpc_[1], F)
+        return to_fixed(z._mpf_, F), 0
+
+    cplx = isinstance(s, mp.mpc)
+    sr, si = pair(s)
+    s = mp.mpc(fixed(sr), fixed(si)) if si else fixed(sr)
+    cf = to_fixed(mp.mpf(c)._mpf_, F)
+    X = (N_eff << F) + cf  # x0 2^F
+    base = [pair(fixed((n << F) + cf) ** (-s)) for n in range(N, N_eff)]
+    br, bi = [b[0] for b in base], [b[1] for b in base]
+    x0r, x0i = pair(fixed(X) ** (-s))
+    # |(i+c)^-s| <= 2^kh, the fixed powers included (kh = 0 once N + c > 1)
+    kh = _pow2_above(max((_modulus(r, i) for r, i in base), default=0) + 2, ONE)
+    # T_{v+1} = T_v rho_v P_v, P_v = (w+2v-1)(w+2v); rho[v-1] is rho_v at
+    # scale 2^(F+G), G = 2 ceil(log2 x0) + 6: |rho_v| >= 1/(60 x0^2) > 2^-G
+    # keeps F bits in each
+    log2_x0 = math.log2(X / ONE)
+    G = 2 * math.ceil(log2_x0) + 6
+    FG = F + G
+    X2 = X * X
+    inv_x0_2 = (1 << 3 * F + G) // X2  # x0^-2 2^(F+G)
+    rho = [beta * inv_x0_2 >> F for beta in _bernoulli_ratios(V, F)]
     out = []
-    head, x0_w = [1] * len(base), 1  # (i+c)^{-w} and x0^{-w} at w = js
+    hr, hi = br, bi  # (i+c)^{-w} and x0^{-w} at w = js
+    xr, xi = x0r, x0i
     for j in range(1, J + 1):
-        head = [h * b for h, b in zip(head, base)]
-        x0_w *= x0_s
-        w = j * s
+        if j > 1:
+            if si:
+                terms = list(zip(hr, hi, br, bi))
+                hr = [a * p - b * q >> F for a, b, p, q in terms]
+                hi = [a * q + b * p >> F for a, b, p, q in terms]
+                while hr and not (hr[-1] or hi[-1]):
+                    hr.pop()
+                    hi.pop()
+                xr, xi = xr * x0r - xi * x0i >> F, xr * x0i + xi * x0r >> F
+            else:
+                hr = [h * b >> F for h, b in zip(hr, br)]
+                while hr and not hr[-1]:
+                    hr.pop()
+                xr = xr * x0r >> F
         wr, wi = j * sr, j * si
-        w2r, w2i = wr * wr - wi * wi >> F, 2 * wr * wi >> F  # w^2
         # |x0^{-w} T| < 2^-(wp+8) once |T| < limit in fixed point;
         # limit >= 2^27 since Re(w) > 1 and x0 >= 10
-        limit = 1 << (F - wp - 8 + math.floor(float(mp.re(w)) * log2_x0))
-        tr, ti = coef1 * wr >> F, coef1 * wi >> F  # T_1 = coef_1 w
+        limit = 1 << (F - wp - 8 + math.floor(wr / ONE * log2_x0))
+        tr, ti = (wr << F) // (12 * X), (wi << F) // (12 * X)  # T_1 = w/(12 x0)
+        # P_v = w^2 + (4v-1) w + (2v-1) 2v steps by the exact
+        # D_v = 4 w + (8v+2), D_(v+1) = D_v + 8: w^2 is its only truncation
+        Pr, Pi = (wr * wr - wi * wi >> F) + 3 * wr + 2 * ONE, (2 * wr * wi >> F) + 3 * wi
+        Dr, Di, eight = 4 * wr + 10 * ONE, 4 * wi, 8 * ONE
         acc_r = acc_i = order = 0  # order = terms summed so far
         if wi:
             limit2 = limit * limit
             while order < V and tr * tr + ti * ti >= limit2:
                 acc_r += tr
                 acc_i += ti
-                a, b, g = quad[order]
-                qr, qi = (a * w2r + b * wr >> F) + g, a * w2i + b * wi >> F
+                qr, qi = rho[order] * Pr >> F, rho[order] * Pi >> F
                 tr, ti = tr * qr - ti * qi >> FG, tr * qi + ti * qr >> FG
+                Pr += Dr
+                Pi += Di
+                Dr += eight
                 order += 1
         else:
             while order < V and abs(tr) >= limit:
                 acc_r += tr
-                a, b, g = quad[order]
-                tr = tr * ((a * w2r + b * wr >> F) + g) >> FG
+                tr = tr * (rho[order] * Pr >> F) >> FG
+                Pr += Dr
+                Dr += eight
                 order += 1
+        # res = x0/(w-1) + 1/2 + sum_v T_v, value = x0^{-w} res + head
+        a = wr - ONE
+        if wi:
+            d = a * a + wi * wi
+            rr = (X * a << F) // d + (ONE >> 1) + acc_r
+            ri = -(X * wi << F) // d + acc_i
+            vr = (xr * rr - xi * ri >> F) + sum(hr)
+            vi = (xr * ri + xi * rr >> F) + sum(hi)
+        else:
+            rr, ri = (X << F) // a + (ONE >> 1) + acc_r, 0
+            vr, vi = (xr * rr >> F) + sum(hr), 0
+        # Error bounds in ulps (2^-F), as moduli. Each truncation to the grid
+        # (to_fixed, >> F, //) is off by < 1 per part, < sqrt(2) in modulus.
+        # A power p^j whose fixed base is within sqrt(2) of p, |p| <= 2^k, has
+        # e_j <= 2^k e_(j-1) + sqrt(2) 2^(k(j-1)) + sqrt(2), so
+        # e_j <= 3 j 2^(k(j-1)): e_x for x0^{-w} (k = 0, x0 >= 10) and e_h for
+        # each of the n head powers, dropped ones included (their true value
+        # is at most e_h). The head sum is exact.
+        e_x = 3 * j
+        e_h = len(br) * (3 * j << kh * (j - 1))
+        # T_1 and each step truncate once, and an error grows by |q_v| <= 2^kg
+        # (|beta_v| < 1/(4 pi^2) < 1/39, |w+2v-1||w+2v| <= (|w| + 2 order)^2
+        # for the summed steps), so the summed T_v are off by
+        # < sqrt(2) v 2^(kg(v-1)) and their sum by < order (order+1) 2^(kg order);
+        # x0/(w-1) adds < 2, 1/2 is exact
+        kg = _pow2_above((_modulus(wr, wi) + 2 * order * ONE) ** 2, 39 * X2)
+        e_res = 2 + (order * (order + 1) << kg * order)
+        # the fixed product of x = x0^{-w} and r = res is off by
+        # <= |x| e_res + |r| e_x, |x| < 1, plus its own truncation
+        e_val = e_h + e_res + -(-_modulus(rr, ri) * e_x // ONE) + 2
         # each step truncates T once (< 1 ulp); an earlier truncation grows
         # as T does, and every summed |T| is >= limit >= 2^27 ulps, so T is
         # off by < order + 1 ulps plus order 2^-27 |T| per part; q_v's own
-        # rounding (rho_v in mp, w^2 and q_v truncated) adds ~2^-(wp-8) |T|
-        # per step, and 2^-20 |T| per step covers both
+        # rounding (rho_v and w^2 truncated) adds ~2^-(wp-8) |T| per step,
+        # and 2^-20 |T| per step covers both
         slack = order + 1 + (order * (abs(tr) + abs(ti)) >> 20)
-        nxt = (mp.hypot(fixed(tr), fixed(ti)) + fixed(2 * slack)) * abs(x0_w)
-        corr = abs((w + 2 * order + 1) / (mp.re(w) + 2 * order + 1))
-        res = x0 / (w - 1) + mp.mpf(1) / 2 + fixed(acc_r)
-        if wi:
-            res += mp.mpc(0, fixed(acc_i))
-        out.append((x0_w * res + mp.fsum(head), nxt * (corr + 1)))
+        # first omitted term times 1 + |w+2V_j+1|/(Re w+2V_j+1), rounded up
+        cd = wr + (2 * order + 1) * ONE
+        num = (_modulus(tr, ti) + 2 * slack) * (_modulus(xr, xi) + e_x) * (_modulus(cd, wi) + cd)
+        e_em = -(-num // (cd * ONE))
+        value = mp.mpc(fixed(vr), fixed(vi)) if cplx else fixed(vr)
+        out.append((value, mp.mpf(from_man_exp(e_em + e_val, -F, 24, round_ceiling))))
     return out
 
 

@@ -306,7 +306,9 @@ def zeta_via_mobius(m: int, n: int, K: int, prec: int = DEFAULT_PREC):
     """Partial sum m^n sum_{k<=K} mu(k)/k sum_r log Gamma(1 - e(r/nk)/m).
 
     Converges to zeta(n) as K grows (inverted from the multiples-of-m log
-    formula); the inner sum is real after conjugate pairing.
+    formula); the inner sum is real after conjugate pairing. The terms at r
+    and nk - r are conjugate, so r = 0..nk/2 are evaluated and the
+    interior ones counted twice.
     """
     if m < 2 or n < 2 or K < 1:
         raise ValueError("need m, n >= 2 and K >= 1")
@@ -316,9 +318,11 @@ def zeta_via_mobius(m: int, n: int, K: int, prec: int = DEFAULT_PREC):
     for k in range(1, K + 1):
         if mob[k] == 0:
             continue
+        nk = n * k
         inner = mp.fsum(
-            mp.re(log_gamma(1 - _e(mp.mpf(r) / (n * k)) / m, wp))
-            for r in range(n * k))
+            (1 if r == 0 or 2 * r == nk else 2)
+            * mp.re(log_gamma(1 - _e(mp.mpf(r) / nk) / m, wp))
+            for r in range(nk // 2 + 1))
         total += mp.mpf(mob[k]) / k * inner
     total *= mp.mpf(m) ** n
     return total

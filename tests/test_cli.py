@@ -175,6 +175,23 @@ def test_mzv_equal_args_work_budget(capsys):
     (["--prec", "64", "fixedlen", "--m", "2", "--k", "1000"],
      f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
     (["fixedlen", "--m", "8", "--k", str(10 ** 400)], f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
+    # k (k + prec) is small, but zeta(1000) at the series precision of
+    # 15,000 bits would take seconds
+    (["--prec", "64", "mzv", "--equal-args", "1000", "8"],
+     f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
+    # few products and zeta values, but at a series precision of 10^7 and
+    # 6 x 10^7 bits
+    (["--prec", "64", "mzv", "--equal-args", str(10 ** 7), "2"],
+     f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
+    (["--prec", "64", "mzv", "--equal-args", str(6 * 10 ** 7), "2"],
+     f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
+    # one zeta value each: at the 15,116 bits mpmath works at, zeta(1835) is
+    # just past the Euler product's cutoff and takes Borwein's method (3 s);
+    # zeta(22000) at 262,116 bits is an Euler product over 687 primes (16 s)
+    (["--prec", "15000", "fixedlen", "--m", "1835", "--k", "1"],
+     f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
+    (["--prec", "262000", "fixedlen", "--m", "22000", "--k", "1"],
+     f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
 ])
 def test_work_budgets_refuse_at_once(capsys, argv, budget):
     t0 = time.perf_counter()

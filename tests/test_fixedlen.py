@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import gammazeta
 
 from partizeta.fixedlen import (
     MZV_MAX_TERMS,
     MZVIndex,
+    _ZETA_EXTRA_BITS,
     compositions,
     decoupling_check,
     fixedlen_zeta,
@@ -99,6 +101,23 @@ def test_mzv_equal_args_keeps_relative_precision(n, k):
     with mp.workprec(1400):
         ref = mzv_equal_args(n, k, prec=1400)
         assert abs(v - ref) < mp.mpf(2) ** -248 * ref
+
+
+def test_series_work_prices_zeta_at_mpmaths_precision(monkeypatch):
+    # SERIES_MAX_WORK picks mpmath's zeta branch by the precision its
+    # mpf_zeta_int runs at, 20 bits above the one it is called at
+    seen = []
+    inner = gammazeta.mpf_zeta_int
+
+    def spy(s, prec, *rest):
+        seen.append(prec + 20)
+        return inner(s, prec, *rest)
+
+    monkeypatch.setattr(gammazeta, "mpf_zeta_int", spy)
+    fixedlen_zeta(7, 2, 300)
+    mzv_equal_args(3, 3, 100)
+    wp = 100 + math.ceil(3 * math.log2(6))
+    assert seen == [300 + _ZETA_EXTRA_BITS] * 2 + [wp + _ZETA_EXTRA_BITS] * 3
 
 
 def test_mzv_exact_family():

@@ -13,9 +13,11 @@ from __future__ import annotations
 import importlib
 import inspect
 import math
+import os
 import pathlib
 import pkgutil
 import random
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -29,6 +31,7 @@ import partizeta
 from partizeta.modular import hk_polynomial, hk_zero_solver
 from partizeta.pzeta import closed_form_gamma
 from partizeta.numerics import roots as roots_module
+from partizeta.numerics import zeta as zeta_module
 from partizeta.numerics import (
     RootFindingError,
     TruncatedSeries,
@@ -294,14 +297,56 @@ def test_power_sum_tails_bounds_cover_the_error_of_the_2N_product(c, prec):
 
 # the tail classes of the scan workload's Euler products: distinct near
 # s = 2.5 (class 0 mod 1 from N = 65), the classes 1 and 5 mod 6 of 3N|1+2N,
-# and 2+2N at complex s (class 0 mod 2 from N = 33)
-@pytest.mark.parametrize("s, J, c, N", [(mp.mpf("2.5"), 23, mp.mpf(0), 65),
-                                        (mp.mpf("2.2"), 10, mp.mpf(1) / 6, 11),
-                                        (mp.mpf("2.2"), 10, mp.mpf(5) / 6, 10),
-                                        (mp.mpc(3, "0.8"), 20, mp.mpf(0), 33)])
-@pytest.mark.parametrize("prec", [64, PREC, 512])
+# and 2+2N at complex s (class 0 mod 2 from N = 33); at 1024 bits the
+# head-heavy class 1 mod 6 and the complex one
+_SCAN_SHAPES = [(mp.mpf("2.5"), 23, mp.mpf(0), 65), (mp.mpf("2.2"), 10, mp.mpf(1) / 6, 11),
+                (mp.mpf("2.2"), 10, mp.mpf(5) / 6, 10), (mp.mpc(3, "0.8"), 20, mp.mpf(0), 33)]
+
+
+@pytest.mark.parametrize("s, J, c, N, prec", [
+    pytest.param(*shape, prec, id=f"{prec}-s{i}-{shape[1]}-c{i}-{shape[3]}")
+    for prec in (64, PREC, 512, 1024) for i, shape in enumerate(_SCAN_SHAPES)
+    if prec < 1024 or i in (1, 3)])
 def test_power_sum_tails_bounds_cover_the_error_of_scan_shapes(s, J, c, N, prec):
     _assert_bounds_cover_the_error(s, J, c, N, prec)
+
+
+@pytest.mark.parametrize("s", [mp.mpf("2.2"), mp.mpc(3, "0.8")])
+def test_power_sum_tails_same_bits_with_a_cold_ratio_table(monkeypatch, s):
+    # the Bernoulli ratio table is built once per working precision; a call
+    # that builds it must give the bits of one that finds it built, also
+    # after the tables of other precisions exist
+    def call():
+        tails = power_sum_tails(s, 10, mp.mpf(1) / 6, 11, PREC)
+        return [(v._mpc_ if isinstance(v, mp.mpc) else v._mpf_, b._mpf_) for v, b in tails]
+
+    monkeypatch.setattr(zeta_module, "_BERNOULLI_RATIOS", {})
+    cold = call()
+    monkeypatch.setattr(zeta_module, "_BERNOULLI_RATIOS", {})
+    for prec in (64, 512, 1024):
+        power_sum_tails(s, 10, mp.mpf(1) / 6, 11, prec)
+    assert len(zeta_module._BERNOULLI_RATIOS) == 3
+    assert call() == cold
+    assert call() == cold
+
+
+def test_bernoulli_ratios_from_tangent_numbers_match_bernfrac(monkeypatch):
+    # the tangent-number recurrence against mpmath's exact Bernoulli numbers
+    monkeypatch.setattr(zeta_module, "_BERNOULLI_RATIOS", {})
+    F = 200
+    want = [math.floor(bernoulli(2 * v + 2) / (bernoulli(2 * v) * (2 * v + 1) * (2 * v + 2))
+                       * 2 ** F) for v in range(1, 41)]
+    assert zeta_module._bernoulli_ratios(40, F) == want
+
+
+def test_bernoulli_ratio_table_is_not_built_at_import():
+    code = ("import partizeta.cli\n"
+            "from partizeta.numerics import zeta\n"
+            "assert zeta._BERNOULLI_RATIOS == {}, zeta._BERNOULLI_RATIOS.keys()\n")
+    src = pathlib.Path(partizeta.__file__).parent.parent
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_euler_generating_function_small_orders():

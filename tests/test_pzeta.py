@@ -241,6 +241,21 @@ def test_mobius_single_term_unrolled():
         assert abs(v - 4 * mp.log(mp.pi / 2)) < mp.mpf("1e-40")
 
 
+@pytest.mark.parametrize("m, n, K", [(3, 3, 3), (2, 2, 3), (4, 5, 2)])
+@pytest.mark.parametrize("prec", [64, PREC])
+def test_mobius_pairs_conjugate_terms(m, n, K, prec):
+    # the route evaluates r <= nk/2 and doubles the paired terms; an all-r
+    # sum, at odd and even nk (3, 6, 9; 2, 4, 6; 5, 10), must agree with it
+    mu = [0, 1, -1, -1]
+    with mp.workprec(2 * prec):
+        def inner(nk):
+            return mp.fsum(mp.re(mp.loggamma(1 - mp.expjpi(2 * mp.mpf(r) / nk) / m))
+                           for r in range(nk))
+
+        ref = mp.mpf(m) ** n * mp.fsum(mp.mpf(mu[k]) / k * inner(n * k) for k in range(1, K + 1))
+        assert abs(zeta_via_mobius(m, n, K, prec) - ref) <= mp.ldexp(abs(ref), 4 - prec)
+
+
 def test_mobius_convergence_trend():
     with mp.workprec(140):
         ref = riemann_zeta(2, 120)

@@ -136,10 +136,10 @@ def _zeta_sequence(m: int, k: int, sign: int, zeta) -> list:
 
 # work budget of the exact routes: m k^3 + (m k)^3 / 100, their cost in units
 # of ~50 ns. The k x k determinant over rationals of ~m k log(m k) bits takes
-# ~m k^3 and growing the exact Bernoulli table to B_{mk} ~(m k)^3 / 100:
-# (2, 300) at 5.6 x 10^7 takes 2.7 s, (4, 150) 0.9 s, (1000, 1) 0.5 s, and
-# (2, 400) at 1.3 x 10^8 takes 6.7 s (2-core x86 VM, CPython 3.11, one fresh
-# process each)
+# ~m k^3; (m k)^3 / 100 prices the exact Bernoulli table to B_{mk} at 3-4x its
+# cost: (2, 300) at 5.6 x 10^7 takes 2.2 s (0.03 s of it the table), (4, 150)
+# 0.7 s, (1000, 1) 0.14 s, and (2, 400) at 1.3 x 10^8 takes 6.0 s (2-core x86
+# VM, CPython 3.11, one fresh process each)
 EXACT_MAX_WORK = 2 ** 26
 
 

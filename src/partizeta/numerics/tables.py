@@ -1,9 +1,9 @@
 """Exact combinatorial number tables: Bernoulli, Stirling (first kind), and
 the exact rational values of the Riemann zeta function at integers.
 
-All entries are ``fractions.Fraction``; tables are grown on demand and cached,
-then treated as immutable (concurrent reads are safe). Bernoulli numbers come
-exact from mpmath's ``bernfrac``; the Stirling numbers from their recurrence.
+Tables grow on demand: a growth builds the longer list aside and publishes it
+with one assignment, so concurrent reads and growth are safe. Bernoulli
+numbers come from the tangent numbers, Stirling numbers from their recurrence.
 """
 
 from __future__ import annotations
@@ -11,24 +11,38 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath as mp
-
 _bernoulli: list[Fraction] = []
 _stirling1: list[list[int]] = [[1]]
 
 
-def bernoulli_table(n: int) -> list[Fraction]:
-    """B_0..B_n as exact rationals, B_1 = -1/2.
+def _tangent_numbers(n: int) -> list[int]:
+    """T_0..T_n, the tangent numbers (T_1 = 1, T_2 = 2, T_3 = 16), exact from
+    Brent and Harvey's in-place integer recurrence ("Fast computation of
+    Bernoulli, tangent and secant numbers", 2011)."""
+    T = [0, 1][: n + 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return T
 
-    Entries come from mpmath's ``bernfrac`` (von Staudt-Clausen denominator,
-    numerator rounded from a value computed at a precision it picks itself),
-    so they are exact and independent of ``mp.prec``. The cache only grows:
-    the longer list is built first and published with one assignment.
-    """
+
+def bernoulli_table(n: int) -> list[Fraction]:
+    """B_0..B_n as exact rationals, B_1 = -1/2, B_2k = (-1)^(k-1) 2k T_k /
+    (4^k (4^k - 1)). The tangent recurrence cannot extend a shorter run, so a
+    short table is rebuilt to max(n + 1, 3/2 its length) entries, keeping the
+    entries it has: growth one index at a time reruns it O(log n) times."""
+    if n < 0:
+        raise ValueError("bernoulli_table wants n >= 0")
     global _bernoulli
     table = _bernoulli
     if len(table) <= n:
-        table = table + [Fraction(*mp.bernfrac(i)) for i in range(len(table), n + 1)]
+        T = _tangent_numbers((max(n + 1, 3 * len(table) // 2) - 1) // 2)
+        new = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (2 * len(T) - 2)
+        for k in range(max(1, (len(table) + 1) // 2), len(T)):
+            new[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * T[k], 4 ** k * (4 ** k - 1))
+        table = table + new[len(table):]
         _bernoulli = table
     return table[: n + 1]
 
@@ -38,19 +52,18 @@ def bernoulli(n: int) -> Fraction:
 
 
 def stirling1_table(n: int) -> list[list[int]]:
-    """Signed Stirling numbers of the first kind, rows 0..n.
-
-    s(i,j) with s(i,j) = s(i-1,j-1) - (i-1) s(i-1,j); row i has entries 0..i.
-    """
+    """Signed Stirling numbers of the first kind s(i,j) = s(i-1,j-1) - (i-1)
+    s(i-1,j), rows 0..n; row i has entries 0..i."""
+    if n < 0:
+        raise ValueError("stirling1_table wants n >= 0")
     global _stirling1
-    while len(_stirling1) <= n:
-        i = len(_stirling1)
-        prev = _stirling1[i - 1]
-        row = [0] * (i + 1)
-        for j in range(i + 1):
-            row[j] = (prev[j - 1] if j >= 1 else 0) - (i - 1) * (prev[j] if j < i else 0)
-        _stirling1.append(row)
-    return _stirling1[: n + 1]
+    table = _stirling1
+    if len(table) <= n:
+        table = list(table)
+        for i in range(len(table), n + 1):
+            table.append([a - (i - 1) * b for a, b in zip([0] + table[-1], table[-1] + [0])])
+        _stirling1 = table
+    return table[: n + 1]
 
 
 def stirling1(n: int, k: int) -> int:

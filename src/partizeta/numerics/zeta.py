@@ -12,8 +12,8 @@ leaves visible at the working precision (an exact integer comparison) and
 carries an explicit bound, rounded up: the first omitted term plus the
 truncation of every fixed-point step (Johansson, "Rigorous high-precision
 computation of the Hurwitz zeta function and its derivatives", 2015, for
-the remainder). The ratios of consecutive B_2v/(2v)! come exact from the
-tangent numbers, once per working precision.
+the remainder). The ratios of consecutive B_2v/(2v)! are floored from the
+exact Bernoulli table, once per working precision.
 ``zeta_multiples_direct`` gives zeta(sk) at the k where a short direct sum
 already reaches the working precision, which the log series over multiples
 uses.
@@ -29,7 +29,7 @@ from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
 
 from .hp import DEFAULT_PREC, guarded
 from .series import TruncatedSeries
-from .tables import zeta_neg_int
+from .tables import bernoulli_table, zeta_neg_int
 
 
 def power_sum_tail(w, c, N: int, prec: int = DEFAULT_PREC):
@@ -51,27 +51,13 @@ _BERNOULLI_RATIOS: dict[int, list[int]] = {}
 
 
 def _bernoulli_ratios(V: int, F: int) -> list[int]:
-    """floor(beta_v 2^F), v = 1..V, beta_v = (B_{2v+2}/(2v+2)!)/(B_{2v}/(2v)!).
-
-    B_{2n} = (-1)^(n-1) 2n T_n/(4^n (4^n - 1)) with the tangent numbers T_n,
-    so beta_v = -T_{v+1} (4^v - 1)/(8 v (2v+1) T_v (4^(v+1) - 1)); T_1..T_{V+1}
-    come exact from Brent and Harvey's integer recurrence ("Fast computation
-    of Bernoulli, tangent and secant numbers", 2011): 0.5 ms at V = 56 and
-    42 ms at V = 354, against 10 ms and 205 ms through mpmath's bernfrac
-    (2-core x86 VM, CPython 3.11). The package's exact Bernoulli table
-    (``bernoulli_table``, from bernfrac) would make a fresh CLI process
-    with a product route ~14 ms slower at 256 bits.
-    """
+    """floor(beta_v 2^F), v = 1..V, beta_v = (B_{2v+2}/(2v+2)!)/(B_{2v}/(2v)!)
+    = B_{2v+2}/(B_{2v} (2v+1)(2v+2)), from the exact ``bernoulli_table``."""
     if F not in _BERNOULLI_RATIOS:
-        T = [0, 1] + [0] * V  # T_0..T_{V+1}
-        for k in range(2, V + 2):
-            T[k] = (k - 1) * T[k - 1]
-        for k in range(2, V + 2):
-            for j in range(k, V + 2):
-                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-        _BERNOULLI_RATIOS[F] = [
-            -(T[v + 1] * (4 ** v - 1) << F) // (8 * v * (2 * v + 1) * T[v] * (4 ** (v + 1) - 1))
-            for v in range(1, V + 1)]
+        B = bernoulli_table(2 * V + 2)
+        _BERNOULLI_RATIOS[F] = [(b.numerator * a.denominator << F)
+                                // (b.denominator * a.numerator * (2 * v + 1) * (2 * v + 2))
+                                for v, a, b in zip(range(1, V + 1), B[2::2], B[4::2])]
     return _BERNOULLI_RATIOS[F]
 
 

@@ -19,8 +19,8 @@ from .numerics import bell_via_determinant, zeta_neg_int
 
 INFINITE_VALUATION = math.inf
 # work budget of the checks: the largest Bernoulli index B_n they may need.
-# Growing the exact table to B_n costs ~n^3: 0.5 s at n = 1024, 3.8 s at 2048,
-# 13.5 s at 3072 (2-core x86 VM, mpmath pure-Python backend)
+# Growing the exact table to B_n from empty costs ~n^3: 0.14 s at n = 1024,
+# 1.1-1.25 s at 2048, 3.8-4.0 s at 3072 (2-core x86 VM, one fresh process each)
 PADIC_MAX_BERNOULLI = 2048
 
 

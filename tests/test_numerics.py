@@ -17,8 +17,10 @@ import os
 import pathlib
 import pkgutil
 import random
+import re
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -31,6 +33,7 @@ import partizeta
 from partizeta.modular import hk_polynomial, hk_zero_solver
 from partizeta.pzeta import closed_form_gamma
 from partizeta.numerics import roots as roots_module
+from partizeta.numerics import tables as tables_module
 from partizeta.numerics import zeta as zeta_module
 from partizeta.numerics import (
     RootFindingError,
@@ -83,6 +86,64 @@ def test_bernoulli_von_staudt_clausen():
     for n in range(2, 601, 2):
         frac = B[n] + sum(Fraction(1, p) for p in primes if n % (p - 1) == 0)
         assert frac.denominator == 1, n
+
+
+def test_bernoulli_table_matches_bernfrac():
+    # every entry to B_600 and a spread up to PADIC_MAX_BERNOULLI = 2048
+    # against mpmath's exact Bernoulli numbers
+    B = bernoulli_table(2048)
+    for n in [*range(601), *range(662, 2048, 62), 2048]:
+        assert B[n] == Fraction(*mp.bernfrac(n)), n
+
+
+def test_bernoulli_table_grows_geometrically(monkeypatch):
+    # the tangent recurrence reruns from T_1 on each growth; one even index at
+    # a time to B_600 must rebuild O(log n) times (3/2 growth: 16), not ~300
+    calls = []
+    tangent_numbers = tables_module._tangent_numbers
+    monkeypatch.setattr(tables_module, "_bernoulli", [])
+    monkeypatch.setattr(tables_module, "_tangent_numbers",
+                        lambda n: calls.append(n) or tangent_numbers(n))
+    for n in range(0, 601, 2):
+        assert len(bernoulli_table(n)) == n + 1
+    assert len(calls) <= 20, calls
+    assert tables_module._bernoulli[:601] == [Fraction(*mp.bernfrac(n)) for n in range(601)]
+
+
+def test_tables_reject_negative_indices():
+    # n < 0 must raise, not slice from the end of a table long enough to allow it
+    bernoulli_table(24)
+    for n in (-1, -3, -25):
+        for call in (bernoulli, bernoulli_table, stirling1_table):
+            with pytest.raises(ValueError):
+                call(n)
+
+
+def test_tables_grow_safely_from_several_threads(monkeypatch):
+    # four threads grow both tables from empty at once: each growth is built
+    # aside and published with one assignment, so no thread sees a half-built
+    # table and none leaves a duplicate row
+    want_b, want_s = bernoulli_table(120), stirling1_table(60)
+    start = threading.Barrier(4)
+
+    def grow(_):
+        start.wait(timeout=60)
+        got_s = stirling1_table(60)
+        got_b = [bernoulli(n) for n in range(121)]
+        return got_b == want_b and got_s == want_s
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(tables_module, "_bernoulli", [])
+            monkeypatch.setattr(tables_module, "_stirling1", [[1]])
+            with ThreadPoolExecutor(4) as pool:
+                assert all(pool.map(grow, range(4), timeout=60))
+            assert tables_module._stirling1 == want_s
+            assert tables_module._bernoulli[:121] == want_b
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_stirling_triangle_row6():
@@ -331,22 +392,39 @@ def test_power_sum_tails_same_bits_with_a_cold_ratio_table(monkeypatch, s):
 
 
 def test_bernoulli_ratios_from_tangent_numbers_match_bernfrac(monkeypatch):
-    # the tangent-number recurrence against mpmath's exact Bernoulli numbers
+    # the ratios, read from a cold Bernoulli table, against ratios of mpmath's
+    # exact Bernoulli numbers
     monkeypatch.setattr(zeta_module, "_BERNOULLI_RATIOS", {})
+    monkeypatch.setattr(tables_module, "_bernoulli", [])
     F = 200
-    want = [math.floor(bernoulli(2 * v + 2) / (bernoulli(2 * v) * (2 * v + 1) * (2 * v + 2))
-                       * 2 ** F) for v in range(1, 41)]
+    B = [Fraction(*mp.bernfrac(n)) for n in range(83)]
+    want = [math.floor(B[2 * v + 2] / (B[2 * v] * (2 * v + 1) * (2 * v + 2)) * 2 ** F)
+            for v in range(1, 41)]
     assert zeta_module._bernoulli_ratios(40, F) == want
 
 
 def test_bernoulli_ratio_table_is_not_built_at_import():
     code = ("import partizeta.cli\n"
-            "from partizeta.numerics import zeta\n"
-            "assert zeta._BERNOULLI_RATIOS == {}, zeta._BERNOULLI_RATIOS.keys()\n")
+            "from partizeta.numerics import tables, zeta\n"
+            "assert zeta._BERNOULLI_RATIOS == {}, zeta._BERNOULLI_RATIOS.keys()\n"
+            "assert tables._bernoulli == [], len(tables._bernoulli)\n")
     src = pathlib.Path(partizeta.__file__).parent.parent
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_one_exact_bernoulli_source():
+    # the exact Bernoulli numbers come only from the tangent recurrence in
+    # numerics/tables.py, which needs no mpmath; bernfrac is a test oracle
+    src = pathlib.Path(partizeta.__file__).parent
+    texts = {path.relative_to(src).as_posix(): path.read_text()
+             for path in sorted(src.rglob("*.py"))}
+    assert [name for name, text in texts.items() if "bernfrac" in text] == []
+    recurrence = re.compile(r"\btangent\b|\(j - k \+ 2\)", re.IGNORECASE)
+    assert [name for name, text in texts.items() if recurrence.search(text)] == [
+        "numerics/tables.py"]
+    assert "mpmath" not in texts["numerics/tables.py"]
 
 
 def test_euler_generating_function_small_orders():

@@ -1,15 +1,19 @@
 """The Riemann zeta function and certified power-sum tails.
 
 ``riemann_zeta`` wraps mpmath's ``zeta`` (analytic continuation included)
-with the pole rejections this package relies on. ``power_sum_tails`` is the
-one Euler-Maclaurin engine: sum_{i >= N} (i + c)^{-js} for j = 1..J from one
-setup, which the restricted-part-set Euler products use for their
-congruence-class tails. Past the base powers (i + c)^{-s} and x0^{-s},
-computed once in mp, it runs on fixed-point Python integers: the powers of
-every multiple, the correction terms, the assembly and the certificate.
-Each multiple sums only as many correction terms as its x0^{-js} factor
-leaves visible at the working precision (an exact integer comparison) and
-carries an explicit bound, rounded up: the first omitted term plus the
+with the pole rejections this package relies on. ``_class_tails`` is the
+one Euler-Maclaurin engine: sum_{i >= N} (Li + r)^{-js} for j = 1..J from
+one setup, which the restricted-part-set Euler products use for their
+congruence-class tails, and, scaled by L^{js}, ``power_sum_tails`` for
+sum_{i >= N} (i + r/L)^{-js}. Its base powers are integer powers k^-s from
+a ``_Powers`` table built once per request: k^-s is completely
+multiplicative, so only a prime costs an mp power (Johansson's trick for
+power sums, in the paper cited below). Past them it runs on fixed-point
+Python integers: the powers of every multiple, the correction terms, the
+assembly and the certificate.
+Each multiple sums only as many correction terms as its y^{-js} factor
+(y = L x0) leaves visible at the working precision (an exact integer
+comparison) and carries an explicit bound, rounded up: the first omitted term plus the
 truncation of every fixed-point step (Johansson, "Rigorous high-precision
 computation of the Hurwitz zeta function and its derivatives", 2015, for
 the remainder). The ratios of consecutive B_2v/(2v)! are floored from the
@@ -33,8 +37,8 @@ from .tables import bernoulli_table, zeta_neg_int
 
 
 def power_sum_tail(w, c, N: int, prec: int = DEFAULT_PREC):
-    """(value, bound) for sum_{i=N}^{inf} (i+c)^{-w}, Re(w) > 1, c >= 0:
-    the j = 1 entry of ``power_sum_tails``."""
+    """(value, bound) for sum_{i=N}^{inf} (i+c)^{-w}, Re(w) > 1, c >= 0 exact,
+    N >= 1: the j = 1 entry of ``power_sum_tails``."""
     return power_sum_tails(w, 1, c, N, prec)[0]
 
 
@@ -71,100 +75,164 @@ def _pow2_above(num: int, den: int) -> int:
     return 0 if num <= den else num.bit_length() - den.bit_length() + 1
 
 
-@guarded()
-def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
-    """[(value, bound)] for sum_{i=N}^{inf} (i+c)^{-js}, j = 1..J; Re(s) > 1,
-    c >= 0.
+def _mul(a: int, b: int, p: int, q: int, F: int) -> tuple[int, int]:
+    """(a + ib)(p + iq) 2^-F, each part truncated once: three products,
+    k = p(a + b), re = k - b(p + q), im = k + a(q - p), exact before the
+    shift."""
+    if not (b or q):
+        return a * p >> F, 0
+    k = p * (a + b)
+    return k - b * (p + q) >> F, k + a * (q - p) >> F
 
-    Euler-Maclaurin at x0 = N_eff + c, set up once for all J multiples.
-    Only the base powers (i+c)^{-s}, N <= i < N_eff, and x0^{-s} are mp
-    numbers; everything after them runs on Python integers scaled by 2^F,
-    F = wp + 32 at working precision wp (pairs of them for complex s), with
-    s and c first truncated to that grid (exact for arguments of at most wp
-    bits). The head powers (i+c)^{-js} and x0^{-js} are running products of
-    the j = 1 powers; a head power whose fixed-point value reaches 0 stays 0
-    and is dropped. Multiple j adds x0^{-w} (x0/(w-1) + 1/2 + sum_v T_v),
-    w = js, T_v = B_{2v}/(2v)! x0^{1-2v} (w)_{2v-1}, stepped as
+
+def _least_prime_factor(k: int) -> int:
+    if not k & 1:
+        return 2
+    d = 3
+    while d * d <= k:
+        if k % d == 0:
+            return d
+        d += 2
+    return k
+
+
+class _Powers:
+    """The fixed-point powers of one request: k^-s, Re(s) > 1, for integers
+    k >= 1 at scale 2^F, as (re, im, err), err an integer >= the error in
+    units of 2^-F. s is first truncated to the grid (exact for arguments of
+    at most F - 32 bits). An entry is made on first use, so a request pays
+    only for the k it reads: a prime costs one mp power at the working
+    precision, truncated (err 2); a composite k = p m, p its least prime
+    factor, is the fixed product of the entries of p and m, off by
+    |p^-s| err(m) + |m^-s| err(p) + 2 <= (err(p) + err(m))/2 + 2 since
+    p, m >= 2 (err(p) = 2, so err stays <= 6). The relative rounding of the
+    mp powers (2^-wp each, once per prime factor) is left to the guard bits,
+    as everywhere in this module. A table serves one request and is dropped
+    with it.
+    """
+
+    def __init__(self, s, F: int):
+        self.F = F
+        self.sr, self.si = self.pair(s)
+        self.s = self.value(self.sr, self.si, bool(self.si))
+        self._entries = {1: (1 << F, 0, 0)}
+
+    def pair(self, z) -> tuple[int, int]:
+        """z 2^F as two integers, each truncated once."""
+        if isinstance(z, mp.mpc):
+            return to_fixed(z._mpc_[0], self.F), to_fixed(z._mpc_[1], self.F)
+        return to_fixed(mp.mpf(z)._mpf_, self.F), 0
+
+    def value(self, re: int, im: int, cplx: bool):
+        """(re + i im) 2^-F as an mp number, exactly; an mpc when cplx."""
+        x = mp.mpf(from_man_exp(re, -self.F))
+        return mp.mpc(x, mp.mpf(from_man_exp(im, -self.F))) if cplx else x
+
+    def __getitem__(self, k: int) -> tuple[int, int, int]:
+        entry = self._entries.get(k)
+        if entry is None:
+            p = _least_prime_factor(k)
+            if p == k:
+                entry = (*self.pair(mp.mpf(k) ** (-self.s)), 2)
+            else:
+                ar, ai, ae = self[p]
+                br, bi, be = self[k // p]
+                entry = (*_mul(ar, ai, br, bi, self.F), (ae + be + 1) // 2 + 2)
+            self._entries[k] = entry
+        return entry
+
+
+def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int, scaled: bool):
+    """[(re, im, err)] at scale 2^-F (F = powers.F) for the class sums
+    sum_{i >= N} (Li + r)^{-js}, j = 1..J, L >= 1, r >= 0, N >= 1; with
+    ``scaled``, sum_{i >= N} (i + r/L)^{-js}, the same sums times L^{js}.
+    err bounds the error in units of 2^-F.
+
+    Euler-Maclaurin at x0 = N_eff + r/L, set up once for all J multiples, on
+    Python integers at scale 2^F (pairs for complex s). The base powers
+    (Li + r)^{-s}, N <= i < N_eff, and y^{-s}, y = L N_eff + r, come from
+    ``powers`` (scaled: times L^s, one mp power, one product each); every x0
+    term is formed from the exact y and L. The head powers and y^{-js} are
+    running products of the j = 1 powers; a head power whose fixed-point
+    value reaches 0 stays 0 and is dropped. Multiple j adds
+    y^{-w} (x0/(w-1) + 1/2 + sum_v T_v), w = js,
+    T_v = B_{2v}/(2v)! x0^{1-2v} (w)_{2v-1}, stepped as
     T_{v+1} = T_v rho_v (w+2v-1)(w+2v) with rho_v = beta_v x0^{-2}; the
     ratios beta_v do not depend on x0 and are built once per working
     precision. Each multiple sums its own number V_j <= V of terms: it stops
-    at the first whose |x0^{-w} T_v| is below 2^-(wp+8), an exact integer
-    comparison; the factor x0^{-js} makes late multiples need few. Each
-    bound is an integer rounded up: the first omitted term, rounded up by the
-    fixed-point truncation, times 1 + |w+2V_j+1|/(Re w+2V_j+1) (the Backlund
-    remainder bound plus the term itself), plus the truncation ulps of every
-    power, correction term and assembly step. Relative rounding at 2^-wp
-    (the mp base powers, rho_v) is left to the guard bits. Each value and
-    bound becomes an mp number once. J x (N_eff - N + V) above
-    POWER_SUM_MAX_WORK raises ArithmeticError (work budget) before any
-    power is computed.
+    at the first whose |y^{-w} T_v| is below 2^-(wp+8), wp = F - 32, an
+    exact integer comparison; the factor y^{-js} makes late multiples need
+    few. Each bound is an integer rounded up: the first omitted term, rounded
+    up by the fixed-point truncation, times 1 + |w+2V_j+1|/(Re w+2V_j+1) (the
+    Backlund remainder bound plus the term itself), plus the truncation ulps
+    of every power, correction term and assembly step. J (N_eff - N + V)
+    above POWER_SUM_MAX_WORK raises ArithmeticError (work budget) before any
+    power is looked up.
     """
-    s = mp.mpmathify(s)
-    if mp.re(s) <= 1:
-        raise ValueError("power_sum_tails wants Re(s) > 1")
-    V = max(8, (prec + 40) // 6)
+    F = powers.F
+    wp = F - 32
+    ONE = 1 << F
+    sr, si = powers.sr, powers.si
+    V = max(8, wp // 6)
     # the correction series is asymptotic: terms shrink only while
     # 2v < 2 pi x0, so push the expansion point out past ~V, far enough for
     # the largest |Im(js)|
-    N_eff = max(N, V + 2 + int(J * abs(mp.im(s)) / 4))
+    N_eff = max(N, V + 2 + J * abs(si) // (4 * ONE))
     if J * (N_eff - N + V) > POWER_SUM_MAX_WORK:
-        raise ArithmeticError(f"the power-sum tails of {J} multiples at {prec} bits need "
+        raise ArithmeticError(f"the power-sum tails of {J} multiples at {wp} bits need "
                               f"{J * (N_eff - N + V)} powers and correction terms; their "
                               f"work budget is POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}")
-    wp = mp.mp.prec
-    F = wp + 32
-    ONE = 1 << F
-
-    def fixed(n):  # n 2^-F as an mpf, exactly
-        return mp.mpf(from_man_exp(n, -F))
-
-    def pair(z):  # z 2^F as two integers, each truncated once
-        if isinstance(z, mp.mpc):
-            return to_fixed(z._mpc_[0], F), to_fixed(z._mpc_[1], F)
-        return to_fixed(z._mpf_, F), 0
-
-    cplx = isinstance(s, mp.mpc)
-    sr, si = pair(s)
-    s = mp.mpc(fixed(sr), fixed(si)) if si else fixed(sr)
-    cf = to_fixed(mp.mpf(c)._mpf_, F)
-    X = (N_eff << F) + cf  # x0 2^F
-    base = [pair(fixed((n << F) + cf) ** (-s)) for n in range(N, N_eff)]
+    y = L * N_eff + r  # x0 = y/L
+    base = [powers[L * i + r] for i in range(N, N_eff)] + [powers[y]]
+    if scaled and L > 1:
+        # L^s t, t = (Li + r)^-s, is off by |L^s| err(t) + |t| err(L^s) + 2,
+        # err(L^s) <= 2
+        lr, li = powers.pair(mp.mpf(L) ** powers.s)
+        lam = _modulus(lr, li) + 2  # >= |L^s|
+        base = [(*_mul(lr, li, tr, ti, F), -(-lam * te // ONE) + 4) for tr, ti, te in base]
+    x0r, x0i, x0e = base.pop()
     br, bi = [b[0] for b in base], [b[1] for b in base]
-    x0r, x0i = pair(fixed(X) ** (-s))
-    # |(i+c)^-s| <= 2^kh, the fixed powers included (kh = 0 once N + c > 1)
-    kh = _pow2_above(max((_modulus(r, i) for r, i in base), default=0) + 2, ONE)
+    be = max((b[2] for b in base), default=0)
+    # every |base| <= 2^kh, the fixed powers included (kh = 0 unless a base is 1)
+    kh = _pow2_above(max((_modulus(p, q) for p, q in zip(br, bi)), default=0) + be, ONE)
     # T_{v+1} = T_v rho_v P_v, P_v = (w+2v-1)(w+2v); rho[v-1] is rho_v at
     # scale 2^(F+G), G = 2 ceil(log2 x0) + 6: |rho_v| >= 1/(60 x0^2) > 2^-G
     # keeps F bits in each
-    log2_x0 = math.log2(X / ONE)
+    log2_x0 = math.log2(y / L)
     G = 2 * math.ceil(log2_x0) + 6
     FG = F + G
-    X2 = X * X
-    inv_x0_2 = (1 << 3 * F + G) // X2  # x0^-2 2^(F+G)
+    Y2 = y * y
+    inv_x0_2 = (L * L << F + G) // Y2  # x0^-2 2^(F+G)
     rho = [beta * inv_x0_2 >> F for beta in _bernoulli_ratios(V, F)]
     out = []
-    hr, hi = br, bi  # (i+c)^{-w} and x0^{-w} at w = js
+    hr, hi = br, bi  # (Li+r)^{-w} (scaled: (i+c)^{-w}) and y^{-w} at w = js
     xr, xi = x0r, x0i
+    # (a + ib)(p + iq) in three products as in _mul, with p + q and q - p
+    # formed once per base
+    bsum = [p + q for p, q in zip(br, bi)]
+    bdif = [q - p for p, q in zip(br, bi)]
+    x0sum, x0dif = x0r + x0i, x0i - x0r
     for j in range(1, J + 1):
         if j > 1:
             if si:
-                terms = list(zip(hr, hi, br, bi))
-                hr = [a * p - b * q >> F for a, b, p, q in terms]
-                hi = [a * q + b * p >> F for a, b, p, q in terms]
+                ks = [p * (a + b) for a, b, p in zip(hr, hi, br)]
+                hr, hi = ([k - b * u >> F for k, b, u in zip(ks, hi, bsum)],
+                          [k + a * d >> F for k, a, d in zip(ks, hr, bdif)])
                 while hr and not (hr[-1] or hi[-1]):
                     hr.pop()
                     hi.pop()
-                xr, xi = xr * x0r - xi * x0i >> F, xr * x0i + xi * x0r >> F
+                k = x0r * (xr + xi)
+                xr, xi = k - xi * x0sum >> F, k + xr * x0dif >> F
             else:
                 hr = [h * b >> F for h, b in zip(hr, br)]
                 while hr and not hr[-1]:
                     hr.pop()
                 xr = xr * x0r >> F
         wr, wi = j * sr, j * si
-        # |x0^{-w} T| < 2^-(wp+8) once |T| < limit in fixed point;
+        # |y^{-w} T| < 2^-(wp+8) once |T| < limit in fixed point;
         # limit >= 2^27 since Re(w) > 1 and x0 >= 10
         limit = 1 << (F - wp - 8 + math.floor(wr / ONE * log2_x0))
-        tr, ti = (wr << F) // (12 * X), (wi << F) // (12 * X)  # T_1 = w/(12 x0)
+        tr, ti = wr * L // (12 * y), wi * L // (12 * y)  # T_1 = w/(12 x0)
         # P_v = w^2 + (4v-1) w + (2v-1) 2v steps by the exact
         # D_v = 4 w + (8v+2), D_(v+1) = D_v + 8: w^2 is its only truncation
         Pr, Pi = (wr * wr - wi * wi >> F) + 3 * wr + 2 * ONE, (2 * wr * wi >> F) + 3 * wi
@@ -176,7 +244,8 @@ def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
                 acc_r += tr
                 acc_i += ti
                 qr, qi = rho[order] * Pr >> F, rho[order] * Pi >> F
-                tr, ti = tr * qr - ti * qi >> FG, tr * qi + ti * qr >> FG
+                k = qr * (tr + ti)
+                tr, ti = k - ti * (qr + qi) >> FG, k + tr * (qi - qr) >> FG
                 Pr += Dr
                 Pi += Di
                 Dr += eight
@@ -188,35 +257,35 @@ def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
                 Pr += Dr
                 Dr += eight
                 order += 1
-        # res = x0/(w-1) + 1/2 + sum_v T_v, value = x0^{-w} res + head
+        # res = x0/(w-1) + 1/2 + sum_v T_v, value = y^{-w} res + head
         a = wr - ONE
         if wi:
-            d = a * a + wi * wi
-            rr = (X * a << F) // d + (ONE >> 1) + acc_r
-            ri = -(X * wi << F) // d + acc_i
+            d = L * (a * a + wi * wi)
+            rr = (y * a << 2 * F) // d + (ONE >> 1) + acc_r
+            ri = -(y * wi << 2 * F) // d + acc_i
             vr = (xr * rr - xi * ri >> F) + sum(hr)
             vi = (xr * ri + xi * rr >> F) + sum(hi)
         else:
-            rr, ri = (X << F) // a + (ONE >> 1) + acc_r, 0
+            rr, ri = (y << 2 * F) // (L * a) + (ONE >> 1) + acc_r, 0
             vr, vi = (xr * rr >> F) + sum(hr), 0
         # Error bounds in ulps (2^-F), as moduli. Each truncation to the grid
-        # (to_fixed, >> F, //) is off by < 1 per part, < sqrt(2) in modulus.
-        # A power p^j whose fixed base is within sqrt(2) of p, |p| <= 2^k, has
-        # e_j <= 2^k e_(j-1) + sqrt(2) 2^(k(j-1)) + sqrt(2), so
-        # e_j <= 3 j 2^(k(j-1)): e_x for x0^{-w} (k = 0, x0 >= 10) and e_h for
-        # each of the n head powers, dropped ones included (their true value
-        # is at most e_h). The head sum is exact.
-        e_x = 3 * j
-        e_h = len(br) * (3 * j << kh * (j - 1))
+        # (>> F, //) is off by < 1 per part, < sqrt(2) in modulus. A power
+        # p^j whose fixed base is within e of p, |p| <= 2^k, has
+        # e_j <= 2^k e_(j-1) + e 2^(k(j-1)) + 2, so e_j <= j (e + 2) 2^(k(j-1)):
+        # e_x for y^{-w} (k = 0, y >= 10) and e_h for each of the n head
+        # powers, dropped ones included (their true value is at most e_h).
+        # The head sum is exact.
+        e_x = j * (x0e + 2)
+        e_h = len(br) * (j * (be + 2) << kh * (j - 1))
         # T_1 and each step truncate once, and an error grows by |q_v| <= 2^kg
         # (|beta_v| < 1/(4 pi^2) < 1/39, |w+2v-1||w+2v| <= (|w| + 2 order)^2
         # for the summed steps), so the summed T_v are off by
         # < sqrt(2) v 2^(kg(v-1)) and their sum by < order (order+1) 2^(kg order);
         # x0/(w-1) adds < 2, 1/2 is exact
-        kg = _pow2_above((_modulus(wr, wi) + 2 * order * ONE) ** 2, 39 * X2)
+        kg = _pow2_above(((_modulus(wr, wi) + 2 * order * ONE) * L) ** 2, 39 * Y2 * ONE * ONE)
         e_res = 2 + (order * (order + 1) << kg * order)
-        # the fixed product of x = x0^{-w} and r = res is off by
-        # <= |x| e_res + |r| e_x, |x| < 1, plus its own truncation
+        # the fixed product of x = y^{-w} and res is off by
+        # <= |x| e_res + |res| e_x, |x| < 1, plus its own truncation
         e_val = e_h + e_res + -(-_modulus(rr, ri) * e_x // ONE) + 2
         # each step truncates T once (< 1 ulp); an earlier truncation grows
         # as T does, and every summed |T| is >= limit >= 2^27 ulps, so T is
@@ -227,10 +296,35 @@ def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
         # first omitted term times 1 + |w+2V_j+1|/(Re w+2V_j+1), rounded up
         cd = wr + (2 * order + 1) * ONE
         num = (_modulus(tr, ti) + 2 * slack) * (_modulus(xr, xi) + e_x) * (_modulus(cd, wi) + cd)
-        e_em = -(-num // (cd * ONE))
-        value = mp.mpc(fixed(vr), fixed(vi)) if cplx else fixed(vr)
-        out.append((value, mp.mpf(from_man_exp(e_em + e_val, -F, 24, round_ceiling))))
+        out.append((vr, vi, -(-num // (cd * ONE)) + e_val))
     return out
+
+
+@guarded()
+def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
+    """[(value, bound)] for sum_{i=N}^{inf} (i+c)^{-js}, j = 1..J; Re(s) > 1,
+    c >= 0 an exact rational (int or Fraction), N >= 1.
+
+    One ``_class_tails`` pass at F = wp + 32, wp the working precision: with
+    c = r/L in lowest terms, the head powers and x0^{-s} are
+    L^s (Li + r)^{-s} and L^s (L N_eff + r)^{-s}, the integer powers from a
+    ``_Powers`` table of this call (one mp power per prime, one for L^s).
+    Each value and bound becomes an mp number once, the bound rounded up to
+    24 bits. ValueError for c not an exact rational >= 0 or N < 1;
+    J x (N_eff - N + V) above POWER_SUM_MAX_WORK raises ArithmeticError
+    (work budget) before any power is computed.
+    """
+    if not isinstance(c, (int, Fraction)) or c < 0 or N < 1:
+        raise ValueError(f"power_sum_tails wants c an exact rational >= 0 (int or Fraction) "
+                         f"and N >= 1, not c = {c!r}, N = {N}")
+    s = mp.mpmathify(s)
+    if mp.re(s) <= 1:
+        raise ValueError("power_sum_tails wants Re(s) > 1")
+    c = Fraction(c)
+    powers = _Powers(s, mp.mp.prec + 32)
+    cplx = isinstance(s, mp.mpc)
+    return [(powers.value(vr, vi, cplx), mp.mpf(from_man_exp(err, -powers.F, 24, round_ceiling)))
+            for vr, vi, err in _class_tails(powers, J, c.numerator, c.denominator, N, True)]
 
 
 # a direct sum of at most this many terms stands in for zeta(w) once Re(w)

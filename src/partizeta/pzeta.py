@@ -5,10 +5,15 @@ Routes implemented:
 * ``euler_product`` -- the defining product over the parts, multiplied out
   up to a finite cutoff, with the remaining log-tail summed exactly through
   congruence-class power sums: one batched Euler-Maclaurin pass per residue
-  class serves every multiple js (``power_sum_tails``, certified bounds).
+  class serves every multiple js (the engine of ``power_sum_tails``,
+  certified bounds).
 * ``dirichlet_partition_series`` -- the same product with a periodic weight
-  chi, |chi| <= 1; ``euler_product`` is its chi = 1 case. The tests check it
-  against a k-series in mpmath's Hurwitz zeta and the brute Dirichlet series.
+  chi, |chi| <= 1; ``euler_product`` is its chi = 1 case. One fixed-point
+  pass on Python integers: k^-s comes from an integer-power table of the
+  request (an mp power per prime only, k^-s being completely multiplicative),
+  the finite product, the class tails and the j-series are integer products,
+  and one ``exp`` ends it. The tests check it against a k-series in mpmath's
+  Hurwitz zeta and the brute Dirichlet series.
 * ``closed_form_gamma`` -- the gamma-product closed form for a single
   congruence class {a+m, a+2m, ...} at integer argument n >= 2.
 * ``log_eval_general`` -- the log-gamma Taylor expansion of the same closed
@@ -30,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_ceiling
 
 from .numerics import (
     DEFAULT_PREC,
@@ -38,10 +44,10 @@ from .numerics import (
     direct_zeta_start,
     guarded,
     log_gamma,
-    power_sum_tails,
     riemann_zeta,
     zeta_multiples_direct,
 )
+from .numerics.zeta import _class_tails, _modulus, _mul, _Powers
 from .partitions import DivergentPartSetError, PartSet, multiplicative_partition_count
 
 POLE_SNAP = 1e-6  # distance to some 1/N below which we report the pole
@@ -91,7 +97,7 @@ def euler_product(spec: PartSet, s, prec: int = DEFAULT_PREC):
     return dirichlet_partition_series(spec, (1,), s, prec)
 
 
-@guarded()
+@guarded(extra=GUARD_BITS)
 def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     """prod_{k in M} (1 - chi(k) k^-s)^{-1}, or prod (1 + chi(k) k^-s) for
     distinct parts, as (value, certificate); Re(s) > 1.
@@ -106,11 +112,22 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     The factors up to a cutoff K >= 64 are multiplied out as one product P;
     the dropped log-tail T is sum_j 1/j sum_r chi(r)^j sum_{k>K, k = r mod L}
     k^-js over the member classes r mod L = lcm(q, M), each class's power
-    sums for all j from one Euler-Maclaurin setup (``power_sum_tails``). The
+    sums for all j from one Euler-Maclaurin setup (``_class_tails``). The
     value is P^-1 exp(T), or P exp(-T) for distinct parts: only exp of the
-    tail is taken, so no branch of log enters, complex s included. The
-    certificate (E-M bounds plus the j-series remainder) must come out
-    below 2^(12-prec), else ArithmeticError.
+    tail is taken, so no branch of log enters, complex s included.
+
+    One fixed-point pass at the working precision wp = prec + 2 GUARD_BITS
+    of the tails, on Python integers at scale 2^-(wp+32) (pairs, whether s
+    and chi are real or complex): every k^-s comes from one ``_Powers``
+    table of this call (one mp power per prime), P is an integer product,
+    and T sums the class tails with chi(r)^j as running products. The
+    certificate bounds the error of T: the E-M bounds, every truncation of
+    the j-series, and its remainder past jmax, in integers rounded up; the
+    finite product's truncations (below 2^-wp relative, like the final mp
+    rounding) are left to the guard bits, so a finite part set has
+    certificate 0. It must come out below 2^(12-prec), else ArithmeticError.
+    Only P, T and the certificate become mp numbers, and only exp(T) is an
+    mp function.
     """
     s = mp.mpmathify(s)
     sigma = mp.re(s)
@@ -127,43 +144,74 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     # distinct parts: log prod (1 + chi k^-s) = -(sum -log(1 - (-chi) k^-s))
     sign = -1 if spec.distinct else 1
     chi = [sign * c for c in chi]
+    cplx = isinstance(s, mp.mpc) or any(isinstance(c, mp.mpc) for c in chi)
+    powers = _Powers(s, mp.mp.prec + 32)
+    F = powers.F
+    ONE = 1 << F
+    weights = [powers.pair(c) for c in chi]  # chi(r) 2^F, each off by < 2 ulps
     # the accelerated tail converges geometrically in j, so a modest cutoff
     # suffices; it only must clear every non-congruence irregularity
     K = max(64, spec.tail_start() + 1)
-    # finite part over parts in (1, K], one product; the part 1 is the
-    # factor `ones`
-    finite = mp.mpf(1)
-    for k in spec.parts_upto(K):
-        if k > 1 and chi[k % q] != 0:
-            finite *= 1 - chi[k % q] * mp.mpf(k) ** (-s)
-    log_tail = 0
+    tail_r = tail_i = err = 0  # T and its certificate, at 2^-F
     M, residues = spec.tail_classes(K)
-    err_budget = mp.mpf(0)
     if M is not None:
         L = math.lcm(q, M)
         jmax = max(4, int(mp.ceil((prec + 60) / (sigma * mp.log(K, 2)))) + 1)
-        classes = []  # (chi(r), power-sum tails) per class r mod L of nonzero weight
+        # sum_{k>K, k = r mod L} k^-js over the classes of one weight chi(g),
+        # g = r mod q, added up per j
+        sums = {}
         for r in (r0 + M * t for r0 in residues for t in range(L // M)):
             if chi[r % q] != 0:
                 # members > K congruent to r mod L: first is K+((r-K) mod L or L)
                 step = (r - K) % L
                 i0 = (K + (step if step else L) - r) // L  # first = r + L*i0
-                classes.append((chi[r % q], power_sum_tails(
-                    s, jmax, mp.mpf(r) / L, i0, prec + GUARD_BITS)))
-        L_s = mp.mpf(L) ** (-s)
-        L_w = 1  # L^{-js}
-        for j in range(1, jmax + 1):
-            L_w *= L_s
-            inner = mp.fsum(c ** j * t[j - 1][0] for c, t in classes) * L_w
-            err_budget += mp.fsum(abs(c) ** j * t[j - 1][1] for c, t in classes) * abs(L_w)
-            log_tail += inner / j
-        # j-series remainder (|chi| <= 1): sum_{k>K} k^{-j sigma} <= K^{1-j sigma}/(j sigma - 1)
-        err_budget += (mp.mpf(K) ** (1 - (jmax + 1) * sigma)
-                       / (((jmax + 1) * sigma - 1) * (1 - mp.mpf(K) ** (-sigma))))
+                tails = _class_tails(powers, jmax, r, L, i0, False)
+                got = sums.get(r % q)
+                sums[r % q] = tails if got is None else [
+                    (a + x, b + y, e + f) for (a, b, e), (x, y, f) in zip(got, tails)]
+        S = [[0, 0, 0] for _ in range(jmax)]  # sum_g chi(g)^j A_gj, error
+        for g, tails in sums.items():
+            cr, ci = weights[g]
+            pr, pi = ONE, 0  # chi(g)^j, off by <= j (2 + 2) ulps (|chi| <= 1)
+            for j, (ar, ai, ae) in enumerate(tails, 1):
+                pr, pi = _mul(pr, pi, cr, ci, F)
+                xr, xi = _mul(pr, pi, ar, ai, F)
+                # |chi^j| ae + |A| e(chi^j) + 2
+                e = (-(-(_modulus(pr, pi) + 4 * j) * ae // ONE)
+                     - (-_modulus(ar, ai) * 4 * j // ONE) + 2)
+                S_j = S[j - 1]
+                S_j[0] += xr
+                S_j[1] += xi
+                S_j[2] += e
+        for j, (xr, xi, e) in enumerate(S, 1):
+            tail_r += xr // j
+            tail_i += xi // j
+            err += -(-e // j) + 2
+        # j-series remainder (|chi| <= 1): sum_{k>K} k^{-j sigma} <= K^{1-j sigma}/(j sigma - 1),
+        # so the multiples past jmax add at most
+        # K (K^-sigma)^n / ((n sigma - 1)(1 - K^-sigma)), n = jmax + 1, with
+        # m >= K^-sigma the fixed |K^-s| rounded up and every step rounded up
+        kr, ki, ke = powers[K]
+        m = _modulus(kr, ki) + ke
+        n = jmax + 1
+        up = ONE
+        for _ in range(n):
+            up = -(-up * m >> F)
+        err += -(-K * up * ONE * ONE // ((n * powers.sr - ONE) * (ONE - m)))
+    certificate = mp.mpf(from_man_exp(err, -F, 24, round_ceiling))
     target = mp.ldexp(1, 12 - prec)
-    if err_budget > target:
-        raise ArithmeticError(f"tail certificate {err_budget} exceeds its target {target}")
-    return ones * finite ** -sign * mp.exp(sign * log_tail), err_budget
+    if certificate > target:
+        raise ArithmeticError(f"tail certificate {certificate} exceeds its target {target}")
+    # finite part over parts in (1, K], one product; the part 1 is the
+    # factor `ones`
+    pr, pi = ONE, 0
+    for k in spec.parts_upto(K):
+        if k > 1 and chi[k % q] != 0:
+            xr, xi = _mul(*weights[k % q], *powers[k][:2], F)
+            pr, pi = _mul(pr, pi, ONE - xr, -xi, F)
+    P = powers.value(pr, pi, cplx)
+    return (ones * (P if sign < 0 else 1 / P) * mp.exp(sign * powers.value(tail_r, tail_i, cplx)),
+            certificate)
 
 
 def _period(chi) -> list:
@@ -386,7 +434,10 @@ def dirichlet_series_oracle(spec: PartSet, chi, s, nmax: int, prec: int = DEFAUL
     multiplicative, with a_n counted by multiplicative partitions. Oracle
     for ``dirichlet_partition_series``."""
     s, chi = mp.mpmathify(s), _period(chi)
-    return mp.fsum(chi[n % len(chi)] * multiplicative_partition_count(n, spec) * mp.mpf(n) ** (-s)
+    powers = _Powers(s, mp.mp.prec + 32)
+    cplx = isinstance(s, mp.mpc)
+    return mp.fsum(chi[n % len(chi)] * multiplicative_partition_count(n, spec)
+                   * powers.value(*powers[n][:2], cplx)
                    for n in range(1, nmax + 1) if chi[n % len(chi)] != 0)
 
 

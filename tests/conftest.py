@@ -1,0 +1,31 @@
+"""Shared fixtures."""
+
+from __future__ import annotations
+
+import mpmath as mp
+import pytest
+
+
+@pytest.fixture
+def mp_powers(monkeypatch) -> list[int]:
+    """Counts every outermost mpmath power (``**`` and reflected ``**`` of
+    mpf and mpc) made while the test runs; the count is the list's one
+    entry."""
+    count, depth = [0], [0]
+
+    def wrap(orig):
+        def power(*args):
+            depth[0] += 1
+            try:
+                out = orig(*args)
+            finally:
+                depth[0] -= 1
+            if out is not NotImplemented and not depth[0]:
+                count[0] += 1
+            return out
+        return power
+
+    for cls in (mp.mpf, mp.mpc):
+        for name in ("__pow__", "__rpow__"):
+            monkeypatch.setattr(cls, name, wrap(getattr(cls, name)))
+    return count

@@ -52,6 +52,7 @@ from partizeta.numerics import (
     riemann_zeta,
     stirling1,
     stirling1_table,
+    working,
     zeta_even_rational,
     zeta_neg_int,
 )
@@ -309,17 +310,22 @@ def test_zeta_rejections():
 
 def test_power_sum_tail_vs_hurwitz_oracle():
     with mp.workprec(PREC + 20):
-        for (w, c, N) in ((mp.mpf(2), mp.mpf(0), 7), (mp.mpf(3), mp.mpf(1) / 3, 11),
-                          (mp.mpc(2, 1), mp.mpf("0.5"), 9)):
+        for (w, c, N) in ((mp.mpf(2), 0, 7), (mp.mpf(3), Fraction(1, 3), 11),
+                          (mp.mpc(2, 1), Fraction(1, 2), 9)):
             val, bound = power_sum_tail(w, c, N, PREC)
-            ref = mp.zeta(w, N + c)
+            ref = mp.zeta(w, N + _mp(c))
             assert abs(val - ref) <= bound + TOL * max(1, abs(ref))
 
 
 def test_power_sum_tails_first_entry_is_power_sum_tail():
     # real s: the batch sets up Euler-Maclaurin exactly as the single tail does
-    for s, c, N in ((mp.mpf("2.013"), mp.mpf(0), 32), (mp.mpf(3), mp.mpf(1) / 3, 11)):
+    for s, c, N in ((mp.mpf("2.013"), 0, 32), (mp.mpf(3), Fraction(1, 3), 11)):
         assert power_sum_tails(s, 9, c, N, PREC)[0] == power_sum_tail(s, c, N, PREC)
+
+
+def _mp(c):
+    """An exact rational c as an mp number at the current precision."""
+    return mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mp.mpf(c)
 
 
 def _assert_bounds_cover_the_error(s, J, c, N, prec):
@@ -329,10 +335,10 @@ def _assert_bounds_cover_the_error(s, J, c, N, prec):
     # wp bits, and the value is ~(N+c)^-Re(w): the reference needs prec +
     # Re(Js) log2(N+c) bits and a margin (at 192 bits it is wrong for j = 20,
     # s = 3+0.8i, N = 33)
-    extra = int(J * mp.re(s) * mp.log(N + c, 2))
+    extra = int(J * mp.re(s) * math.log2(N + c))
     with mp.workprec(max(2 * prec, prec + extra) + 64):
         for j, (val, bound) in enumerate(tails, 1):
-            ref = mp.zeta(j * s, N + c)
+            ref = mp.zeta(j * s, N + _mp(c))
             # the bound leaves out the final rounding to prec bits
             assert abs(val - ref) <= bound + mp.ldexp(abs(ref), 1 - prec), (j, val, ref)
 
@@ -342,13 +348,13 @@ def _assert_bounds_cover_the_error(s, J, c, N, prec):
 @pytest.mark.parametrize("s, J", [(mp.mpf("1.05"), 14), (mp.mpf(3), 6),
                                   (mp.mpc("1.5", "7"), 10), (mp.mpc(2, -30), 8),
                                   (mp.mpf(3), 40), (mp.mpc(2, 5), 20)])
-@pytest.mark.parametrize("c", [mp.mpf(0), mp.mpf(1) / 3])
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 3)])
 @pytest.mark.parametrize("prec", [64, PREC])
 def test_power_sum_tails_bounds_cover_the_error(s, J, c, prec):
     _assert_bounds_cover_the_error(s, J, c, 5, prec)
 
 
-@pytest.mark.parametrize("c", [mp.mpf(0), mp.mpf(1) / 2])
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 2)])
 @pytest.mark.parametrize("prec", [64, PREC])
 def test_power_sum_tails_bounds_cover_the_error_of_the_2N_product(c, prec):
     # the tail classes of 2N at s near 2: J = 28 multiples from N = 33, whose
@@ -360,8 +366,8 @@ def test_power_sum_tails_bounds_cover_the_error_of_the_2N_product(c, prec):
 # s = 2.5 (class 0 mod 1 from N = 65), the classes 1 and 5 mod 6 of 3N|1+2N,
 # and 2+2N at complex s (class 0 mod 2 from N = 33); at 1024 bits the
 # head-heavy class 1 mod 6 and the complex one
-_SCAN_SHAPES = [(mp.mpf("2.5"), 23, mp.mpf(0), 65), (mp.mpf("2.2"), 10, mp.mpf(1) / 6, 11),
-                (mp.mpf("2.2"), 10, mp.mpf(5) / 6, 10), (mp.mpc(3, "0.8"), 20, mp.mpf(0), 33)]
+_SCAN_SHAPES = [(mp.mpf("2.5"), 23, Fraction(0), 65), (mp.mpf("2.2"), 10, Fraction(1, 6), 11),
+                (mp.mpf("2.2"), 10, Fraction(5, 6), 10), (mp.mpc(3, "0.8"), 20, Fraction(0), 33)]
 
 
 @pytest.mark.parametrize("s, J, c, N, prec", [
@@ -372,20 +378,56 @@ def test_power_sum_tails_bounds_cover_the_error_of_scan_shapes(s, J, c, N, prec)
     _assert_bounds_cover_the_error(s, J, c, N, prec)
 
 
+@pytest.mark.parametrize("c, N", [(-1, 1), (0, 0), (Fraction(-3, 2), 1), (mp.mpf(1) / 3, 5),
+                                  (0.5, 5)])
+def test_power_sum_tails_enforces_its_domain(c, N):
+    # c must be an exact rational >= 0 and N >= 1: c = -1 and N = 0 once
+    # divided by zero, c = -3/2 returned a value outside the certificate's
+    # assumptions, and a rounded c stood for a slightly different sum
+    with pytest.raises(ValueError, match="exact rational"):
+        power_sum_tails(mp.mpf(2), 3, c, N, 64)
+
+
+@pytest.mark.parametrize("prec", [64, PREC, 1024])
+@pytest.mark.parametrize("s", [mp.mpf("2.2"), mp.mpc(3, "0.8")])
+def test_power_table_entries_match_mpmath_powers(mp_powers, s, prec):
+    # k^-s for k <= 500 from one table: within 2^(4-wp) relative of mpmath's
+    # power, one mp power per prime (95 of them) and none for a composite
+    with working(prec):
+        wp = mp.mp.prec
+        powers = zeta_module._Powers(s, wp + 32)
+        got = [powers.value(*powers[k][:2], True) for k in range(1, 501)]
+    assert mp_powers[0] == sum(zeta_module._least_prime_factor(k) == k
+                               for k in range(2, 501)) == 95
+    with mp.workprec(wp + 16):
+        for k, v in enumerate(got, 1):
+            ref = mp.mpf(k) ** (-s)
+            assert abs(v - ref) <= mp.ldexp(abs(ref), 4 - wp), k
+
+
+def test_power_table_is_lazy(mp_powers):
+    # 64 = 2^6 and 2 * 29 need the primes 2 and 29, nothing in between
+    with working(PREC):
+        powers = zeta_module._Powers(mp.mpf("2.5"), mp.mp.prec + 32)
+        powers[64]
+        powers[58]
+    assert mp_powers[0] == 2 and sorted(powers._entries) == [1, 2, 4, 8, 16, 29, 32, 58, 64]
+
+
 @pytest.mark.parametrize("s", [mp.mpf("2.2"), mp.mpc(3, "0.8")])
 def test_power_sum_tails_same_bits_with_a_cold_ratio_table(monkeypatch, s):
     # the Bernoulli ratio table is built once per working precision; a call
     # that builds it must give the bits of one that finds it built, also
     # after the tables of other precisions exist
     def call():
-        tails = power_sum_tails(s, 10, mp.mpf(1) / 6, 11, PREC)
+        tails = power_sum_tails(s, 10, Fraction(1, 6), 11, PREC)
         return [(v._mpc_ if isinstance(v, mp.mpc) else v._mpf_, b._mpf_) for v, b in tails]
 
     monkeypatch.setattr(zeta_module, "_BERNOULLI_RATIOS", {})
     cold = call()
     monkeypatch.setattr(zeta_module, "_BERNOULLI_RATIOS", {})
     for prec in (64, 512, 1024):
-        power_sum_tails(s, 10, mp.mpf(1) / 6, 11, prec)
+        power_sum_tails(s, 10, Fraction(1, 6), 11, prec)
     assert len(zeta_module._BERNOULLI_RATIOS) == 3
     assert call() == cold
     assert call() == cold

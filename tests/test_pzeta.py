@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from partizeta import pzeta
-from partizeta.numerics import GUARD_BITS, direct_zeta_start, riemann_zeta
+from partizeta.numerics import GUARD_BITS, direct_zeta_start, riemann_zeta, working
 from partizeta.partitions import DivergentPartSetError, PartSet, parse_part_set
 from partizeta.pzeta import (
     CongruenceClassSpec,
@@ -73,6 +73,17 @@ def test_euler_product_precision_sweep(spec, s, prec):
     ref, _ = euler_product(parse_part_set(spec), s, prec=2 * prec + 64)
     with mp.workprec(2 * prec + 64):
         assert abs(v - ref) <= bound + mp.ldexp(abs(v), 1 - prec)
+
+
+# mp powers per request at 256 bits before the integer-power table (each
+# k^-s, the class heads, L^-s and chi^j were mp powers), counted the same way
+@pytest.mark.parametrize("spec, s, before", [
+    ("2N", 2, 119), ("geq:2", 2, 125), ("2N|1+3N", 2, 463), ("1+97N", 2, 119),
+    ("5+11N|2N", 2, 1383), ("2+2N", mp.mpc(3, "0.8"), 103), ("2N|3N|5N|7N", 2, 18634)])
+def test_euler_product_mp_powers_only_for_primes(mp_powers, spec, s, before):
+    # k^-s is completely multiplicative: only primes need an mp power
+    euler_product(parse_part_set(spec), s, prec=PREC)
+    assert mp_powers[0] <= (before // 3 if spec in ("2N", "geq:2", "2N|1+3N") else before)
 
 
 def test_euler_product_rejects_divergent_and_domain():
@@ -310,6 +321,29 @@ def test_dirichlet_matches_hurwitz_k_series(spec, firsts, L, chi, s):
     assert bound < mp.ldexp(1, 12 - PREC)
     with mp.workprec(PREC):
         assert abs(v - _hurwitz_product(spec, firsts, L, chi, s)) < mp.mpf("1e-35")
+
+
+# CHI4 on odd parts >= 3, and a complex character mod 5 on odd parts >= 5;
+# 1024 bits at real s only
+@pytest.mark.parametrize("spec, chi, s, prec", [
+    pytest.param(spec, chi, s, prec, id=f"{prec}-{s_id}-{chi_id}")
+    for prec in (64, 128, 256, 512, 1024)
+    for s_id, s in (("s0", mp.mpf(3)), ("s1", mp.mpc(5, 0.5))) if prec < 1024 or s_id == "s0"
+    for chi_id, spec, chi in (("chi4-odd3", ODD3, CHI4),
+                              ("chi5-odd5", parse_part_set("3+2N"), (0, 1, 1j, -1j, -1)))])
+def test_dirichlet_precision_sweep(spec, chi, s, prec):
+    v, bound = dirichlet_partition_series(spec, chi, s, prec=prec)
+    ref, _ = dirichlet_partition_series(spec, chi, s, prec=2 * prec + 64)
+    # the rounded value hides up to 2 GUARD_BITS lost bits; unrounded, at the
+    # working precision wp, the value must hold all but 4 of them (the
+    # certificate, ~2^-(wp+8), stays below the final mp rounding either way)
+    with working(prec, GUARD_BITS):
+        wp = mp.mp.prec
+        raw, raw_bound = dirichlet_partition_series.__wrapped__(spec, chi, s, prec)
+    with mp.workprec(2 * prec + 64):
+        assert abs(v - ref) <= bound + mp.ldexp(abs(v), 1 - prec)
+        assert raw_bound == bound
+        assert abs(raw - ref) <= bound + mp.ldexp(abs(raw), 4 - wp)
 
 
 def test_dirichlet_reduces_to_euler_product():

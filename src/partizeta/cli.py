@@ -185,15 +185,25 @@ def cmd_pzeta(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _ratio_text(r) -> str:
+    """A Fraction as "p/q", past the int-to-str digit limit parsing keeps."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{r.numerator}/{r.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_fixedlen(args, cfg: RunConfig) -> int:
     if args.exact:
         r = fixedlen.fixedlen_zeta_exact(args.m, args.k)
         payload = {
             "command": "fixedlen", "kind": "fixedlen", "m": args.m, "k": args.k,
             "route": "determinant-exact",
-            "exact_rational": f"{r.numerator}/{r.denominator}",
+            "exact_rational": _ratio_text(r),
             "pi_power": args.m * args.k,
-            "rendered": f"{r.numerator}/{r.denominator} * pi^{args.m * args.k}",
+            "rendered": f"{_ratio_text(r)} * pi^{args.m * args.k}",
         }
     else:
         v = fixedlen.fixedlen_zeta(args.m, args.k, prec=cfg.precision_bits)
@@ -210,7 +220,7 @@ def cmd_mzv(args, cfg: RunConfig) -> int:
             r = fixedlen.mzv_equal_args_exact(n, k)
             payload = {"command": "mzv", "kind": "mzv", "index": [n] * k,
                        "route": "determinant-exact",
-                       "exact_rational": f"{r.numerator}/{r.denominator}",
+                       "exact_rational": _ratio_text(r),
                        "pi_power": n * k}
         else:
             v = fixedlen.mzv_equal_args(n, k, prec=cfg.precision_bits)

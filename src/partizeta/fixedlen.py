@@ -8,6 +8,8 @@ negates the a_j and carries (-1)^k. Both are built here as that sequence and
 handed to ``numerics.bell``: the numeric values by its exp-series route, the
 exact values (even arguments: rationals times a power of pi) by its
 Hessenberg-determinant route, with the series route as the exact oracle.
+The numeric zeta(mj), j = 1..k, come from one ``power_sum_tails`` setup,
+the exact ones from the Bernoulli table.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import mpmath as mp
 
 from .numerics import (
     DEFAULT_PREC,
-    GUARD_BITS,
     bell_via_determinant,
     bell_via_series,
     guarded,
+    power_sum_tails,
     riemann_zeta,
     zeta_even_rational,
 )
@@ -52,17 +54,7 @@ def compositions(k: int) -> list[tuple[int, ...]]:
     """All 2^{k-1} compositions of k, in first-part-ascending order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = []
-    def rec(rem, acc):
-        if rem == 0:
-            out.append(tuple(acc))
-            return
-        for first in range(1, rem + 1):
-            acc.append(first)
-            rec(rem - first, acc)
-            acc.pop()
-    rec(k, [])
-    return out
+    return [(first, *rest) for first in range(1, k) for rest in compositions(k - first)] + [(k,)]
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +63,7 @@ def fixedlen_zeta(m: int, k: int, prec: int = DEFAULT_PREC):
 
     pi^{mk} [z^{mk}] exp(sum_j zeta(mj)/j (z/pi)^{mj}) = B_k(a)/k! with
     a_j = (j-1)! zeta(mj), by the exp-series route. Work past
-    SERIES_MAX_WORK (the series products plus the zeta values, see there)
+    SERIES_MAX_WORK (the series) or POWER_SUM_MAX_WORK (the zeta values)
     raises ArithmeticError (work budget) before any evaluation.
     """
     if m < 2 or k < 0:
@@ -85,7 +77,7 @@ def fixedlen_zeta_exact(m: int, k: int) -> Fraction:
     Even m only (odd zeta values have no exact path). B_k(a)/k! by the
     Hessenberg-determinant route, with a_j = (j-1)! zeta(mj)/pi^{mj}; the pi
     powers are homogeneous in B_k, so they factor out as pi^{mk}. Work
-    m k^3 + (m k)^3 / 100 above EXACT_MAX_WORK raises ArithmeticError (work
+    m k^3 + (m k)^3 / 350 above EXACT_MAX_WORK raises ArithmeticError (work
     budget) before any evaluation.
     """
     return Fraction(bell_via_determinant(_exact_sequence(m, k, 1)), math.factorial(k))
@@ -103,17 +95,17 @@ def mzv_equal_args(n: int, k: int, prec: int = DEFAULT_PREC):
 
     The series terms are O(1) while the value is at least (k!)^-n (the term
     n_i = i), so the series runs n log2(k!) bits above the working precision
-    to absorb the cancellation. Past SERIES_MAX_WORK at that precision it
-    raises ArithmeticError (work budget) before any evaluation.
+    to absorb the cancellation. Past SERIES_MAX_WORK or POWER_SUM_MAX_WORK
+    at that precision it raises ArithmeticError (work budget) before any
+    evaluation.
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2, k >= 0")
     wp = prec
     if k > 1:
         _check_series_work(n, k, wp)  # checked alone first: k! is slow for a huge k
-        # n log2(k!) >= n (bit_length(k!) - 1), checked in integers first:
-        # n may not fit a float, and a precision of 10^400 bits would
-        # overflow mpmath's precision setting
+        # n log2(k!) >= n (bit_length(k!) - 1), checked in integers first: n
+        # may not fit a float, nor 10^400 bits mpmath's precision setting
         k_fact = math.factorial(k)
         _check_series_work(n, k, prec + n * (k_fact.bit_length() - 1))
         wp = prec + math.ceil(n * math.log2(k_fact))
@@ -128,18 +120,13 @@ def mzv_equal_args_exact(n: int, k: int) -> Fraction:
                                 math.factorial(k))
 
 
-def _zeta_sequence(m: int, k: int, sign: int, zeta) -> list:
-    """a_j = sign (j-1)! zeta(mj), j = 1..k: the Bell arguments of the
-    length-k value."""
-    return [sign * math.factorial(j - 1) * zeta(m * j) for j in range(1, k + 1)]
-
-
-# work budget of the exact routes: m k^3 + (m k)^3 / 100, their cost in units
+# work budget of the exact routes: m k^3 + (m k)^3 / 350, their cost in units
 # of ~50 ns. The k x k determinant over rationals of ~m k log(m k) bits takes
-# ~m k^3; (m k)^3 / 100 prices the exact Bernoulli table to B_{mk} at 3-4x its
-# cost: (2, 300) at 5.6 x 10^7 takes 2.2 s (0.03 s of it the table), (4, 150)
-# 0.7 s, (1000, 1) 0.14 s, and (2, 400) at 1.3 x 10^8 takes 6.0 s (2-core x86
-# VM, CPython 3.11, one fresh process each)
+# ~m k^3: (2, 300) at 5.5 x 10^7 takes 2.2 s, (4, 150) 0.7 s, and (2, 400) at
+# 1.3 x 10^8 6.0 s. (m k)^3 / 350 prices the exact Bernoulli table to B_{mk},
+# which grows like n^3.2: B_1000 builds cold in 0.085 s (2.9 x 10^6 units),
+# B_1900 in 0.90 s (2.0 x 10^7), B_2500 in 2.0 s (4.5 x 10^7) and B_3000 in
+# 3.9 s (7.7 x 10^7; 2-core x86 VM, CPython 3.11, one fresh process each)
 EXACT_MAX_WORK = 2 ** 26
 
 
@@ -148,78 +135,47 @@ def _exact_sequence(m: int, k: int, sign: int) -> list[Fraction]:
         raise ValueError("exact route needs even m >= 2")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if m * k ** 3 + (m * k) ** 3 // 100 > EXACT_MAX_WORK:
+    if m * k ** 3 + (m * k) ** 3 // 350 > EXACT_MAX_WORK:
         raise ArithmeticError(f"the exact length-{k} value at argument {m} needs "
-                              f"m k^3 + (m k)^3 / 100 above its work budget "
+                              f"m k^3 + (m k)^3 / 350 above its work budget "
                               f"EXACT_MAX_WORK = {EXACT_MAX_WORK}")
-    return _zeta_sequence(m, k, sign, zeta_even_rational)
+    # a_j = sign (j-1)! zeta(mj), the Bell arguments of the length-k value
+    return [sign * math.factorial(j - 1) * zeta_even_rational(m * j) for j in range(1, k + 1)]
 
 
-# work budget of the numeric length-k values at series precision p, in units
-# of ~5 us: k^2 (p + 900)/1000 for the exp series (~k^2/2 products) plus the
-# k zeta values (see _zeta_work), but at least k (k + p). That floor caps p
-# at 2^18/k bits: past it one product, and the exact 3^s of mpmath's cheap
-# zeta branch, cost more than linearly in p, which the model does not count
-# (mzv (10^7, 2) at 64 bits would run its series and zeta(10^7) at
-# 10^7 bits). Near the cap, fixedlen (2, 480) at 64 bits (2.6 x 10^5) takes
-# 1.0 s, (8, 399) at 256 (2.6 x 10^5) 1.0 s and mzv, whose series precision
-# is prec + n log2(k!), (2, 129) at 256 (2.5 x 10^5) 1.1 s. Past it, mzv
-# (2, 135) at 256 (2.9 x 10^5) took 1.2 s, mzv (1000, 8) at 64 (6.4 x 10^5,
-# nearly all of it zeta(1000) at 15,480 bits) 3.7 s, fixedlen (3, 31) at
-# 8192 (5.9 x 10^5) 3.4 s, (1835, 1) at 15000 (1.1 x 10^6, Borwein's method
-# just past the Euler product's cutoff) 3.1 s, (22000, 1) at 262000
-# (5.9 x 10^6, an Euler product over 687 primes) 16 s and mzv (20, 53) at
-# 256 (1.0 x 10^6) 3.9 s (2-core x86 VM, mpmath 1.3 pure-Python backend,
-# one fresh process each)
+# work budget of the numeric length-k series at series precision p, in units
+# of ~5 us: k (k + p), above the ~k^2 (p + 900)/1000 of its ~k^2/2 products
+# for every k <= 1000, and capping p at 2^18/k bits, past which one product
+# costs more than linearly in p. fixedlen (2, 480) at 64 bits (2.6 x 10^5)
+# takes 1.0 s, (8, 399) at 256 0.8 s and mzv (2, 129) at 256 (series
+# precision prec + n log2(k!); 2.5 x 10^5) 0.3 s (2-core x86 VM, CPython 3.11,
+# one fresh process each). The zeta values have POWER_SUM_MAX_WORK.
 SERIES_MAX_WORK = 2 ** 18
-
-# bits _series_value works above its precision
-_SERIES_EXTRA_BITS = 16
-# mpmath's zeta(s) at integer s runs mpf_zeta_int (mpmath.libmp.gammazeta)
-# at 20 bits above the precision it is called at, which is the series
-# precision plus _series_value's and riemann_zeta's guard bits
-_ZETA_EXTRA_BITS = _SERIES_EXTRA_BITS + 2 * GUARD_BITS + 20
-
-
-def _zeta_work(s: int, W: int) -> int:
-    """Work units of mpmath's zeta(s), integer s >= 2, when mpf_zeta_int
-    runs at W bits; the branch tests are mpf_zeta_int's own."""
-    if 1000 * s >= 431 * W:  # 1 + 2^-s + 3^-s (and 1 once s >= W)
-        return 0
-    m = W / (s - 1) + 1
-    terms = int(2 ** m + 1) if m < 30 else 0
-    if m < 30 and terms < int(W / 2.54 + 5) / 10:
-        # Euler product over the primes below `terms`: a power and a
-        # product at W bits each, ~W^2/10^7 units per prime
-        return int(terms / math.log(terms) * W * W / 10 ** 7)
-    # Borwein's method: ~W/2.54 terms, each a division by an (s log2 W)-bit
-    # power
-    return W * W * (s + 60) // 400000
 
 
 def _check_series_work(m: int, k: int, prec: int) -> None:
     """ArithmeticError (work budget) if the length-k series at argument m
     and series precision prec needs more than SERIES_MAX_WORK."""
-    work = k * (k + prec)
-    if work <= SERIES_MAX_WORK:  # k and prec are small now: the zeta values can be counted
-        W = prec + _ZETA_EXTRA_BITS
-        work = max(work, k * k * (prec + 900) // 1000
-                   + sum(_zeta_work(m * j, W) for j in range(1, k + 1)))
-    if work > SERIES_MAX_WORK:
-        raise ArithmeticError(f"the length-{k} series at argument {m} needs more work "
-                              f"(series products and zeta values) than its budget "
-                              f"SERIES_MAX_WORK = {SERIES_MAX_WORK}")
+    if k * (k + prec) > SERIES_MAX_WORK:
+        raise ArithmeticError(f"the length-{k} series at argument {m} and {prec} bits needs "
+                              f"k (k + p) = {k * (k + prec)}, above SERIES_MAX_WORK = "
+                              f"{SERIES_MAX_WORK}")
 
 
-@guarded(extra=_SERIES_EXTRA_BITS)
+@guarded(extra=16)
 def _series_value(m: int, k: int, sign: int, prec: int):
-    """sign^k B_k(a)/k! for a_j = sign (j-1)! zeta(mj), as an mpf.
-    Work past SERIES_MAX_WORK raises ArithmeticError (work budget) before
-    any zeta value is computed."""
+    """sign^k B_k(a)/k! for a_j = sign (j-1)! zeta(mj), as an mpf, 16 bits
+    above the guarded precision. zeta(mj) = 1 + sum_{i >= 2} i^{-mj},
+    j = 1..k, from one ``power_sum_tails`` setup, the 1 added exactly (from
+    i = 1 the head 1^{-mj} = 1 would make the bounds grow like 2^j). Work past
+    SERIES_MAX_WORK, or POWER_SUM_MAX_WORK for the zeta values, raises
+    ArithmeticError (work budget) before any power is computed.
+    """
     _check_series_work(m, k, prec)
     if k == 0:  # B_0 of the empty sequence is the exact 1
         return mp.mpf(1)
-    a = _zeta_sequence(m, k, sign, lambda s: riemann_zeta(s, mp.mp.prec))
+    tails = power_sum_tails(m, k, 0, 2, mp.mp.prec)
+    a = [sign * math.factorial(j - 1) * (1 + v) for j, (v, _) in enumerate(tails, 1)]
     return sign ** k * bell_via_series(a) / math.factorial(k)
 
 

@@ -5,28 +5,30 @@ with the pole rejections this package relies on. ``_class_tails`` is the
 one Euler-Maclaurin engine: sum_{i >= N} (Li + r)^{-js} for j = 1..J from
 one setup, which the restricted-part-set Euler products use for their
 congruence-class tails, and, scaled by L^{js}, ``power_sum_tails`` for
-sum_{i >= N} (i + r/L)^{-js}. Its base powers are integer powers k^-s from
-a ``_Powers`` table built once per request: k^-s is completely
-multiplicative, so only a prime costs an mp power (Johansson's trick for
-power sums, in the paper cited below). Past them it runs on fixed-point
-Python integers: the powers of every multiple, the correction terms, the
-assembly and the certificate.
-Each multiple sums only as many correction terms as its y^{-js} factor
-(y = L x0) leaves visible at the working precision (an exact integer
-comparison) and carries an explicit bound, rounded up: the first omitted term plus the
-truncation of every fixed-point step (Johansson, "Rigorous high-precision
-computation of the Hurwitz zeta function and its derivatives", 2015, for
-the remainder). The ratios of consecutive B_2v/(2v)! are floored from the
-exact Bernoulli table, once per working precision.
-``zeta_multiples_direct`` gives zeta(sk) at the k where a short direct sum
-already reaches the working precision, which the log series over multiples
-uses.
+sum_{i >= N} (i + r/L)^{-js}, which also gives the numeric ``fixedlen``
+values their zeta(mj) = 1 + sum_{i >= 2} i^{-mj}. Its base powers are
+integer powers k^-s from a ``_Powers`` table built once per request: k^-s
+is completely multiplicative, so only a prime costs an mp power
+(Johansson's trick for power sums, in the paper cited below). Past them it
+runs on fixed-point Python integers: the powers of every multiple, the
+correction terms, the assembly and the certificate, priced by their bits
+before any power (``POWER_SUM_MAX_WORK``). Each multiple sums only as many
+correction terms as its y^{-js} factor (y = L x0) leaves visible at the
+working precision (an exact integer comparison) and carries an explicit
+bound, rounded up: the first omitted term plus the truncation of every
+fixed-point step (Johansson, "Rigorous high-precision computation of the
+Hurwitz zeta function and its derivatives", 2015, for the remainder). The
+ratios of consecutive B_2v/(2v)! are floored from the exact Bernoulli
+table, once per working precision. ``zeta_multiples_direct`` gives zeta(sk)
+at the k where a short direct sum already reaches the working precision,
+which the log series over multiples uses.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
@@ -42,12 +44,27 @@ def power_sum_tail(w, c, N: int, prec: int = DEFAULT_PREC):
     return power_sum_tails(w, 1, c, N, prec)[0]
 
 
-# work budget of power_sum_tails: J x (N_eff - N + V), the multiples times
-# the head powers and correction terms one setup may need. The 2N product
-# at s = 2 needs 1.2 x 10^5 at 2048 bits (0.6-0.7 s) and 2.5 x 10^5 at 3000
-# bits (2.2-2.5 s; 2-core x86 VM in its slow state, mpmath pure-Python
-# backend, one fresh process each); 8192 bits would need 1.9 x 10^6
-POWER_SUM_MAX_WORK = 2 ** 18
+# work budget of the Euler-Maclaurin setups, in units of ~1 us: at most
+# N_eff - N + 1 mp powers (one more for L^s) at 30 + wp^2/5000 each (a complex
+# one: 0.05 ms at 256 bits, 0.66 ms at 2048, 36 ms at 16,384; only primes and
+# non-integer s pay it all), which also covers the Bernoulli table to
+# B_(2V+2) (V^3 growth, a tenth of that), plus J (N_eff - N + V) fixed-point
+# steps at 1 + F^2/2^20 (a complex one: 1.3 us at 256 bits, 5.7 us at 2048).
+# Priced and timed: the heaviest tier-1 class 8.4 x 10^5, 0.6 s; 2N at s = 2,
+# --prec 2048 9.0 x 10^5, 0.5 s, --prec 3150 (the last that runs) 4.2 x 10^6,
+# 1.6 s; zeta(1835) at 15,000 bits 1.2 x 10^8, 14.6 s (2-core x86 VM,
+# CPython 3.11, mpmath pure-Python backend, one fresh process each)
+POWER_SUM_MAX_WORK = 2 ** 22
+
+
+def _check_work(n_powers: int, steps: int, wp: int, what: str) -> None:
+    """ArithmeticError (work budget) if n_powers mp powers at wp bits and
+    steps fixed-point steps at wp + 32 bits cost more than POWER_SUM_MAX_WORK."""
+    work = n_powers * (30 + wp * wp // 5000) + steps * (1 + ((wp + 32) ** 2 >> 20))
+    if work > POWER_SUM_MAX_WORK:
+        raise ArithmeticError(f"{what} at {wp} bits needs {work} units of mp powers and "
+                              f"fixed-point steps; its work budget is "
+                              f"POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}")
 
 # floor(beta_v 2^F) by F (V is a function of the precision, so of F), filled
 # on first use by power_sum_tails, which holds the precision lock
@@ -114,8 +131,11 @@ class _Powers:
     def __init__(self, s, F: int):
         self.F = F
         self.sr, self.si = self.pair(s)
-        self.s = self.value(self.sr, self.si, bool(self.si))
         self._entries = {1: (1 << F, 0, 0)}
+
+    @cached_property
+    def s(self):  # made on first use: normalizing it takes superlinear time in F
+        return self.value(self.sr, self.si, bool(self.si))
 
     def pair(self, z) -> tuple[int, int]:
         """z 2^F as two integers, each truncated once."""
@@ -165,23 +185,31 @@ def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int, scaled: bool):
     few. Each bound is an integer rounded up: the first omitted term, rounded
     up by the fixed-point truncation, times 1 + |w+2V_j+1|/(Re w+2V_j+1) (the
     Backlund remainder bound plus the term itself), plus the truncation ulps
-    of every power, correction term and assembly step. J (N_eff - N + V)
-    above POWER_SUM_MAX_WORK raises ArithmeticError (work budget) before any
-    power is looked up.
+    of every power, correction term and assembly step. A multiple whose sum
+    is below 2^-F (test below) is 0 with bound 1; the rest are priced, mp
+    powers and fixed-point steps by their bits, before any power and before
+    the Bernoulli ratios: past POWER_SUM_MAX_WORK, ArithmeticError.
     """
     F = powers.F
     wp = F - 32
     ONE = 1 << F
     sr, si = powers.sr, powers.si
+    # with Re(js) >= F + 1 + bitlen(a), a = LN + r, the sum is at most
+    # b^(-Re js) (1 + b) <= 2^-F once its first base b (a, or a/L when scaled)
+    # is >= 2: 0, off by at most 1 (a huge s needs no power and no 2^(Re js))
+    a = L * N + r
+    live = J if a < (2 * L if scaled else 2) else ((F + 1 + a.bit_length()) * ONE - 1) // sr
+    zeros = max(0, J - live)
+    J -= zeros
+    if not J:
+        return [(0, 0, 1)] * zeros
     V = max(8, wp // 6)
     # the correction series is asymptotic: terms shrink only while
     # 2v < 2 pi x0, so push the expansion point out past ~V, far enough for
     # the largest |Im(js)|
     N_eff = max(N, V + 2 + J * abs(si) // (4 * ONE))
-    if J * (N_eff - N + V) > POWER_SUM_MAX_WORK:
-        raise ArithmeticError(f"the power-sum tails of {J} multiples at {wp} bits need "
-                              f"{J * (N_eff - N + V)} powers and correction terms; their "
-                              f"work budget is POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}")
+    _check_work(N_eff - N + 1 + (scaled and L > 1), J * (N_eff - N + V), wp,
+                f"the power-sum tail of {J} multiples")
     y = L * N_eff + r  # x0 = y/L
     base = [powers[L * i + r] for i in range(N, N_eff)] + [powers[y]]
     if scaled and L > 1:
@@ -297,7 +325,7 @@ def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int, scaled: bool):
         cd = wr + (2 * order + 1) * ONE
         num = (_modulus(tr, ti) + 2 * slack) * (_modulus(xr, xi) + e_x) * (_modulus(cd, wi) + cd)
         out.append((vr, vi, -(-num // (cd * ONE)) + e_val))
-    return out
+    return out + [(0, 0, 1)] * zeros
 
 
 @guarded()
@@ -310,9 +338,9 @@ def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
     L^s (Li + r)^{-s} and L^s (L N_eff + r)^{-s}, the integer powers from a
     ``_Powers`` table of this call (one mp power per prime, one for L^s).
     Each value and bound becomes an mp number once, the bound rounded up to
-    24 bits. ValueError for c not an exact rational >= 0 or N < 1;
-    J x (N_eff - N + V) above POWER_SUM_MAX_WORK raises ArithmeticError
-    (work budget) before any power is computed.
+    24 bits; zeta(js) - 1, j = 1..J, is one call. ValueError for c not an
+    exact rational >= 0 or N < 1; a price above POWER_SUM_MAX_WORK raises
+    ArithmeticError (work budget) before any power is computed.
     """
     if not isinstance(c, (int, Fraction)) or c < 0 or N < 1:
         raise ValueError(f"power_sum_tails wants c an exact rational >= 0 (int or Fraction) "

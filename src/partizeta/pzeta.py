@@ -47,7 +47,7 @@ from .numerics import (
     riemann_zeta,
     zeta_multiples_direct,
 )
-from .numerics.zeta import _class_tails, _modulus, _mul, _Powers
+from .numerics.zeta import _check_work, _class_tails, _modulus, _mul, _Powers
 from .partitions import DivergentPartSetError, PartSet, multiplicative_partition_count
 
 POLE_SNAP = 1e-6  # distance to some 1/N below which we report the pole
@@ -140,7 +140,6 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     if cap is None and not abs(c1) < 1:
         raise DivergentPartSetError(f"part set {spec.spec_string()} diverges: part 1 "
                                     f"repeats without bound at weight {c1}")
-    ones = 1 / (1 - c1) if cap is None else sum(c1 ** i for i in range(cap + 1))
     # distinct parts: log prod (1 + chi k^-s) = -(sum -log(1 - (-chi) k^-s))
     sign = -1 if spec.distinct else 1
     chi = [sign * c for c in chi]
@@ -152,11 +151,15 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     # the accelerated tail converges geometrically in j, so a modest cutoff
     # suffices; it only must clear every non-congruence irregularity
     K = max(64, spec.tail_start() + 1)
+    # the finite part over parts in (1, K]: at most an mp power each, priced
+    # before any power like the tails'
+    parts = [k for k in spec.parts_upto(K) if k > 1 and chi[k % q] != 0]
+    _check_work(len(parts), 0, F - 32, f"the finite product over {len(parts)} parts")
     tail_r = tail_i = err = 0  # T and its certificate, at 2^-F
     M, residues = spec.tail_classes(K)
     if M is not None:
         L = math.lcm(q, M)
-        jmax = max(4, int(mp.ceil((prec + 60) / (sigma * mp.log(K, 2)))) + 1)
+        jmax = max(4, math.ceil((prec + 60) / (float(sigma) * math.log2(K))) + 1)
         # sum_{k>K, k = r mod L} k^-js over the classes of one weight chi(g),
         # g = r mod q, added up per j
         sums = {}
@@ -202,14 +205,13 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     target = mp.ldexp(1, 12 - prec)
     if certificate > target:
         raise ArithmeticError(f"tail certificate {certificate} exceeds its target {target}")
-    # finite part over parts in (1, K], one product; the part 1 is the
-    # factor `ones`
+    # the finite part, one product; the part 1 is the factor `ones`
     pr, pi = ONE, 0
-    for k in spec.parts_upto(K):
-        if k > 1 and chi[k % q] != 0:
-            xr, xi = _mul(*weights[k % q], *powers[k][:2], F)
-            pr, pi = _mul(pr, pi, ONE - xr, -xi, F)
+    for k in parts:
+        xr, xi = _mul(*weights[k % q], *powers[k][:2], F)
+        pr, pi = _mul(pr, pi, ONE - xr, -xi, F)
     P = powers.value(pr, pi, cplx)
+    ones = 1 / (1 - c1) if cap is None else sum(c1 ** i for i in range(cap + 1))
     return (ones * (P if sign < 0 else 1 / P) * mp.exp(sign * powers.value(tail_r, tail_i, cplx)),
             certificate)
 
@@ -270,16 +272,17 @@ def log_eval_general(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
         raise ValueError(f"|a - e(r/n)|/m reaches {zmax} >= 2: expansion diverges")
     am = mp.mpf(a) / m
     total = n * mp.log(1 + am) - mp.fsum(mp.log(1 + z) for z in zs)
-    # series terms: (zeta(k)-1) ~ 2^-k, z^k <= zmax^k
+    # series terms: (zeta(k)-1) ~ 2^-k, z^k <= zmax^k; zeta(k) - 1 >= 2^-k
+    # keeps wp bits from zeta(k) at wp + k + 8 (2^-wp would grow by zmax^k)
     ratio = zmax / 2 if zmax > 1 else mp.mpf(1) / 2
     kmax = int(mp.ceil((prec + 60) / -mp.log(ratio, 2))) + 4
     acc = mp.mpc(0)
+    zk, amk = [z * z for z in zs], am * am  # z^k and (a/m)^k as running products
     for k in range(2, kmax + 1):
-        zk = riemann_zeta(k, mp.mp.prec) - 1
-        if zk == 0:
-            continue
-        ssum = mp.fsum((z ** k for z in zs), absolute=False) - n * am ** k
-        acc += (-1) ** k * zk * ssum / k
+        zeta1 = riemann_zeta(k, mp.mp.prec + k + 8) - 1
+        acc += (-1) ** k * zeta1 * (mp.fsum(zk, absolute=False) - n * amk) / k
+        zk = [p * z for p, z in zip(zk, zs)]
+        amk *= am
     total += acc
     if abs(mp.im(total)) > mp.mpf(2) ** (-(prec // 2)) * (1 + abs(total)):
         raise ArithmeticError(f"imaginary residue {mp.im(total)} too large")

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -132,6 +133,15 @@ def test_fixedlen_exact_rendering(capsys):
     assert data["rendered"] == "31/15120 * pi^6"
 
 
+def test_exact_rationals_render_past_the_int_digit_limit():
+    # fixedlen --m 1900 --k 1 --exact has a 4844-digit denominator, past
+    # Python's default limit of 4300 digits; the limit is restored after
+    limit = sys.get_int_max_str_digits()
+    text = cli._ratio_text(Fraction(10 ** 5000 + 1, 3))
+    assert text == "1" + "0" * 4999 + "1/3"
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_mzv_equal_args_exact(capsys):
     code, out = run_cli(capsys, *PREC_ARGS, "mzv", "--equal-args", "2", "2", "--exact")
     assert code == 0
@@ -175,31 +185,37 @@ def test_mzv_equal_args_work_budget(capsys):
     (["--prec", "64", "fixedlen", "--m", "2", "--k", "1000"],
      f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
     (["fixedlen", "--m", "8", "--k", str(10 ** 400)], f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
-    # k (k + prec) is small, but zeta(1000) at the series precision of
-    # 15,000 bits would take seconds
+    # k (k + prec) is small, but the zeta(1000 j) at the series precision of
+    # ~15,400 bits need B_5154 and up to 2577 powers at that precision
     (["--prec", "64", "mzv", "--equal-args", "1000", "8"],
-     f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
+     f"POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}"),
     # few products and zeta values, but at a series precision of 10^7 and
     # 6 x 10^7 bits
     (["--prec", "64", "mzv", "--equal-args", str(10 ** 7), "2"],
      f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
     (["--prec", "64", "mzv", "--equal-args", str(6 * 10 ** 7), "2"],
      f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
-    # one zeta value each: at the 15,116 bits mpmath works at, zeta(1835) is
-    # just past the Euler product's cutoff and takes Borwein's method (3 s);
-    # zeta(22000) at 262,116 bits is an Euler product over 687 primes (16 s)
+    # one zeta value each, whose Euler-Maclaurin order V = wp/6 needs the
+    # exact Bernoulli table to B_5000 (14.6 s in all when run) and B_87000
     (["--prec", "15000", "fixedlen", "--m", "1835", "--k", "1"],
-     f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
+     f"POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}"),
     (["--prec", "262000", "fixedlen", "--m", "22000", "--k", "1"],
-     f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
+     f"POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}"),
+    # few multiples and correction terms, but at 15,000 and 30,000 bits
+    # (16.8 s, and past 60 s, when run)
+    (["--prec", "15000", "pzeta", "--spec", "2N", "--s", "1000", "--routes", "product"],
+     f"POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}"),
+    (["--prec", "30000", "pzeta", "--spec", "2N", "--s", "3000", "--routes", "product"],
+     f"POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}"),
 ])
-def test_work_budgets_refuse_at_once(capsys, argv, budget):
+def test_work_budgets_refuse_at_once(capsys, mp_powers, argv, budget):
     t0 = time.perf_counter()
     code = main(argv)
     assert code == 3 and time.perf_counter() - t0 < 1
     out, err = capsys.readouterr()
     assert not out and budget in err
     assert len(err.strip().splitlines()) == 1
+    assert mp_powers[0] == 0
 
 
 def test_mzv_bruteforce_index(capsys):
@@ -366,13 +382,13 @@ _SPEC_TOKENS = st.one_of(
 _S_TOKENS = st.sampled_from(["nan", "abc", "0", "-1", "1e-9", "0.5", "2", "3.3", "2+1j"])
 
 
-def _run_at_prec_64(argv) -> tuple[int, str, list[str]]:
-    """Run the CLI at --prec 64, usage errors included: exit 0/1/2/3 and never
-    a traceback. Returns (code, stdout, stderr lines)."""
+def _run_at_prec(argv, prec: int = 64) -> tuple[int, str, list[str]]:
+    """Run the CLI at --prec prec, usage errors included: exit 0/1/2/3 and
+    never a traceback. Returns (code, stdout, stderr lines)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(["--prec", "64", *argv])
+            code = main(["--prec", str(prec), *argv])
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
@@ -383,10 +399,16 @@ def _run_at_prec_64(argv) -> tuple[int, str, list[str]]:
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(spec=st.lists(_SPEC_TOKENS, min_size=1, max_size=3).map("|".join),
        s=st.lists(_S_TOKENS, min_size=1, max_size=2).map(",".join),
-       routes=st.sampled_from(["all", "product", "gamma", "logseries"]))
-def test_pzeta_exit_code_contract(spec, s, routes):
+       routes_prec=st.one_of(
+           st.tuples(st.sampled_from(["all", "gamma", "logseries"]), st.just(64)),
+           # the product route at any precision: runs, or a work budget
+           # refuses it before any power
+           st.tuples(st.just("product"), st.integers(64, 10 ** 6))))
+def test_pzeta_exit_code_contract(spec, s, routes_prec):
+    routes, prec = routes_prec
     # --s=... : argparse would read a leading "-1" as an option
-    code, out, err = _run_at_prec_64(["pzeta", "--spec", spec, f"--s={s}", "--routes", routes])
+    code, out, err = _run_at_prec(["pzeta", "--spec", spec, f"--s={s}", "--routes", routes],
+                                  prec)
     assert code in (0, 2, 3)
     if code:
         assert len(err) == 1, (spec, s, err)
@@ -412,7 +434,7 @@ _SIZE = st.one_of(_SMALL, st.sampled_from(["1000", str(10 ** 400)]))
         lambda t: ["padic", "--p", t[0], "--a", t[1], "--k", t[2], "--m1", t[3], *t[4]]),
 ))
 def test_fixedlen_mzv_padic_exit_code_contract(argv):
-    code, out, err = _run_at_prec_64(argv)
+    code, out, err = _run_at_prec(argv)
     if out:  # a failed p-adic congruence exits 3 and still writes its report
         assert code in (0, 3)
         json.loads(out)
@@ -458,7 +480,7 @@ def _profile_texts(draw):
 def test_modular_profile_exit_code_contract(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("profile") / "profile.json"
     path.write_text(text)
-    code, out, err = _run_at_prec_64(["modular", "delta", "--profile", str(path)])
+    code, out, err = _run_at_prec(["modular", "delta", "--profile", str(path)])
     if code:
         assert code in (2, 3) and len(err) == 1 and not out, (text, err)
     else:
@@ -478,8 +500,8 @@ def test_modular_profile_exit_code_contract(tmp_path_factory, text):
 ], ids=["nan-lambda", "level-0", "infinite-weight", "nested-too-deep", "lambda-string",
         "float-weight", "bool-level", "zero-lambda"])
 def test_modular_profile_invalid_exit_2(tmp_path, text):
-    code, out, err = _run_at_prec_64(["modular", "delta", "--profile",
-                                      _profile_file(tmp_path, text)])
+    code, out, err = _run_at_prec(["modular", "delta", "--profile",
+                                   _profile_file(tmp_path, text)])
     assert code == 2 and len(err) == 1 and not out, err
     assert "--profile" in err[0]
 

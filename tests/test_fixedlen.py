@@ -7,12 +7,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import gammazeta
 
+from partizeta import fixedlen as fixedlen_module
 from partizeta.fixedlen import (
     MZV_MAX_TERMS,
     MZVIndex,
-    _ZETA_EXTRA_BITS,
     compositions,
     decoupling_check,
     fixedlen_zeta,
@@ -50,6 +49,22 @@ def test_fixedlen_exact_examples():
 def test_fixedlen_exact_rejects_odd():
     with pytest.raises(ValueError):
         fixedlen_zeta_exact(3, 2)
+
+
+def test_numeric_values_take_zeta_from_the_power_sum_engine(monkeypatch):
+    # one engine for zeta(mj): the numeric path calls no mpmath zeta
+    monkeypatch.setattr(fixedlen_module, "riemann_zeta", None)
+    monkeypatch.setattr(mp, "zeta", None)
+    assert fixedlen_zeta(3, 4, PREC) > 1 and 0 < mzv_equal_args(3, 4, PREC) < 1
+
+
+def test_exact_budget_admits_a_table_built_in_a_second(monkeypatch):
+    # B_1900 builds cold in ~0.9 s and is inside the budget, B_3000 (3.9 s)
+    # is past it; only the budget is exercised, on a stub table
+    monkeypatch.setattr(fixedlen_module, "zeta_even_rational", lambda n: Fraction(1))
+    assert fixedlen_zeta_exact(1900, 1) == 1
+    with pytest.raises(ArithmeticError, match="EXACT_MAX_WORK"):
+        fixedlen_zeta_exact(3000, 1)
 
 
 def test_fixedlen_pzv_family():
@@ -103,21 +118,15 @@ def test_mzv_equal_args_keeps_relative_precision(n, k):
         assert abs(v - ref) < mp.mpf(2) ** -248 * ref
 
 
-def test_series_work_prices_zeta_at_mpmaths_precision(monkeypatch):
-    # SERIES_MAX_WORK picks mpmath's zeta branch by the precision its
-    # mpf_zeta_int runs at, 20 bits above the one it is called at
-    seen = []
-    inner = gammazeta.mpf_zeta_int
-
-    def spy(s, prec, *rest):
-        seen.append(prec + 20)
-        return inner(s, prec, *rest)
-
-    monkeypatch.setattr(gammazeta, "mpf_zeta_int", spy)
-    fixedlen_zeta(7, 2, 300)
-    mzv_equal_args(3, 3, 100)
-    wp = 100 + math.ceil(3 * math.log2(6))
-    assert seen == [300 + _ZETA_EXTRA_BITS] * 2 + [wp + _ZETA_EXTRA_BITS] * 3
+@pytest.mark.parametrize("prec", [64, 128, 256, 512, 1024])
+@pytest.mark.parametrize("fn, m, k", [(fixedlen_zeta, 2, 5), (fixedlen_zeta, 3, 12),
+                                      (mzv_equal_args, 3, 4), (mzv_equal_args, 5, 6)])
+def test_series_values_precision_sweep(fn, m, k, prec):
+    # each value within 2^(4-prec) relative of the same call at 2 prec + 64
+    v = fn(m, k, prec)
+    with mp.workprec(2 * prec + 64):
+        ref = fn(m, k, 2 * prec + 64)
+        assert abs(v - ref) <= mp.ldexp(abs(ref), 4 - prec)
 
 
 def test_mzv_exact_family():

@@ -36,6 +36,7 @@ from partizeta.numerics import roots as roots_module
 from partizeta.numerics import tables as tables_module
 from partizeta.numerics import zeta as zeta_module
 from partizeta.numerics import (
+    GUARD_BITS,
     RootFindingError,
     TruncatedSeries,
     bernoulli,
@@ -412,6 +413,31 @@ def test_power_table_is_lazy(mp_powers):
         powers[64]
         powers[58]
     assert mp_powers[0] == 2 and sorted(powers._entries) == [1, 2, 4, 8, 16, 29, 32, 58, 64]
+
+
+# class tails as the Euler product asks for them at 256 bits (r, L, N, J):
+# 2N's class, the class 1 mod 6 of 3N|1+2N, and 2+2N at complex s
+@pytest.mark.parametrize("s, r, L, N, J", [(mp.mpf("2.0037"), 0, 2, 33, 28),
+                                           (mp.mpf("2.2"), 1, 6, 11, 25),
+                                           (mp.mpc(3, "0.8"), 0, 2, 33, 19)])
+def test_class_tails_certificates_cover_the_unrounded_error(s, r, L, N, J):
+    # the integer tails before any rounding to an mp number: within err
+    # ulps of sum_{i >= N} (Li + r)^-js = L^-js zeta(js, N + r/L) at the
+    # truncated s the engine works with, plus the relative rounding of the
+    # mp powers that err leaves to the guard bits (2^-wp for each of the at
+    # most 10 prime factors of a base, compounded over j multiples: j = 1 of
+    # 2N is off by 2.6 x 10^7 ulps, all of it this)
+    with working(PREC, GUARD_BITS):
+        wp = mp.mp.prec
+        powers = zeta_module._Powers(s, wp + 32)
+        tails = zeta_module._class_tails(powers, J, r, L, N, False)
+        s = powers.s
+    F = powers.F
+    with mp.workprec(2 * F + 64):
+        for j, (re, im, err) in enumerate(tails, 1):
+            ref = mp.zeta(j * s, N + mp.mpf(r) / L) / mp.mpf(L) ** (j * s)
+            got = mp.mpc(mp.ldexp(re, -F), mp.ldexp(im, -F))
+            assert abs(got - ref) <= mp.ldexp(err, -F) + j * mp.ldexp(abs(ref), 4 - wp), j
 
 
 @pytest.mark.parametrize("s", [mp.mpf("2.2"), mp.mpc(3, "0.8")])

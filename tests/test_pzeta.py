@@ -158,6 +158,13 @@ def test_log_eval_general_cross_route():
             lhs = mp.exp(log_eval_general(a, m, n, PREC))
             rhs = closed_form_gamma(a, m, n, PREC)
             assert abs(lhs - rhs) < mp.mpf("1e-40"), (a, m, n)
+    # a > m: max |z_r| > 1, and each term multiplies the error of its
+    # zeta(k) - 1 by |z_r|^k
+    for (a, m, n) in ((3, 2, 3), (2, 2, 3), (5, 3, 3)):
+        v = log_eval_general(a, m, n, PREC)
+        with mp.workprec(2 * PREC + 64):
+            ref = mp.log(closed_form_gamma(a, m, n, 2 * PREC + 64))
+            assert abs(v - ref) <= mp.ldexp(abs(ref), 12 - PREC), (a, m, n)
 
 
 def test_log_eval_general_rejects_divergent_expansion():

@@ -188,6 +188,16 @@ def _tau(n: int) -> int:
     return _TAU_CACHE[n - 1]
 
 
+# work budget of lambda_delta, in units of ~1 us: its terms, at least
+# floor((prec - 10) ln 2 / (2 pi)) of them, at 400 + wp^2/2000 each for an
+# integer s (two incomplete gamma values in closed form) and 8000 + wp^2/12
+# for any other s (two by series). Priced and timed, per value: s = 6 at
+# 2048 bits 6.0 x 10^5, 0.66 s; s = 6 at 4096 bits 4.1 x 10^6, 4.6 s;
+# s = 5.5 at 512 bits 2.0 x 10^6, 1.8 s, at 1024 bits 1.2 x 10^7, 9.9 s
+# (2-core x86 VM, CPython 3.11, mpmath pure-Python backend)
+LAMBDA_MAX_WORK = 2 ** 21
+
+
 @guarded(extra=32)
 def lambda_delta(s, prec: int = DEFAULT_PREC):
     """Completed critical value of the weight-12 level-1 form at s in [1, 11].
@@ -195,11 +205,21 @@ def lambda_delta(s, prec: int = DEFAULT_PREC):
     Split-integral series Lambda(s) = sum_n tau(n) [Gamma(s,2 pi n)/(2 pi n)^s
     + Gamma(12-s,2 pi n)/(2 pi n)^{12-s}]; terms decay like e^{-2 pi n}, and
     truncation stops once the bound |tau(n)| <= n^6.5 puts the remaining sum
-    under 2^(10-prec)/100.
+    under 2^(10-prec)/100. Target: within 2^(10-prec) of the exact value
+    (the guard bits hold the rounding of the terms). A price above
+    LAMBDA_MAX_WORK raises ArithmeticError (work budget) before any term.
     """
     s = mp.mpf(s)
     if not (1 <= s <= 11):
         raise ValueError("critical strip for weight 12 is 1 <= s <= 11")
+    wp = mp.mp.prec
+    # e^{-2 pi n} <= tail(n), so the series keeps at least this many terms
+    terms = (prec - 10) * 1000 // 9065
+    work = terms * (400 + wp * wp // 2000 if s == int(s) else 8000 + wp * wp // 12)
+    if work > LAMBDA_MAX_WORK:
+        raise ArithmeticError(f"Lambda({mp.nstr(s, 8)}) at {prec} bits needs {work} units of "
+                              f"incomplete gamma values; its work budget is "
+                              f"LAMBDA_MAX_WORK = {LAMBDA_MAX_WORK}")
     target = mp.ldexp(1, 10 - prec) / 100
 
     def tail(n):  # sum_{j>=n} j^6.5 * 2 * max(Gamma-factor), decreasing for n >= 3
@@ -209,7 +229,6 @@ def lambda_delta(s, prec: int = DEFAULT_PREC):
     n_stop = 2  # the series keeps the terms n < n_stop, about prec ln 2/(2 pi) of them
     while tail(n_stop) >= target:
         n_stop += 1
-    wp = mp.mp.prec
     total = mp.mpf(0)
     for n in range(1, n_stop):
         x = 2 * mp.pi * n
@@ -247,23 +266,22 @@ class LProfile:
     def validate(self, tol=1e-20) -> None:
         """Functional equation, monotone chain, and the sign -1 central zero.
 
-        Runs at elevated working precision so the ambient context cannot
-        introduce phantom deviations in the stored values.
+        Every difference is exact (mpmath's ``exact`` arithmetic) and every
+        comparison with tol too, so the values are checked at their own
+        precision, whatever the ambient context.
         """
         k = self.weight
-        with working(max(mp.mp.prec, 512)):
-            for j in range(k - 1):
-                dev = abs(self.lam[j] - self.sign * self.lam[k - 2 - j])
-                if dev > tol:
-                    raise ValueError(
-                        f"functional equation violated at j={j}: |dev|={dev}")
-            chain = [self.lam[j] for j in range(k // 2 - 1, k - 1)]
-            if any(chain[i] > chain[i + 1] + tol for i in range(len(chain) - 1)) \
-                    or chain[0] < -tol:
-                raise ValueError(
-                    "monotone chain 0 <= Lambda(k/2) <= ... <= Lambda(k-1) violated")
-            if self.sign == -1 and abs(self.lam[k // 2 - 1]) > tol:
-                raise ValueError("sign -1 requires Lambda(k/2) = 0")
+        lam = self.lam
+        for j in range(k - 1):
+            dev = (mp.fsub if self.sign == 1 else mp.fadd)(lam[j], lam[k - 2 - j], exact=True)
+            if not -tol <= dev <= tol:
+                raise ValueError(f"functional equation violated at j={j}: |dev|={abs(dev)}")
+        chain = lam[k // 2 - 1:]
+        if any(mp.fsub(a, b, exact=True) > tol for a, b in zip(chain, chain[1:])) \
+                or chain[0] < -tol:
+            raise ValueError("monotone chain 0 <= Lambda(k/2) <= ... <= Lambda(k-1) violated")
+        if self.sign == -1 and not -tol <= lam[k // 2 - 1] <= tol:
+            raise ValueError("sign -1 requires Lambda(k/2) = 0")
 
     @guarded()
     def l_value(self, j: int, prec: int = DEFAULT_PREC):

@@ -20,7 +20,6 @@ from .gamma import incomplete_gamma_upper, log_gamma
 from .zeta import (
     direct_zeta_start,
     euler_bernoulli_genfunc_check,
-    power_sum_tail,
     power_sum_tails,
     riemann_zeta,
     zeta_multiples_direct,
@@ -60,7 +59,6 @@ __all__ = [
     "poly_roots",
     "poly_to_mpc",
     "poly_trim",
-    "power_sum_tail",
     "power_sum_tails",
     "riemann_zeta",
     "stirling1",

@@ -24,6 +24,14 @@ class RootFindingError(ArithmeticError):
 
 # Durand-Kerner sweeps before polyroots gives up
 MAX_STEPS = 400
+# work budget of poly_roots, in units of ~1 us: n^3 (50 + wp^2/40000) for
+# degree n at the iteration precision wp = 2 prec + 8 n + 64 (sweeps of n^2
+# products, about n of them). Priced and timed: degree 34 at 256 bits
+# 2.6 x 10^6, 2.5 s; degree 38 at 256 bits (a weight-40 profile)
+# 3.8 x 10^6, ~3 s; degree 10 at 4096 bits 1.8 x 10^6, 1.7 s; degree 14 at
+# 152 bits 1.5 x 10^5, 0.19 s (2-core x86 VM, CPython 3.11, mpmath
+# pure-Python backend, one fresh process each)
+ROOTS_MAX_WORK = 2 ** 22
 
 
 @guarded()
@@ -32,6 +40,8 @@ def poly_roots(coeffs, prec: int = DEFAULT_PREC):
 
     Returns (roots, residuals) in the order described above. Residual
     contract: |p(z)| <= 2^-(prec/2) * sum_i |c_i| |z|^i for every root z.
+    A price above ROOTS_MAX_WORK raises ArithmeticError (work budget) before
+    any iteration.
     """
     coeffs = poly_trim(list(coeffs))
     n = len(coeffs) - 1
@@ -39,6 +49,11 @@ def poly_roots(coeffs, prec: int = DEFAULT_PREC):
         raise ValueError("poly_roots wants degree >= 1")
     # extra headroom: evaluation at |z| ~ R loses ~ n log2 R bits
     wp = 2 * prec + 8 * n + 64
+    work = n ** 3 * (50 + wp * wp // 40000)
+    if work > ROOTS_MAX_WORK:
+        raise ArithmeticError(f"the roots of a degree-{n} polynomial at {prec} bits need "
+                              f"{work} units of work; its work budget is "
+                              f"ROOTS_MAX_WORK = {ROOTS_MAX_WORK}")
     co = poly_to_mpc(coeffs, wp)
     # polyroots iterates at wp but stops once every correction is below the
     # eps of the calling context, 2^-(prec+24). A double root stalls near

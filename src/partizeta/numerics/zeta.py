@@ -2,26 +2,29 @@
 
 ``riemann_zeta`` wraps mpmath's ``zeta`` (analytic continuation included)
 with the pole rejections this package relies on. ``_class_tails`` is the
-one Euler-Maclaurin engine: sum_{i >= N} (Li + r)^{-js} for j = 1..J from
-one setup, which the restricted-part-set Euler products use for their
-congruence-class tails, and, scaled by L^{js}, ``power_sum_tails`` for
-sum_{i >= N} (i + r/L)^{-js}, which also gives the numeric ``fixedlen``
-values their zeta(mj) = 1 + sum_{i >= 2} i^{-mj}. Its base powers are
-integer powers k^-s from a ``_Powers`` table built once per request: k^-s
-is completely multiplicative, so only a prime costs an mp power
-(Johansson's trick for power sums, in the paper cited below). Past them it
-runs on fixed-point Python integers: the powers of every multiple, the
-correction terms, the assembly and the certificate, priced by their bits
-before any power (``POWER_SUM_MAX_WORK``). Each multiple sums only as many
-correction terms as its y^{-js} factor (y = L x0) leaves visible at the
-working precision (an exact integer comparison) and carries an explicit
-bound, rounded up: the first omitted term plus the truncation of every
-fixed-point step (Johansson, "Rigorous high-precision computation of the
-Hurwitz zeta function and its derivatives", 2015, for the remainder). The
-ratios of consecutive B_2v/(2v)! are floored from the exact Bernoulli
-table, once per working precision. ``zeta_multiples_direct`` gives zeta(sk)
-at the k where a short direct sum already reaches the working precision,
-which the log series over multiples uses.
+one Euler-Maclaurin engine, and it has one shape: the class sums
+sum_{i >= N} (Li + r)^{-js}, j = 1..J, from one setup. The
+restricted-part-set Euler products take their congruence-class tails from
+it. ``power_sum_tails`` is its class c mod 1, sum_{i >= N} (i + c)^{-js}
+for an integer c >= 0; it gives the numeric ``fixedlen`` values their
+zeta(mj) = 1 + sum_{i >= 2} i^{-mj}.
+
+The base powers are integer powers k^-s from a ``_Powers`` table built once
+per request. k^-s is completely multiplicative, so only a prime costs an mp
+power (Johansson's trick for power sums, in the paper cited below). Past
+them the engine runs on fixed-point Python integers: the powers of every
+multiple, the correction terms, the assembly and the certificate. Each
+setup is priced by its bits before any power (``POWER_SUM_MAX_WORK``). Each
+multiple sums only as many correction terms as its y^{-js} factor
+(y = L x0) leaves visible at the working precision, an exact integer
+comparison. It carries an explicit bound, rounded up: the first omitted
+term plus the truncation of every fixed-point step (Johansson, "Rigorous
+high-precision computation of the Hurwitz zeta function and its
+derivatives", 2015, for the remainder). The ratios of consecutive
+B_2v/(2v)! are floored from the exact Bernoulli table, once per working
+precision. ``zeta_multiples_direct`` gives zeta(sk) at the k where a short
+direct sum already reaches the working precision, which the log series over
+multiples uses.
 """
 
 from __future__ import annotations
@@ -38,18 +41,12 @@ from .series import TruncatedSeries
 from .tables import bernoulli_table, zeta_neg_int
 
 
-def power_sum_tail(w, c, N: int, prec: int = DEFAULT_PREC):
-    """(value, bound) for sum_{i=N}^{inf} (i+c)^{-w}, Re(w) > 1, c >= 0 exact,
-    N >= 1: the j = 1 entry of ``power_sum_tails``."""
-    return power_sum_tails(w, 1, c, N, prec)[0]
-
-
 # work budget of the Euler-Maclaurin setups, in units of ~1 us: at most
-# N_eff - N + 1 mp powers (one more for L^s) at 30 + wp^2/5000 each (a complex
-# one: 0.05 ms at 256 bits, 0.66 ms at 2048, 36 ms at 16,384; only primes and
-# non-integer s pay it all), which also covers the Bernoulli table to
-# B_(2V+2) (V^3 growth, a tenth of that), plus J (N_eff - N + V) fixed-point
-# steps at 1 + F^2/2^20 (a complex one: 1.3 us at 256 bits, 5.7 us at 2048).
+# N_eff - N + 1 mp powers at 30 + wp^2/5000 each (a complex one: 0.05 ms at
+# 256 bits, 0.66 ms at 2048, 36 ms at 16,384; only primes and non-integer s
+# pay it all), which also covers the Bernoulli table to B_(2V+2) (V^3
+# growth, a tenth of that), plus J (N_eff - N + V) fixed-point steps at
+# 1 + F^2/2^20 (a complex one: 1.3 us at 256 bits, 5.7 us at 2048).
 # Priced and timed: the heaviest tier-1 class 8.4 x 10^5, 0.6 s; 2N at s = 2,
 # --prec 2048 9.0 x 10^5, 0.5 s, --prec 3150 (the last that runs) 4.2 x 10^6,
 # 1.6 s; zeta(1835) at 15,000 bits 1.2 x 10^8, 14.6 s (2-core x86 VM,
@@ -102,11 +99,19 @@ def _mul(a: int, b: int, p: int, q: int, F: int) -> tuple[int, int]:
     return k - b * (p + q) >> F, k + a * (q - p) >> F
 
 
+# trial division stops below this divisor: a k with no smaller factor is
+# one mp power, truncated once like a prime's, so a huge part (a prime such
+# as 2^89 - 1, say) costs at most ~2000 divisions
+_TRIAL_DIVISORS = 1 << 12
+
+
 def _least_prime_factor(k: int) -> int:
+    """The least prime factor of k >= 2, or k when it has none below
+    _TRIAL_DIVISORS."""
     if not k & 1:
         return 2
     d = 3
-    while d * d <= k:
+    while d * d <= k and d < _TRIAL_DIVISORS:
         if k % d == 0:
             return d
         d += 2
@@ -119,8 +124,9 @@ class _Powers:
     units of 2^-F. s is first truncated to the grid (exact for arguments of
     at most F - 32 bits). An entry is made on first use, so a request pays
     only for the k it reads: a prime costs one mp power at the working
-    precision, truncated (err 2); a composite k = p m, p its least prime
-    factor, is the fixed product of the entries of p and m, off by
+    precision, truncated (err 2), and so does a k with no factor below
+    _TRIAL_DIVISORS; any other k = p m, p its least prime factor, is the
+    fixed product of the entries of p and m, off by
     |p^-s| err(m) + |m^-s| err(p) + 2 <= (err(p) + err(m))/2 + 2 since
     p, m >= 2 (err(p) = 2, so err stays <= 6). The relative rounding of the
     mp powers (2^-wp each, once per prime factor) is left to the guard bits,
@@ -162,19 +168,18 @@ class _Powers:
         return entry
 
 
-def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int, scaled: bool):
+def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int):
     """[(re, im, err)] at scale 2^-F (F = powers.F) for the class sums
-    sum_{i >= N} (Li + r)^{-js}, j = 1..J, L >= 1, r >= 0, N >= 1; with
-    ``scaled``, sum_{i >= N} (i + r/L)^{-js}, the same sums times L^{js}.
-    err bounds the error in units of 2^-F.
+    sum_{i >= N} (Li + r)^{-js}, j = 1..J, L >= 1, r >= 0, N >= 1. err
+    bounds the error in units of 2^-F.
 
     Euler-Maclaurin at x0 = N_eff + r/L, set up once for all J multiples, on
     Python integers at scale 2^F (pairs for complex s). The base powers
     (Li + r)^{-s}, N <= i < N_eff, and y^{-s}, y = L N_eff + r, come from
-    ``powers`` (scaled: times L^s, one mp power, one product each); every x0
-    term is formed from the exact y and L. The head powers and y^{-js} are
-    running products of the j = 1 powers; a head power whose fixed-point
-    value reaches 0 stays 0 and is dropped. Multiple j adds
+    ``powers``; every x0 term is formed from the exact y and L. The head
+    powers and y^{-js} are running products of the j = 1 powers; a head
+    power whose fixed-point value reaches 0 stays 0 and is dropped. Multiple
+    j adds
     y^{-w} (x0/(w-1) + 1/2 + sum_v T_v), w = js,
     T_v = B_{2v}/(2v)! x0^{1-2v} (w)_{2v-1}, stepped as
     T_{v+1} = T_v rho_v (w+2v-1)(w+2v) with rho_v = beta_v x0^{-2}; the
@@ -195,10 +200,10 @@ def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int, scaled: bool):
     ONE = 1 << F
     sr, si = powers.sr, powers.si
     # with Re(js) >= F + 1 + bitlen(a), a = LN + r, the sum is at most
-    # b^(-Re js) (1 + b) <= 2^-F once its first base b (a, or a/L when scaled)
-    # is >= 2: 0, off by at most 1 (a huge s needs no power and no 2^(Re js))
+    # a^(-Re js) (1 + a) <= 2^-F once its first base a is >= 2: 0, off by at
+    # most 1 (a huge s needs no power and no 2^(Re js))
     a = L * N + r
-    live = J if a < (2 * L if scaled else 2) else ((F + 1 + a.bit_length()) * ONE - 1) // sr
+    live = J if a < 2 else ((F + 1 + a.bit_length()) * ONE - 1) // sr
     zeros = max(0, J - live)
     J -= zeros
     if not J:
@@ -208,16 +213,9 @@ def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int, scaled: bool):
     # 2v < 2 pi x0, so push the expansion point out past ~V, far enough for
     # the largest |Im(js)|
     N_eff = max(N, V + 2 + J * abs(si) // (4 * ONE))
-    _check_work(N_eff - N + 1 + (scaled and L > 1), J * (N_eff - N + V), wp,
-                f"the power-sum tail of {J} multiples")
+    _check_work(N_eff - N + 1, J * (N_eff - N + V), wp, f"the power-sum tail of {J} multiples")
     y = L * N_eff + r  # x0 = y/L
     base = [powers[L * i + r] for i in range(N, N_eff)] + [powers[y]]
-    if scaled and L > 1:
-        # L^s t, t = (Li + r)^-s, is off by |L^s| err(t) + |t| err(L^s) + 2,
-        # err(L^s) <= 2
-        lr, li = powers.pair(mp.mpf(L) ** powers.s)
-        lam = _modulus(lr, li) + 2  # >= |L^s|
-        base = [(*_mul(lr, li, tr, ti, F), -(-lam * te // ONE) + 4) for tr, ti, te in base]
     x0r, x0i, x0e = base.pop()
     br, bi = [b[0] for b in base], [b[1] for b in base]
     be = max((b[2] for b in base), default=0)
@@ -233,7 +231,7 @@ def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int, scaled: bool):
     inv_x0_2 = (L * L << F + G) // Y2  # x0^-2 2^(F+G)
     rho = [beta * inv_x0_2 >> F for beta in _bernoulli_ratios(V, F)]
     out = []
-    hr, hi = br, bi  # (Li+r)^{-w} (scaled: (i+c)^{-w}) and y^{-w} at w = js
+    hr, hi = br, bi  # (Li+r)^{-w} and y^{-w} at w = js
     xr, xi = x0r, x0i
     # (a + ib)(p + iq) in three products as in _mul, with p + q and q - p
     # formed once per base
@@ -329,30 +327,28 @@ def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int, scaled: bool):
 
 
 @guarded()
-def power_sum_tails(s, J: int, c, N: int, prec: int = DEFAULT_PREC):
+def power_sum_tails(s, J: int, c: int, N: int, prec: int = DEFAULT_PREC):
     """[(value, bound)] for sum_{i=N}^{inf} (i+c)^{-js}, j = 1..J; Re(s) > 1,
-    c >= 0 an exact rational (int or Fraction), N >= 1.
+    c a non-negative int, N >= 1.
 
-    One ``_class_tails`` pass at F = wp + 32, wp the working precision: with
-    c = r/L in lowest terms, the head powers and x0^{-s} are
-    L^s (Li + r)^{-s} and L^s (L N_eff + r)^{-s}, the integer powers from a
-    ``_Powers`` table of this call (one mp power per prime, one for L^s).
-    Each value and bound becomes an mp number once, the bound rounded up to
-    24 bits; zeta(js) - 1, j = 1..J, is one call. ValueError for c not an
-    exact rational >= 0 or N < 1; a price above POWER_SUM_MAX_WORK raises
+    One ``_class_tails`` pass for the class c mod 1 at F = wp + 32, wp the
+    working precision, its integer powers from a ``_Powers`` table of this
+    call (one mp power per prime). Each value and bound becomes an mp number
+    once, the bound rounded up to 24 bits; zeta(js) - 1, j = 1..J, is one
+    call. ValueError for c not an int >= 0 (a bool, Fraction or mp number
+    included) or N < 1; a price above POWER_SUM_MAX_WORK raises
     ArithmeticError (work budget) before any power is computed.
     """
-    if not isinstance(c, (int, Fraction)) or c < 0 or N < 1:
-        raise ValueError(f"power_sum_tails wants c an exact rational >= 0 (int or Fraction) "
-                         f"and N >= 1, not c = {c!r}, N = {N}")
+    if type(c) is not int or c < 0 or N < 1:
+        raise ValueError(f"power_sum_tails wants c a non-negative int and N >= 1, "
+                         f"not c = {c!r}, N = {N}")
     s = mp.mpmathify(s)
     if mp.re(s) <= 1:
         raise ValueError("power_sum_tails wants Re(s) > 1")
-    c = Fraction(c)
     powers = _Powers(s, mp.mp.prec + 32)
     cplx = isinstance(s, mp.mpc)
     return [(powers.value(vr, vi, cplx), mp.mpf(from_man_exp(err, -powers.F, 24, round_ceiling)))
-            for vr, vi, err in _class_tails(powers, J, c.numerator, c.denominator, N, True)]
+            for vr, vi, err in _class_tails(powers, J, c, 1, N)]
 
 
 # a direct sum of at most this many terms stands in for zeta(w) once Re(w)

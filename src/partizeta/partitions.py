@@ -113,7 +113,24 @@ class PartSet:
     __contains__ = contains
 
     def parts_upto(self, bound: int) -> list[int]:
-        return [k for k in range(1, bound + 1) if self.contains(k)]
+        """The members <= bound, ascending, enumerated directly: the base
+        range from min_part, or the class progressions from
+        max(min_part, a + m) and the explicit parts."""
+        lo = self.min_part
+        if not self.classes and not self.explicit_parts:
+            return list(range(lo, bound + 1))
+        parts = {k for k in self.explicit_parts if lo <= k <= bound}
+        for a, m in self.classes:
+            parts.update(range(a + m * max(1, -(-(lo - a) // m)), bound + 1, m))
+        return sorted(parts)
+
+    def parts_outside_tail(self, bound: int) -> list[int]:
+        """The members that the residues of ``tail_classes`` above
+        bound >= tail_start() leave out, ascending: every member <= bound,
+        then the explicit parts above it that no class covers."""
+        return self.parts_upto(bound) + sorted(
+            k for k in self.explicit_parts
+            if k > bound and not any((k - a) % m == 0 for a, m in self.classes))
 
     def is_divergent_for_zeta(self) -> bool:
         """1 is a member with unbounded multiplicity."""
@@ -142,14 +159,15 @@ class PartSet:
             caps.append(self.max_ones)
         return min(caps) if caps else UNBOUNDED
 
-    def tail_classes(self, bound: int):
-        """Disjoint congruence description of members > bound.
+    def tail_classes(self):
+        """Disjoint congruence description of the members past tail_start().
 
-        Returns (modulus M, residues), M the lcm of class moduli; members
-        above max(bound, class starts, explicit parts) are exactly the
-        integers in those residues mod M. Overlapping classes collapse to a
-        single residue here, which is what keeps unioned Euler products from
-        double counting.
+        Returns (modulus M, residues), M the lcm of class moduli; the
+        members above tail_start() are exactly the integers in those
+        residues mod M and the explicit parts that no class covers
+        (``parts_outside_tail``). Overlapping classes collapse to a single
+        residue here, which is what keeps unioned Euler products from double
+        counting.
         """
         if not self.classes and not self.explicit_parts:
             return 1, {0}
@@ -163,13 +181,10 @@ class PartSet:
         return M, residues
 
     def tail_start(self) -> int:
-        """Bound above which membership is purely congruence/base described."""
-        s = self.min_part
-        if self.explicit_parts:
-            s = max(s, max(self.explicit_parts))
-        for a, m in self.classes:
-            s = max(s, a)
-        return s
+        """Bound above which membership is the congruence or base
+        description plus the explicit parts: min_part and every class
+        residue a."""
+        return max([self.min_part, *(a for a, _ in self.classes)])
 
     # -- text grammar ---------------------------------------------------
     def spec_string(self) -> str:

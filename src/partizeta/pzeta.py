@@ -109,8 +109,10 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     needed only for the Dirichlet-series identity that
     ``dirichlet_series_oracle`` checks, not for the product.
 
-    The factors up to a cutoff K >= 64 are multiplied out as one product P;
-    the dropped log-tail T is sum_j 1/j sum_r chi(r)^j sum_{k>K, k = r mod L}
+    The factors up to a cutoff K >= 64 (past min_part and every class
+    residue), and the explicit parts past K that no class covers, are
+    multiplied out as one product P, their parts enumerated directly; the
+    dropped log-tail T is sum_j 1/j sum_r chi(r)^j sum_{k>K, k = r mod L}
     k^-js over the member classes r mod L = lcm(q, M), each class's power
     sums for all j from one Euler-Maclaurin setup (``_class_tails``). The
     value is P^-1 exp(T), or P exp(-T) for distinct parts: only exp of the
@@ -151,12 +153,13 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     # the accelerated tail converges geometrically in j, so a modest cutoff
     # suffices; it only must clear every non-congruence irregularity
     K = max(64, spec.tail_start() + 1)
-    # the finite part over parts in (1, K]: at most an mp power each, priced
-    # before any power like the tails'
-    parts = [k for k in spec.parts_upto(K) if k > 1 and chi[k % q] != 0]
+    # the finite part over the parts in (1, K] and the explicit parts past K
+    # that no class covers: at most an mp power each, priced before any
+    # power like the tails'
+    parts = [k for k in spec.parts_outside_tail(K) if k > 1 and chi[k % q] != 0]
     _check_work(len(parts), 0, F - 32, f"the finite product over {len(parts)} parts")
     tail_r = tail_i = err = 0  # T and its certificate, at 2^-F
-    M, residues = spec.tail_classes(K)
+    M, residues = spec.tail_classes()
     if M is not None:
         L = math.lcm(q, M)
         jmax = max(4, math.ceil((prec + 60) / (float(sigma) * math.log2(K))) + 1)
@@ -168,7 +171,7 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
                 # members > K congruent to r mod L: first is K+((r-K) mod L or L)
                 step = (r - K) % L
                 i0 = (K + (step if step else L) - r) // L  # first = r + L*i0
-                tails = _class_tails(powers, jmax, r, L, i0, False)
+                tails = _class_tails(powers, jmax, r, L, i0)
                 got = sums.get(r % q)
                 sums[r % q] = tails if got is None else [
                     (a + x, b + y, e + f) for (a, b, e), (x, y, f) in zip(got, tails)]
@@ -233,8 +236,11 @@ def closed_form_gamma(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
 
     The zeta value over parts {a+m, a+2m, ...} at integer argument n. The
     product is real after pairing conjugate factors; the imaginary residue is
-    checked against 2^-(prec/2) before being discarded. n above GAMMA_MAX_N
-    raises ArithmeticError (work budget) before any evaluation.
+    checked against 2^-(prec/2) before being discarded. Target: within
+    2^(1-prec) of the exact value, relative; the n + 1 log-gamma values at
+    prec + 72 bits lose log2(n + 1) + 8 bits and the log of their largest
+    modulus, well inside 72, and the result is rounded once. n above
+    GAMMA_MAX_N raises ArithmeticError (work budget) before any evaluation.
     """
     CongruenceClassSpec(a, m)
     if n < 2:

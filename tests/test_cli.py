@@ -19,11 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partizeta import cli
+from partizeta import cli, pzeta
 from partizeta.cli import main
 from partizeta.fixedlen import EXACT_MAX_WORK, MZV_MAX_TERMS, SERIES_MAX_WORK
+from partizeta.modular import LAMBDA_MAX_WORK
+from partizeta.numerics import working
+from partizeta.numerics.roots import ROOTS_MAX_WORK
 from partizeta.numerics.zeta import POWER_SUM_MAX_WORK
 from partizeta.padic import PADIC_MAX_BERNOULLI
+from partizeta.partitions import parse_part_set
 from partizeta.pzeta import GAMMA_MAX_N, LOG_SERIES_MAX_ZETA
 
 PREC_ARGS = ["--prec", "192"]
@@ -100,12 +104,35 @@ def test_pzeta_divergent_spec_exit_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("s", ["nan", "inf", "2,nan", "two"])
+@pytest.mark.parametrize("s", ["nan", "inf", "2,nan", "two", "1/0", "2j3", "+j"])
 def test_pzeta_non_numeric_s_exit_2(capsys, s):
     code = main([*PREC_ARGS, "pzeta", "--spec", "2N", "--s", s])
     assert code == 2
     err = capsys.readouterr().err
     assert "--s" in err and "convert" not in err
+
+
+@pytest.mark.parametrize("prec", [64, 1024])
+def test_s_tokens_read_as_mpmath_reads_them(prec):
+    # exact parts, rounded once: the bits of mpmath's own string conversion
+    tokens = ["2", "-1", "0.21", "1e-9", "3.3", "1/3", " 3 ", ".5", "1e3", "2.0037", "1e401",
+              "2+1j", "2.5+1J", "(2+1j)", "-2.5j", "2+0j", "3 + 0.8j"]
+    with working(prec):
+        for tok in tokens:
+            got, want = cli._parse_s(tok), mp.mpmathify(tok)
+            assert type(got) is type(want) and got == want, tok
+
+
+@pytest.mark.parametrize("s, code", [("2.5+1j", 3), ("0.5", 2)])
+def test_s_parse_is_cheap_at_a_huge_prec(capsys, s, code):
+    # mpmath normalizes the exact quotient 25/10 a byte at a time: 3.6 s at
+    # 10^6 bits before the budget refused the product (exit 3) or no route
+    # applied (exit 2)
+    t0 = time.perf_counter()
+    assert main(["--prec", "1000000", "pzeta", "--spec", "2N", "--s", s,
+                 "--routes", "product"]) == code
+    assert time.perf_counter() - t0 < 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_default_tol_follows_prec(capsys):
@@ -218,6 +245,30 @@ def test_work_budgets_refuse_at_once(capsys, mp_powers, argv, budget):
     assert mp_powers[0] == 0
 
 
+def _weight_200_profile(tmp_path):
+    # Lambda(100..199) = 1, 2, ..., 100 and the functional equation below
+    upper = [str(j) for j in range(1, 101)]
+    return _profile_file(tmp_path, json.dumps(
+        {"weight": 200, "level": 1, "sign": 1, "lambda": upper[:0:-1] + upper}))
+
+
+@pytest.mark.parametrize("argv, budget", [
+    # the period polynomial of degree 198: ~1.3 x 10^9 units, hours
+    (lambda tmp: ["modular", "delta", "--profile", _weight_200_profile(tmp)],
+     f"ROOTS_MAX_WORK = {ROOTS_MAX_WORK}"),
+    # ~11,000 terms of incomplete gamma values at 10^5 bits per completed value
+    (lambda tmp: ["--prec", "100000", "modular", "delta"], f"LAMBDA_MAX_WORK = {LAMBDA_MAX_WORK}"),
+], ids=["weight-200-profile", "delta-at-100000-bits"])
+def test_modular_work_budgets_refuse_at_once(tmp_path, capsys, mp_powers, argv, budget):
+    t0 = time.perf_counter()
+    code = main(argv(tmp_path))
+    assert code == 3 and time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert not out and budget in err
+    assert len(err.strip().splitlines()) == 1
+    assert mp_powers[0] == 0
+
+
 def test_mzv_bruteforce_index(capsys):
     code, out = run_cli(capsys, *PREC_ARGS, "mzv", "--index", "4,2", "--bound", "500")
     assert code == 0
@@ -285,6 +336,41 @@ def test_modular_delta_report_and_roots_csv(tmp_path, capsys):
     with mp.workprec(160):
         re_s, im_s, res_s = period_lines[1].split(",")
         assert abs(mp.sqrt(mp.mpf(re_s) ** 2 + mp.mpf(im_s) ** 2) - 1) < mp.mpf("1e-20")
+
+
+@pytest.mark.parametrize("spec, factors, rest", [
+    ("finite:{1000000}", [10 ** 6], None),
+    ("geq:1000000", [], None),
+    ("2N|finite:{1000001}", [1000001], "2N"),
+    ("finite:{618970019642690137449562111}", [2 ** 89 - 1], None),
+])
+def test_euler_product_cost_does_not_follow_the_largest_part(capsys, spec, factors, rest):
+    # the finite part enumerates its members and takes an explicit part past
+    # the cutoff as one factor: no scan up to the part, no trial division up
+    # to the root of a prime part
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "--prec", "64", "pzeta", "--spec", spec, "--s", "2",
+                        "--routes", "product")
+    assert code == 0 and time.perf_counter() - t0 < 1
+    with mp.workprec(64):
+        value = mp.mpf(json.loads(out)["results"][0]["value_re"])
+        want = mp.mpf(1)
+        for k in factors:
+            want /= 1 - mp.mpf(k) ** -2
+        if rest is not None:
+            want *= pzeta.euler_product(parse_part_set(rest), 2, prec=64)[0]
+        elif not factors:  # prod_{k >= N} k^2/(k^2 - 1) = N/(N - 1)
+            want = mp.mpf(10 ** 6) / (10 ** 6 - 1)
+        assert abs(value - want) <= mp.ldexp(want, -60)
+
+
+def test_modular_delta_validates_past_1024_bits(capsys):
+    # the profile check once ran at max(ambient, 512) bits, 552 under the
+    # CLI: sign * Lambda(12 - j) rounded a 1224-bit value to 552 bits and
+    # left a deviation of ~2^-560 from the equal Lambda(j), above the
+    # tolerance 2^-576, so the run exited 2
+    code, out = run_cli(capsys, "--prec", "1152", "modular", "delta")
+    assert code == 0 and json.loads(out)["profile"]["weight"] == 12
 
 
 def test_pzeta_gamma_route_work_budget(capsys):

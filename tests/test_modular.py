@@ -123,6 +123,16 @@ def test_lambda_delta_meets_its_target_at_high_precision():
         assert abs(v - w) < mp.ldexp(1, 10 - 2000) / 100
 
 
+@pytest.mark.parametrize("s", [1, 6])
+@pytest.mark.parametrize("prec", [64, 128, 256, 512, 1024])
+def test_lambda_delta_precision_sweep(s, prec):
+    # within its stated target, 2^(10-prec), of the same call at 2 prec + 64
+    v = lambda_delta(s, prec=prec)
+    ref = lambda_delta(s, prec=2 * prec + 64)
+    with mp.workprec(2 * prec + 64):
+        assert abs(v - ref) <= mp.ldexp(1, 10 - prec)
+
+
 def test_lambda_delta_monotone_chain(delta):
     chain = delta.lam[5:]
     assert all(chain[i] <= chain[i + 1] for i in range(len(chain) - 1))
@@ -172,6 +182,21 @@ def test_lprofile_rejects_fe_violation():
                        lam=[mp.mpf(1), mp.mpf("0.5"), mp.mpf(2)], source="bad")
         with pytest.raises(ValueError, match="functional"):
             bad.validate(tol=1e-20)
+
+
+def test_lprofile_validates_at_its_values_own_precision():
+    # 2048-bit values that meet the functional equation exactly: at any
+    # ambient precision (53 bits here) nothing may round them to less and
+    # report a deviation above 2^-1024
+    with mp.workprec(2048):
+        upper = [mp.mpf(j) + mp.sqrt(j) / 7 for j in range(6, 12)]
+    lam = upper[:0:-1] + upper
+    prof = LProfile(weight=12, level=1, sign=1, lam=lam, source="exact")
+    prof.validate(tol=mp.ldexp(1, -1024))
+    with mp.workprec(2048):
+        bad = LProfile(weight=12, level=1, sign=1, lam=[lam[0] + mp.ldexp(1, -1000), *lam[1:]])
+    with pytest.raises(ValueError, match="functional"):
+        bad.validate(tol=mp.ldexp(1, -1024))
 
 
 def _synthetic_minus(k: int, lam_pairs):

@@ -48,7 +48,6 @@ from partizeta.numerics import (
     poly_eval,
     poly_negate_var,
     poly_roots,
-    power_sum_tail,
     power_sum_tails,
     riemann_zeta,
     stirling1,
@@ -309,83 +308,107 @@ def test_zeta_rejections():
         riemann_zeta(mp.mpc(1, mp.mpf(2) ** -200), PREC)
 
 
-def test_power_sum_tail_vs_hurwitz_oracle():
+def test_power_sum_tails_vs_hurwitz_oracle():
     with mp.workprec(PREC + 20):
-        for (w, c, N) in ((mp.mpf(2), 0, 7), (mp.mpf(3), Fraction(1, 3), 11),
-                          (mp.mpc(2, 1), Fraction(1, 2), 9)):
-            val, bound = power_sum_tail(w, c, N, PREC)
-            ref = mp.zeta(w, N + _mp(c))
-            assert abs(val - ref) <= bound + TOL * max(1, abs(ref))
+        val, bound = power_sum_tails(mp.mpf(2), 1, 0, 7, PREC)[0]
+        ref = mp.zeta(2, 7)
+        assert abs(val - ref) <= bound + TOL * max(1, abs(ref))
+    # the classes 1 mod 3 from 34 and 1 mod 2 from 19, with a few multiples:
+    # at j = 1 the rounding of the mp powers, which err leaves to the guard
+    # bits, dwarfs err, so only the later multiples see the certificate
+    _assert_class_tails_cover_the_error(mp.mpf(3), 4, 1, 3, 11, PREC)
+    _assert_class_tails_cover_the_error(mp.mpc(2, 1), 4, 1, 2, 9, PREC)
 
 
-def test_power_sum_tails_first_entry_is_power_sum_tail():
-    # real s: the batch sets up Euler-Maclaurin exactly as the single tail does
-    for s, c, N in ((mp.mpf("2.013"), 0, 32), (mp.mpf(3), Fraction(1, 3), 11)):
-        assert power_sum_tails(s, 9, c, N, PREC)[0] == power_sum_tail(s, c, N, PREC)
+def _assert_class_tails_cover_the_error(s, J, r, L, N, prec, extra=0):
+    # the integer tails before any rounding to an mp number: within err
+    # ulps of sum_{i >= N} (Li + r)^-js = L^-js zeta(js, N + r/L) at the
+    # truncated s the engine works with, plus the relative rounding of the
+    # mp powers that err leaves to the guard bits (2^-wp for each of the at
+    # most 10 prime factors of a base, compounded over j multiples: j = 1 of
+    # 2N at 256 bits is off by 2.6 x 10^7 ulps, all of it this). The check is
+    # absolute at 2^-F, so the reference needs F bits and a margin, whatever
+    # the size of the value
+    with working(prec, extra):
+        wp = mp.mp.prec
+        powers = zeta_module._Powers(s, wp + 32)
+        tails = zeta_module._class_tails(powers, J, r, L, N)
+        s = powers.s
+    assert len(tails) == J
+    F = powers.F
+    with mp.workprec(F + 64):
+        for j, (re, im, err) in enumerate(tails, 1):
+            ref = mp.zeta(j * s, N + mp.mpf(r) / L) / mp.mpf(L) ** (j * s)
+            got = mp.mpc(mp.ldexp(re, -F), mp.ldexp(im, -F))
+            assert abs(got - ref) <= mp.ldexp(err, -F) + j * mp.ldexp(abs(ref), 4 - wp), j
 
 
-def _mp(c):
-    """An exact rational c as an mp number at the current precision."""
-    return mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mp.mpf(c)
-
-
-def _assert_bounds_cover_the_error(s, J, c, N, prec):
-    tails = power_sum_tails(s, J, c, N, prec)
+def _assert_bounds_cover_the_error(s, J, r, L, N, prec):
+    """The tails of the class r mod L from N: for L = 1, power_sum_tails'
+    mp values and bounds, rounding to prec bits included; for L > 1, the
+    engine's integers at the working precision power_sum_tails would use."""
+    if L > 1:
+        _assert_class_tails_cover_the_error(s, J, r, L, N, prec)
+        return
+    tails = power_sum_tails(s, J, r, N, prec)
     assert len(tails) == J
     # mp.zeta(w, a) at complex w is accurate only to ~2^-(wp+15) absolute at
-    # wp bits, and the value is ~(N+c)^-Re(w): the reference needs prec +
-    # Re(Js) log2(N+c) bits and a margin (at 192 bits it is wrong for j = 20,
+    # wp bits, and the value is ~(N+r)^-Re(w): the reference needs prec +
+    # Re(Js) log2(N+r) bits and a margin (at 192 bits it is wrong for j = 20,
     # s = 3+0.8i, N = 33)
-    extra = int(J * mp.re(s) * math.log2(N + c))
+    extra = int(J * mp.re(s) * math.log2(N + r))
     with mp.workprec(max(2 * prec, prec + extra) + 64):
         for j, (val, bound) in enumerate(tails, 1):
-            ref = mp.zeta(j * s, N + _mp(c))
+            ref = mp.zeta(j * s, N + r)
             # the bound leaves out the final rounding to prec bits
             assert abs(val - ref) <= bound + mp.ldexp(abs(ref), 1 - prec), (j, val, ref)
 
 
 # s = 3 at J = 40 and s = 2+5i at J = 20: the late multiples fall to a few
-# correction terms, or none
+# correction terms, or none; c0 is the class 0 mod 1 (power_sum_tails at
+# c = 0), c1 the class 1 mod 3
 @pytest.mark.parametrize("s, J", [(mp.mpf("1.05"), 14), (mp.mpf(3), 6),
                                   (mp.mpc("1.5", "7"), 10), (mp.mpc(2, -30), 8),
                                   (mp.mpf(3), 40), (mp.mpc(2, 5), 20)])
-@pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 3)])
+@pytest.mark.parametrize("r, L", [(0, 1), (1, 3)], ids=["c0", "c1"])
 @pytest.mark.parametrize("prec", [64, PREC])
-def test_power_sum_tails_bounds_cover_the_error(s, J, c, prec):
-    _assert_bounds_cover_the_error(s, J, c, 5, prec)
+def test_power_sum_tails_bounds_cover_the_error(s, J, r, L, prec):
+    _assert_bounds_cover_the_error(s, J, r, L, 5, prec)
 
 
-@pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 2)])
+@pytest.mark.parametrize("r, L", [(0, 1), (1, 2)], ids=["c0", "c1"])
 @pytest.mark.parametrize("prec", [64, PREC])
-def test_power_sum_tails_bounds_cover_the_error_of_the_2N_product(c, prec):
+def test_power_sum_tails_bounds_cover_the_error_of_the_2N_product(r, L, prec):
     # the tail classes of 2N at s near 2: J = 28 multiples from N = 33, whose
     # orders fall from ~50 to ~3 at 256 bits
-    _assert_bounds_cover_the_error(mp.mpf("2.0037"), 28, c, 33, prec)
+    _assert_bounds_cover_the_error(mp.mpf("2.0037"), 28, r, L, 33, prec)
 
 
-# the tail classes of the scan workload's Euler products: distinct near
-# s = 2.5 (class 0 mod 1 from N = 65), the classes 1 and 5 mod 6 of 3N|1+2N,
-# and 2+2N at complex s (class 0 mod 2 from N = 33); at 1024 bits the
-# head-heavy class 1 mod 6 and the complex one
-_SCAN_SHAPES = [(mp.mpf("2.5"), 23, Fraction(0), 65), (mp.mpf("2.2"), 10, Fraction(1, 6), 11),
-                (mp.mpf("2.2"), 10, Fraction(5, 6), 10), (mp.mpc(3, "0.8"), 20, Fraction(0), 33)]
+# the tail classes of the scan workload's Euler products (s, J, r, L, N):
+# distinct near s = 2.5 (class 0 mod 1 from N = 65), the classes 1 and 5
+# mod 6 of 3N|1+2N, and 2+2N at complex s (class 0 mod 1 from N = 33, its
+# members 2i scaled out); at 1024 bits the head-heavy class 1 mod 6 and the
+# complex one
+_SCAN_SHAPES = [(mp.mpf("2.5"), 23, 0, 1, 65), (mp.mpf("2.2"), 10, 1, 6, 11),
+                (mp.mpf("2.2"), 10, 5, 6, 10), (mp.mpc(3, "0.8"), 20, 0, 1, 33)]
 
 
-@pytest.mark.parametrize("s, J, c, N, prec", [
-    pytest.param(*shape, prec, id=f"{prec}-s{i}-{shape[1]}-c{i}-{shape[3]}")
+@pytest.mark.parametrize("s, J, r, L, N, prec", [
+    pytest.param(*shape, prec, id=f"{prec}-s{i}-{shape[1]}-c{i}-{shape[4]}")
     for prec in (64, PREC, 512, 1024) for i, shape in enumerate(_SCAN_SHAPES)
     if prec < 1024 or i in (1, 3)])
-def test_power_sum_tails_bounds_cover_the_error_of_scan_shapes(s, J, c, N, prec):
-    _assert_bounds_cover_the_error(s, J, c, N, prec)
+def test_power_sum_tails_bounds_cover_the_error_of_scan_shapes(s, J, r, L, N, prec):
+    _assert_bounds_cover_the_error(s, J, r, L, N, prec)
 
 
 @pytest.mark.parametrize("c, N", [(-1, 1), (0, 0), (Fraction(-3, 2), 1), (mp.mpf(1) / 3, 5),
-                                  (0.5, 5)])
+                                  (0.5, 5), (Fraction(1, 3), 5), (True, 1)])
 def test_power_sum_tails_enforces_its_domain(c, N):
-    # c must be an exact rational >= 0 and N >= 1: c = -1 and N = 0 once
-    # divided by zero, c = -3/2 returned a value outside the certificate's
-    # assumptions, and a rounded c stood for a slightly different sum
-    with pytest.raises(ValueError, match="exact rational"):
+    # c must be an int >= 0 and N >= 1: c = -1 and N = 0 once divided by
+    # zero, c = -3/2 returned a value outside the certificate's assumptions,
+    # a rounded c stood for a slightly different sum, and a rational c is a
+    # class r mod L, which only the engine itself takes
+    with pytest.raises(ValueError, match="non-negative int"):
         power_sum_tails(mp.mpf(2), 3, c, N, 64)
 
 
@@ -421,39 +444,24 @@ def test_power_table_is_lazy(mp_powers):
                                            (mp.mpf("2.2"), 1, 6, 11, 25),
                                            (mp.mpc(3, "0.8"), 0, 2, 33, 19)])
 def test_class_tails_certificates_cover_the_unrounded_error(s, r, L, N, J):
-    # the integer tails before any rounding to an mp number: within err
-    # ulps of sum_{i >= N} (Li + r)^-js = L^-js zeta(js, N + r/L) at the
-    # truncated s the engine works with, plus the relative rounding of the
-    # mp powers that err leaves to the guard bits (2^-wp for each of the at
-    # most 10 prime factors of a base, compounded over j multiples: j = 1 of
-    # 2N is off by 2.6 x 10^7 ulps, all of it this)
-    with working(PREC, GUARD_BITS):
-        wp = mp.mp.prec
-        powers = zeta_module._Powers(s, wp + 32)
-        tails = zeta_module._class_tails(powers, J, r, L, N, False)
-        s = powers.s
-    F = powers.F
-    with mp.workprec(2 * F + 64):
-        for j, (re, im, err) in enumerate(tails, 1):
-            ref = mp.zeta(j * s, N + mp.mpf(r) / L) / mp.mpf(L) ** (j * s)
-            got = mp.mpc(mp.ldexp(re, -F), mp.ldexp(im, -F))
-            assert abs(got - ref) <= mp.ldexp(err, -F) + j * mp.ldexp(abs(ref), 4 - wp), j
+    # at the Euler product's working precision, prec + 2 GUARD_BITS
+    _assert_class_tails_cover_the_error(s, J, r, L, N, PREC, GUARD_BITS)
 
 
 @pytest.mark.parametrize("s", [mp.mpf("2.2"), mp.mpc(3, "0.8")])
 def test_power_sum_tails_same_bits_with_a_cold_ratio_table(monkeypatch, s):
     # the Bernoulli ratio table is built once per working precision; a call
     # that builds it must give the bits of one that finds it built, also
-    # after the tables of other precisions exist
-    def call():
-        tails = power_sum_tails(s, 10, Fraction(1, 6), 11, PREC)
-        return [(v._mpc_ if isinstance(v, mp.mpc) else v._mpf_, b._mpf_) for v, b in tails]
+    # after the tables of other precisions exist (the class 1 mod 6 from 11)
+    def call(prec=PREC):
+        with working(prec):
+            return zeta_module._class_tails(zeta_module._Powers(s, mp.mp.prec + 32), 10, 1, 6, 11)
 
     monkeypatch.setattr(zeta_module, "_BERNOULLI_RATIOS", {})
     cold = call()
     monkeypatch.setattr(zeta_module, "_BERNOULLI_RATIOS", {})
     for prec in (64, 512, 1024):
-        power_sum_tails(s, 10, Fraction(1, 6), 11, prec)
+        call(prec)
     assert len(zeta_module._BERNOULLI_RATIOS) == 3
     assert call() == cold
     assert call() == cold

@@ -146,13 +146,35 @@ def test_partset_divergence_gate():
         brute_zeta(parse_part_set("0+1N"), 2, 10, 5)
 
 
+@pytest.mark.parametrize("text", ["2N", "3+4N|geq:10", "finite:{2,3,5,40}|5N|geq:3", "N|ones:1",
+                                  "distinct", "geq:7", "finite:{1,9}", "7+3N|2+5N|finite:{8}"])
+def test_partset_parts_enumerated_directly(text):
+    # the class progressions, explicit parts and base range, each from
+    # min_part, are the members that contains() picks one k at a time
+    ps = parse_part_set(text)
+    assert ps.parts_upto(120) == [k for k in range(1, 121) if ps.contains(k)]
+    K = max(64, ps.tail_start() + 1)
+    M, residues = ps.tail_classes()
+    tail = [k for k in range(K + 1, 400) if M is not None and k % M in residues]
+    outside = ps.parts_outside_tail(K)
+    assert sorted(outside + tail) == [k for k in range(1, 400) if ps.contains(k)]
+
+
+def test_partset_explicit_parts_past_the_cutoff_leave_the_tail_alone():
+    # an explicit part no class covers is one more factor, and one a class
+    # covers is already in the tail: the cutoff stays at 64
+    ps = parse_part_set("2N|finite:{3,1000001,1000002}")
+    assert ps.tail_start() == 1
+    assert ps.parts_outside_tail(64) == [2, 3, *range(4, 65, 2), 1000001]
+
+
 def test_partset_tail_classes_disjoint_union():
     ps = parse_part_set("2+6N|4+6N")
-    M, residues = ps.tail_classes(64)
+    M, residues = ps.tail_classes()
     assert M == 6
     assert residues == {2, 4}
     # overlapping classes collapse: 2N | 4N covers exactly the even residues
-    M, residues = parse_part_set("2N|4N").tail_classes(64)
+    M, residues = parse_part_set("2N|4N").tail_classes()
     assert M == 4
     assert residues == {0, 2}
 

@@ -135,6 +135,17 @@ def test_closed_form_examples():
         assert abs(closed_form_gamma(0, 3, 4, PREC) - want) < mp.mpf("1e-40")
 
 
+@pytest.mark.parametrize("a, m, n", [(0, 2, 2), (1, 3, 3), (2, 5, 4)])
+@pytest.mark.parametrize("prec", [64, 128, 256, 512, 1024])
+def test_closed_form_precision_sweep(a, m, n, prec):
+    # within its stated target, 2^(1-prec) relative, of the same call at
+    # 2 prec + 64
+    v = closed_form_gamma(a, m, n, prec)
+    ref = closed_form_gamma(a, m, n, 2 * prec + 64)
+    with mp.workprec(2 * prec + 64):
+        assert abs(v - ref) <= mp.ldexp(abs(ref), 1 - prec)
+
+
 def test_closed_form_matches_explicit_part_product():
     # class 1+4N means parts {5, 9, 13, ...}
     with mp.workprec(PREC + 20):
@@ -361,9 +372,9 @@ def test_dirichlet_reduces_to_euler_product():
 
 
 def test_dirichlet_self_consistency_two_truncations():
-    # geq:2 again, but with an explicit part 100 that moves the cutoff
-    # K = max(64, tail_start + 1) from 64 to 101
-    late = PartSet(classes=((0, 1),), min_part=2, explicit_parts=frozenset({100}))
+    # geq:2 again, but with a class 99 + N that moves the cutoff
+    # K = max(64, tail_start + 1) from 64 to 100
+    late = PartSet(classes=((0, 1), (99, 1)), min_part=2)
     assert late.parts_upto(300) == parse_part_set("geq:2").parts_upto(300)
     v1, b1 = dirichlet_partition_series(parse_part_set("geq:2"), (1, -1), 3, prec=PREC)
     v2, b2 = dirichlet_partition_series(late, (1, -1), 3, prec=PREC)

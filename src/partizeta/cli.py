@@ -9,7 +9,7 @@ identifier, and per-value route provenance.
 
 Exit codes: 0 success (a reader closing stdout early included), 1 selftest
 failure, 2 invalid parameters/spec/file, 3 numeric failure (non-convergence,
-a certificate above its target, a work budget exceeded, a failed p-adic
+a certificate above its target, the work budget exceeded, a failed p-adic
 check). ``main`` maps exceptions to these codes, one stderr line each.
 """
 

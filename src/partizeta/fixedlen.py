@@ -22,13 +22,19 @@ import mpmath as mp
 
 from .numerics import (
     DEFAULT_PREC,
+    GUARD_BITS,
+    WORK_BUDGET,
     bell_via_determinant,
     bell_via_series,
+    bernoulli_work,
+    check_work,
     guarded,
     power_sum_tails,
     riemann_zeta,
     zeta_even_rational,
 )
+from .numerics.bell import determinant_work
+from .numerics.zeta import power_sum_work
 
 
 @dataclass(frozen=True)
@@ -62,12 +68,13 @@ def fixedlen_zeta(m: int, k: int, prec: int = DEFAULT_PREC):
     """zeta over length-k partitions at integer argument m >= 2.
 
     pi^{mk} [z^{mk}] exp(sum_j zeta(mj)/j (z/pi)^{mj}) = B_k(a)/k! with
-    a_j = (j-1)! zeta(mj), by the exp-series route. Work past
-    SERIES_MAX_WORK (the series) or POWER_SUM_MAX_WORK (the zeta values)
-    raises ArithmeticError (work budget) before any evaluation.
+    a_j = (j-1)! zeta(mj), by the exp-series route. Its price, the series and
+    the zeta values (``_series_work``), is checked against the work budget
+    before any evaluation.
     """
     if m < 2 or k < 0:
         raise ValueError("need m >= 2, k >= 0")
+    check_work(_series_work(m, k, prec), f"the length-{k} value at argument {m} and {prec} bits")
     return _series_value(m, k, 1, prec)
 
 
@@ -76,9 +83,9 @@ def fixedlen_zeta_exact(m: int, k: int) -> Fraction:
 
     Even m only (odd zeta values have no exact path). B_k(a)/k! by the
     Hessenberg-determinant route, with a_j = (j-1)! zeta(mj)/pi^{mj}; the pi
-    powers are homogeneous in B_k, so they factor out as pi^{mk}. Work
-    m k^3 + (m k)^3 / 350 above EXACT_MAX_WORK raises ArithmeticError (work
-    budget) before any evaluation.
+    powers are homogeneous in B_k, so they factor out as pi^{mk}. Its price,
+    the determinant and the Bernoulli table to B_{mk}, is checked against
+    the work budget before any evaluation.
     """
     return Fraction(bell_via_determinant(_exact_sequence(m, k, 1)), math.factorial(k))
 
@@ -95,39 +102,25 @@ def mzv_equal_args(n: int, k: int, prec: int = DEFAULT_PREC):
 
     The series terms are O(1) while the value is at least (k!)^-n (the term
     n_i = i), so the series runs n log2(k!) bits above the working precision
-    to absorb the cancellation. Past SERIES_MAX_WORK or POWER_SUM_MAX_WORK
-    at that precision it raises ArithmeticError (work budget) before any
-    evaluation.
+    to absorb the cancellation. Its price at that precision is checked
+    against the work budget before any evaluation.
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2, k >= 0")
-    wp = prec
-    if k > 1:
-        _check_series_work(n, k, wp)  # checked alone first: k! is slow for a huge k
-        # n log2(k!) >= n (bit_length(k!) - 1), checked in integers first: n
-        # may not fit a float, nor 10^400 bits mpmath's precision setting
-        k_fact = math.factorial(k)
-        _check_series_work(n, k, prec + n * (k_fact.bit_length() - 1))
-        wp = prec + math.ceil(n * math.log2(k_fact))
+    # priced with log2(k!) rounded up from lgamma, times n in integers (n
+    # may not fit a float); past k = 2^53 the series alone is over the budget
+    bits = n * math.ceil(math.lgamma(min(k, 2 ** 53) + 1) / math.log(2))
+    check_work(_series_work(n, k, prec + bits), f"the MZV of {k} equal arguments {n} at {prec} bits")
+    wp = prec + math.ceil(n * math.log2(math.factorial(k))) if k > 1 else prec
     return _series_value(n, k, -1, wp)
 
 
 def mzv_equal_args_exact(n: int, k: int) -> Fraction:
     """Exact rational r with zeta({n}^k) = r * pi^{nk}, even n, by the
-    determinant route on the negated sequence, under the work budget
-    EXACT_MAX_WORK of ``fixedlen_zeta_exact``."""
+    determinant route on the negated sequence, priced as
+    ``fixedlen_zeta_exact``."""
     return (-1) ** k * Fraction(bell_via_determinant(_exact_sequence(n, k, -1)),
                                 math.factorial(k))
-
-
-# work budget of the exact routes: m k^3 + (m k)^3 / 350, their cost in units
-# of ~50 ns. The k x k determinant over rationals of ~m k log(m k) bits takes
-# ~m k^3: (2, 300) at 5.5 x 10^7 takes 2.2 s, (4, 150) 0.7 s, and (2, 400) at
-# 1.3 x 10^8 6.0 s. (m k)^3 / 350 prices the exact Bernoulli table to B_{mk},
-# which grows like n^3.2: B_1000 builds cold in 0.085 s (2.9 x 10^6 units),
-# B_1900 in 0.90 s (2.0 x 10^7), B_2500 in 2.0 s (4.5 x 10^7) and B_3000 in
-# 3.9 s (7.7 x 10^7; 2-core x86 VM, CPython 3.11, one fresh process each)
-EXACT_MAX_WORK = 2 ** 26
 
 
 def _exact_sequence(m: int, k: int, sign: int) -> list[Fraction]:
@@ -135,31 +128,20 @@ def _exact_sequence(m: int, k: int, sign: int) -> list[Fraction]:
         raise ValueError("exact route needs even m >= 2")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if m * k ** 3 + (m * k) ** 3 // 350 > EXACT_MAX_WORK:
-        raise ArithmeticError(f"the exact length-{k} value at argument {m} needs "
-                              f"m k^3 + (m k)^3 / 350 above its work budget "
-                              f"EXACT_MAX_WORK = {EXACT_MAX_WORK}")
+    check_work(determinant_work(m, k) + bernoulli_work(m * k),
+               f"the exact length-{k} value at argument {m}")
     # a_j = sign (j-1)! zeta(mj), the Bell arguments of the length-k value
     return [sign * math.factorial(j - 1) * zeta_even_rational(m * j) for j in range(1, k + 1)]
 
 
-# work budget of the numeric length-k series at series precision p, in units
-# of ~5 us: k (k + p), above the ~k^2 (p + 900)/1000 of its ~k^2/2 products
-# for every k <= 1000, and capping p at 2^18/k bits, past which one product
-# costs more than linearly in p. fixedlen (2, 480) at 64 bits (2.6 x 10^5)
-# takes 1.0 s, (8, 399) at 256 0.8 s and mzv (2, 129) at 256 (series
-# precision prec + n log2(k!); 2.5 x 10^5) 0.3 s (2-core x86 VM, CPython 3.11,
-# one fresh process each). The zeta values have POWER_SUM_MAX_WORK.
-SERIES_MAX_WORK = 2 ** 18
-
-
-def _check_series_work(m: int, k: int, prec: int) -> None:
-    """ArithmeticError (work budget) if the length-k series at argument m
-    and series precision prec needs more than SERIES_MAX_WORK."""
-    if k * (k + prec) > SERIES_MAX_WORK:
-        raise ArithmeticError(f"the length-{k} series at argument {m} and {prec} bits needs "
-                              f"k (k + p) = {k * (k + prec)}, above SERIES_MAX_WORK = "
-                              f"{SERIES_MAX_WORK}")
+def _series_work(m: int, k: int, prec: int) -> int:
+    """The price of ``_series_value(m, k, sign, prec)``: 4 k (k + prec) for
+    its ~k^2/2 products (fixedlen (2, 480) at 64 bits takes 1.0 s, (8, 399)
+    at 256 0.8 s; 2-core x86 VM, CPython 3.11), plus the zeta values, priced
+    at no more than WORK_BUDGET/4 bits: past that the series alone is over
+    the budget, and the cap keeps a 2^prec out of the price."""
+    return 4 * k * (k + prec) + power_sum_work(m, k, 0, 2,
+                                               min(prec, WORK_BUDGET // 4) + GUARD_BITS + 16)
 
 
 @guarded(extra=16)
@@ -167,11 +149,9 @@ def _series_value(m: int, k: int, sign: int, prec: int):
     """sign^k B_k(a)/k! for a_j = sign (j-1)! zeta(mj), as an mpf, 16 bits
     above the guarded precision. zeta(mj) = 1 + sum_{i >= 2} i^{-mj},
     j = 1..k, from one ``power_sum_tails`` setup, the 1 added exactly (from
-    i = 1 the head 1^{-mj} = 1 would make the bounds grow like 2^j). Work past
-    SERIES_MAX_WORK, or POWER_SUM_MAX_WORK for the zeta values, raises
-    ArithmeticError (work budget) before any power is computed.
+    i = 1 the head 1^{-mj} = 1 would make the bounds grow like 2^j). Its
+    callers check ``_series_work`` first.
     """
-    _check_series_work(m, k, prec)
     if k == 0:  # B_0 of the empty sequence is the exact 1
         return mp.mpf(1)
     tails = power_sum_tails(m, k, 0, 2, mp.mp.prec)
@@ -180,19 +160,15 @@ def _series_value(m: int, k: int, sign: int, prec: int):
 
 
 # ----------------------------------------------------------------------
-# work budget of mzv_bruteforce in summed terms, length x bound: 10^6 float
-# terms at length 2 take ~0.4 s and ~40 MB (2-core x86 VM, CPython 3.11)
-MZV_MAX_TERMS = 4 * 10 ** 6
-
-
 @guarded()
 def mzv_bruteforce(index, bound: int, prec: int = 53):
     """Strict nested sum for zeta(m_1, ..., m_k) with n_1 <= bound.
 
     Certified lower bound of the MZV; the returned tail estimate is the
     product upper bound prod_{j>=2} H_{m_j}(bound) * bound^{1-m_1}/(m_1-1).
-    Returns (value, tail_estimate). length x bound above MZV_MAX_TERMS raises
-    ArithmeticError (work budget) before any evaluation.
+    Returns (value, tail_estimate). Its price, length x bound units (10^6
+    float terms at length 2 take ~0.4 s and ~40 MB, so the budget also caps
+    its memory), is checked against the work budget before any evaluation.
     """
     idx = index.exponents if isinstance(index, MZVIndex) else tuple(index)
     idx = MZVIndex(idx)
@@ -202,9 +178,7 @@ def mzv_bruteforce(index, bound: int, prec: int = 53):
     k = idx.length
     if bound < k:
         raise ValueError("bound must be at least the length")
-    if k * bound > MZV_MAX_TERMS:
-        raise ArithmeticError(f"brute force at length {k}, bound {bound} sums {k * bound} "
-                              f"terms; its work budget is length x bound <= {MZV_MAX_TERMS}")
+    check_work(k * bound, f"the brute-force MZV at length {k} and bound {bound}")
 
     num = float if prec <= 53 else mp.mpf
     G = [num(0)] * (bound + 1)

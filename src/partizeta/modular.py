@@ -25,6 +25,7 @@ from .numerics import (
     GUARD_BITS,
     RootFindingError,
     binomial_poly,
+    check_work,
     guarded,
     incomplete_gamma_upper,
     poly_compose_one_minus_s,
@@ -188,14 +189,17 @@ def _tau(n: int) -> int:
     return _TAU_CACHE[n - 1]
 
 
-# work budget of lambda_delta, in units of ~1 us: its terms, at least
-# floor((prec - 10) ln 2 / (2 pi)) of them, at 400 + wp^2/2000 each for an
-# integer s (two incomplete gamma values in closed form) and 8000 + wp^2/12
-# for any other s (two by series). Priced and timed, per value: s = 6 at
-# 2048 bits 6.0 x 10^5, 0.66 s; s = 6 at 4096 bits 4.1 x 10^6, 4.6 s;
-# s = 5.5 at 512 bits 2.0 x 10^6, 1.8 s, at 1024 bits 1.2 x 10^7, 9.9 s
-# (2-core x86 VM, CPython 3.11, mpmath pure-Python backend)
-LAMBDA_MAX_WORK = 2 ** 21
+def _lambda_work(s, prec: int) -> int:
+    """The price of ``lambda_delta(s, prec)``, in units of ~1 us: its terms,
+    at least floor((prec - 10) ln 2 / (2 pi)) of them, at 400 + wp^2/2000
+    each for an integer s (two incomplete gamma values in closed form) and
+    8000 + wp^2/12 for any other s (two by series), wp = prec + 72. Priced
+    and timed, per value: s = 6 at 2048 bits 6.0 x 10^5, 0.66 s; s = 6 at
+    4096 bits 4.1 x 10^6, 4.6 s; s = 5.5 at 512 bits 2.0 x 10^6, 1.8 s
+    (2-core x86 VM, CPython 3.11, mpmath pure-Python backend)."""
+    wp = prec + GUARD_BITS + 32
+    terms = (prec - 10) * 1000 // 9065  # e^{-2 pi n} <= tail(n) keeps them
+    return terms * (400 + wp * wp // 2000 if s == int(s) else 8000 + wp * wp // 12)
 
 
 @guarded(extra=32)
@@ -206,20 +210,14 @@ def lambda_delta(s, prec: int = DEFAULT_PREC):
     + Gamma(12-s,2 pi n)/(2 pi n)^{12-s}]; terms decay like e^{-2 pi n}, and
     truncation stops once the bound |tau(n)| <= n^6.5 puts the remaining sum
     under 2^(10-prec)/100. Target: within 2^(10-prec) of the exact value
-    (the guard bits hold the rounding of the terms). A price above
-    LAMBDA_MAX_WORK raises ArithmeticError (work budget) before any term.
+    (the guard bits hold the rounding of the terms). Its price
+    (``_lambda_work``) is checked against the work budget before any term.
     """
     s = mp.mpf(s)
     if not (1 <= s <= 11):
         raise ValueError("critical strip for weight 12 is 1 <= s <= 11")
+    check_work(_lambda_work(s, prec), f"Lambda({mp.nstr(s, 8)}) at {prec} bits")
     wp = mp.mp.prec
-    # e^{-2 pi n} <= tail(n), so the series keeps at least this many terms
-    terms = (prec - 10) * 1000 // 9065
-    work = terms * (400 + wp * wp // 2000 if s == int(s) else 8000 + wp * wp // 12)
-    if work > LAMBDA_MAX_WORK:
-        raise ArithmeticError(f"Lambda({mp.nstr(s, 8)}) at {prec} bits needs {work} units of "
-                              f"incomplete gamma values; its work budget is "
-                              f"LAMBDA_MAX_WORK = {LAMBDA_MAX_WORK}")
     target = mp.ldexp(1, 10 - prec) / 100
 
     def tail(n):  # sum_{j>=n} j^6.5 * 2 * max(Gamma-factor), decreasing for n >= 3
@@ -322,7 +320,10 @@ class LProfile:
 
 
 def build_delta_profile(prec: int = DEFAULT_PREC) -> LProfile:
-    """Assemble the discriminant-form profile Lambda(1..11) and validate it."""
+    """Assemble the discriminant-form profile Lambda(1..11) and validate it.
+    The eleven values are priced together before the first."""
+    check_work(sum(_lambda_work(j, prec) for j in range(1, 12)),
+               f"the discriminant-form profile at {prec} bits")
     lam = [lambda_delta(j, prec=prec) for j in range(1, 12)]
     prof = LProfile(weight=12, level=1, sign=1, lam=lam, source="computed")
     prof.validate(tol=mp.ldexp(1, -(prec // 2)))
@@ -475,7 +476,8 @@ def hk_polynomial(k: int, sign: int) -> list[Fraction]:
 @guarded()
 def hk_zero_solver(k: int, sign: int, prec: int = DEFAULT_PREC,
                    largest_only: bool = False) -> list:
-    """Ordinates t of the zeros 1/2 + it of H_k^{sign}(-s), to prec bits.
+    """Ordinates t of the zeros 1/2 + it of H_k^{sign}(-s), to prec bits:
+    each within 2^(1-prec) max(1, |t|) of the exact ordinate.
 
     h_k(t) = sum_{j=0}^{k-3} arccot(2t/(2j+1)) decreases from (k-2) pi to 0;
     zeros sit where it crosses {pi, ..., (k-3) pi} (sign -) or
@@ -510,16 +512,17 @@ def ehrhart_simplex_count(k: int, dilation: int) -> int:
     Membership x = sum c_i v_i with c_i >= 0, sum c_i = dilation, solved
     exactly: c_last = r/(k-2) with r = dilation - sum x, and
     c_i = x_i + c_last, so x is a member iff r >= 0 and (k-2) x_i + r >= 0
-    for every i, an integer test. Exhaustive box scan, so (2m+1)^{k-3} must
-    stay small (<= ~10^7 enforced).
+    for every i, an integer test. Exhaustive box scan of (2m+1)^{k-3}
+    points at ~0.5 us each ((6, 9) takes 3.8 ms, (8, 3) 6.6 ms), a price
+    checked against the work budget first.
     """
     if k < 6 or k % 2:
         raise ValueError("need even k >= 6")
     if dilation < 0:
         raise ValueError("dilation must be >= 0")
     d = k - 3
-    if (2 * dilation + 1) ** d > 10 ** 7:
-        raise ValueError("box scan too large for the brute-force oracle")
+    check_work((2 * dilation + 1) ** d // 2,
+               f"the Ehrhart box scan at k = {k}, dilation {dilation}")
     count = 0
     vertices = k - 2
     for x in itertools.product(range(-dilation, dilation + 1), repeat=d):

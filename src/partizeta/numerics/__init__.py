@@ -6,10 +6,11 @@ High-precision reals/complexes are mpmath ``mpf``/``mpc`` values produced at
 an explicit ``prec`` (bits); exact quantities are ``fractions.Fraction``.
 """
 
-from .hp import DEFAULT_PREC, GUARD_BITS, digits_for, guarded, working
+from .hp import DEFAULT_PREC, GUARD_BITS, WORK_BUDGET, check_work, digits_for, guarded, working
 from .tables import (
     bernoulli,
     bernoulli_table,
+    bernoulli_work,
     stirling1,
     stirling1_table,
     zeta_even_rational,
@@ -40,11 +41,14 @@ __all__ = [
     "GUARD_BITS",
     "RootFindingError",
     "TruncatedSeries",
+    "WORK_BUDGET",
     "bell_via_determinant",
     "bell_via_series",
     "bernoulli",
     "bernoulli_table",
+    "bernoulli_work",
     "binomial_poly",
+    "check_work",
     "complete_bell",
     "digits_for",
     "direct_zeta_start",

@@ -57,6 +57,13 @@ def bell_via_determinant(a):
     return hessenberg_det(entry, k)
 
 
+def determinant_work(m: int, k: int) -> int:
+    """The price in ~1 us of ``bell_via_determinant`` on k exact zeta values
+    at the multiples of m, m k^3 / 20: (2, 300) takes 2.2 s, (4, 150) 0.7 s
+    and (2, 400) 6.0 s (2-core x86 VM, CPython 3.11)."""
+    return m * k ** 3 // 20
+
+
 def complete_bell(a):
     """B_k(a_1..a_k), both routes compared.
 

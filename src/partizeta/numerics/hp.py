@@ -11,6 +11,10 @@ while they set it: concurrent calls from several threads are serialized and
 each sees its own precision, and nested calls re-enter. Code outside this
 package that changes ``mp.prec`` while a thread is inside a kernel is not
 covered.
+
+The work budget lives here too: an evaluation whose work grows with its
+arguments or precision prices all of it once, in units of ~1 us, and calls
+``check_work`` before it evaluates anything.
 """
 
 from __future__ import annotations
@@ -27,12 +31,32 @@ GUARD_BITS = 40
 
 _LOCK = threading.RLock()
 
+# the most work one evaluation may do, in units of ~1 us: about 4 s on a
+# 2-core x86 VM (CPython 3.11, mpmath on its pure-Python backend)
+WORK_BUDGET = 2 ** 22
+
+
+def check_work(units: int, what: str) -> None:
+    """ArithmeticError if ``what`` (an evaluation, named for the message)
+    needs more than WORK_BUDGET units of work."""
+    if units > WORK_BUDGET:
+        raise ArithmeticError(f"{what} needs {units} units of work; the work budget is "
+                              f"WORK_BUDGET = {WORK_BUDGET}")
+
 
 @contextmanager
 def working(prec: int, extra: int = 0):
     """Context manager: guarded working precision for ``prec``-bit results,
     holding the context lock."""
     with _LOCK, mp.workprec(prec + GUARD_BITS + extra):
+        yield
+
+
+@contextmanager
+def estimating(bits: int = 53):
+    """Context manager: ``bits`` bits for a price or an estimate (round the
+    operands first, with unary +), holding the context lock."""
+    with _LOCK, mp.workprec(bits):
         yield
 
 

@@ -47,6 +47,13 @@ def bernoulli_table(n: int) -> list[Fraction]:
     return table[: n + 1]
 
 
+def bernoulli_work(n: int) -> int:
+    """The price in ~1 us of the table to B_n from empty, n^3 / 7000: B_1000
+    builds cold in 0.085 s, B_2048 in 1.2 s and B_3000 in 3.9 s (2-core x86
+    VM, CPython 3.11, one fresh process each)."""
+    return n ** 3 // 7000
+
+
 def bernoulli(n: int) -> Fraction:
     return bernoulli_table(n)[n]
 

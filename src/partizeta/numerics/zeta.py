@@ -14,7 +14,8 @@ per request. k^-s is completely multiplicative, so only a prime costs an mp
 power (Johansson's trick for power sums, in the paper cited below). Past
 them the engine runs on fixed-point Python integers: the powers of every
 multiple, the correction terms, the assembly and the certificate. Each
-setup is priced by its bits before any power (``POWER_SUM_MAX_WORK``). Each
+setup is priced by its bits (``_class_work``), and checked against the work
+budget before any power. Each
 multiple sums only as many correction terms as its y^{-js} factor
 (y = L x0) leaves visible at the working precision, an exact integer
 comparison. It carries an explicit bound, rounded up: the first omitted
@@ -36,32 +37,26 @@ from functools import cached_property
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
 
-from .hp import DEFAULT_PREC, guarded
+from .hp import DEFAULT_PREC, check_work, guarded, working
 from .series import TruncatedSeries
 from .tables import bernoulli_table, zeta_neg_int
 
 
-# work budget of the Euler-Maclaurin setups, in units of ~1 us: at most
-# N_eff - N + 1 mp powers at 30 + wp^2/5000 each (a complex one: 0.05 ms at
-# 256 bits, 0.66 ms at 2048, 36 ms at 16,384; only primes and non-integer s
-# pay it all), which also covers the Bernoulli table to B_(2V+2) (V^3
-# growth, a tenth of that), plus J (N_eff - N + V) fixed-point steps at
-# 1 + F^2/2^20 (a complex one: 1.3 us at 256 bits, 5.7 us at 2048).
-# Priced and timed: the heaviest tier-1 class 8.4 x 10^5, 0.6 s; 2N at s = 2,
-# --prec 2048 9.0 x 10^5, 0.5 s, --prec 3150 (the last that runs) 4.2 x 10^6,
-# 1.6 s; zeta(1835) at 15,000 bits 1.2 x 10^8, 14.6 s (2-core x86 VM,
-# CPython 3.11, mpmath pure-Python backend, one fresh process each)
-POWER_SUM_MAX_WORK = 2 ** 22
+# the price of mp powers and fixed-point steps, in units of ~1 us: an mp
+# power at wp bits costs 30 + wp^2/5000 (a complex one: 0.05 ms at 256 bits,
+# 0.66 ms at 2048, 36 ms at 16,384; only primes and non-integer s pay it
+# all), a step at F bits 1 + F^2/2^20 (a complex one: 1.3 us at 256 bits,
+# 5.7 us at 2048). For an Euler-Maclaurin setup the powers also cover the
+# Bernoulli table to B_(2V+2) (V^3 growth, a tenth of that). Priced and
+# timed: the heaviest tier-1 class 8.4 x 10^5, 0.6 s; 2N at s = 2,
+# --prec 2048 9.0 x 10^5, 0.5 s, --prec 3150 4.2 x 10^6, 1.6 s; zeta(1835) at
+# 15,000 bits 1.2 x 10^8, 14.6 s (2-core x86 VM, CPython 3.11, mpmath
+# pure-Python backend, one fresh process each)
+def _work(n_powers: int, steps: int, F: int) -> int:
+    """The price of n_powers mp powers at F - 32 bits and steps fixed-point
+    steps at F bits, in units of ~1 us."""
+    return n_powers * (30 + (F - 32) ** 2 // 5000) + steps * (1 + (F * F >> 20))
 
-
-def _check_work(n_powers: int, steps: int, wp: int, what: str) -> None:
-    """ArithmeticError (work budget) if n_powers mp powers at wp bits and
-    steps fixed-point steps at wp + 32 bits cost more than POWER_SUM_MAX_WORK."""
-    work = n_powers * (30 + wp * wp // 5000) + steps * (1 + ((wp + 32) ** 2 >> 20))
-    if work > POWER_SUM_MAX_WORK:
-        raise ArithmeticError(f"{what} at {wp} bits needs {work} units of mp powers and "
-                              f"fixed-point steps; its work budget is "
-                              f"POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}")
 
 # floor(beta_v 2^F) by F (V is a function of the precision, so of F), filled
 # on first use by power_sum_tails, which holds the precision lock
@@ -128,10 +123,12 @@ class _Powers:
     _TRIAL_DIVISORS; any other k = p m, p its least prime factor, is the
     fixed product of the entries of p and m, off by
     |p^-s| err(m) + |m^-s| err(p) + 2 <= (err(p) + err(m))/2 + 2 since
-    p, m >= 2 (err(p) = 2, so err stays <= 6). The relative rounding of the
-    mp powers (2^-wp each, once per prime factor) is left to the guard bits,
-    as everywhere in this module. A table serves one request and is dropped
-    with it.
+    p, m >= 2 (err(p) <= 2, so err stays <= 6). A prime p with
+    (bitlen(p) - 1) Re(s) > F has p^-s < 2^-F: its entry is (0, 0, 1), an
+    integer test with no mp power (a huge Re(s) costs nothing). The relative
+    rounding of the mp powers (2^-wp each, once per prime factor) is left to
+    the guard bits, as everywhere in this module. A table serves one request
+    and is dropped with it.
     """
 
     def __init__(self, s, F: int):
@@ -158,7 +155,9 @@ class _Powers:
         entry = self._entries.get(k)
         if entry is None:
             p = _least_prime_factor(k)
-            if p == k:
+            if p == k and (k.bit_length() - 1) * self.sr > self.F << self.F:
+                entry = (0, 0, 1)
+            elif p == k:
                 entry = (*self.pair(mp.mpf(k) ** (-self.s)), 2)
             else:
                 ar, ai, ae = self[p]
@@ -166,6 +165,31 @@ class _Powers:
                 entry = (*_mul(ar, ai, br, bi, self.F), (ae + be + 1) // 2 + 2)
             self._entries[k] = entry
         return entry
+
+
+def _class_shape(powers: _Powers, J: int, r: int, L: int, N: int) -> tuple[int, int, int]:
+    """(live, V, N_eff) of ``_class_tails``: the multiples j <= live are
+    summed, the rest are below 2^-F; V is the order, N_eff the expansion
+    point."""
+    F = powers.F
+    ONE = 1 << F
+    # with Re(js) >= F + 1 + bitlen(a), a = LN + r, the sum is at most
+    # a^(-Re js) (1 + a) <= 2^-F once its first base a is >= 2: 0, off by at
+    # most 1 (a huge s needs no power and no 2^(Re js))
+    a = L * N + r
+    live = J if a < 2 else min(J, ((F + 1 + a.bit_length()) * ONE - 1) // powers.sr)
+    V = max(8, (F - 32) // 6)
+    # the correction series is asymptotic: terms shrink only while
+    # 2v < 2 pi x0, so push the expansion point out past ~V, far enough for
+    # the largest |Im(js)|
+    return live, V, max(N, V + 2 + live * abs(powers.si) // (4 * ONE))
+
+
+def _class_work(powers: _Powers, J: int, r: int, L: int, N: int) -> int:
+    """The price of ``_class_tails``: at most N_eff - N + 1 mp powers and
+    live (N_eff - N + V) fixed-point steps."""
+    live, V, N_eff = _class_shape(powers, J, r, L, N)
+    return _work(N_eff - N + 1, live * (N_eff - N + V), powers.F) if live else 0
 
 
 def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int):
@@ -191,29 +215,19 @@ def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int):
     up by the fixed-point truncation, times 1 + |w+2V_j+1|/(Re w+2V_j+1) (the
     Backlund remainder bound plus the term itself), plus the truncation ulps
     of every power, correction term and assembly step. A multiple whose sum
-    is below 2^-F (test below) is 0 with bound 1; the rest are priced, mp
-    powers and fixed-point steps by their bits, before any power and before
-    the Bernoulli ratios: past POWER_SUM_MAX_WORK, ArithmeticError.
+    is below 2^-F is 0 with bound 1. The shape (which multiples are summed,
+    V, N_eff) is ``_class_shape``'s, and ``_class_work`` its price: callers
+    check it before any power.
     """
     F = powers.F
     wp = F - 32
     ONE = 1 << F
     sr, si = powers.sr, powers.si
-    # with Re(js) >= F + 1 + bitlen(a), a = LN + r, the sum is at most
-    # a^(-Re js) (1 + a) <= 2^-F once its first base a is >= 2: 0, off by at
-    # most 1 (a huge s needs no power and no 2^(Re js))
-    a = L * N + r
-    live = J if a < 2 else ((F + 1 + a.bit_length()) * ONE - 1) // sr
-    zeros = max(0, J - live)
-    J -= zeros
+    live, V, N_eff = _class_shape(powers, J, r, L, N)
+    zeros = J - live
+    J = live
     if not J:
         return [(0, 0, 1)] * zeros
-    V = max(8, wp // 6)
-    # the correction series is asymptotic: terms shrink only while
-    # 2v < 2 pi x0, so push the expansion point out past ~V, far enough for
-    # the largest |Im(js)|
-    N_eff = max(N, V + 2 + J * abs(si) // (4 * ONE))
-    _check_work(N_eff - N + 1, J * (N_eff - N + V), wp, f"the power-sum tail of {J} multiples")
     y = L * N_eff + r  # x0 = y/L
     base = [powers[L * i + r] for i in range(N, N_eff)] + [powers[y]]
     x0r, x0i, x0e = base.pop()
@@ -336,8 +350,8 @@ def power_sum_tails(s, J: int, c: int, N: int, prec: int = DEFAULT_PREC):
     call (one mp power per prime). Each value and bound becomes an mp number
     once, the bound rounded up to 24 bits; zeta(js) - 1, j = 1..J, is one
     call. ValueError for c not an int >= 0 (a bool, Fraction or mp number
-    included) or N < 1; a price above POWER_SUM_MAX_WORK raises
-    ArithmeticError (work budget) before any power is computed.
+    included) or N < 1; its price (``power_sum_work``) is checked against
+    the work budget before any power is computed.
     """
     if type(c) is not int or c < 0 or N < 1:
         raise ValueError(f"power_sum_tails wants c a non-negative int and N >= 1, "
@@ -346,9 +360,18 @@ def power_sum_tails(s, J: int, c: int, N: int, prec: int = DEFAULT_PREC):
     if mp.re(s) <= 1:
         raise ValueError("power_sum_tails wants Re(s) > 1")
     powers = _Powers(s, mp.mp.prec + 32)
+    check_work(_class_work(powers, J, c, 1, N),
+               f"the power sums of {J} multiples at {mp.mp.prec} bits")
     cplx = isinstance(s, mp.mpc)
     return [(powers.value(vr, vi, cplx), mp.mpf(from_man_exp(err, -powers.F, 24, round_ceiling)))
             for vr, vi, err in _class_tails(powers, J, c, 1, N)]
+
+
+def power_sum_work(s, J: int, c: int, N: int, prec: int = DEFAULT_PREC) -> int:
+    """The price of ``power_sum_tails(s, J, c, N, prec)``, for a caller that
+    prices it with its own work."""
+    with working(prec):
+        return _class_work(_Powers(mp.mpmathify(s), mp.mp.prec + 32), J, c, 1, N)
 
 
 # a direct sum of at most this many terms stands in for zeta(w) once Re(w)

@@ -15,19 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import bell_via_determinant, zeta_neg_int
+from .numerics import bell_via_determinant, bernoulli_work, check_work, zeta_neg_int
+from .numerics.bell import determinant_work
 
 INFINITE_VALUATION = math.inf
-# work budget of the checks: the largest Bernoulli index B_n they may need.
-# Growing the exact table to B_n from empty costs ~n^3: 0.14 s at n = 1024,
-# 1.1-1.25 s at 2048, 3.8-4.0 s at 3072 (2-core x86 VM, one fresh process each)
-PADIC_MAX_BERNOULLI = 2048
-
-
-def _within_budget(n: int) -> None:
-    if n > PADIC_MAX_BERNOULLI:
-        raise ArithmeticError(f"the check needs B_{n}; its work budget is "
-                              f"PADIC_MAX_BERNOULLI = {PADIC_MAX_BERNOULLI}")
 
 
 def is_prime(n: int) -> bool:
@@ -95,8 +86,9 @@ def kummer_check(p: int, a: int, k1: int, k2: int) -> bool:
 
     Preconditions (violations named): k1, k2 positive even, neither divisible
     by p-1, and k1 = k2 mod p^a (p-1). True iff
-    v_p((1-p^{k1-1}) B_{k1}/k1 - (1-p^{k2-1}) B_{k2}/k2) >= a+1. k1 or k2
-    above PADIC_MAX_BERNOULLI raises ArithmeticError (work budget) first.
+    v_p((1-p^{k1-1}) B_{k1}/k1 - (1-p^{k2-1}) B_{k2}/k2) >= a+1. Its
+    price, the Bernoulli table to B_max(k1, k2), is checked against the work
+    budget first.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"precondition: p={p} must be an odd prime")
@@ -109,7 +101,7 @@ def kummer_check(p: int, a: int, k1: int, k2: int) -> bool:
     if (k1 - k2) % modulus:
         raise ValueError(
             f"precondition: k1={k1} and k2={k2} not congruent mod p^(a+1)-p^a={modulus}")
-    _within_budget(max(k1, k2))
+    check_work(bernoulli_work(max(k1, k2)), f"the Kummer check of B_{k1} and B_{k2}")
     diff = zeta_star_neg(p, k1) - zeta_star_neg(p, k2)
     return padic_valuation(diff, p) >= a + 1
 
@@ -140,8 +132,8 @@ def interpolation_valuation(p: int, a: int, k: int, m1: int, m2: int):
     1-m2 (math.inf when they are equal).
 
     Preconditions: p >= k+3 odd prime; m1, m2 in S_2 (= 2 mod p-1);
-    m1 = m2 mod p^a. A Bernoulli index above PADIC_MAX_BERNOULLI raises
-    ArithmeticError (work budget) before any evaluation, as in kummer_check.
+    m1 = m2 mod p^a. Its price, the Bernoulli table and the two
+    determinants, is checked against the work budget before any evaluation.
     """
     ctx = PadicContext(p=p, a=a, k=k)
     for name, m in (("m1", m1), ("m2", m2)):
@@ -152,7 +144,10 @@ def interpolation_valuation(p: int, a: int, k: int, m1: int, m2: int):
     if (m1 - m2) % p ** a:
         raise ValueError(f"precondition: m1={m1}, m2={m2} not congruent mod p^a={p ** a}")
     # the largest index is B_n at n = 1 + (m - 1) r, r the largest odd r <= k
-    _within_budget(1 + (max(m1, m2) - 1) * (k - 1 + k % 2))
+    m = max(m1, m2)
+    n = 1 + (m - 1) * (k - 1 + k % 2)
+    check_work(bernoulli_work(n) + 2 * determinant_work(m, k),
+               f"the interpolation check at k = {k}, m = {m} (to B_{n})")
     return padic_valuation(padic_fixedlen(ctx, m1) - padic_fixedlen(ctx, m2), p)
 
 

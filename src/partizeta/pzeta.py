@@ -41,27 +41,26 @@ from .numerics import (
     DEFAULT_PREC,
     GUARD_BITS,
     TruncatedSeries,
+    check_work,
     direct_zeta_start,
     guarded,
     log_gamma,
     riemann_zeta,
     zeta_multiples_direct,
 )
-from .numerics.zeta import _check_work, _class_tails, _modulus, _mul, _Powers
+from .numerics.hp import estimating
+from .numerics.zeta import (
+    DIRECT_MAX_TERMS,
+    _class_tails,
+    _class_work,
+    _modulus,
+    _mul,
+    _Powers,
+    _work,
+)
 from .partitions import DivergentPartSetError, PartSet, multiplicative_partition_count
 
 POLE_SNAP = 1e-6  # distance to some 1/N below which we report the pole
-# work budget of closed_form_gamma: n + 1 log-gamma calls of ~0.8 ms each at
-# 256 bits (2-core x86 VM, mpmath pure-Python backend), i.e. ~3.4 s at the cap
-GAMMA_MAX_N = 4096
-# work budget of log_eval_multiples: its riemann_zeta calls below the
-# direct-sum range, ~(1 + wp / 5.3)/Re(s) of them at working precision
-# wp = prec + 40; each takes ~0.6 ms at wp = 104 and ~2.4 ms at wp = 296
-# (same VM), i.e. ~1.2 s (prec 64) or ~4.9 s (prec 256) at the cap
-LOG_SERIES_MAX_ZETA = 2048
-_LOG_SERIES_OVER = (f"the log series needs more than {LOG_SERIES_MAX_ZETA} zeta(sk) calls "
-                    f"at this Re(s); its work budget is LOG_SERIES_MAX_ZETA = "
-                    f"{LOG_SERIES_MAX_ZETA}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,9 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     rounding) are left to the guard bits, so a finite part set has
     certificate 0. It must come out below 2^(12-prec), else ArithmeticError.
     Only P, T and the certificate become mp numbers, and only exp(T) is an
-    mp function.
+    mp function. The whole evaluation is priced before any power: the
+    enumeration of the parts up to K and of the residues, then the finite
+    part and every class setup (``_class_work``).
     """
     s = mp.mpmathify(s)
     sigma = mp.re(s)
@@ -153,28 +154,41 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     # the accelerated tail converges geometrically in j, so a modest cutoff
     # suffices; it only must clear every non-congruence irregularity
     K = max(64, spec.tail_start() + 1)
+    jmax = max(4, math.ceil((prec + 60) / (float(sigma) * math.log2(K))) + 1)
+    what = f"the Euler product of {spec.spec_string()} at {F - 32} bits"
+    # enumerating the members up to K and the residues r mod L = lcm(q, M)
+    # and pricing each class, F-bit integer tests: 5 + F/2^11 us per slot
+    # (2N|200001N, 2 x 10^5 classes, in 1.0 s at 144 bits; 2N|3N|...|13N,
+    # 2.4 x 10^4, in 9.0 s at 10^6 bits), checked before any enumeration
+    L = math.lcm(q, *(m for _, m in spec.classes))
+    work = (5 + (F >> 11)) * sum((K + L) // m for _, m in spec.classes)
+    check_work(work, what)
     # the finite part over the parts in (1, K] and the explicit parts past K
-    # that no class covers: at most an mp power each, priced before any
-    # power like the tails'
+    # that no class covers: a fixed product each, an mp power unless _Powers
+    # zeroes it, and up to 6 steps to make P and T mp numbers (mpmath strips
+    # the trailing zeros of a power of two a byte at a time: 4 s at 10^6 bits)
     parts = [k for k in spec.parts_outside_tail(K) if k > 1 and chi[k % q] != 0]
-    _check_work(len(parts), 0, F - 32, f"the finite product over {len(parts)} parts")
-    tail_r = tail_i = err = 0  # T and its certificate, at 2^-F
+    work += _work(sum((k.bit_length() - 1) * powers.sr <= F << F for k in parts),
+                  len(parts) + 6, F)
     M, residues = spec.tail_classes()
+    classes = []  # (r, i0): the members > K congruent to r mod L are r + L i, i >= i0
+    for r in (r0 + M * t for r0 in residues for t in range(L // M)):
+        if chi[r % q] != 0:
+            step = (r - K) % L  # the first member > K is K + (step or L)
+            i0 = (K + (step if step else L) - r) // L
+            classes.append((r, i0))
+            work += _class_work(powers, jmax, r, L, i0)
+    check_work(work, what)
+    tail_r = tail_i = err = 0  # T and its certificate, at 2^-F
     if M is not None:
-        L = math.lcm(q, M)
-        jmax = max(4, math.ceil((prec + 60) / (float(sigma) * math.log2(K))) + 1)
         # sum_{k>K, k = r mod L} k^-js over the classes of one weight chi(g),
         # g = r mod q, added up per j
         sums = {}
-        for r in (r0 + M * t for r0 in residues for t in range(L // M)):
-            if chi[r % q] != 0:
-                # members > K congruent to r mod L: first is K+((r-K) mod L or L)
-                step = (r - K) % L
-                i0 = (K + (step if step else L) - r) // L  # first = r + L*i0
-                tails = _class_tails(powers, jmax, r, L, i0)
-                got = sums.get(r % q)
-                sums[r % q] = tails if got is None else [
-                    (a + x, b + y, e + f) for (a, b, e), (x, y, f) in zip(got, tails)]
+        for r, i0 in classes:
+            tails = _class_tails(powers, jmax, r, L, i0)
+            got = sums.get(r % q)
+            sums[r % q] = tails if got is None else [
+                (a + x, b + y, e + f) for (a, b, e), (x, y, f) in zip(got, tails)]
         S = [[0, 0, 0] for _ in range(jmax)]  # sum_g chi(g)^j A_gj, error
         for g, tails in sums.items():
             cr, ci = weights[g]
@@ -214,9 +228,23 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
         xr, xi = _mul(*weights[k % q], *powers[k][:2], F)
         pr, pi = _mul(pr, pi, ONE - xr, -xi, F)
     P = powers.value(pr, pi, cplx)
-    ones = 1 / (1 - c1) if cap is None else sum(c1 ** i for i in range(cap + 1))
+    ones = 1 / (1 - c1) if cap is None else _geometric_sum(c1, cap + 1)
     return (ones * (P if sign < 0 else 1 / P) * mp.exp(sign * powers.value(tail_r, tail_i, cplx)),
             certificate)
+
+
+def _geometric_sum(c, n: int):
+    """sum_{i < n} c^i, n >= 1, in O(log n) products: exactly n when c = 1,
+    else by doubling, S(2i) = S(i)(1 + c^i) and S(i + 1) = S(i) + c^i, since
+    (1 - c^n)/(1 - c) cancels badly for c near 1."""
+    if c == 1:
+        return mp.mpf(n)
+    S, P = mp.mpf(1), c  # S(i) and c^i at i = 1
+    for bit in bin(n)[3:]:
+        S, P = S * (1 + P), P * P
+        if bit == "1":
+            S, P = S + P, P * c
+    return S
 
 
 def _period(chi) -> list:
@@ -239,16 +267,17 @@ def closed_form_gamma(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
     checked against 2^-(prec/2) before being discarded. Target: within
     2^(1-prec) of the exact value, relative; the n + 1 log-gamma values at
     prec + 72 bits lose log2(n + 1) + 8 bits and the log of their largest
-    modulus, well inside 72, and the result is rounded once. n above
-    GAMMA_MAX_N raises ArithmeticError (work budget) before any evaluation.
+    modulus, well inside 72, and the result is rounded once. Their price is
+    checked against the work budget before any evaluation.
     """
     CongruenceClassSpec(a, m)
     if n < 2:
         raise ValueError("closed form needs n >= 2")
-    if n > GAMMA_MAX_N:
-        raise ArithmeticError(f"closed form at n={n} needs {n + 1} log-gamma calls; "
-                              f"its work budget is n <= {GAMMA_MAX_N}")
     wp = mp.mp.prec
+    # a log-gamma call at wp bits takes ~400 + wp^2/100 us: closed_form_gamma(0,
+    # 2, 16) takes 0.5 ms per call at 64 bits, 1.0 ms at 256, 8.4 ms at 1024,
+    # 31 ms at 2048 and 179 ms at 4096 (2-core x86 VM, CPU time)
+    check_work((n + 1) * (400 + wp * wp // 100), f"the gamma closed form at n = {n} and {wp} bits")
     acc = mp.mpc(0)
     for r in range(n):
         z = 1 + (a - _e(mp.mpf(r) / n)) / m
@@ -304,9 +333,9 @@ def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC):
     Arguments within 1e-6 of the nearest such point return a PoleReport
     instead of a value. The series stops once its remainder bound is below
     2^(12-prec). zeta(sk) is a direct sum (``zeta_multiples_direct``) from
-    k = direct_zeta_start(Re(s), working precision) on; the riemann_zeta
-    calls below that, about (1 + (prec + 40)/5.3)/Re(s), are capped at
-    LOG_SERIES_MAX_ZETA (ArithmeticError past it, before the evaluation).
+    k = direct_zeta_start(Re(s), working precision) on, a riemann_zeta call
+    below that, about (1 + (prec + 40)/5.3)/Re(s) of them. Their price is
+    checked against the work budget before any zeta call.
     """
     if m < 2:
         raise ValueError("log_eval_multiples needs m >= 2")
@@ -314,23 +343,40 @@ def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC):
     sigma = mp.re(s)
     if sigma <= 0:
         raise ValueError("no extension beyond Re(s) > 0 (essential singularity at 0)")
+    # floor(1/sigma) within one, which the tests below absorb, at the bits
+    # that needs (at 10^6 bits the quotient takes 2 s)
+    with estimating(64 + max(0, -mp.mag(sigma))):
+        N0 = int(1 / +sigma)
     # pole detection: the 1/N nearest to s is 1/floor(1/sigma) or the next
     if abs(mp.im(s)) < POLE_SNAP:
-        N0 = int(mp.floor(1 / sigma))
         N = min((n for n in (N0, N0 + 1) if n >= 1), key=lambda n: abs(s - mp.mpf(1) / n))
         if abs(s - mp.mpf(1) / N) < POLE_SNAP:
             return PoleReport(
                 s=complex(s), pole_at_k=N,
                 message=f"term k={N} is zeta(1): pole of the extension at s=1/{N}")
     wp = mp.mp.prec
-    k0 = int(mp.floor(1 / sigma))  # least k with sigma k > 1
+    k0 = N0  # least k with sigma k > 1
     while sigma * k0 <= 1:
         k0 += 1
+    gap = sigma * k0 - 1
+    # the price, before any zeta call: |zeta(sk)| <= x/(x - 1), x = sigma k0,
+    # and 1 - m^-sigma >= u/(1 + u), u = sigma ln m, so the series stops by
+    # k = log2(x/(x - 1) (1 + u)/u 2^(prec-12)) / (sigma log2 m). A
+    # riemann_zeta call takes ~400 + wp^2/50 us (m = 2, s = 1.5: 38 calls in
+    # 0.07 s at 256 bits, 134 in 2.5 s at 1024, 263 in 25.2 s at 2048; 2-core
+    # x86 VM), a direct-sum term ~2 + wp^2/2^19
+    with estimating():  # sigma and x - 1 rounded to 53 bits
+        x, gap = +sigma, +gap
+        u = x * mp.log(m)
+        bits = mp.log((1 + gap) / gap * (1 + u) / u, 2) + prec - 12
+        k_end = max(k0, int(bits * mp.ln2 / u) + 2)
+        kd = int((1 + wp / mp.log(DIRECT_MAX_TERMS, 2)) / x) + 1
+    check_work((min(k_end, kd - 1) + 1) * (400 + wp * wp // 50)
+               + max(0, k_end - kd + 1) * DIRECT_MAX_TERMS * (2 + (wp * wp >> 19)),
+               f"the log series over the multiples of {m} at {wp} bits")
     # zeta(sk) goes through riemann_zeta below kd, and is a short direct sum
-    # from there on; the budget counts the riemann_zeta calls
+    # from there on
     kd = direct_zeta_start(sigma, wp)
-    if k0 > LOG_SERIES_MAX_ZETA:
-        raise ArithmeticError(_LOG_SERIES_OVER)
     # convergent range: geometric in m^-sigma; |zeta(sk)| <= zeta(sigma k0)
     zbound = riemann_zeta(sigma * k0, wp)
     target = mp.ldexp(1, 12 - prec)
@@ -340,8 +386,6 @@ def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC):
     while True:  # the series stops once its remainder bound is below target
         k += 1
         geo *= m_sigma
-        if min(k, kd) > LOG_SERIES_MAX_ZETA:
-            raise ArithmeticError(_LOG_SERIES_OVER)
         if zbound * geo / (k * (1 - m_sigma)) < target:
             break
     kmax = k - 1

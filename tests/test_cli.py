@@ -16,21 +16,16 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partizeta import cli, pzeta
 from partizeta.cli import main
-from partizeta.fixedlen import EXACT_MAX_WORK, MZV_MAX_TERMS, SERIES_MAX_WORK
-from partizeta.modular import LAMBDA_MAX_WORK
-from partizeta.numerics import working
-from partizeta.numerics.roots import ROOTS_MAX_WORK
-from partizeta.numerics.zeta import POWER_SUM_MAX_WORK
-from partizeta.padic import PADIC_MAX_BERNOULLI
+from partizeta.numerics import WORK_BUDGET, working
 from partizeta.partitions import parse_part_set
-from partizeta.pzeta import GAMMA_MAX_N, LOG_SERIES_MAX_ZETA
 
 PREC_ARGS = ["--prec", "192"]
+BUDGET = f"WORK_BUDGET = {WORK_BUDGET}"  # every refusal for work names it
 
 
 def run_cli(capsys, *argv):
@@ -191,58 +186,110 @@ def test_mzv_equal_args_work_budget(capsys):
     code = main(["mzv", "--equal-args", "2", "300"])
     assert code == 3 and time.perf_counter() - t0 < 1
     err = capsys.readouterr().err
-    assert f"SERIES_MAX_WORK = {SERIES_MAX_WORK}" in err
+    assert BUDGET in err
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv, budget", [
+# the gate each request met before one work budget priced every evaluation:
+# the refusal names WORK_BUDGET now, and no longer that gate
+@pytest.mark.parametrize("argv, gate", [
     # (2, 1000) would run past a minute, B_{10^400} forever
-    (["mzv", "--equal-args", "2", "1000", "--exact"], f"EXACT_MAX_WORK = {EXACT_MAX_WORK}"),
-    (["fixedlen", "--m", "2", "--k", "1000", "--exact"], f"EXACT_MAX_WORK = {EXACT_MAX_WORK}"),
+    (["mzv", "--equal-args", "2", "1000", "--exact"], "EXACT_MAX_WORK = 67108864"),
+    (["fixedlen", "--m", "2", "--k", "1000", "--exact"], "EXACT_MAX_WORK = 67108864"),
     (["mzv", "--equal-args", str(10 ** 400), "1", "--exact"],
-     f"EXACT_MAX_WORK = {EXACT_MAX_WORK}"),
-    # n log2(k!) is checked in integers: 10^400 fits no float
+     "EXACT_MAX_WORK = 67108864"),
+    # n log2(k!) is priced in integers: 10^400 fits no float
     (["mzv", "--equal-args", str(10 ** 400), "2"],
-     f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
+     "SERIES_MAX_WORK = 262144"),
     # the 2N product at 8192 bits needs 1.9 x 10^6 powers and correction terms
     (["--prec", "8192", "pzeta", "--spec", "2N", "--s", "2", "--routes", "product"],
-     f"POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}"),
-    # k (k + prec) = 1.1 x 10^6, four times the budget; a huge k would build
-    # k zeta values
+     "POWER_SUM_MAX_WORK = 4194304"),
+    # 4 k (k + prec) = 4.3 x 10^6 units, past the budget; a huge k would
+    # build k zeta values
     (["--prec", "64", "fixedlen", "--m", "2", "--k", "1000"],
-     f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
-    (["fixedlen", "--m", "8", "--k", str(10 ** 400)], f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
+     "SERIES_MAX_WORK = 262144"),
+    (["fixedlen", "--m", "8", "--k", str(10 ** 400)], "SERIES_MAX_WORK = 262144"),
     # k (k + prec) is small, but the zeta(1000 j) at the series precision of
     # ~15,400 bits need B_5154 and up to 2577 powers at that precision
     (["--prec", "64", "mzv", "--equal-args", "1000", "8"],
-     f"POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}"),
+     "POWER_SUM_MAX_WORK = 4194304"),
     # few products and zeta values, but at a series precision of 10^7 and
     # 6 x 10^7 bits
     (["--prec", "64", "mzv", "--equal-args", str(10 ** 7), "2"],
-     f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
+     "SERIES_MAX_WORK = 262144"),
     (["--prec", "64", "mzv", "--equal-args", str(6 * 10 ** 7), "2"],
-     f"SERIES_MAX_WORK = {SERIES_MAX_WORK}"),
+     "SERIES_MAX_WORK = 262144"),
     # one zeta value each, whose Euler-Maclaurin order V = wp/6 needs the
     # exact Bernoulli table to B_5000 (14.6 s in all when run) and B_87000
     (["--prec", "15000", "fixedlen", "--m", "1835", "--k", "1"],
-     f"POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}"),
+     "POWER_SUM_MAX_WORK = 4194304"),
     (["--prec", "262000", "fixedlen", "--m", "22000", "--k", "1"],
-     f"POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}"),
+     "POWER_SUM_MAX_WORK = 4194304"),
     # few multiples and correction terms, but at 15,000 and 30,000 bits
     # (16.8 s, and past 60 s, when run)
     (["--prec", "15000", "pzeta", "--spec", "2N", "--s", "1000", "--routes", "product"],
-     f"POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}"),
+     "POWER_SUM_MAX_WORK = 4194304"),
     (["--prec", "30000", "pzeta", "--spec", "2N", "--s", "3000", "--routes", "product"],
-     f"POWER_SUM_MAX_WORK = {POWER_SUM_MAX_WORK}"),
+     "POWER_SUM_MAX_WORK = 4194304"),
 ])
-def test_work_budgets_refuse_at_once(capsys, mp_powers, argv, budget):
+def test_work_budgets_refuse_at_once(capsys, mp_powers, argv, gate):
     t0 = time.perf_counter()
     code = main(argv)
     assert code == 3 and time.perf_counter() - t0 < 1
     out, err = capsys.readouterr()
-    assert not out and budget in err
+    assert not out and BUDGET in err and gate.split()[0] not in err
     assert len(err.strip().splitlines()) == 1
     assert mp_powers[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    # 263 zeta calls at 2088 bits: 25 s when run
+    ["--prec", "2048", "pzeta", "--spec", "2N", "--s", "1.5", "--routes", "logseries"],
+    # 401 log-gamma calls at 4168 bits, 0.18 s each
+    ["--prec", "4096", "pzeta", "--spec", "2N", "--s", "400", "--routes", "gamma"],
+    # 24,270 class setups (10.7 s when run), each inside the budget alone; nine
+    # primes give 3.8 x 10^8 residue slots, priced before any is enumerated
+    ["--prec", "64", "pzeta", "--spec", "2N|3N|5N|7N|11N|13N", "--s", "2", "--routes", "product"],
+    ["--prec", "64", "pzeta", "--spec", "2N|3N|5N|7N|11N|13N|17N|19N|23N", "--s", "2",
+     "--routes", "product"],
+    # eleven completed values at 2.0 x 10^6 units each: 19.5 s when run
+    ["--prec", "3200", "modular", "delta"],
+    # the zeta call that sizes the series would run at 10^5 bits
+    ["--prec", "100000", "pzeta", "--spec", "2N", "--s", "3.3", "--routes", "logseries"],
+], ids=["logseries-2048-bits", "gamma-4096-bits", "six-primes", "nine-primes",
+        "delta-3200-bits", "logseries-100000-bits"])
+def test_whole_evaluations_are_priced_at_once(capsys, mp_powers, argv):
+    # each price counts all of an evaluation's work, bits included
+    t0 = time.perf_counter()
+    code = main(argv)
+    assert code == 3 and time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert not out and BUDGET in err
+    assert len(err.strip().splitlines()) == 1
+    assert mp_powers[0] == 0
+
+
+@pytest.mark.parametrize("s", ["1e2000", "1e100000"])
+def test_euler_product_at_a_huge_real_s(capsys, mp_powers, s):
+    # every p^-s is below the grid, an integer test: 1e2000 took 17.4 s in mp
+    # powers the value cannot see
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "--prec", "64", "pzeta", "--spec", "2N", "--s", s,
+                        "--routes", "product")
+    assert code == 0 and time.perf_counter() - t0 < 1
+    assert json.loads(out)["results"][0]["value_re"] == "1.0"
+    assert mp_powers[0] == 0
+
+
+def test_part_one_capped_at_a_huge_multiplicity(capsys):
+    # sum_{i <= cap} 1^i is cap + 1 exactly, not cap + 1 mp powers
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "--prec", "64", "pzeta", "--spec", "ones:1000000000000",
+                        "--s", "2", "--routes", "product")
+    assert code == 0 and time.perf_counter() - t0 < 1
+    # prod_{k >= 2} (1 - k^-2)^-1 = 2
+    with mp.workprec(64):
+        assert mp.mpf(json.loads(out)["results"][0]["value_re"]) == 2 * (10 ** 12 + 1)
 
 
 def _weight_200_profile(tmp_path):
@@ -252,19 +299,18 @@ def _weight_200_profile(tmp_path):
         {"weight": 200, "level": 1, "sign": 1, "lambda": upper[:0:-1] + upper}))
 
 
-@pytest.mark.parametrize("argv, budget", [
+@pytest.mark.parametrize("argv", [
     # the period polynomial of degree 198: ~1.3 x 10^9 units, hours
-    (lambda tmp: ["modular", "delta", "--profile", _weight_200_profile(tmp)],
-     f"ROOTS_MAX_WORK = {ROOTS_MAX_WORK}"),
+    lambda tmp: ["modular", "delta", "--profile", _weight_200_profile(tmp)],
     # ~11,000 terms of incomplete gamma values at 10^5 bits per completed value
-    (lambda tmp: ["--prec", "100000", "modular", "delta"], f"LAMBDA_MAX_WORK = {LAMBDA_MAX_WORK}"),
+    lambda tmp: ["--prec", "100000", "modular", "delta"],
 ], ids=["weight-200-profile", "delta-at-100000-bits"])
-def test_modular_work_budgets_refuse_at_once(tmp_path, capsys, mp_powers, argv, budget):
+def test_modular_work_budgets_refuse_at_once(tmp_path, capsys, mp_powers, argv):
     t0 = time.perf_counter()
     code = main(argv(tmp_path))
     assert code == 3 and time.perf_counter() - t0 < 1
     out, err = capsys.readouterr()
-    assert not out and budget in err
+    assert not out and BUDGET in err
     assert len(err.strip().splitlines()) == 1
     assert mp_powers[0] == 0
 
@@ -309,7 +355,7 @@ def test_padic_bernoulli_work_budget(capsys):
     code = main([*PREC_ARGS, "padic", "--p", "101", "--a", "1", "--k", "5", "--m1", "2"])
     assert code == 3 and time.perf_counter() - t0 < 1
     out, err = capsys.readouterr()
-    assert not out and f"PADIC_MAX_BERNOULLI = {PADIC_MAX_BERNOULLI}" in err
+    assert not out and BUDGET in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -379,7 +425,7 @@ def test_pzeta_gamma_route_work_budget(capsys):
     code = main([*PREC_ARGS, "pzeta", "--spec", "2N", "--s", "1e6"])
     assert code == 3 and time.perf_counter() - t0 < 10
     err = capsys.readouterr().err
-    assert f"n <= {GAMMA_MAX_N}" in err and len(err.strip().splitlines()) == 1
+    assert BUDGET in err and len(err.strip().splitlines()) == 1
     assert main([*PREC_ARGS, "pzeta", "--spec", "2N", "--s", "1e6",
                  "--routes", "product"]) == 0
 
@@ -390,7 +436,7 @@ def test_logseries_work_budget(capsys):
     code = main(["pzeta", "--spec", "2N", "--s", "0.00201", "--routes", "logseries"])
     assert code == 3 and time.perf_counter() - t0 < 10
     err = capsys.readouterr().err
-    assert f"LOG_SERIES_MAX_ZETA = {LOG_SERIES_MAX_ZETA}" in err
+    assert BUDGET in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -432,7 +478,7 @@ def test_mzv_bruteforce_work_budget(capsys):
     code = main([*PREC_ARGS, "mzv", "--index", "2,1", "--bound", str(10 ** 11)])
     assert code == 3 and time.perf_counter() - t0 < 10
     err = capsys.readouterr().err
-    assert f"<= {MZV_MAX_TERMS}" in err and len(err.strip().splitlines()) == 1
+    assert BUDGET in err and len(err.strip().splitlines()) == 1
 
 
 def test_profile_failing_validation_exit_2(tmp_path, capsys):
@@ -464,8 +510,10 @@ _SPEC_TOKENS = st.one_of(
     st.integers(0, 8).map(lambda o: f"ones:{o}"),
     st.lists(st.integers(0, 8), max_size=3).map(
         lambda ps: "finite:{" + ",".join(map(str, ps)) + "}"),
+    st.sampled_from(["ones:1000000000000", "2N|3N|5N|7N|11N|13N|17N|19N|23N"]),
 )
-_S_TOKENS = st.sampled_from(["nan", "abc", "0", "-1", "1e-9", "0.5", "2", "3.3", "2+1j"])
+_S_TOKENS = st.sampled_from(["nan", "abc", "0", "-1", "1e-9", "0.5", "2", "3.3", "2+1j",
+                             "1.5", "400", "1e2000"])
 
 
 def _run_at_prec(argv, prec: int = 64) -> tuple[int, str, list[str]]:
@@ -485,13 +533,17 @@ def _run_at_prec(argv, prec: int = 64) -> tuple[int, str, list[str]]:
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(spec=st.lists(_SPEC_TOKENS, min_size=1, max_size=3).map("|".join),
        s=st.lists(_S_TOKENS, min_size=1, max_size=2).map(",".join),
-       routes_prec=st.one_of(
-           st.tuples(st.sampled_from(["all", "gamma", "logseries"]), st.just(64)),
-           # the product route at any precision: runs, or a work budget
-           # refuses it before any power
-           st.tuples(st.just("product"), st.integers(64, 10 ** 6))))
-def test_pzeta_exit_code_contract(spec, s, routes_prec):
-    routes, prec = routes_prec
+       routes=st.sampled_from(["all", "product", "gamma", "logseries"]),
+       prec=st.sampled_from([64, 256, 10 ** 5, 10 ** 6]))
+# every route and outcome at a huge precision: refusals, a zero rule, a pole
+@example(spec="2N", s="3.3,2", routes="all", prec=10 ** 6)
+@example(spec="2N", s="400", routes="gamma", prec=10 ** 5)
+@example(spec="3N", s="1.5", routes="logseries", prec=10 ** 5)
+@example(spec="2N|3N|5N|7N|11N|13N|17N|19N|23N", s="2", routes="product", prec=10 ** 5)
+@example(spec="ones:1000000000000", s="1e2000", routes="product", prec=10 ** 5)
+@example(spec="2N", s="0.5", routes="all", prec=10 ** 5)
+def test_pzeta_exit_code_contract(spec, s, routes, prec):
+    t0 = time.perf_counter()
     # --s=... : argparse would read a leading "-1" as an option
     code, out, err = _run_at_prec(["pzeta", "--spec", spec, f"--s={s}", "--routes", routes],
                                   prec)
@@ -500,6 +552,11 @@ def test_pzeta_exit_code_contract(spec, s, routes_prec):
         assert len(err) == 1, (spec, s, err)
     else:
         assert json.loads(out)["results"]
+    if prec >= 10 ** 5:
+        # every route prices its bits: a run at this precision is a pole, an
+        # empty product, a zero rule, invalid, or refused at once
+        assert time.perf_counter() - t0 < 2, (spec, s, routes, prec)
+        assert code != 3 or BUDGET in err[0], (spec, s, routes, prec, err)
 
 
 _SMALL = st.integers(-2, 8).map(str)

@@ -10,7 +10,6 @@ import pytest
 
 from partizeta import fixedlen as fixedlen_module
 from partizeta.fixedlen import (
-    MZV_MAX_TERMS,
     MZVIndex,
     compositions,
     decoupling_check,
@@ -23,7 +22,7 @@ from partizeta.fixedlen import (
     mzv_equal_args_exact,
     shuffle_check,
 )
-from partizeta.numerics import bell_via_determinant, riemann_zeta, zeta_even_rational
+from partizeta.numerics import WORK_BUDGET, bell_via_determinant, riemann_zeta, zeta_even_rational
 
 PREC = 256
 
@@ -59,12 +58,12 @@ def test_numeric_values_take_zeta_from_the_power_sum_engine(monkeypatch):
 
 
 def test_exact_budget_admits_a_table_built_in_a_second(monkeypatch):
-    # B_1900 builds cold in ~0.9 s and is inside the budget, B_3000 (3.9 s)
-    # is past it; only the budget is exercised, on a stub table
+    # B_1900 builds cold in ~0.9 s and B_3084 (~4 s) are inside the budget,
+    # B_3086 is past it; only the budget is exercised, on a stub table
     monkeypatch.setattr(fixedlen_module, "zeta_even_rational", lambda n: Fraction(1))
-    assert fixedlen_zeta_exact(1900, 1) == 1
-    with pytest.raises(ArithmeticError, match="EXACT_MAX_WORK"):
-        fixedlen_zeta_exact(3000, 1)
+    assert fixedlen_zeta_exact(1900, 1) == 1 and fixedlen_zeta_exact(3084, 1) == 1
+    with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
+        fixedlen_zeta_exact(3086, 1)
 
 
 def test_fixedlen_pzv_family():
@@ -183,8 +182,9 @@ def test_mzv_bruteforce_high_precision_path():
 
 # ---------------------------------------------------------------- compositions
 def test_mzv_bruteforce_work_budget():
-    with pytest.raises(ArithmeticError, match=f"<= {MZV_MAX_TERMS}"):
-        mzv_bruteforce((2, 1), MZV_MAX_TERMS // 2 + 1)
+    # length x bound units: the budget caps the terms, and so the memory
+    with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
+        mzv_bruteforce((2, 1), WORK_BUDGET // 2 + 1)
 
 
 def test_compositions_small():

@@ -10,6 +10,7 @@ home-grown Euler-Maclaurin tail, and the residual contract for the roots.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import math
@@ -90,7 +91,7 @@ def test_bernoulli_von_staudt_clausen():
 
 
 def test_bernoulli_table_matches_bernfrac():
-    # every entry to B_600 and a spread up to PADIC_MAX_BERNOULLI = 2048
+    # every entry to B_600 and a spread up to B_2048, built in ~1.2 s
     # against mpmath's exact Bernoulli numbers
     B = bernoulli_table(2048)
     for n in [*range(601), *range(662, 2048, 62), 2048]:
@@ -501,6 +502,30 @@ def test_one_exact_bernoulli_source():
     assert [name for name, text in texts.items() if recurrence.search(text)] == [
         "numerics/tables.py"]
     assert "mpmath" not in texts["numerics/tables.py"]
+
+
+def test_one_work_budget_source():
+    # numerics/hp.py holds the one budget constant and builds the one refusal
+    # message; every other module prices its work and calls check_work
+    src = pathlib.Path(partizeta.__file__).parent
+    constant = re.compile(r"[A-Z0-9_]*(BUDGET|WORK)[A-Z0-9_]*|GAMMA_MAX_N|MZV_MAX_TERMS"
+                          r"|[A-Z0-9_]*MAX_(ZETA|BERNOULLI)")
+    constants, messages = set(), set()
+    for path in sorted(src.rglob("*.py")):
+        name = path.relative_to(src).as_posix()
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
+                    and constant.fullmatch(node.id):
+                constants.add(name)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and id(node) not in docstrings \
+                    and re.search("work budget", node.value, re.IGNORECASE):
+                messages.add(name)
+    assert constants == messages == {"numerics/hp.py"}
 
 
 def test_euler_generating_function_small_orders():

@@ -11,7 +11,6 @@ import pytest
 from partizeta.numerics import bernoulli, complete_bell
 from partizeta.padic import (
     INFINITE_VALUATION,
-    PADIC_MAX_BERNOULLI,
     PadicContext,
     interpolation_check,
     is_prime,
@@ -182,12 +181,12 @@ def test_interpolation_preconditions_named():
 
 
 def test_bernoulli_work_budget():
-    # past the cap the checks refuse before the Bernoulli table grows
-    assert PADIC_MAX_BERNOULLI < 2054
-    with pytest.raises(ArithmeticError, match="PADIC_MAX_BERNOULLI"):
-        kummer_check(7, 0, 2, 2054)
+    # past the budget the checks refuse before the Bernoulli table grows:
+    # B_n is priced n^3/7000, so B_3084 is the last index inside it
+    with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
+        kummer_check(7, 0, 2, 3086)
     # the largest index is 1 + (m - 1) r for the largest odd r <= k: r = 3 at k = 4
-    with pytest.raises(ArithmeticError, match="B_2074"):
-        interpolation_check(11, 0, 4, 2, 692)
+    with pytest.raises(ArithmeticError, match="B_3094"):
+        interpolation_check(11, 0, 4, 2, 1032)
     with pytest.raises(ArithmeticError, match="B_50506"):
         interpolation_check(101, 1, 5, 2, suggest_m2(101, 1, 5, 2))

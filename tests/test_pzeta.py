@@ -232,6 +232,17 @@ def test_log_eval_multiples_matches_a_zeta_reference(m, s, prec):
         assert abs(value - ref) <= mp.ldexp(1, 12 - prec), (value, ref)
 
 
+@pytest.mark.parametrize("c", ["1", "-1", "0.5", "0.6+0.5j"])
+def test_ones_factor_keeps_the_bits_of_the_term_by_term_sum(monkeypatch, c):
+    # sum_{i <= cap} chi(1)^i in O(log cap) products, not cap + 1 mp powers:
+    # ones:0 to ones:8 round to the bits of the term-by-term sum
+    chi = (mp.mpmathify(c),)
+    specs = [parse_part_set(f"ones:{n}") for n in range(9)]
+    fast = [dirichlet_partition_series(spec, chi, 4, prec=64)[0] for spec in specs]
+    monkeypatch.setattr(pzeta, "_geometric_sum", lambda c, n: sum(c ** i for i in range(n)))
+    assert [dirichlet_partition_series(spec, chi, 4, prec=64)[0] for spec in specs] == fast
+
+
 def test_log_eval_multiples_work_budget(monkeypatch):
     calls = []
 
@@ -240,15 +251,14 @@ def test_log_eval_multiples_work_budget(monkeypatch):
         return riemann_zeta(s, prec)
 
     monkeypatch.setattr(pzeta, "riemann_zeta", counted)
-    # k0 = 498 continued terms, then ~28,000 zeta calls: refused after the one
-    # call that sizes the series
-    with pytest.raises(ArithmeticError, match="LOG_SERIES_MAX_ZETA"):
+    # k0 = 498 continued terms, then ~28,000 zeta calls: refused before the
+    # call that sizes the series, which the price bounds without it
+    with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
         log_eval_multiples(2, mp.mpf("0.00201"), prec=PREC)
-    assert len(calls) == 1
     # k0 = 10^9 (off the real axis, so no pole snap): refused before any call
-    with pytest.raises(ArithmeticError, match="LOG_SERIES_MAX_ZETA"):
+    with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
         log_eval_multiples(2, mp.mpc("1e-9", 1), prec=PREC)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_log_eval_multiples_complex_point_finite():

@@ -28,15 +28,6 @@ from .partitions import PartSet
 
 PREC = 256
 
-_delta_cache: dict[int, modular.LProfile] = {}
-
-
-def delta_profile(prec: int = PREC) -> modular.LProfile:
-    if prec not in _delta_cache:
-        _delta_cache[prec] = modular.build_delta_profile(prec=prec)
-    return _delta_cache[prec]
-
-
 @dataclass
 class CriterionResult:
     cid: str
@@ -231,7 +222,7 @@ def criterion_12(prec=PREC):
     ~1.04e-3. The other sub-checks pass; see the root-table consistency test
     for the verification that pins the misprint.
     """
-    prof = delta_profile(prec)
+    prof = modular.build_delta_profile(prec)
     with working(prec):
         R = modular.period_polynomial(prof, prec)
         roots, _ = poly_roots(R, prec=prec)
@@ -259,7 +250,7 @@ _PAPER_Z_ORDINATES = [8.447, 5.002, 2.846, 1.352, 0.349]
 def criterion_13(prec=PREC):
     """Zeta polynomial of the discriminant form: functional equation,
     critical line, ordinates."""
-    prof = delta_profile(prec)
+    prof = modular.build_delta_profile(prec)
     Z = modular.zeta_polynomial(prof, prec)
     fe = modular.functional_eq_check(Z, prof.sign, prec)
     roots, dev = modular.rh_check(Z, prec)
@@ -280,7 +271,7 @@ def _synthetic_weight4(prec):
 def criterion_14(prec=PREC):
     """Generating-function identity on the discriminant profile and a
     synthetic weight-4 profile, mismatch < 1e-20."""
-    m1 = modular.generating_check(delta_profile(prec), 12, prec)
+    m1 = modular.generating_check(modular.build_delta_profile(prec), 12, prec)
     m2 = modular.generating_check(_synthetic_weight4(prec), 12, prec)
     ok = m1 < mp.mpf("1e-20") and m2 < mp.mpf("1e-20")
     return _result("A14", "generating function for Z(-n)", ok,

@@ -298,7 +298,6 @@ def cmd_modular(args, cfg: RunConfig) -> int:
         # here, so its roots come first: a refused price costs nothing else
         R = modular.period_polynomial(prof, cfg.precision_bits)
         rroots, rres = poly_roots(R, prec=cfg.precision_bits)
-        tau = modular.tau_recursive(30)
         Z = modular.zeta_polynomial(prof, cfg.precision_bits)
         fe = modular.functional_eq_check(Z, prof.sign, cfg.precision_bits)
         roots, dev = modular.rh_check(Z, cfg.precision_bits)
@@ -317,7 +316,7 @@ def cmd_modular(args, cfg: RunConfig) -> int:
     }
     if args.report:
         payload.update({
-            "tau_head": tau[:10],
+            "tau_head": modular.tau_recursive(10),
             "zeta_poly_coeffs": [_numstr(cfg, c) for c in Z.coeffs],
             "zeta_poly_roots": [[_numstr(cfg, mp.re(r)), _numstr(cfg, mp.im(r))]
                                 for r in roots],

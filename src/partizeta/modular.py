@@ -1,8 +1,8 @@
 """Modular-form side: universal coefficient recursions, completed critical
-values of the discriminant form, period polynomials, zeta polynomials with
-their functional equation and critical-line root checks, the comparison
-polynomials H_k built from binomial transforms, and the Ehrhart simplex
-oracle.
+values of the discriminant form (all from one pass over the split-integral
+series), period polynomials, zeta polynomials with their functional equation
+and critical-line root checks, the comparison polynomials H_k built from
+binomial transforms, and the Ehrhart simplex oracle.
 
 Scope note: the universal recursion is implemented for forms with no zeros
 in the fundamental domain (the divisor correction term vanishes), which the
@@ -27,7 +27,6 @@ from .numerics import (
     binomial_poly,
     check_work,
     guarded,
-    incomplete_gamma_upper,
     poly_compose_one_minus_s,
     poly_eval,
     poly_negate_var,
@@ -179,60 +178,76 @@ def eisenstein_coeffs(k: int, T: int) -> list[Fraction]:
 
 # ----------------------------------------------------------------------
 # completed L-values of the discriminant form
-_TAU_CACHE: list[int] = []
-
-
-def _tau(n: int) -> int:
-    global _TAU_CACHE
-    if len(_TAU_CACHE) < n:  # grown by doubling: each rebuild starts from scratch
-        _TAU_CACHE = tau_recursive(max(n, 2 * len(_TAU_CACHE), 64))
-    return _TAU_CACHE[n - 1]
-
-
-def _lambda_work(s, prec: int) -> int:
-    """The price of ``lambda_delta(s, prec)``, in units of ~1 us: its terms,
-    at least floor((prec - 10) ln 2 / (2 pi)) of them, at 400 + wp^2/2000
-    each for an integer s (two incomplete gamma values in closed form) and
-    8000 + wp^2/12 for any other s (two by series), wp = prec + 72. Priced
-    and timed, per value: s = 6 at 2048 bits 6.0 x 10^5, 0.66 s; s = 6 at
-    4096 bits 4.1 x 10^6, 4.6 s; s = 5.5 at 512 bits 2.0 x 10^6, 1.8 s
-    (2-core x86 VM, CPython 3.11, mpmath pure-Python backend)."""
-    wp = prec + GUARD_BITS + 32
-    terms = (prec - 10) * 1000 // 9065  # e^{-2 pi n} <= tail(n) keeps them
-    return terms * (400 + wp * wp // 2000 if s == int(s) else 8000 + wp * wp // 12)
+def _gamma_ladder(a, x, ex, steps: int) -> list:
+    """Gamma(a + i, x)/x^(a + i) for i = 0..steps, with ex = e^-x: one
+    incomplete gamma from mpmath at the base, then Gamma(a + 1, x) =
+    a Gamma(a, x) + x^a e^-x (DLMF 8.8.2) divided by x^(a + 1). Each step
+    adds two positive terms, so nothing cancels."""
+    g = [mp.gammainc(a, x) / x ** a]
+    for i in range(steps):
+        g.append(((a + i) * g[-1] + ex) / x)
+    return g
 
 
 @guarded(extra=32)
+def _lambda_values(svals, prec: int, what: str) -> list:
+    """Lambda(s) for each s in svals, from one pass over the terms n: tau(n)
+    from ``tau_eta_oracle``, e^{-2 pi n} a running product, and per n one
+    ``_gamma_ladder`` for each fractional part among the arguments s and
+    12 - s. Its price is checked against the work budget before any term."""
+    svals = [mp.mpf(s) for s in svals]
+    if not all(1 <= s <= 11 for s in svals):
+        raise ValueError("critical strip for weight 12 is 1 <= s <= 11")
+    ends = {}  # frac(a) -> the lowest and the highest argument a
+    for a in [a for s in svals for a in (s, 12 - s)]:
+        lo, hi = ends.get(mp.frac(a), (a, a))
+        ends[mp.frac(a)] = (min(lo, a), max(hi, a))
+    # the pass keeps the terms n < n_stop, about prec ln 2/(2 pi) of them. With
+    # |tau(j)| <= j^6.5 the rest is at most sum_{j>=n} 8 j^6.5 (2 pi j)^10
+    # e^{-2 pi j}/(1 - e^{-2 pi}), decreasing for n >= 3: n_stop is the first
+    # n >= 2 that puts it under 2^(10-prec)/100, in log2 with one bit to spare,
+    # and e^{-2 pi n} alone keeps it above that below the first n tried
+    rate = 2 * math.pi / math.log(2)
+    target = 9 - prec - math.log2(100)
+    n_stop = max(2, int(-target / rate))
+    while (3 - math.log2(1 - math.exp(-2 * math.pi)) + 6.5 * math.log2(n_stop)
+           + 10 * math.log2(2 * math.pi * n_stop) - rate * n_stop) >= target:
+        n_stop += 1
+    # per term, in units of ~1 us: a ladder's base 20 + wp^2/40000 at an integer
+    # a (a closed form) and 3000 + wp^2/30 at any other (a series), each ladder
+    # step and each value's sum 10 + wp^2/500000. Priced and timed: the profile
+    # at 3241 bits 3.6 x 10^5, 0.34 s, and at 8000 bits 4.1 x 10^6, 4.1 s;
+    # Lambda(3.25) at 640 bits 3.4 x 10^6, 2.7 s (2-core x86 VM, CPython 3.11,
+    # mpmath pure-Python backend)
+    wp = mp.mp.prec
+    op = 10 + wp * wp // 500000
+    check_work((n_stop - 1) * (len(svals) * op + sum(
+        (20 + wp * wp // 40000 if f == 0 else 3000 + wp * wp // 30) + int(hi - lo) * op
+        for f, (lo, hi) in ends.items())), what)
+    tau = tau_eta_oracle(n_stop - 1)
+    rungs = [[(mp.frac(a), int(a - ends[mp.frac(a)][0])) for a in (s, 12 - s)] for s in svals]
+    q = mp.exp(-2 * mp.pi)
+    ex = mp.mpf(1)
+    totals = [mp.mpf(0)] * len(svals)
+    for n in range(1, n_stop):
+        x = 2 * mp.pi * n
+        ex *= q
+        g = {f: _gamma_ladder(lo, x, ex, int(hi - lo)) for f, (lo, hi) in ends.items()}
+        for i, ((f1, i1), (f2, i2)) in enumerate(rungs):
+            totals[i] += tau[n - 1] * (g[f1][i1] + g[f2][i2])
+    return totals
+
+
 def lambda_delta(s, prec: int = DEFAULT_PREC):
     """Completed critical value of the weight-12 level-1 form at s in [1, 11].
 
     Split-integral series Lambda(s) = sum_n tau(n) [Gamma(s,2 pi n)/(2 pi n)^s
-    + Gamma(12-s,2 pi n)/(2 pi n)^{12-s}]; terms decay like e^{-2 pi n}, and
-    truncation stops once the bound |tau(n)| <= n^6.5 puts the remaining sum
-    under 2^(10-prec)/100. Target: within 2^(10-prec) of the exact value
-    (the guard bits hold the rounding of the terms). Its price
-    (``_lambda_work``) is checked against the work budget before any term.
+    + Gamma(12-s,2 pi n)/(2 pi n)^{12-s}]; terms decay like e^{-2 pi n}. The
+    one-point call of the profile's pass: s and 12 - s share one ladder when
+    s is an integer or a half-integer. Target: within 2^(10-prec) of the
+    exact value (the guard bits hold the rounding of the terms).
     """
-    s = mp.mpf(s)
-    if not (1 <= s <= 11):
-        raise ValueError("critical strip for weight 12 is 1 <= s <= 11")
-    check_work(_lambda_work(s, prec), f"Lambda({mp.nstr(s, 8)}) at {prec} bits")
-    wp = mp.mp.prec
-    target = mp.ldexp(1, 10 - prec) / 100
-
-    def tail(n):  # sum_{j>=n} j^6.5 * 2 * max(Gamma-factor), decreasing for n >= 3
-        return (mp.mpf(n) ** mp.mpf(6.5) * 2 * mp.exp(-2 * mp.pi * n)
-                * (2 * mp.pi * n) ** 10 / (1 - mp.exp(-2 * mp.pi)) * 4)
-
-    n_stop = 2  # the series keeps the terms n < n_stop, about prec ln 2/(2 pi) of them
-    while tail(n_stop) >= target:
-        n_stop += 1
-    total = mp.mpf(0)
-    for n in range(1, n_stop):
-        x = 2 * mp.pi * n
-        total += (_tau(n) * (incomplete_gamma_upper(s, x, wp) / x ** s
-                             + incomplete_gamma_upper(12 - s, x, wp) / x ** (12 - s)))
-    return total
+    return _lambda_values([s], prec, f"Lambda({s}) at {prec} bits")[0]
 
 
 # ----------------------------------------------------------------------
@@ -320,11 +335,9 @@ class LProfile:
 
 
 def build_delta_profile(prec: int = DEFAULT_PREC) -> LProfile:
-    """Assemble the discriminant-form profile Lambda(1..11) and validate it.
-    The eleven values are priced together before the first."""
-    check_work(sum(_lambda_work(j, prec) for j in range(1, 12)),
-               f"the discriminant-form profile at {prec} bits")
-    lam = [lambda_delta(j, prec=prec) for j in range(1, 12)]
+    """Assemble the discriminant-form profile Lambda(1..11) from one pass
+    (one ladder a = 1..11 per term) and validate it."""
+    lam = _lambda_values(range(1, 12), prec, f"the discriminant-form profile at {prec} bits")
     prof = LProfile(weight=12, level=1, sign=1, lam=lam, source="computed")
     prof.validate(tol=mp.ldexp(1, -(prec // 2)))
     return prof

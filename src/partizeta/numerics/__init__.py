@@ -17,7 +17,7 @@ from .tables import (
     zeta_neg_int,
 )
 from .series import TruncatedSeries
-from .gamma import incomplete_gamma_upper, log_gamma
+from .gamma import log_gamma
 from .zeta import (
     direct_zeta_start,
     euler_bernoulli_genfunc_check,
@@ -55,7 +55,6 @@ __all__ = [
     "euler_bernoulli_genfunc_check",
     "guarded",
     "hessenberg_det",
-    "incomplete_gamma_upper",
     "log_gamma",
     "poly_compose_one_minus_s",
     "poly_eval",

@@ -1,6 +1,6 @@
-"""Log-gamma and the upper incomplete gamma, as thin wrappers over mpmath's
-``loggamma`` and ``gammainc`` that add the domain checks this package relies
-on and the guarded precision policy of ``hp``.
+"""Log-gamma as a thin wrapper over mpmath's ``loggamma`` that adds the
+domain checks this package relies on and the guarded precision policy of
+``hp``.
 """
 
 from __future__ import annotations
@@ -28,12 +28,3 @@ def log_gamma(z, prec: int = DEFAULT_PREC):
         raise ValueError("log_gamma supports Re z > 0 only")
     return mp.loggamma(z)
 
-
-@guarded()
-def incomplete_gamma_upper(s, x, prec: int = DEFAULT_PREC):
-    """Gamma(s, x) = int_x^inf t^{s-1} e^-t dt for real s, x > 0."""
-    s = mp.mpf(s)
-    x = mp.mpf(x)
-    if x <= 0:
-        raise ValueError("incomplete_gamma_upper wants x > 0")
-    return mp.gammainc(s, x)

@@ -252,12 +252,12 @@ def test_work_budgets_refuse_at_once(capsys, mp_powers, argv, gate):
     ["--prec", "64", "pzeta", "--spec", "2N|3N|5N|7N|11N|13N", "--s", "2", "--routes", "product"],
     ["--prec", "64", "pzeta", "--spec", "2N|3N|5N|7N|11N|13N|17N|19N|23N", "--s", "2",
      "--routes", "product"],
-    # eleven completed values at 2.0 x 10^6 units each: 19.5 s when run
-    ["--prec", "3200", "modular", "delta"],
+    # the profile's one pass at 10,000 bits, 7.9 x 10^6 units: 7.5 s when run
+    ["--prec", "10000", "modular", "delta"],
     # the zeta call that sizes the series would run at 10^5 bits
     ["--prec", "100000", "pzeta", "--spec", "2N", "--s", "3.3", "--routes", "logseries"],
 ], ids=["logseries-2048-bits", "gamma-4096-bits", "six-primes", "nine-primes",
-        "delta-3200-bits", "logseries-100000-bits"])
+        "delta-10000-bits", "logseries-100000-bits"])
 def test_whole_evaluations_are_priced_at_once(capsys, mp_powers, argv):
     # each price counts all of an evaluation's work, bits included
     t0 = time.perf_counter()
@@ -302,7 +302,7 @@ def _weight_200_profile(tmp_path):
 @pytest.mark.parametrize("argv", [
     # the period polynomial of degree 198: ~1.3 x 10^9 units, hours
     lambda tmp: ["modular", "delta", "--profile", _weight_200_profile(tmp)],
-    # ~11,000 terms of incomplete gamma values at 10^5 bits per completed value
+    # ~11,000 terms of the profile's pass at 10^5 bits
     lambda tmp: ["--prec", "100000", "modular", "delta"],
 ], ids=["weight-200-profile", "delta-at-100000-bits"])
 def test_modular_work_budgets_refuse_at_once(tmp_path, capsys, mp_powers, argv):
@@ -416,6 +416,13 @@ def test_modular_delta_validates_past_1024_bits(capsys):
     # left a deviation of ~2^-560 from the equal Lambda(j), above the
     # tolerance 2^-576, so the run exited 2
     code, out = run_cli(capsys, "--prec", "1152", "modular", "delta")
+    assert code == 0 and json.loads(out)["profile"]["weight"] == 12
+
+
+def test_modular_delta_runs_at_3241_bits(capsys):
+    # the profile's one pass prices 3.6 x 10^5 units here (0.34 s), where
+    # eleven separate values were refused past 1726 bits
+    code, out = run_cli(capsys, "--prec", "3241", "modular", "delta")
     assert code == 0 and json.loads(out)["profile"]["weight"] == 12
 
 

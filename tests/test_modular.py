@@ -133,6 +133,87 @@ def test_lambda_delta_precision_sweep(s, prec):
         assert abs(v - ref) <= mp.ldexp(1, 10 - prec)
 
 
+def _two_gammainc_reference(svals, prec):
+    """Lambda(s) for s in svals at prec + 32 bits by the split-integral series
+    with two mp.gammainc calls per term (no ladder), tau from the recursion;
+    the terms run while e^{-2 pi n} (2 pi n)^11 n^7 > 2^-(prec + 40)."""
+    with mp.workprec(prec + 32):
+        eps = mp.ldexp(1, -(prec + 40))
+        nmax = 1
+        while mp.exp(-2 * mp.pi * nmax) * (2 * mp.pi * nmax) ** 11 * nmax ** 7 > eps:
+            nmax += 1
+        tau = tau_recursive(nmax)
+        out = []
+        for s in map(mp.mpf, svals):
+            total = mp.mpf(0)
+            for n in range(1, nmax + 1):
+                x = 2 * mp.pi * n
+                total += tau[n - 1] * (mp.gammainc(s, x) / x ** s
+                                       + mp.gammainc(12 - s, x) / x ** (12 - s))
+            out.append(total)
+        return out
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 512, 1024])
+def test_delta_profile_precision_sweep(prec):
+    # all eleven values within 2^(10-prec) of the same profile at 2 prec + 64
+    # and of the two-gammainc reference
+    lam = build_delta_profile(prec).lam
+    high = build_delta_profile(2 * prec + 64).lam
+    ref = _two_gammainc_reference(range(1, 12), prec)
+    with mp.workprec(2 * prec + 64):
+        assert max(abs(v - w) for v, w in zip(lam, high)) <= mp.ldexp(1, 10 - prec)
+        assert max(abs(v - w) for v, w in zip(lam, ref)) <= mp.ldexp(1, 10 - prec)
+
+
+@pytest.mark.parametrize("s", ["3.25", "5.5"])
+@pytest.mark.parametrize("prec", [64, 128, 256, 512])
+def test_lambda_delta_off_the_integers_precision_sweep(s, prec):
+    # s = 3.25 climbs two ladders per term, s = 5.5 one for both 5.5 and 6.5.
+    # Within 2^(10-prec) of the two-gammainc reference, and of the same call
+    # at 2 prec + 64 where that is inside the work budget (up to 699 bits for
+    # 3.25, 920 for 5.5, so not at 512)
+    v = lambda_delta(mp.mpf(s), prec=prec)
+    ref = _two_gammainc_reference([s], prec)[0]
+    with mp.workprec(2 * prec + 64):
+        assert abs(v - ref) <= mp.ldexp(1, 10 - prec)
+        if prec <= 256:
+            assert abs(v - lambda_delta(mp.mpf(s), prec=2 * prec + 64)) <= mp.ldexp(1, 10 - prec)
+
+
+@pytest.mark.parametrize("prec", [64, 256, 1024])
+def test_delta_profile_price_counts_its_work(monkeypatch, prec):
+    # deterministic calibration: one mp.gammainc per term, at x = 2 pi n for
+    # n = 1, 2, ..., then ten ladder steps and eleven sums. Each counted
+    # operation takes over 1 us (one unit), and the price is at most 16 units
+    # per operation up to 1024 bits
+    xs, steps, priced = [], [0], []
+    gammainc, ladder, check = mp.gammainc, modular._gamma_ladder, modular.check_work
+
+    def counted_gammainc(a, x):
+        xs.append(x)
+        return gammainc(a, x)
+
+    def counted_ladder(a, x, ex, n):
+        steps[0] += n
+        return ladder(a, x, ex, n)
+
+    def priced_check(units, what):
+        priced.append(units)
+        check(units, what)
+
+    monkeypatch.setattr(mp, "gammainc", counted_gammainc)
+    monkeypatch.setattr(modular, "_gamma_ladder", counted_ladder)
+    monkeypatch.setattr(modular, "check_work", priced_check)
+    build_delta_profile(prec)
+    terms = len(xs)
+    with mp.workprec(prec + 64):
+        assert [int(mp.nint(x / (2 * mp.pi))) for x in xs] == list(range(1, terms + 1))
+    assert steps[0] == 10 * terms
+    counted = terms + steps[0] + 11 * terms
+    assert len(priced) == 1 and counted <= priced[0] <= 16 * counted
+
+
 def test_lambda_delta_monotone_chain(delta):
     chain = delta.lam[5:]
     assert all(chain[i] <= chain[i + 1] for i in range(len(chain) - 1))

@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partizeta
-from partizeta.modular import hk_polynomial, hk_zero_solver
+from partizeta.modular import _gamma_ladder, hk_polynomial, hk_zero_solver
 from partizeta.pzeta import closed_form_gamma
 from partizeta.numerics import roots as roots_module
 from partizeta.numerics import tables as tables_module
@@ -44,7 +44,6 @@ from partizeta.numerics import (
     bernoulli_table,
     complete_bell,
     euler_bernoulli_genfunc_check,
-    incomplete_gamma_upper,
     log_gamma,
     poly_eval,
     poly_negate_var,
@@ -248,14 +247,17 @@ def test_log_gamma_pole_rejection():
 
 
 # ---------------------------------------------------------------- incomplete gamma
+# the upward ladder Gamma(a + i, x)/x^(a + i) of the discriminant-form pass
 def test_incomplete_gamma_exponential_case():
+    # one step up from Gamma(0, 1) = E_1(1): Gamma(1, 1) = 0 * E_1(1) + e^-1
     with mp.workprec(PREC):
-        assert abs(incomplete_gamma_upper(1, 1, PREC) - mp.exp(-1)) < TOL
+        assert abs(_gamma_ladder(0, mp.mpf(1), mp.exp(-1), 1)[1] - mp.exp(-1)) < TOL
 
 
 def test_incomplete_gamma_small_x_limit():
     with mp.workprec(PREC):
-        v = incomplete_gamma_upper(2, mp.mpf(10) ** -30, PREC)
+        x = mp.mpf(10) ** -30
+        v = _gamma_ladder(1, x, mp.exp(-x), 1)[1] * x ** 2
         assert abs(v - 1) < mp.mpf(10) ** -29
 
 
@@ -264,7 +266,21 @@ def test_incomplete_gamma_quadrature_oracle():
     with mp.workprec(PREC):
         x0 = 2 * mp.pi
         ref = mp.quad(lambda t: t ** 11 * mp.exp(-t), [x0, mp.inf])
-        assert abs(incomplete_gamma_upper(12, x0, PREC) - ref) < mp.mpf(10) ** -30
+        v = _gamma_ladder(1, x0, mp.exp(-x0), 11)[11] * x0 ** 12
+        assert abs(v - ref) < mp.mpf(10) ** -30
+
+
+@pytest.mark.parametrize("base", ["0.5", "1"])
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_incomplete_gamma_ladder_matches_gammainc(base, n):
+    # every rung a = base .. base + 10 against mpmath's own Gamma(a, x) at
+    # x = 2 pi n, to a few units in the last place
+    with mp.workprec(PREC):
+        x = 2 * mp.pi * n
+        a0 = mp.mpf(base)
+        for i, g in enumerate(_gamma_ladder(a0, x, mp.exp(-x), 10)):
+            ref = mp.gammainc(a0 + i, x) / x ** (a0 + i)
+            assert abs(g - ref) <= abs(ref) * TOL
 
 
 # ---------------------------------------------------------------- zeta

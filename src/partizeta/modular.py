@@ -2,7 +2,9 @@
 values of the discriminant form (all from one pass over the split-integral
 series), period polynomials, zeta polynomials with their functional equation
 and critical-line root checks, the comparison polynomials H_k built from
-binomial transforms, and the Ehrhart simplex oracle.
+binomial transforms, and the exact lattice-point count of the dilated
+reflexive simplex (one binomial per coordinate-sum slice) behind the Ehrhart
+identity for H_k^-.
 
 Scope note: the universal recursion is implemented for forms with no zeros
 in the fundamental domain (the divisor correction term vanishes), which the
@@ -12,7 +14,6 @@ never computed here.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -523,10 +524,12 @@ def ehrhart_simplex_count(k: int, dilation: int) -> int:
     """Lattice points of the dilated simplex conv{e_1..e_{k-3}, -sum e_j}.
 
     Membership x = sum c_i v_i with c_i >= 0, sum c_i = dilation, solved
-    exactly: c_last = r/(k-2) with r = dilation - sum x, and
-    c_i = x_i + c_last, so x is a member iff r >= 0 and (k-2) x_i + r >= 0
-    for every i, an integer test. Exhaustive box scan of (2m+1)^{k-3}
-    points at ~0.5 us each ((6, 9) takes 3.8 ms, (8, 3) 6.6 ms), a price
+    exactly: c_last = r/(k-2) with r = dilation - S, S = sum x, and
+    c_i = x_i + c_last, so x is a member iff r >= 0 and every x_i >= -l,
+    l = floor(r/(k-2)). The points with coordinate sum S are then the
+    compositions of S + (k-3) l into k-3 parts >= 0, C(S + (k-3) l + k-4, k-4)
+    of them (none when S + (k-3) l < 0), and S runs over
+    [-(k-3) dilation, dilation]: (k-2) dilation + 1 exact binomials, a price
     checked against the work budget first.
     """
     if k < 6 or k % 2:
@@ -534,14 +537,18 @@ def ehrhart_simplex_count(k: int, dilation: int) -> int:
     if dilation < 0:
         raise ValueError("dilation must be >= 0")
     d = k - 3
-    check_work((2 * dilation + 1) ** d // 2,
-               f"the Ehrhart box scan at k = {k}, dilation {dilation}")
+    # per term, in units of ~1 us: 1 + j (1 + j/128)/32 with j = min(dilation, k),
+    # for the binomials' size. Priced and timed: (6, 8 x 10^5) 3.8 x 10^6, 1.0 s;
+    # (16, 10^5) 2.2 x 10^6, 1.3 s; (150, 2500) 4.1 x 10^6, 4.2 s; (6, 9) 43, 30 us
+    # (2-core x86 VM, CPython 3.11)
+    j = min(dilation, k)
+    check_work(((k - 2) * dilation + 1) * (32 + j + j * j // 128) // 32,
+               f"the Ehrhart count at k = {k}, dilation {dilation}")
     count = 0
-    vertices = k - 2
-    for x in itertools.product(range(-dilation, dilation + 1), repeat=d):
-        r = dilation - sum(x)
-        if r >= 0 and vertices * min(x) + r >= 0:
-            count += 1
+    for S in range(-d * dilation, dilation + 1):
+        n = S + d * ((dilation - S) // (k - 2))
+        if n >= 0:
+            count += math.comb(n + d - 1, d - 1)
     return count
 
 

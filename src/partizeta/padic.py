@@ -6,7 +6,8 @@ the Kummer congruences; the complete Bell polynomial of the zeta* sequence
 (``numerics.bell``, determinant route) then interpolates the length-k value
 over parts prime to p at negative arguments. Everything here is a valuation
 statement about differences of rationals, so no floating representation
-appears anywhere.
+appears anywhere; the Kummer valuation reads its difference off one
+cross-multiplied integer and never forms the rationals.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import bell_via_determinant, bernoulli_work, check_work, zeta_neg_int
+from .numerics import bell_via_determinant, bernoulli, bernoulli_work, check_work, zeta_neg_int
 from .numerics.bell import determinant_work
 
 INFINITE_VALUATION = math.inf
@@ -60,16 +61,17 @@ def padic_valuation(q, p: int):
     q = Fraction(q)
     if q == 0:
         return INFINITE_VALUATION
+    return _valuation(q.numerator, p) - _valuation(q.denominator, p)
+
+
+def _valuation(n: int, p: int) -> int:
+    """v_p of a nonzero integer."""
     v = 0
-    num = abs(q.numerator)
-    while num % p == 0:
-        num //= p
+    while True:
+        n, r = divmod(n, p)
+        if r:
+            return v
         v += 1
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
 
 
 def zeta_star_neg(p: int, n: int) -> Fraction:
@@ -81,14 +83,16 @@ def zeta_star_neg(p: int, n: int) -> Fraction:
     return (1 - Fraction(p) ** (n - 1)) * zeta_neg_int(n - 1)
 
 
-def kummer_check(p: int, a: int, k1: int, k2: int) -> bool:
-    """Kummer congruence instance, exact.
+def kummer_valuation(p: int, a: int, k1: int, k2: int):
+    """v_p(zeta*(1-k1) - zeta*(1-k2)), exact (math.inf when they are equal).
 
     Preconditions (violations named): k1, k2 positive even, neither divisible
-    by p-1, and k1 = k2 mod p^a (p-1). True iff
-    v_p((1-p^{k1-1}) B_{k1}/k1 - (1-p^{k2-1}) B_{k2}/k2) >= a+1. Its
-    price, the Bernoulli table to B_max(k1, k2), is checked against the work
-    budget first.
+    by p-1, and k1 = k2 mod p^a (p-1). Its price, the Bernoulli table to
+    B_max(k1, k2), is checked against the work budget first. With
+    B_k = N_k/D_k and zeta*(1-k) = -(1-p^{k-1}) B_k/k, the difference is
+    (1-p^{k1-1}) N1 D2 k2 - (1-p^{k2-1}) N2 D1 k1 over D1 D2 k1 k2 up to
+    sign: two valuations of integers, and no gcd on the ~1000-digit numbers
+    that Fractions would take.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"precondition: p={p} must be an odd prime")
@@ -102,8 +106,20 @@ def kummer_check(p: int, a: int, k1: int, k2: int) -> bool:
         raise ValueError(
             f"precondition: k1={k1} and k2={k2} not congruent mod p^(a+1)-p^a={modulus}")
     check_work(bernoulli_work(max(k1, k2)), f"the Kummer check of B_{k1} and B_{k2}")
-    diff = zeta_star_neg(p, k1) - zeta_star_neg(p, k2)
-    return padic_valuation(diff, p) >= a + 1
+    b1, b2 = bernoulli(k1), bernoulli(k2)
+    n1, d1, n2, d2 = b1.numerator, b1.denominator, b2.numerator, b2.denominator
+    top = (1 - p ** (k1 - 1)) * (n1 * d2 * k2) - (1 - p ** (k2 - 1)) * (n2 * d1 * k1)
+    if top == 0:
+        return INFINITE_VALUATION
+    return _valuation(top, p) - _valuation(d1 * d2 * k1 * k2, p)
+
+
+def kummer_check(p: int, a: int, k1: int, k2: int) -> bool:
+    """Kummer congruence instance, exact: True iff
+    v_p((1-p^{k1-1}) B_{k1}/k1 - (1-p^{k2-1}) B_{k2}/k2) >= a+1, i.e.
+    ``kummer_valuation`` (same preconditions and price) is at least a+1.
+    """
+    return kummer_valuation(p, a, k1, k2) >= a + 1
 
 
 def padic_fixedlen(ctx: PadicContext, m: int) -> Fraction:

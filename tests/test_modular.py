@@ -1,8 +1,10 @@
 """Modular-form side: tau recursion, completed values, period/zeta
-polynomials, binomial-transform polynomials, Ehrhart oracle."""
+polynomials, binomial-transform polynomials, the Ehrhart count against a
+box-scan oracle."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -526,22 +528,60 @@ def test_hk_solver_weight6_explicit_roots():
 
 
 # ---------------------------------------------------------------- Ehrhart
+def box_scan_count(k, m):
+    """Brute-force oracle: scan the (2m+1)^(k-3) box for members x, those with
+    r = m - sum x >= 0 and (k-2) x_i + r >= 0 for every i."""
+    count = 0
+    for x in itertools.product(range(-m, m + 1), repeat=k - 3):
+        r = m - sum(x)
+        if r >= 0 and (k - 2) * min(x) + r >= 0:
+            count += 1
+    return count
+
+
 def test_ehrhart_counts_match_polynomial():
-    H6 = hk_polynomial(6, -1)
     assert ehrhart_simplex_count(6, 0) == 1
     assert ehrhart_simplex_count(6, 1) == 5
     assert ehrhart_simplex_count(6, 4) == 69
-    for m in range(0, 9):
-        assert ehrhart_simplex_count(6, m) == poly_eval(H6, Fraction(m))
-    H8 = hk_polynomial(8, -1)
-    for m in range(0, 4):
-        assert ehrhart_simplex_count(8, m) == poly_eval(H8, Fraction(m))
+    # the paper's Ehrhart identity, far past the box scan's reach
+    for k in range(6, 18, 2):
+        H = hk_polynomial(k, -1)
+        for m in range(0, 41):
+            assert ehrhart_simplex_count(k, m) == poly_eval(H, Fraction(m)), (k, m)
+
+
+def test_ehrhart_count_matches_box_scan():
+    # every (k, m), k <= 16, whose box holds at most 10^5 points
+    cases = [(k, m) for k in range(6, 18, 2) for m in range(0, 23)
+             if (2 * m + 1) ** (k - 3) <= 10 ** 5]
+    assert len(cases) == 23 + 5 + 3 + 2 + 1 + 1
+    for k, m in cases:
+        assert ehrhart_simplex_count(k, m) == box_scan_count(k, m), (k, m)
+
+
+def test_ehrhart_price_counts_its_terms(monkeypatch):
+    priced, combs = [], []
+    comb = math.comb
+
+    def priced_check(units, what):
+        assert not combs  # the price comes before any binomial
+        priced.append(units)
+
+    def counted_comb(n, r):
+        combs.append(n)
+        return comb(n, r)
+
+    monkeypatch.setattr(modular, "check_work", priced_check)
+    monkeypatch.setattr(math, "comb", counted_comb)
+    assert ehrhart_simplex_count(12, 50) == poly_eval(hk_polynomial(12, -1), Fraction(50))
+    assert len(combs) <= 10 * 50 + 1 <= priced[0] <= 2 * (10 * 50 + 1)
 
 
 def test_ehrhart_resource_gate():
-    # 101^9 box points: the work budget refuses the scan before it starts
+    # (12, 50) takes 501 binomials; (12, 10^6) takes 10^7 + 1, priced
+    # 1.4 x 10^7 (about 7 s if run), and is refused before the first
     with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
-        ehrhart_simplex_count(12, 50)
+        ehrhart_simplex_count(12, 10 ** 6)
 
 
 # ---------------------------------------------------------------- weight 4 / convergence

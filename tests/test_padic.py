@@ -15,6 +15,7 @@ from partizeta.padic import (
     interpolation_check,
     is_prime,
     kummer_check,
+    kummer_valuation,
     padic_fixedlen,
     padic_valuation,
     suggest_m2,
@@ -93,6 +94,60 @@ def test_kummer_randomized_theorem_check():
             continue
         assert kummer_check(p, a, k1, k2), (p, a, k1, k2)
         done += 1
+
+
+def fraction_route(p, k1, k2):
+    return padic_valuation(zeta_star_neg(p, k1) - zeta_star_neg(p, k2), p)
+
+
+def test_kummer_valuation_on_the_a10_instances():
+    # A10's 200 seeded instances (acceptance.criterion_10)
+    rng = random.Random(20260811)
+    primes = [3, 5, 7, 11, 13, 17, 19, 23]
+    count = 0
+    while count < 200:
+        p = rng.choice(primes)
+        a = rng.choice([0, 0, 0, 1])
+        step = p ** a * (p - 1)
+        k1 = rng.randrange(2, 60, 2)
+        if k1 % (p - 1) == 0:
+            continue
+        k2 = k1 + step * rng.randint(1, 3)
+        if k2 > 600:
+            continue
+        assert kummer_valuation(p, a, k1, k2) == fraction_route(p, k1, k2), (p, a, k1, k2)
+        count += 1
+
+
+def test_kummer_valuation_up_to_b600():
+    # a boolean check alone cannot see a wrong valuation: the congruence is a
+    # theorem, so kummer_check is True on every valid instance
+    rng = random.Random(600)
+    primes = [3, 5, 7, 11, 13, 17, 19, 23]
+    seen = set()
+    done = 0
+    while done < 150:
+        p = rng.choice(primes)
+        a = rng.choice([0, 1, 2])
+        k1 = rng.randrange(2, 601, 2)
+        if k1 % (p - 1) == 0:
+            continue
+        k2 = k1 + p ** a * (p - 1) * rng.randint(-4, 4)
+        if not 2 <= k2 <= 600 or k2 == k1:
+            continue
+        v = kummer_valuation(p, a, k1, k2)
+        assert v == fraction_route(p, k1, k2), (p, a, k1, k2)
+        assert v >= a + 1 and kummer_check(p, a, k1, k2)
+        seen.add((a, v - a))
+        done += 1
+    assert {a for a, _ in seen} == {0, 1, 2}
+    assert any(extra > 1 for _, extra in seen)  # deeper than the congruence
+
+
+def test_kummer_valuation_equal_indices_is_infinite():
+    for p, a, k in ((5, 0, 2), (7, 2, 44), (23, 1, 600)):
+        assert kummer_valuation(p, a, k, k) == INFINITE_VALUATION == fraction_route(p, k, k)
+        assert kummer_check(p, a, k, k)
 
 
 def test_padic_fixedlen_k1_is_zeta_star():

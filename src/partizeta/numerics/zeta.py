@@ -147,9 +147,15 @@ class _Powers:
         return to_fixed(mp.mpf(z)._mpf_, self.F), 0
 
     def value(self, re: int, im: int, cplx: bool):
-        """(re + i im) 2^-F as an mp number, exactly; an mpc when cplx."""
-        x = mp.mpf(from_man_exp(re, -self.F))
-        return mp.mpc(x, mp.mpf(from_man_exp(im, -self.F))) if cplx else x
+        """(re + i im) 2^-F as an mp number, rounded; an mpc when cplx."""
+        x = self._mpf(re)
+        return mp.mpc(x, self._mpf(im)) if cplx else x
+
+    def _mpf(self, man: int):
+        # the trailing zero bits are shifted out first: mpmath strips them a
+        # byte at a time (2^F at F = 10^6 + 32: 1.8 s unshifted, 0.3 ms shifted)
+        zeros = (man & -man).bit_length() - 1 if man else 0
+        return mp.mpf(from_man_exp(man >> zeros, zeros - self.F))
 
     def __getitem__(self, k: int) -> tuple[int, int, int]:
         entry = self._entries.get(k)

@@ -15,7 +15,8 @@ Routes implemented:
   and one ``exp`` ends it. The tests check it against a k-series in mpmath's
   Hurwitz zeta and the brute Dirichlet series.
 * ``closed_form_gamma`` -- the gamma-product closed form for a single
-  congruence class {a+m, a+2m, ...} at integer argument n >= 2.
+  congruence class {a+m, a+2m, ...} at integer argument n >= 2, from the
+  log-gamma sum over the n-th roots of unity (``_log_gamma_ring``).
 * ``log_eval_general`` -- the log-gamma Taylor expansion of the same closed
   form (series in zeta(k) - 1).
 * ``log_eval_multiples`` -- log zeta over multiples of m as sum_k
@@ -24,6 +25,8 @@ Routes implemented:
   is mpmath's zeta at small and moderate Re(sk) and a direct sum of at most
   40 terms once that reaches the working precision
   (``zeta_multiples_direct``).
+* ``zeta_via_mobius`` -- zeta(n) by Moebius inversion of the log series
+  over the multiples of m, a sum of the same rings at a = 0.
 
 Cross-route agreement is the correctness argument; the test-suite grids
 exercise it at 10^-35.
@@ -40,7 +43,6 @@ from mpmath.libmp import from_man_exp, round_ceiling
 from .numerics import (
     DEFAULT_PREC,
     GUARD_BITS,
-    TruncatedSeries,
     check_work,
     direct_zeta_start,
     guarded,
@@ -89,7 +91,6 @@ def _e(x):
 
 
 # ----------------------------------------------------------------------
-@guarded()
 def euler_product(spec: PartSet, s, prec: int = DEFAULT_PREC):
     """prod_{k in M} (1 - k^-s)^{-1}, or prod (1 + k^-s) for distinct parts:
     ``dirichlet_partition_series`` at the weight chi = 1, (value, bound)."""
@@ -165,11 +166,10 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     check_work(work, what)
     # the finite part over the parts in (1, K] and the explicit parts past K
     # that no class covers: a fixed product each, an mp power unless _Powers
-    # zeroes it, and up to 6 steps to make P and T mp numbers (mpmath strips
-    # the trailing zeros of a power of two a byte at a time: 4 s at 10^6 bits)
+    # zeroes it
     parts = [k for k in spec.parts_outside_tail(K) if k > 1 and chi[k % q] != 0]
     work += _work(sum((k.bit_length() - 1) * powers.sr <= F << F for k in parts),
-                  len(parts) + 6, F)
+                  len(parts), F)
     M, residues = spec.tail_classes()
     classes = []  # (r, i0): the members > K congruent to r mod L are r + L i, i >= i0
     for r in (r0 + M * t for r0 in residues for t in range(L // M)):
@@ -227,10 +227,12 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     for k in parts:
         xr, xi = _mul(*weights[k % q], *powers[k][:2], F)
         pr, pi = _mul(pr, pi, ONE - xr, -xi, F)
-    P = powers.value(pr, pi, cplx)
+    # an empty product is 1: mpmath's 1/1 at wp bits strips the trailing
+    # zeros of the quotient a byte at a time (1.8 s at 10^6 bits)
+    P = 1 if (pr, pi) == (ONE, 0) else powers.value(pr, pi, cplx)
     ones = 1 / (1 - c1) if cap is None else _geometric_sum(c1, cap + 1)
-    return (ones * (P if sign < 0 else 1 / P) * mp.exp(sign * powers.value(tail_r, tail_i, cplx)),
-            certificate)
+    return (ones * (P if sign < 0 or P == 1 else 1 / P)
+            * mp.exp(sign * powers.value(tail_r, tail_i, cplx)), certificate)
 
 
 def _geometric_sum(c, n: int):
@@ -258,35 +260,41 @@ def _period(chi) -> list:
     return chi
 
 
+def _log_gamma_ring(a: int, m: int, n: int, wp: int):
+    """sum_{r<n} log Gamma(1 + (a - e(r/n))/m), real: the terms at r and
+    n - r are conjugate, so r = 0..n/2 are evaluated and the interior ones
+    counted twice."""
+    return mp.fsum((1 if r == 0 or 2 * r == n else 2)
+                   * mp.re(log_gamma(1 + (a - _e(mp.mpf(r) / n)) / m, wp))
+                   for r in range(n // 2 + 1))
+
+
+def _ring_work(n: int, wp: int) -> int:
+    """The price of ``_log_gamma_ring``: n//2 + 1 log-gamma calls at ~400 +
+    wp^2/100 us (0.5 ms at 64 bits, 1.0 ms at 256, 8.4 ms at 1024, 31 ms at
+    2048 and 179 ms at 4096; 2-core x86 VM, CPU time)."""
+    return (n // 2 + 1) * (400 + wp * wp // 100)
+
+
 @guarded(extra=32)
 def closed_form_gamma(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
     """Gamma(1+a/m)^{-n} prod_{r=0}^{n-1} Gamma(1 + (a - e(r/n))/m), n >= 2.
 
-    The zeta value over parts {a+m, a+2m, ...} at integer argument n. The
-    product is real after pairing conjugate factors; the imaginary residue is
-    checked against 2^-(prec/2) before being discarded. Target: within
-    2^(1-prec) of the exact value, relative; the n + 1 log-gamma values at
-    prec + 72 bits lose log2(n + 1) + 8 bits and the log of their largest
-    modulus, well inside 72, and the result is rounded once. Their price is
-    checked against the work budget before any evaluation.
+    The zeta value over parts {a+m, a+2m, ...} at integer argument n, as
+    exp of the log-gamma ring (``_log_gamma_ring``, real by construction)
+    less n log Gamma(1 + a/m). Target: within 2^(1-prec) of the exact value,
+    relative; the n//2 + 2 log-gamma values at prec + 72 bits lose
+    log2(n + 1) + 8 bits and the log of their largest modulus, well inside
+    72, and the result is rounded once. Their price is checked against the
+    work budget before any evaluation.
     """
     CongruenceClassSpec(a, m)
     if n < 2:
         raise ValueError("closed form needs n >= 2")
     wp = mp.mp.prec
-    # a log-gamma call at wp bits takes ~400 + wp^2/100 us: closed_form_gamma(0,
-    # 2, 16) takes 0.5 ms per call at 64 bits, 1.0 ms at 256, 8.4 ms at 1024,
-    # 31 ms at 2048 and 179 ms at 4096 (2-core x86 VM, CPU time)
-    check_work((n + 1) * (400 + wp * wp // 100), f"the gamma closed form at n = {n} and {wp} bits")
-    acc = mp.mpc(0)
-    for r in range(n):
-        z = 1 + (a - _e(mp.mpf(r) / n)) / m
-        acc += log_gamma(z, wp)
-    acc -= n * log_gamma(1 + mp.mpf(a) / m, wp)
-    val = mp.exp(acc)
-    if abs(mp.im(val)) > mp.mpf(2) ** (-(prec // 2)) * (1 + abs(val)):
-        raise ArithmeticError(f"imaginary residue {mp.im(val)} too large")
-    return mp.re(val)
+    # the ring and the base term: (n + 2)//2 + 1 = n//2 + 2 calls
+    check_work(_ring_work(n + 2, wp), f"the gamma closed form at n = {n} and {wp} bits")
+    return mp.exp(_log_gamma_ring(a, m, n, wp) - n * log_gamma(1 + mp.mpf(a) / m, wp))
 
 
 @guarded(extra=32)
@@ -296,21 +304,32 @@ def log_eval_general(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
     Two-part series: n log(1+a/m) - sum_r log(1+z_r) plus
     sum_r sum_{k>=2} (-1)^k (zeta(k)-1) (z_r^k - (a/m)^k)/k, with
     z_r = (a - e(r/n))/m. Convergence needs max_r |z_r| < 2 (asserted); the
-    Euler-Mascheroni terms cancel since sum_r e(r/n) = 0.
+    Euler-Mascheroni terms cancel since sum_r e(r/n) = 0. Its price is
+    checked against the work budget before any evaluation.
     """
     CongruenceClassSpec(a, m)
     if m < 2 or n < 2:
         raise ValueError("log_eval_general needs m, n >= 2")
-    zs = [(a - _e(mp.mpf(r) / n)) / m for r in range(n)]
-    zmax = max(abs(z) for z in zs)
+    # |z_r| is largest at the root nearest -1
+    zmax = abs(a - _e(mp.mpf(n // 2) / n)) / m
     if zmax >= 2:
         raise ValueError(f"|a - e(r/n)|/m reaches {zmax} >= 2: expansion diverges")
-    am = mp.mpf(a) / m
-    total = n * mp.log(1 + am) - mp.fsum(mp.log(1 + z) for z in zs)
     # series terms: (zeta(k)-1) ~ 2^-k, z^k <= zmax^k; zeta(k) - 1 >= 2^-k
     # keeps wp bits from zeta(k) at wp + k + 8 (2^-wp would grow by zmax^k)
     ratio = zmax / 2 if zmax > 1 else mp.mpf(1) / 2
     kmax = int(mp.ceil((prec + 60) / -mp.log(ratio, 2))) + 4
+    # the price, before any zeta call: zeta(k) at wp + k + 8 bits takes ~100
+    # + wp^2/1400 us while k < wp, and each term ~50 + (wp + k)^2/2^22 us more
+    # plus 10 us per root ((3, 2, 5), kmax 5899, in 0.61 s and (3, 2, 11),
+    # kmax 28624, in 8.2 s at 256 bits; (0, 2, 2), kmax 2112, in 6.5 s at
+    # 2048; cold, 2-core x86 VM, CPU time)
+    wp = mp.mp.prec
+    check_work(min(kmax, wp) * (100 + wp * wp // 1400)
+               + kmax * (50 + 10 * n + ((wp + kmax) ** 2 >> 22)),
+               f"the log-gamma expansion at (a, m, n) = ({a}, {m}, {n}) and {wp} bits")
+    zs = [(a - _e(mp.mpf(r) / n)) / m for r in range(n)]
+    am = mp.mpf(a) / m
+    total = n * mp.log(1 + am) - mp.fsum(mp.log(1 + z) for z in zs)
     acc = mp.mpc(0)
     zk, amk = [z * z for z in zs], am * am  # z^k and (a/m)^k as running products
     for k in range(2, kmax + 1):
@@ -404,27 +423,24 @@ def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC):
 
 @guarded(extra=32)
 def zeta_via_mobius(m: int, n: int, K: int, prec: int = DEFAULT_PREC):
-    """Partial sum m^n sum_{k<=K} mu(k)/k sum_r log Gamma(1 - e(r/nk)/m).
+    """Partial sum m^n sum_{k<=K} mu(k)/k sum_{r<nk} log Gamma(1 - e(r/nk)/m),
+    each inner sum the log-gamma ring at a = 0 (``_log_gamma_ring``).
 
     Converges to zeta(n) as K grows (inverted from the multiples-of-m log
-    formula); the inner sum is real after conjugate pairing. The terms at r
-    and nk - r are conjugate, so r = 0..nk/2 are evaluated and the
-    interior ones counted twice.
+    formula). Its price is checked against the work budget before any
+    evaluation.
     """
     if m < 2 or n < 2 or K < 1:
         raise ValueError("need m, n >= 2 and K >= 1")
-    mob = _mobius_upto(K)
     wp = mp.mp.prec
+    # K rings, squarefree k or not, of n(K + 1)/2 on average: ~n K^2/4 calls
+    check_work(K * _ring_work(n * (K + 1) // 2, wp),
+               f"the Moebius sum at n = {n}, K = {K} and {wp} bits")
+    mob = _mobius_upto(K)
     total = mp.mpf(0)
     for k in range(1, K + 1):
-        if mob[k] == 0:
-            continue
-        nk = n * k
-        inner = mp.fsum(
-            (1 if r == 0 or 2 * r == nk else 2)
-            * mp.re(log_gamma(1 - _e(mp.mpf(r) / nk) / m, wp))
-            for r in range(nk // 2 + 1))
-        total += mp.mpf(mob[k]) / k * inner
+        if mob[k] != 0:
+            total += mp.mpf(mob[k]) / k * _log_gamma_ring(0, m, n * k, wp)
     total *= mp.mpf(m) ** n
     return total
 
@@ -447,37 +463,6 @@ def _mobius_upto(K: int) -> list[int]:
             mu[i * p] = -mu[i]
     mu[0] = 0
     return mu
-
-
-@guarded(extra=32)
-def zeta_via_gamma_series(n: int, prec: int = DEFAULT_PREC, antisymmetric: bool = False):
-    """zeta(n) as [z^n] prod_{j<n} Gamma(1 - z e(j/n)), n >= 2.
-
-    The product is expanded as exp of the summed log-gamma Taylor series
-    (the Euler-Mascheroni terms cancel because the n-th roots of unity sum
-    to zero). The antisymmetric variant extracts [z^n](P - 1/P)/2 instead;
-    both equal zeta(n).
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    wp = mp.mp.prec
-    T = n
-    A = [mp.mpc(0)] * (T + 1)
-    for j in range(n):
-        w = -_e(mp.mpf(j) / n)  # log Gamma(1 + w z): -gamma w z + sum zeta(k)(-w)^k z^k /k
-        A[1] += -mp.euler * w
-        for k in range(2, T + 1):
-            A[k] += riemann_zeta(k, wp) * (-w) ** k / k
-    series = TruncatedSeries(A, T)
-    P = series.exp()
-    if antisymmetric:
-        Q = TruncatedSeries([-c for c in A], T).exp()
-        val = (P[T] - Q[T]) / 2
-    else:
-        val = P[T]
-    if abs(mp.im(val)) > mp.mpf(2) ** (-(prec // 2)) * (1 + abs(val)):
-        raise ArithmeticError("imaginary residue too large")
-    return mp.re(val)
 
 
 @guarded()

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+import time
+
 import mpmath as mp
 import pytest
 
@@ -18,7 +22,6 @@ from partizeta.pzeta import (
     log_eval_general,
     log_eval_multiples,
     mainthm_reading_report,
-    zeta_via_gamma_series,
     zeta_via_mobius,
 )
 
@@ -120,6 +123,15 @@ def test_euler_product_finite_part_set():
         assert bound == 0
 
 
+def test_empty_euler_product_at_a_million_bits(mp_powers):
+    # no part is left: the value 1 needs no mp power, and 2^F becomes an mp
+    # number without mpmath stripping its F trailing zeros a byte at a time
+    t0 = time.perf_counter()
+    v, bound = euler_product(parse_part_set("geq:7|finite:{3}"), mp.mpf("1.5"), prec=10 ** 6)
+    assert time.perf_counter() - t0 < 1
+    assert v == 1 and bound == 0 and mp_powers[0] == 0
+
+
 def test_euler_product_complex_argument():
     v, bound = euler_product(parse_part_set("2N"), mp.mpc(2, 1), prec=PREC)
     assert mp.isfinite(v)
@@ -144,6 +156,31 @@ def test_closed_form_precision_sweep(a, m, n, prec):
     ref = closed_form_gamma(a, m, n, 2 * prec + 64)
     with mp.workprec(2 * prec + 64):
         assert abs(v - ref) <= mp.ldexp(abs(ref), 1 - prec)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_closed_form_makes_one_log_gamma_call_per_conjugate_pair(monkeypatch, n):
+    # the ring evaluates r = 0..n/2, and the base term is one call more
+    calls = []
+
+    def counted(z, prec):
+        calls.append(z)
+        return mp.loggamma(z)
+
+    want = closed_form_gamma(1, 3, n, 64)
+    monkeypatch.setattr(pzeta, "log_gamma", counted)
+    assert closed_form_gamma(1, 3, n, 64) == want
+    assert len(calls) == n // 2 + 2
+
+
+def test_one_log_gamma_ring():
+    # in pzeta, log-gamma is called only by the ring and the closed form's
+    # base term
+    tree = ast.parse(pathlib.Path(pzeta.__file__).read_text())
+    callers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "log_gamma"]
+    assert callers == ["_log_gamma_ring", "closed_form_gamma"]
 
 
 def test_closed_form_matches_explicit_part_product():
@@ -181,6 +218,29 @@ def test_log_eval_general_cross_route():
 def test_log_eval_general_rejects_divergent_expansion():
     with pytest.raises(ValueError):
         log_eval_general(4, 2, 2, PREC)  # |(a - e(r/n))/m| reaches 2.5
+
+
+def test_gamma_routes_are_priced_at_once(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(pzeta, "riemann_zeta", counted(riemann_zeta))
+    monkeypatch.setattr(pzeta, "log_gamma", counted(pzeta.log_gamma))
+    t0 = time.perf_counter()
+    # max |z_r| = 1.9991: ~6 x 10^5 terms, each a zeta call at wp + k + 8 bits
+    with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
+        log_eval_general(3, 2, 51, PREC)
+    # 48,475 log-gamma calls (K = 80: 2,035 calls, 1.2 s)
+    with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
+        zeta_via_mobius(2, 2, 400, PREC)
+    assert time.perf_counter() - t0 < 1 and calls == []
+    zeta_via_mobius(2, 2, 20, PREC)
+    assert len(calls) == 136 and set(calls) == {"log_gamma"}
 
 
 def test_three_route_agreement_grid():
@@ -283,16 +343,21 @@ def test_mobius_single_term_unrolled():
 @pytest.mark.parametrize("m, n, K", [(3, 3, 3), (2, 2, 3), (4, 5, 2)])
 @pytest.mark.parametrize("prec", [64, PREC])
 def test_mobius_pairs_conjugate_terms(m, n, K, prec):
-    # the route evaluates r <= nk/2 and doubles the paired terms; an all-r
-    # sum, at odd and even nk (3, 6, 9; 2, 4, 6; 5, 10), must agree with it
+    # the ring evaluates r <= n/2 and doubles the paired terms; an all-r
+    # sum must agree with it in the Moebius route, at odd and even nk (3, 6,
+    # 9; 2, 4, 6; 5, 10), and in the closed form at a = m - 1 > 0 and n, n + 1
     mu = [0, 1, -1, -1]
     with mp.workprec(2 * prec):
-        def inner(nk):
-            return mp.fsum(mp.re(mp.loggamma(1 - mp.expjpi(2 * mp.mpf(r) / nk) / m))
-                           for r in range(nk))
+        def ring(a, N):
+            return mp.fsum(mp.re(mp.loggamma(1 + (a - mp.expjpi(2 * mp.mpf(r) / N)) / m))
+                           for r in range(N))
 
-        ref = mp.mpf(m) ** n * mp.fsum(mp.mpf(mu[k]) / k * inner(n * k) for k in range(1, K + 1))
+        ref = mp.mpf(m) ** n * mp.fsum(mp.mpf(mu[k]) / k * ring(0, n * k) for k in range(1, K + 1))
         assert abs(zeta_via_mobius(m, n, K, prec) - ref) <= mp.ldexp(abs(ref), 4 - prec)
+        a = m - 1
+        for nn in (n, n + 1):
+            ref = mp.exp(ring(a, nn) - nn * mp.loggamma(1 + mp.mpf(a) / m))
+            assert abs(closed_form_gamma(a, m, nn, prec) - ref) <= mp.ldexp(ref, 1 - prec)
 
 
 def test_mobius_convergence_trend():
@@ -302,16 +367,6 @@ def test_mobius_convergence_trend():
         assert errs[-1] < errs[0]
         for i in range(len(errs) - 1):
             assert errs[i + 1] < 2 * errs[i]  # monotone with 2x slack
-
-
-def test_gamma_series_route():
-    with mp.workprec(PREC + 20):
-        assert abs(zeta_via_gamma_series(2, PREC) - mp.pi ** 2 / 6) < mp.mpf("1e-40")
-        assert abs(zeta_via_gamma_series(3, PREC) - riemann_zeta(3, PREC)) < mp.mpf("1e-40")
-        assert abs(zeta_via_gamma_series(4, PREC) - mp.pi ** 4 / 90) < mp.mpf("1e-40")
-        for n in (2, 3, 4):
-            anti = zeta_via_gamma_series(n, PREC, antisymmetric=True)
-            assert abs(anti - riemann_zeta(n, PREC)) < mp.mpf("1e-40")
 
 
 # ---------------------------------------------------------------- dirichlet series

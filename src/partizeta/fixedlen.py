@@ -30,7 +30,6 @@ from .numerics import (
     check_work,
     guarded,
     power_sum_tails,
-    riemann_zeta,
     zeta_even_rational,
 )
 from .numerics.bell import determinant_work
@@ -160,9 +159,8 @@ def _series_value(m: int, k: int, sign: int, prec: int):
 
 
 # ----------------------------------------------------------------------
-@guarded()
-def mzv_bruteforce(index, bound: int, prec: int = 53):
-    """Strict nested sum for zeta(m_1, ..., m_k) with n_1 <= bound.
+def mzv_bruteforce(index, bound: int):
+    """Strict nested sum for zeta(m_1, ..., m_k) with n_1 <= bound, in floats.
 
     Certified lower bound of the MZV; the returned tail estimate is the
     product upper bound prod_{j>=2} H_{m_j}(bound) * bound^{1-m_1}/(m_1-1).
@@ -180,22 +178,21 @@ def mzv_bruteforce(index, bound: int, prec: int = 53):
         raise ValueError("bound must be at least the length")
     check_work(k * bound, f"the brute-force MZV at length {k} and bound {bound}")
 
-    num = float if prec <= 53 else mp.mpf
-    G = [num(0)] * (bound + 1)
-    acc = num(0)
+    G = [0.0] * (bound + 1)
+    acc = 0.0
     for n in range(1, bound + 1):
-        acc += num(n) ** (-ex[-1])
+        acc += float(n) ** (-ex[-1])
         G[n] = acc
     for lev in range(k - 2, -1, -1):
-        acc = num(0)
-        new = [num(0)] * (bound + 1)
+        acc = 0.0
+        new = [0.0] * (bound + 1)
         for n in range(1, bound + 1):
-            acc += num(n) ** (-ex[lev]) * G[n - 1]
+            acc += float(n) ** (-ex[lev]) * G[n - 1]
             new[n] = acc
         G = new
-    tail = num(bound) ** (1 - ex[0]) / (ex[0] - 1)
+    tail = float(bound) ** (1 - ex[0]) / (ex[0] - 1)
     for e in ex[1:]:
-        tail *= sum(num(n) ** (-e) for n in range(1, bound + 1))
+        tail *= sum(float(n) ** (-e) for n in range(1, bound + 1))
     return G[bound], tail
 
 
@@ -206,7 +203,8 @@ def shuffle_check(s, bound: int, prec: int = DEFAULT_PREC):
     sv = mp.mpf(s)
     if sv <= 1:
         raise ValueError("need s > 1")
-    rhs = (riemann_zeta(2 * sv, mp.mp.prec) + riemann_zeta(sv, mp.mp.prec) ** 2) / 2
+    z1, z2 = (1 + h for h, _ in power_sum_tails(sv, 2, 0, 2, mp.mp.prec))  # zeta(s), zeta(2s)
+    rhs = (z2 + z1 ** 2) / 2
     # weak 2-fold nested partial sum in float when that is enough
     sf = float(sv)
     acc_inner = 0.0
@@ -215,7 +213,7 @@ def shuffle_check(s, bound: int, prec: int = DEFAULT_PREC):
         acc_inner += float(n) ** (-sf)          # H_s(n)
         lhs_f += float(n) ** (-sf) * acc_inner  # n1 = n >= n2
     lhs = mp.mpf(lhs_f)
-    tail = riemann_zeta(sv, mp.mp.prec) * mp.mpf(bound) ** (1 - sv) / (sv - 1)
+    tail = z1 * mp.mpf(bound) ** (1 - sv) / (sv - 1)
     return lhs, rhs, lhs - rhs, tail
 
 

@@ -1,13 +1,15 @@
 """The Riemann zeta function and certified power-sum tails.
 
 ``riemann_zeta`` wraps mpmath's ``zeta`` (analytic continuation included)
-with the pole rejections this package relies on. ``_class_tails`` is the
-one Euler-Maclaurin engine, and it has one shape: the class sums
-sum_{i >= N} (Li + r)^{-js}, j = 1..J, from one setup. The
+with the pole rejections this package relies on; the log series over
+multiples is its one caller. ``_class_tails`` is the one Euler-Maclaurin
+engine, and it has one shape: the class sums sum_{i >= N} (Li + r)^{-js},
+j = 1..J, from one setup; a multiple with Re(js) <= 1 is not summed. The
 restricted-part-set Euler products take their congruence-class tails from
 it. ``power_sum_tails`` is its class c mod 1, sum_{i >= N} (i + c)^{-js}
-for an integer c >= 0; it gives the numeric ``fixedlen`` values their
-zeta(mj) = 1 + sum_{i >= 2} i^{-mj}.
+for an integer c >= 0 and Re(s) > 0; it gives the numeric ``fixedlen``
+values and the shuffle identity their zeta(mj) = 1 + sum_{i >= 2} i^{-mj},
+and at s = 1 the log-gamma expansion its tails H(k, N) = sum_{i >= N} i^-k.
 
 The base powers are integer powers k^-s from a ``_Powers`` table built once
 per request. k^-s is completely multiplicative, so only a prime costs an mp
@@ -37,7 +39,7 @@ from functools import cached_property
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
 
-from .hp import DEFAULT_PREC, check_work, guarded, working
+from .hp import DEFAULT_PREC, check_work, estimating, guarded, working
 from .series import TruncatedSeries
 from .tables import bernoulli_table, zeta_neg_int
 
@@ -114,7 +116,7 @@ def _least_prime_factor(k: int) -> int:
 
 
 class _Powers:
-    """The fixed-point powers of one request: k^-s, Re(s) > 1, for integers
+    """The fixed-point powers of one request: k^-s, Re(s) > 0, for integers
     k >= 1 at scale 2^F, as (re, im, err), err an integer >= the error in
     units of 2^-F. s is first truncated to the grid (exact for arguments of
     at most F - 32 bits). An entry is made on first use, so a request pays
@@ -201,7 +203,7 @@ def _class_work(powers: _Powers, J: int, r: int, L: int, N: int) -> int:
 def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int):
     """[(re, im, err)] at scale 2^-F (F = powers.F) for the class sums
     sum_{i >= N} (Li + r)^{-js}, j = 1..J, L >= 1, r >= 0, N >= 1. err
-    bounds the error in units of 2^-F.
+    bounds the error in units of 2^-F; an unsummed multiple, Re(js) <= 1, is None.
 
     Euler-Maclaurin at x0 = N_eff + r/L, set up once for all J multiples, on
     Python integers at scale 2^F (pairs for complex s). The base powers
@@ -275,6 +277,9 @@ def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int):
                     hr.pop()
                 xr = xr * x0r >> F
         wr, wi = j * sr, j * si
+        if wr <= ONE:  # Re(js) <= 1: not summed
+            out.append(None)
+            continue
         # |y^{-w} T| < 2^-(wp+8) once |T| < limit in fixed point;
         # limit >= 2^27 since Re(w) > 1 and x0 >= 10
         limit = 1 << (F - wp - 8 + math.floor(wr / ONE * log2_x0))
@@ -348,8 +353,9 @@ def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int):
 
 @guarded()
 def power_sum_tails(s, J: int, c: int, N: int, prec: int = DEFAULT_PREC):
-    """[(value, bound)] for sum_{i=N}^{inf} (i+c)^{-js}, j = 1..J; Re(s) > 1,
-    c a non-negative int, N >= 1.
+    """[(value, bound)] for sum_{i=N}^{inf} (i+c)^{-js}, j = 1..J; Re(s) > 0,
+    c a non-negative int, N >= 1. A multiple with Re(js) <= 1 is not summed:
+    its entry is None.
 
     One ``_class_tails`` pass for the class c mod 1 at F = wp + 32, wp the
     working precision, its integer powers from a ``_Powers`` table of this
@@ -363,14 +369,15 @@ def power_sum_tails(s, J: int, c: int, N: int, prec: int = DEFAULT_PREC):
         raise ValueError(f"power_sum_tails wants c a non-negative int and N >= 1, "
                          f"not c = {c!r}, N = {N}")
     s = mp.mpmathify(s)
-    if mp.re(s) <= 1:
-        raise ValueError("power_sum_tails wants Re(s) > 1")
+    if mp.re(s) <= 0:
+        raise ValueError("power_sum_tails wants Re(s) > 0")
     powers = _Powers(s, mp.mp.prec + 32)
     check_work(_class_work(powers, J, c, 1, N),
                f"the power sums of {J} multiples at {mp.mp.prec} bits")
     cplx = isinstance(s, mp.mpc)
-    return [(powers.value(vr, vi, cplx), mp.mpf(from_man_exp(err, -powers.F, 24, round_ceiling)))
-            for vr, vi, err in _class_tails(powers, J, c, 1, N)]
+    return [None if t is None else
+            (powers.value(t[0], t[1], cplx), mp.mpf(from_man_exp(t[2], -powers.F, 24, round_ceiling)))
+            for t in _class_tails(powers, J, c, 1, N)]
 
 
 def power_sum_work(s, J: int, c: int, N: int, prec: int = DEFAULT_PREC) -> int:
@@ -386,13 +393,15 @@ DIRECT_MAX_TERMS = 40
 
 
 def direct_zeta_start(sigma, prec: int) -> int:
-    """Least k with sigma k > 1 + prec / log2(DIRECT_MAX_TERMS), sigma > 0.
+    """Least k with sigma k > 1 + prec / log2(DIRECT_MAX_TERMS), sigma > 0,
+    at 53 bits whatever the working precision (every caller gets one k).
 
     From there on zeta(sk), Re(s) = sigma, is the sum of its first
     DIRECT_MAX_TERMS terms to 2^-prec: the omitted terms add up to at most
     DIRECT_MAX_TERMS^{1 - sigma k}/(sigma k - 1).
     """
-    return int(mp.floor((1 + prec / mp.log(DIRECT_MAX_TERMS, 2)) / sigma)) + 1
+    with estimating():
+        return int((1 + prec / mp.log(DIRECT_MAX_TERMS, 2)) / +sigma) + 1
 
 
 @guarded()

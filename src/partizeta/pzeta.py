@@ -17,14 +17,15 @@ Routes implemented:
 * ``closed_form_gamma`` -- the gamma-product closed form for a single
   congruence class {a+m, a+2m, ...} at integer argument n >= 2, from the
   log-gamma sum over the n-th roots of unity (``_log_gamma_ring``).
-* ``log_eval_general`` -- the log-gamma Taylor expansion of the same closed
-  form (series in zeta(k) - 1).
+* ``log_eval_general`` -- the log-gamma expansion of the same closed form,
+  in the tails H(k, N) = sum_{i >= N} i^-k of zeta(k) from one
+  ``power_sum_tails`` setup at s = 1, its head i < N summed as logs.
 * ``log_eval_multiples`` -- log zeta over multiples of m as sum_k
   zeta(sk)/(k m^{ks}), valid on Re(s) > 0 away from s = 1/N, where the k = N
   term hits the zeta pole; those points come back as ``PoleReport``. zeta(sk)
-  is mpmath's zeta at small and moderate Re(sk) and a direct sum of at most
-  40 terms once that reaches the working precision
-  (``zeta_multiples_direct``).
+  is mpmath's zeta (``riemann_zeta``, whose one caller this is) at small and
+  moderate Re(sk) and a direct sum of at most 40 terms once that reaches the
+  working precision (``zeta_multiples_direct``).
 * ``zeta_via_mobius`` -- zeta(n) by Moebius inversion of the log series
   over the multiples of m, a sum of the same rings at a = 0.
 
@@ -47,6 +48,7 @@ from .numerics import (
     direct_zeta_start,
     guarded,
     log_gamma,
+    power_sum_tails,
     riemann_zeta,
     zeta_multiples_direct,
 )
@@ -59,6 +61,7 @@ from .numerics.zeta import (
     _mul,
     _Powers,
     _work,
+    power_sum_work,
 )
 from .partitions import DivergentPartSetError, PartSet, multiplicative_partition_count
 
@@ -135,7 +138,8 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     """
     s = mp.mpmathify(s)
     sigma = mp.re(s)
-    if sigma <= 1:
+    powers = _Powers(s, mp.mp.prec + 32)
+    if powers.sr <= 1 << powers.F:  # Re(s) as the engine reads it, on its grid
         raise ValueError("the Euler product needs Re(s) > 1")
     chi = _period(chi)
     q = len(chi)
@@ -148,7 +152,6 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     sign = -1 if spec.distinct else 1
     chi = [sign * c for c in chi]
     cplx = isinstance(s, mp.mpc) or any(isinstance(c, mp.mpc) for c in chi)
-    powers = _Powers(s, mp.mp.prec + 32)
     F = powers.F
     ONE = 1 << F
     weights = [powers.pair(c) for c in chi]  # chi(r) 2^F, each off by < 2 ulps
@@ -260,13 +263,18 @@ def _period(chi) -> list:
     return chi
 
 
+def _ring(a: int, m: int, n: int) -> list:
+    """[(w_r, z_r)] for r = 0..n/2, z_r = (a - e(r/n))/m: the n-th roots of
+    unity up to conjugation (z_(n-r) is the conjugate of z_r), w_r = 2 for
+    an interior r, 1 at r = 0 and r = n/2."""
+    return [(1 if r == 0 or 2 * r == n else 2, (a - _e(mp.mpf(r) / n)) / m)
+            for r in range(n // 2 + 1)]
+
+
 def _log_gamma_ring(a: int, m: int, n: int, wp: int):
-    """sum_{r<n} log Gamma(1 + (a - e(r/n))/m), real: the terms at r and
-    n - r are conjugate, so r = 0..n/2 are evaluated and the interior ones
-    counted twice."""
-    return mp.fsum((1 if r == 0 or 2 * r == n else 2)
-                   * mp.re(log_gamma(1 + (a - _e(mp.mpf(r) / n)) / m, wp))
-                   for r in range(n // 2 + 1))
+    """sum_{r<n} log Gamma(1 + (a - e(r/n))/m), real: summed over ``_ring``,
+    the terms at r and n - r being conjugate."""
+    return mp.fsum(w * mp.re(log_gamma(1 + z, wp)) for w, z in _ring(a, m, n))
 
 
 def _ring_work(n: int, wp: int) -> int:
@@ -301,11 +309,15 @@ def closed_form_gamma(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
 def log_eval_general(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
     """log zeta over {a+m, a+2m, ...} at n, via the log-gamma expansion.
 
-    Two-part series: n log(1+a/m) - sum_r log(1+z_r) plus
-    sum_r sum_{k>=2} (-1)^k (zeta(k)-1) (z_r^k - (a/m)^k)/k, with
-    z_r = (a - e(r/n))/m. Convergence needs max_r |z_r| < 2 (asserted); the
-    Euler-Mascheroni terms cancel since sum_r e(r/n) = 0. Its price is
-    checked against the work budget before any evaluation.
+    sum_{1 <= i < N} sum_r [log(1 + a/(m i)) - log(1 + z_r/i)] (the
+    Weierstrass product of Gamma) + sum_{k >= 2} (-1)^k H(k, N)
+    (sum_r z_r^k - n (a/m)^k)/k, with z_r = (a - e(r/n))/m over ``_ring``
+    (real by construction) and the tails H(k, N) = sum_{i >= N} i^-k from one
+    ``power_sum_tails(1, kmax, 0, N)`` setup; N = max(16, wp/32), wp the
+    working precision. Convergence at N = 2, the series in zeta(k) - 1, needs
+    max_r |z_r| < 2 (asserted). The tails' bounds, weighted by |z_r|^k, must
+    come out below 2^-wp, else ArithmeticError. Its price is checked against
+    the work budget before any evaluation.
     """
     CongruenceClassSpec(a, m)
     if m < 2 or n < 2:
@@ -314,33 +326,36 @@ def log_eval_general(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
     zmax = abs(a - _e(mp.mpf(n // 2) / n)) / m
     if zmax >= 2:
         raise ValueError(f"|a - e(r/n)|/m reaches {zmax} >= 2: expansion diverges")
-    # series terms: (zeta(k)-1) ~ 2^-k, z^k <= zmax^k; zeta(k) - 1 >= 2^-k
-    # keeps wp bits from zeta(k) at wp + k + 8 (2^-wp would grow by zmax^k)
-    ratio = zmax / 2 if zmax > 1 else mp.mpf(1) / 2
-    kmax = int(mp.ceil((prec + 60) / -mp.log(ratio, 2))) + 4
-    # the price, before any zeta call: zeta(k) at wp + k + 8 bits takes ~100
-    # + wp^2/1400 us while k < wp, and each term ~50 + (wp + k)^2/2^22 us more
-    # plus 10 us per root ((3, 2, 5), kmax 5899, in 0.61 s and (3, 2, 11),
-    # kmax 28624, in 8.2 s at 256 bits; (0, 2, 2), kmax 2112, in 6.5 s at
-    # 2048; cold, 2-core x86 VM, CPU time)
     wp = mp.mp.prec
-    check_work(min(kmax, wp) * (100 + wp * wp // 1400)
-               + kmax * (50 + 10 * n + ((wp + kmax) ** 2 >> 22)),
+    N = max(16, wp // 32)
+    # H(k, N) <= (N-1)^(1-k)/(k-1) and |sum_r z_r^k - n (a/m)^k| <= 2 n zmax^k,
+    # so the terms past kmax add up to at most 4 n N (zmax/(N-1))^kmax <= 2^-wp;
+    # the tails' error is absolute, and term k multiplies it by up to zmax^k
+    kmax = max(2, math.ceil((wp + math.log2(4 * n * N)) / math.log2((N - 1) / float(zmax))))
+    bits = wp + max(0, math.ceil(kmax * math.log2(zmax)))
+    # the price: the tail setup, (N - 1)(n//2 + 2) logs priced as mp powers,
+    # and kmax (n//2 + 1) complex products at ~20 + wp^2/2^18 us ((5, 3, 3):
+    # 0.03 s at 256 bits, 0.34 s at 1024; (3, 2, 2001) 2.7 s; 2-core x86 VM)
+    roots = n // 2 + 1
+    check_work(power_sum_work(1, kmax, 0, N, bits) + _work((N - 1) * (roots + 1), 0, wp + 32)
+               + kmax * roots * (20 + (wp * wp >> 18)),
                f"the log-gamma expansion at (a, m, n) = ({a}, {m}, {n}) and {wp} bits")
-    zs = [(a - _e(mp.mpf(r) / n)) / m for r in range(n)]
+    tails = power_sum_tails(1, kmax, 0, N, bits)[1:]  # H(k, N), k = 2..kmax
+    with estimating():  # the bounds as the terms weight them
+        err = mp.fsum(b * 2 * n * zmax ** k / k for k, (_, b) in enumerate(tails, 2))
+    if err > mp.ldexp(1, -wp):
+        raise ArithmeticError(f"the tails' weighted bound {err} exceeds 2^-{wp}")
+    ring = _ring(a, m, n)
     am = mp.mpf(a) / m
-    total = n * mp.log(1 + am) - mp.fsum(mp.log(1 + z) for z in zs)
-    acc = mp.mpc(0)
-    zk, amk = [z * z for z in zs], am * am  # z^k and (a/m)^k as running products
-    for k in range(2, kmax + 1):
-        zeta1 = riemann_zeta(k, mp.mp.prec + k + 8) - 1
-        acc += (-1) ** k * zeta1 * (mp.fsum(zk, absolute=False) - n * amk) / k
-        zk = [p * z for p, z in zip(zk, zs)]
+    head = mp.fsum(n * mp.log(1 + am / i) - mp.fsum(w * mp.log(abs(1 + z / i)) for w, z in ring)
+                   for i in range(1, N))
+    zk, amk = [z for _, z in ring], am  # z^k and (a/m)^k as running products
+    terms = []
+    for k, (h, _) in enumerate(tails, 2):
+        zk = [p * z for p, (_, z) in zip(zk, ring)]
         amk *= am
-    total += acc
-    if abs(mp.im(total)) > mp.mpf(2) ** (-(prec // 2)) * (1 + abs(total)):
-        raise ArithmeticError(f"imaginary residue {mp.im(total)} too large")
-    return mp.re(total)
+        terms.append((-1) ** k * h * (mp.fsum(w * p.real for p, (w, _) in zip(zk, ring)) - n * amk) / k)
+    return head + mp.fsum(terms)
 
 
 @guarded()
@@ -378,36 +393,22 @@ def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC):
     while sigma * k0 <= 1:
         k0 += 1
     gap = sigma * k0 - 1
-    # the price, before any zeta call: |zeta(sk)| <= x/(x - 1), x = sigma k0,
-    # and 1 - m^-sigma >= u/(1 + u), u = sigma ln m, so the series stops by
-    # k = log2(x/(x - 1) (1 + u)/u 2^(prec-12)) / (sigma log2 m). A
-    # riemann_zeta call takes ~400 + wp^2/50 us (m = 2, s = 1.5: 38 calls in
-    # 0.07 s at 256 bits, 134 in 2.5 s at 1024, 263 in 25.2 s at 2048; 2-core
-    # x86 VM), a direct-sum term ~2 + wp^2/2^19
+    kd = direct_zeta_start(sigma, wp)  # riemann_zeta below kd, direct sums from it
+    # |zeta(sk)| <= x/(x - 1), x = sigma k0, and 1/(1 - m^-sigma) <= (1 + u)/u,
+    # u = sigma ln m: the terms from k on add up to below 2^(12-prec) once
+    # u k + ln k > u K; no k < K0 = K - ln(K)/u does, so any k > K - ln(K0)/u does
     with estimating():  # sigma and x - 1 rounded to 53 bits
         x, gap = +sigma, +gap
         u = x * mp.log(m)
-        bits = mp.log((1 + gap) / gap * (1 + u) / u, 2) + prec - 12
-        k_end = max(k0, int(bits * mp.ln2 / u) + 2)
-        kd = int((1 + wp / mp.log(DIRECT_MAX_TERMS, 2)) / x) + 1
-    check_work((min(k_end, kd - 1) + 1) * (400 + wp * wp // 50)
-               + max(0, k_end - kd + 1) * DIRECT_MAX_TERMS * (2 + (wp * wp >> 19)),
+        K = (mp.log((1 + gap) / gap * (1 + u) / u) + (prec - 12) * mp.ln2) / u
+        K0 = max(1, K - mp.log(max(1, K)) / u)
+        kmax = max(k0, int(K - mp.log(K0) / u))
+    # the price: a riemann_zeta call takes ~400 + wp^2/50 us (m = 2, s = 1.5:
+    # 38 calls in 0.07 s at 256 bits, 134 in 2.5 s at 1024, 263 in 25.2 s at
+    # 2048; 2-core x86 VM), a direct-sum term ~2 + wp^2/2^19
+    check_work(min(kmax, kd - 1) * (400 + wp * wp // 50)
+               + max(0, kmax - kd + 1) * DIRECT_MAX_TERMS * (2 + (wp * wp >> 19)),
                f"the log series over the multiples of {m} at {wp} bits")
-    # zeta(sk) goes through riemann_zeta below kd, and is a short direct sum
-    # from there on
-    kd = direct_zeta_start(sigma, wp)
-    # convergent range: geometric in m^-sigma; |zeta(sk)| <= zeta(sigma k0)
-    zbound = riemann_zeta(sigma * k0, wp)
-    target = mp.ldexp(1, 12 - prec)
-    m_sigma = mp.mpf(m) ** (-sigma)
-    geo = m_sigma ** k0  # m^{-k sigma}
-    k = k0
-    while True:  # the series stops once its remainder bound is below target
-        k += 1
-        geo *= m_sigma
-        if zbound * geo / (k * (1 - m_sigma)) < target:
-            break
-    kmax = k - 1
     direct = zeta_multiples_direct(s, kd, kmax, wp) if kd <= kmax else []
     m_s = mp.mpf(m) ** (-s)
     weight = 1  # m^{-sk}
@@ -427,41 +428,31 @@ def zeta_via_mobius(m: int, n: int, K: int, prec: int = DEFAULT_PREC):
     each inner sum the log-gamma ring at a = 0 (``_log_gamma_ring``).
 
     Converges to zeta(n) as K grows (inverted from the multiples-of-m log
-    formula). Its price is checked against the work budget before any
-    evaluation.
+    formula). Its price, the rings of the squarefree k, is checked against
+    the work budget before any evaluation.
     """
     if m < 2 or n < 2 or K < 1:
         raise ValueError("need m, n >= 2 and K >= 1")
     wp = mp.mp.prec
-    # K rings, squarefree k or not, of n(K + 1)/2 on average: ~n K^2/4 calls
-    check_work(K * _ring_work(n * (K + 1) // 2, wp),
-               f"the Moebius sum at n = {n}, K = {K} and {wp} bits")
+    what = f"the Moebius sum at n = {n}, K = {K} and {wp} bits"
+    # over K/2 of the k <= K are squarefree (sum_p p^-2 < 1/2), their rings
+    # at least k calls each: a K whose K^2/8 calls are past it skips the sieve
+    check_work(K * K // 8 * _ring_work(0, wp), what)
     mob = _mobius_upto(K)
-    total = mp.mpf(0)
-    for k in range(1, K + 1):
-        if mob[k] != 0:
-            total += mp.mpf(mob[k]) / k * _log_gamma_ring(0, m, n * k, wp)
-    total *= mp.mpf(m) ** n
-    return total
+    check_work(sum(_ring_work(n * k, wp) for k in range(1, K + 1) if mob[k]), what)
+    return mp.mpf(m) ** n * mp.fsum(mp.mpf(mob[k]) / k * _log_gamma_ring(0, m, n * k, wp)
+                                    for k in range(1, K + 1) if mob[k])
 
 
 def _mobius_upto(K: int) -> list[int]:
-    mu = [1] * (K + 1)
-    primes = []
-    is_comp = [False] * (K + 1)
-    for i in range(2, K + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > K:
-                break
-            is_comp[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    mu[0] = 0
+    """[mu(k) for k = 0..K], mu(0) = 0: each prime p flips the sign at its
+    multiples and zeroes the multiples of p^2."""
+    mu, composite = [0] + [1] * K, [False] * (K + 1)
+    for p in range(2, K + 1):
+        if not composite[p]:
+            for k in range(p, K + 1, p):
+                composite[k] = k > p
+                mu[k] = 0 if k % (p * p) == 0 else -mu[k]
     return mu
 
 

@@ -29,3 +29,18 @@ def mp_powers(monkeypatch) -> list[int]:
         for name in ("__pow__", "__rpow__"):
             monkeypatch.setattr(cls, name, wrap(getattr(cls, name)))
     return count
+
+
+@pytest.fixture
+def mp_zeta(monkeypatch) -> list[int]:
+    """Counts every mpmath ``zeta`` call (``mp.zeta``, the Hurwitz form
+    included) made while the test runs; the count is the list's one entry."""
+    count = [0]
+    zeta = mp.zeta
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return zeta(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "zeta", counted)
+    return count

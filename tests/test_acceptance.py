@@ -35,3 +35,8 @@ def test_acceptance_criterion(fn):
                         f"source misprint must have been resolved: {reason}")
         pytest.xfail(reason)
     assert result.passed, result.line()
+
+
+def test_moebius_criterion_takes_its_references_from_the_engine(mp_zeta):
+    # A9's zeta(2) and zeta(3) come from one power_sum_tails setup at s = 1
+    assert acceptance.criterion_09(PREC).passed and mp_zeta[0] == 0

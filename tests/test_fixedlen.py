@@ -52,7 +52,6 @@ def test_fixedlen_exact_rejects_odd():
 
 def test_numeric_values_take_zeta_from_the_power_sum_engine(monkeypatch):
     # one engine for zeta(mj): the numeric path calls no mpmath zeta
-    monkeypatch.setattr(fixedlen_module, "riemann_zeta", None)
     monkeypatch.setattr(mp, "zeta", None)
     assert fixedlen_zeta(3, 4, PREC) > 1 and 0 < mzv_equal_args(3, 4, PREC) < 1
 
@@ -173,13 +172,6 @@ def test_mzv_bruteforce_rejects_divergent():
     assert not MZVIndex((1, 3)).is_convergent()
 
 
-def test_mzv_bruteforce_high_precision_path():
-    v, tail = mzv_bruteforce((2, 2), 500, prec=128)
-    assert isinstance(v, mp.mpf)
-    with mp.workprec(128):
-        assert abs(v - mp.pi ** 4 / 120) <= tail
-
-
 # ---------------------------------------------------------------- compositions
 def test_mzv_bruteforce_work_budget():
     # length x bound units: the budget caps the terms, and so the memory
@@ -213,6 +205,14 @@ def test_shuffle_large_s_degenerates():
     with mp.workprec(PREC):
         assert abs(rhs - 1) < mp.mpf("1e-5")
         assert abs(diff) < mp.mpf("1e-10")
+
+
+def test_identities_take_zeta_from_the_power_sum_engine(mp_zeta):
+    # zeta(s) and zeta(2s) of the shuffle identity from one power_sum_tails
+    # setup, and the fixed-length side of the decoupling from another
+    shuffle_check(3, 1000, PREC)
+    decoupling_check(3, 2, 1000, PREC)
+    assert mp_zeta[0] == 0
 
 
 def test_decoupling_exact_k2():

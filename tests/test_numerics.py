@@ -369,13 +369,17 @@ def _assert_bounds_cover_the_error(s, J, r, L, N, prec):
         return
     tails = power_sum_tails(s, J, r, N, prec)
     assert len(tails) == J
+    # the multiples with Re(js) <= 1 are not summed
+    assert [j for j, t in enumerate(tails, 1) if t is None] == [
+        j for j in range(1, J + 1) if mp.re(j * s) <= 1]
+    first = sum(t is None for t in tails) + 1
     # mp.zeta(w, a) at complex w is accurate only to ~2^-(wp+15) absolute at
     # wp bits, and the value is ~(N+r)^-Re(w): the reference needs prec +
     # Re(Js) log2(N+r) bits and a margin (at 192 bits it is wrong for j = 20,
     # s = 3+0.8i, N = 33)
     extra = int(J * mp.re(s) * math.log2(N + r))
     with mp.workprec(max(2 * prec, prec + extra) + 64):
-        for j, (val, bound) in enumerate(tails, 1):
+        for j, (val, bound) in enumerate(tails[first - 1:], first):
             ref = mp.zeta(j * s, N + r)
             # the bound leaves out the final rounding to prec bits
             assert abs(val - ref) <= bound + mp.ldexp(abs(ref), 1 - prec), (j, val, ref)
@@ -391,6 +395,15 @@ def _assert_bounds_cover_the_error(s, J, r, L, N, prec):
 @pytest.mark.parametrize("prec", [64, PREC])
 def test_power_sum_tails_bounds_cover_the_error(s, J, r, L, prec):
     _assert_bounds_cover_the_error(s, J, r, L, 5, prec)
+
+
+@pytest.mark.parametrize("s, J, N, prec", [(1, 40, 16, 64), (1, 40, 16, PREC), (1, 40, 34, 1024),
+                                           (mp.mpc("0.25", 3), 12, 5, PREC)])
+def test_power_sum_tails_leave_out_the_multiples_left_of_1(s, J, N, prec):
+    # s = 1: the harmonic tail j = 1 is None, and the entries j >= 2 are the
+    # zeta tails H(j, N) of the log-gamma expansion; at Re(s) = 1/4 the
+    # multiples j <= 4 are None
+    _assert_bounds_cover_the_error(s, J, 0, 1, N, prec)
 
 
 @pytest.mark.parametrize("r, L", [(0, 1), (1, 2)], ids=["c0", "c1"])
@@ -518,6 +531,18 @@ def test_one_exact_bernoulli_source():
     assert [name for name, text in texts.items() if recurrence.search(text)] == [
         "numerics/tables.py"]
     assert "mpmath" not in texts["numerics/tables.py"]
+
+
+def test_one_riemann_zeta_caller():
+    # every other zeta value in src/ comes from the power-sum engine; the log
+    # series over multiples still calls mpmath's zeta below its direct sums
+    src = pathlib.Path(partizeta.__file__).parent
+    callers = [(path.relative_to(src).as_posix(), fn.name)
+               for path in sorted(src.rglob("*.py"))
+               for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "riemann_zeta"]
+    assert callers == [("pzeta.py", "log_eval_multiples")]
 
 
 def test_one_work_budget_source():

@@ -94,6 +94,12 @@ def test_euler_product_rejects_divergent_and_domain():
         euler_product(parse_part_set("0+1N"), mp.mpf(2), prec=PREC)
     with pytest.raises(ValueError):
         euler_product(parse_part_set("2N"), mp.mpf("0.8"), prec=PREC)
+    # Re(s) = 1 + 2^-400 is 1 on the engine's grid at 64 bits, where the
+    # j = 1 tail is not summed
+    with mp.workprec(600):
+        s = 1 + mp.mpf(2) ** -400
+    with pytest.raises(ValueError, match="Re"):
+        euler_product(parse_part_set("2N"), s, prec=64)
 
 
 def test_euler_product_ones_capped_factor():
@@ -206,13 +212,26 @@ def test_log_eval_general_cross_route():
             lhs = mp.exp(log_eval_general(a, m, n, PREC))
             rhs = closed_form_gamma(a, m, n, PREC)
             assert abs(lhs - rhs) < mp.mpf("1e-40"), (a, m, n)
-    # a > m: max |z_r| > 1, and each term multiplies the error of its
-    # zeta(k) - 1 by |z_r|^k
-    for (a, m, n) in ((3, 2, 3), (2, 2, 3), (5, 3, 3)):
-        v = log_eval_general(a, m, n, PREC)
-        with mp.workprec(2 * PREC + 64):
-            ref = mp.log(closed_form_gamma(a, m, n, 2 * PREC + 64))
-            assert abs(v - ref) <= mp.ldexp(abs(ref), 12 - PREC), (a, m, n)
+
+
+@pytest.mark.parametrize("a, m, n", [(0, 2, 2), (2, 5, 3), (3, 2, 3), (5, 3, 3), (2, 2, 3)])
+@pytest.mark.parametrize("prec", [64, 128, 256, 512, 1024])
+def test_log_eval_general_precision_sweep(a, m, n, prec):
+    # a > m: max |z_r| > 1, and term k multiplies the error of its tail
+    # H(k, N) by |z_r|^k; within 2^(12-prec) relative of the closed form at
+    # 2 prec + 64
+    v = log_eval_general(a, m, n, prec)
+    with mp.workprec(2 * prec + 64):
+        ref = mp.log(closed_form_gamma(a, m, n, 2 * prec + 64))
+        assert abs(v - ref) <= mp.ldexp(abs(ref), 12 - prec), (a, m, n)
+
+
+def test_log_eval_general_takes_its_tails_from_the_engine(mp_zeta):
+    # every H(k, N) from one power_sum_tails setup at s = 1: no mpmath zeta
+    with mp.workprec(PREC + 20):
+        assert abs(mp.exp(log_eval_general(5, 3, 3, PREC))
+                   - closed_form_gamma(5, 3, 3, PREC)) < mp.mpf("1e-40")
+    assert mp_zeta[0] == 0
 
 
 def test_log_eval_general_rejects_divergent_expansion():
@@ -232,10 +251,12 @@ def test_gamma_routes_are_priced_at_once(monkeypatch):
     monkeypatch.setattr(pzeta, "riemann_zeta", counted(riemann_zeta))
     monkeypatch.setattr(pzeta, "log_gamma", counted(pzeta.log_gamma))
     t0 = time.perf_counter()
-    # max |z_r| = 1.9991: ~6 x 10^5 terms, each a zeta call at wp + k + 8 bits
+    # 5001 conjugate root pairs: 75,000 head logs and 5.6 x 10^5 products
+    # ((3, 2, 2001) runs in 2.7 s)
     with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
-        log_eval_general(3, 2, 51, PREC)
-    # 48,475 log-gamma calls (K = 80: 2,035 calls, 1.2 s)
+        log_eval_general(3, 2, 10001, PREC)
+    # 48,475 log-gamma calls, refused before the sieve (K = 94: 2,834 calls,
+    # 1.8 s)
     with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
         zeta_via_mobius(2, 2, 400, PREC)
     assert time.perf_counter() - t0 < 1 and calls == []
@@ -311,8 +332,8 @@ def test_log_eval_multiples_work_budget(monkeypatch):
         return riemann_zeta(s, prec)
 
     monkeypatch.setattr(pzeta, "riemann_zeta", counted)
-    # k0 = 498 continued terms, then ~28,000 zeta calls: refused before the
-    # call that sizes the series, which the price bounds without it
+    # k0 = 498 continued terms, then ~28,000 zeta calls: refused before any
+    # zeta call (the series' range is a closed form, with no zeta call)
     with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
         log_eval_multiples(2, mp.mpf("0.00201"), prec=PREC)
     # k0 = 10^9 (off the real axis, so no pole snap): refused before any call

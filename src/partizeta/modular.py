@@ -502,6 +502,8 @@ def hk_zero_solver(k: int, sign: int, prec: int = DEFAULT_PREC,
     """
     if k < 6 or k % 2:
         raise ValueError("need even k >= 6")
+    if sign not in (-1, 1):
+        raise ValueError("sign must be +-1")
 
     def h(t):
         return mp.fsum(mp.pi / 2 - mp.atan(2 * t / (2 * j + 1)) for j in range(k - 2))

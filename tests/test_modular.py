@@ -518,6 +518,16 @@ def test_hk_zero_solver_precision_sweep(k, prec):
                        for t, r in zip(ords, ref, strict=True))
 
 
+@pytest.mark.parametrize("sign", [0, 2])
+def test_hk_zero_solver_rejects_other_signs(sign, monkeypatch):
+    # refused before any root search, as hk_polynomial refuses it
+    monkeypatch.setattr(mp, "findroot", None)
+    with pytest.raises(ValueError, match="sign"):
+        hk_zero_solver(6, sign, prec=PREC)
+    with pytest.raises(ValueError, match="sign"):
+        hk_polynomial(6, sign)
+
+
 def test_hk_solver_weight6_explicit_roots():
     with mp.workprec(PREC):
         ords = sorted(hk_zero_solver(6, -1, prec=PREC))

@@ -10,7 +10,13 @@ import mpmath as mp
 import pytest
 
 from partizeta import pzeta
-from partizeta.numerics import GUARD_BITS, direct_zeta_start, riemann_zeta, working
+from partizeta.numerics import (
+    GUARD_BITS,
+    direct_zeta_start,
+    power_sum_tails,
+    riemann_zeta,
+    working,
+)
 from partizeta.partitions import DivergentPartSetError, PartSet, parse_part_set
 from partizeta.pzeta import (
     CongruenceClassSpec,
@@ -214,23 +220,86 @@ def test_log_eval_general_cross_route():
             assert abs(lhs - rhs) < mp.mpf("1e-40"), (a, m, n)
 
 
-@pytest.mark.parametrize("a, m, n", [(0, 2, 2), (2, 5, 3), (3, 2, 3), (5, 3, 3), (2, 2, 3)])
+@pytest.mark.parametrize("a, m, n", [(0, 2, 2), (2, 5, 3), (3, 2, 3), (5, 3, 3), (2, 2, 3),
+                                     (3, 2, 51)])
 @pytest.mark.parametrize("prec", [64, 128, 256, 512, 1024])
 def test_log_eval_general_precision_sweep(a, m, n, prec):
     # a > m: max |z_r| > 1, and term k multiplies the error of its tail
     # H(k, N) by |z_r|^k; within 2^(12-prec) relative of the closed form at
-    # 2 prec + 64
+    # 2 prec + 64. At n = 51 the value is ~2.3e-36, so an absolute error of
+    # 2^-prec would miss it
     v = log_eval_general(a, m, n, prec)
     with mp.workprec(2 * prec + 64):
         ref = mp.log(closed_form_gamma(a, m, n, 2 * prec + 64))
         assert abs(v - ref) <= mp.ldexp(abs(ref), 12 - prec), (a, m, n)
 
 
-def test_log_eval_general_takes_its_tails_from_the_engine(mp_zeta):
-    # every H(k, N) from one power_sum_tails setup at s = 1: no mpmath zeta
+def _defining_log_product(a, m, n, prec):
+    """-sum_i log(1 - (m i + a)^-n) at 2 prec + 64 bits, summed until the
+    omitted terms are below 2^(-2 prec) of the sum: past x_i = (m i + a)^-n
+    <= 1/4 they add up to at most (4/3) x_i (1 + (m i + a)/(m (n - 1)))."""
+    with mp.workprec(2 * prec + 64):
+        total, i = mp.mpf(0), 1
+        while True:
+            x = mp.mpf(m * i + a) ** -n
+            if total and 2 * x * (1 + mp.mpf(m * i + a) / (m * (n - 1))) < mp.ldexp(total, -2 * prec):
+                return total
+            total -= mp.log1p(-x)
+            i += 1
+
+
+@pytest.mark.parametrize("a, m, n", [(3, 2, 2001), (1, 2, 10 ** 9)])
+@pytest.mark.parametrize("prec", [64, 256])
+def test_log_eval_general_large_n(a, m, n, prec):
+    # values of ~2.3e-1399 and ~3^-(10^9): the head's logs carry them, the
+    # tail coefficients vanish below k = n
+    t0 = time.perf_counter()
+    v = log_eval_general(a, m, n, prec)
+    assert time.perf_counter() - t0 < 0.1
+    ref = _defining_log_product(a, m, n, prec)
+    with mp.workprec(2 * prec + 64):
+        assert abs(v - ref) <= mp.ldexp(ref, 12 - prec), (a, m, n)
+
+
+def test_ring_power_sums_are_the_root_sums():
+    # m^-k n c_k = sum_r z_r^k - n (a/m)^k from the roots at 4 PREC, and
+    # c_k = 0 exactly for k < n
+    with mp.workprec(4 * PREC):
+        for n in range(2, 8):
+            roots = [mp.expjpi(mp.mpf(2 * r) / n) for r in range(n)]
+            for a in range(0, 5):
+                c = list(pzeta._ring_power_sums(a, n, 30))
+                assert all(type(ck) is int for ck in c)
+                assert c[:n - 1] == [0] * (n - 1), (a, n)
+                for m in range(2, 7):
+                    z = [(a - w) / m for w in roots]
+                    zk, amk = [mp.mpf(1)] * n, mp.mpf(1)
+                    for k in range(1, 31):
+                        zk = [p * zr for p, zr in zip(zk, z)]
+                        amk *= mp.mpf(a) / m
+                        want = mp.fsum(zk) - n * amk
+                        scale = max(1, n * max(abs(zr) for zr in z) ** k)
+                        assert abs(mp.mpf(n * c[k - 1]) / m ** k - want) < mp.ldexp(scale, -PREC), \
+                            (a, m, n, k)
+
+
+def test_log_eval_general_takes_its_tails_from_the_engine(mp_zeta, monkeypatch):
+    # every H(k, N) from one power_sum_tails setup at s = 1 once kmax >= n,
+    # none when kmax < n: no mpmath zeta either way
+    setups = []
+
+    def counted(*args):
+        setups.append(args)
+        return power_sum_tails(*args)
+
+    monkeypatch.setattr(pzeta, "power_sum_tails", counted)
     with mp.workprec(PREC + 20):
         assert abs(mp.exp(log_eval_general(5, 3, 3, PREC))
                    - closed_form_gamma(5, 3, 3, PREC)) < mp.mpf("1e-40")
+    assert len(setups) == 1 and setups[0][0] == 1 and setups[0][2] == 0  # s = 1, c = 0
+    log_eval_general(3, 2, 2001, PREC)  # kmax = 118 < n
+    log_eval_general(1, 2, 10 ** 9, PREC)
+    assert len(setups) == 1
     assert mp_zeta[0] == 0
 
 
@@ -250,11 +319,11 @@ def test_gamma_routes_are_priced_at_once(monkeypatch):
 
     monkeypatch.setattr(pzeta, "riemann_zeta", counted(riemann_zeta))
     monkeypatch.setattr(pzeta, "log_gamma", counted(pzeta.log_gamma))
+    monkeypatch.setattr(pzeta, "power_sum_tails", counted(pzeta.power_sum_tails))
     t0 = time.perf_counter()
-    # 5001 conjugate root pairs: 75,000 head logs and 5.6 x 10^5 products
-    # ((3, 2, 2001) runs in 2.7 s)
+    # the tail setup of 679 multiples at 4745 bits, priced 2.7 x 10^7
     with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
-        log_eval_general(3, 2, 10001, PREC)
+        log_eval_general(3, 2, 3, 4096)
     # 48,475 log-gamma calls, refused before the sieve (K = 94: 2,834 calls,
     # 1.8 s)
     with pytest.raises(ArithmeticError, match="WORK_BUDGET"):

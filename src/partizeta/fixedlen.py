@@ -236,32 +236,3 @@ def decoupling_check(m: int, k: int, bound: int, prec: int = DEFAULT_PREC):
         tails += t
     rhs = mp.mpf(rhs_f)
     return lhs, rhs, lhs - rhs, mp.mpf(tails)
-
-
-def length_reduction(n: int, k: int, bound: int = 1000, prec: int = DEFAULT_PREC):
-    """zeta({n}^k) as fixedlen_zeta(n, k) minus the shorter-composition MZVs.
-
-    Emits the identity structurally (list of composition terms with sign) and
-    verifies it numerically at brute-force scale. Returns a dict with the
-    terms, both sides, and the brute-force tail allowance.
-    """
-    if n < 2 or k < 2:
-        raise ValueError("need n >= 2, k >= 2")
-    terms = [{"composition": comp, "index": tuple(a * n for a in comp), "sign": -1}
-             for comp in compositions(k) if len(comp) < k]
-    lhs, lhs_tail = mzv_bruteforce([n] * k, bound)
-    rhs = float(fixedlen_zeta(n, k, prec))
-    tails = lhs_tail
-    for t in terms:
-        v, tl = mzv_bruteforce(t["index"], bound)
-        rhs -= v
-        tails += tl
-    return {
-        "target": tuple([n] * k),
-        "fixedlen_arg": (n, k),
-        "subtracted": terms,
-        "lhs_bruteforce": lhs,
-        "rhs": rhs,
-        "diff": lhs - rhs,
-        "tail_allowance": tails,
-    }

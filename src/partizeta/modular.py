@@ -1,10 +1,12 @@
-"""Modular-form side: universal coefficient recursions, completed critical
-values of the discriminant form (all from one pass over the split-integral
-series), period polynomials, zeta polynomials with their functional equation
-and critical-line root checks, the comparison polynomials H_k built from
-binomial transforms, and the exact lattice-point count of the dilated
-reflexive simplex (one binomial per coordinate-sum slice) behind the Ehrhart
-identity for H_k^-.
+"""Modular-form side: the tau recursion through the universal coefficient
+polynomials (each evaluated as a log-series coefficient) and its eta-product
+oracle, the completed critical values of the discriminant form (all from
+one pass over the split-integral series), period polynomials, zeta
+polynomials with their functional equation and critical-line root checks,
+the comparison polynomials H_k built from binomial transforms with their
+zero solver, and the exact lattice-point count of the dilated reflexive
+simplex (one binomial per coordinate-sum slice) behind the Ehrhart identity
+for H_k^-.
 
 Scope note: the universal recursion is implemented for forms with no zeros
 in the fundamental domain (the divisor correction term vanishes), which the
@@ -23,16 +25,13 @@ import mpmath as mp
 
 from .numerics import (
     DEFAULT_PREC,
-    GUARD_BITS,
     RootFindingError,
     binomial_poly,
     check_work,
     guarded,
     poly_compose_one_minus_s,
     poly_eval,
-    poly_negate_var,
     poly_roots,
-    poly_to_mpc,
     poly_trim,
     stirling1_table,
     working,
@@ -45,58 +44,6 @@ def sigma_power(n: int, power: int) -> int:
 
 # ----------------------------------------------------------------------
 # universal coefficient recursion
-@dataclass(frozen=True)
-class UniversalPolynomial:
-    """F_n: the -2 x_1 sigma_1(n)/n term plus one monomial per partition of n
-    with no part equal to n: coefficient (-1)^l (l-1)!/prod(mult_i!), variable
-    x_{i+1} to the power mult_i."""
-
-    n: int
-    linear_coeff: Fraction                    # multiplies x_1
-    monomials: tuple[tuple[Fraction, tuple[tuple[int, int], ...]], ...]
-    # each monomial: (coefficient, ((part i, multiplicity m_i), ...))
-
-    def evaluate(self, x1, higher) -> Fraction:
-        """higher[i] is the value bound to x_{i+1}, i = 1..n-1."""
-        total = self.linear_coeff * x1
-        for coeff, powers in self.monomials:
-            term = coeff
-            for i, m_i in powers:
-                term *= higher[i] ** m_i
-            total += term
-        return total
-
-
-def universal_F(n: int) -> UniversalPolynomial:
-    """Structured universal polynomial F_n (feasible for n up to ~45)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    monos = []
-    # partitions of n into parts < n, by multiplicity vectors
-    def rec(remaining, part, mults):
-        if remaining == 0:
-            length = sum(m for _, m in mults)
-            denom = math.prod(math.factorial(m) for _, m in mults)
-            coeff = Fraction((-1) ** length * math.factorial(length - 1), denom)
-            monos.append((coeff, tuple(mults)))
-            return
-        for p in range(min(part, remaining), 0, -1):
-            if p >= n:
-                continue
-            top = remaining // p
-            for m in range(top, 0, -1):
-                mults.append((p, m))
-                rec(remaining - p * m, p - 1, mults)
-                mults.pop()
-
-    rec(n, n - 1, [])
-    return UniversalPolynomial(
-        n=n,
-        linear_coeff=Fraction(-2 * sigma_power(n, 1), n),
-        monomials=tuple(monos),
-    )
-
-
 def tau_recursive(nmax: int) -> list[int]:
     """tau(1..nmax) from the universal recursion tau(n+1) = F_n(12, tau(2..n)).
 
@@ -239,18 +186,6 @@ def _lambda_values(svals, prec: int, what: str) -> list:
     return totals
 
 
-def lambda_delta(s, prec: int = DEFAULT_PREC):
-    """Completed critical value of the weight-12 level-1 form at s in [1, 11].
-
-    Split-integral series Lambda(s) = sum_n tau(n) [Gamma(s,2 pi n)/(2 pi n)^s
-    + Gamma(12-s,2 pi n)/(2 pi n)^{12-s}]; terms decay like e^{-2 pi n}. The
-    one-point call of the profile's pass: s and 12 - s share one ladder when
-    s is an integer or a half-integer. Target: within 2^(10-prec) of the
-    exact value (the guard bits hold the rounding of the terms).
-    """
-    return _lambda_values([s], prec, f"Lambda({s}) at {prec} bits")[0]
-
-
 # ----------------------------------------------------------------------
 @dataclass
 class LProfile:
@@ -363,19 +298,6 @@ def moments(prof: LProfile, m: int, prec: int = DEFAULT_PREC):
         jm = mp.mpf(1) if (j == 0 and m == 0) else mp.mpf(j) ** m
         total += math.comb(k - 2, j) * prof.lam[j] * jm
     return total / mp.factorial(k - 2)
-
-
-@guarded()
-def moments_from_l_values(prof: LProfile, m: int, prec: int = DEFAULT_PREC):
-    """The other displayed form: sum_j (sqrt N/2 pi)^{j+1} L(f,j+1) j^m/(k-2-j)!."""
-    k = prof.weight
-    total = mp.mpf(0)
-    for j in range(k - 1):
-        jm = mp.mpf(1) if (j == 0 and m == 0) else mp.mpf(j) ** m
-        L = prof.l_value(j + 1, mp.mp.prec)
-        total += ((mp.sqrt(prof.level) / (2 * mp.pi)) ** (j + 1) * L
-                  / mp.factorial(k - 2 - j) * jm)
-    return total
 
 
 @dataclass
@@ -554,63 +476,8 @@ def ehrhart_simplex_count(k: int, dilation: int) -> int:
     return count
 
 
-@guarded()
-def weight4_inequality_check(prof: LProfile, prec: int = DEFAULT_PREC) -> dict:
-    """(N/pi^2) L(f,3)^2 >= L(f,2)^2, and its equivalence with the two roots
-    of the quadratic period polynomial lying on the unit circle."""
-    if prof.weight != 4:
-        raise ValueError("this check is specific to weight 4")
-    L2 = prof.l_value(2, mp.mp.prec)
-    L3 = prof.l_value(3, mp.mp.prec)
-    lhs = prof.level / mp.pi ** 2 * L3 ** 2
-    holds = bool(lhs >= L2 ** 2)
-    trivial = bool(abs(L2) < mp.mpf(2) ** (-(prec // 2)))
-    R = period_polynomial(prof, mp.mp.prec)
-    roots, _ = poly_roots(R, prec=mp.mp.prec)
-    on_circle = bool(max(abs(abs(r) - 1) for r in roots) < mp.mpf(2) ** (-(prec // 4)))
-    if holds != on_circle:
-        raise ArithmeticError("inequality and unit-circle verdicts disagree")
-    return {"holds": holds, "trivial_zero_case": trivial, "roots_on_circle": on_circle,
-            "lhs": lhs, "rhs": L2 ** 2}
-
-
 def hausdorff_distance(A, B, prec: int = DEFAULT_PREC):
     with working(prec):
         d1 = max(min(abs(a - b) for b in B) for a in A)
         d2 = max(min(abs(a - b) for a in A) for b in B)
         return max(d1, d2)
-
-
-def convergence_experiment(profiles: list[LProfile], prec: int = DEFAULT_PREC) -> list[dict]:
-    """Root distances of Z_f to the comparison polynomial H_k^{sign}(-s).
-
-    All profiles must share weight and sign. Each row reports the Hausdorff
-    distance and asserts the ordinate bound (k-3)(k-7/2) for sign +1 resp.
-    (k-4)(k-9/2) for sign -1.
-    """
-    if not profiles:
-        raise ValueError("need at least one profile")
-    k = profiles[0].weight
-    sign = profiles[0].sign
-    if any(p.weight != k or p.sign != sign for p in profiles):
-        raise ValueError("profiles must share weight and sign")
-    H = hk_polynomial(k, sign)
-    Hms = poly_negate_var(H)
-    href, _ = poly_roots(poly_to_mpc(Hms, prec + GUARD_BITS), prec=prec)
-    bound = (k - 3) * (k - mp.mpf(7) / 2) if sign == 1 else (k - 4) * (k - mp.mpf(9) / 2)
-    rows = []
-    for i, prof in enumerate(profiles):
-        Z = zeta_polynomial(prof, prec)
-        roots, dev = rh_check(Z, prec)
-        max_ord = max(abs(mp.im(r)) for r in roots)
-        if not max_ord < bound:
-            raise ArithmeticError(
-                f"ordinate bound violated: {max_ord} !< {bound} (profile {i})")
-        rows.append({
-            "profile": prof.source or f"profile-{i}",
-            "distance": hausdorff_distance(roots, href, prec),
-            "max_ordinate": max_ord,
-            "ordinate_bound": bound,
-            "critical_line_dev": dev,
-        })
-    return rows

@@ -11,7 +11,6 @@ from .tables import (
     bernoulli,
     bernoulli_table,
     bernoulli_work,
-    stirling1,
     stirling1_table,
     zeta_even_rational,
     zeta_neg_int,
@@ -25,7 +24,7 @@ from .zeta import (
     riemann_zeta,
     zeta_multiples_direct,
 )
-from .bell import bell_via_determinant, bell_via_series, complete_bell, hessenberg_det
+from .bell import bell_via_determinant, bell_via_series, hessenberg_det
 from .poly import (
     binomial_poly,
     poly_compose_one_minus_s,
@@ -49,7 +48,6 @@ __all__ = [
     "bernoulli_work",
     "binomial_poly",
     "check_work",
-    "complete_bell",
     "digits_for",
     "direct_zeta_start",
     "euler_bernoulli_genfunc_check",
@@ -64,7 +62,6 @@ __all__ = [
     "poly_trim",
     "power_sum_tails",
     "riemann_zeta",
-    "stirling1",
     "stirling1_table",
     "working",
     "zeta_even_rational",

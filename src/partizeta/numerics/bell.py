@@ -4,17 +4,14 @@ Route one: exp of the formal series sum_j a_j x^j / j!, reading off
 k! [x^k]. Route two: the k x k Hessenberg determinant with binomially
 weighted entries and -1 subdiagonal, expanded by the subdiagonal. Every
 length-k value in the package (fixed-length, equal-argument MZV, p-adic) is
-B_k of a zeta sequence and goes through one of these two routes.
-``complete_bell`` computes both and insists they agree; a mismatch is an
-internal-defect signal, not a user error.
+B_k of a zeta sequence and goes through one of these two routes; the
+tests hold them to each other, exactly over Fractions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import mpmath as mp
 
 from .series import TruncatedSeries
 
@@ -62,24 +59,3 @@ def determinant_work(m: int, k: int) -> int:
     at the multiples of m, m k^3 / 20: (2, 300) takes 2.2 s, (4, 150) 0.7 s
     and (2, 400) 6.0 s (2-core x86 VM, CPython 3.11)."""
     return m * k ** 3 // 20
-
-
-def complete_bell(a):
-    """B_k(a_1..a_k), both routes compared.
-
-    Exact domains must agree exactly; mpf/mpc values within 2^-(mp.prec/2)
-    relative, the scale ``poly_roots`` checks its residuals against.
-    Disagreement raises ArithmeticError.
-    """
-    if not a:
-        raise ValueError("complete_bell wants k >= 1 values")
-    v1 = bell_via_series(a)
-    v2 = bell_via_determinant(a)
-    exact = all(isinstance(v, (int, Fraction)) for v in a)
-    if exact:
-        agree = v1 == v2
-    else:
-        agree = abs(v1 - v2) <= mp.ldexp(max(abs(v1), abs(v2)), -(mp.mp.prec // 2))
-    if not agree:
-        raise ArithmeticError(f"Bell routes disagree: {v1} vs {v2}")
-    return v1

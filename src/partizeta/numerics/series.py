@@ -2,7 +2,7 @@
 
 Coefficient arithmetic is whatever the coefficient type supports (Fraction,
 int, mpf, mpc); all operations are exact through the truncation order, with
-the usual constant-term preconditions for exp/log/reciprocal.
+the usual constant-term preconditions for exp/reciprocal.
 """
 
 from __future__ import annotations
@@ -92,19 +92,5 @@ class TruncatedSeries:
             for i in range(1, n + 1):
                 if self.coeffs[i] != 0:
                     s += i * self.coeffs[i] * out[n - i]
-            out.append(s / n)
-        return TruncatedSeries(out, T)
-
-    def log(self):
-        """log(self); requires c_0 = 1. n L_n = n c_n - sum_{j<n} j L_j c_{n-j}."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log needs constant term 1")
-        T = self.order
-        out = [self.coeffs[0] * 0]
-        for n in range(1, T + 1):
-            s = n * self.coeffs[n]
-            for j in range(1, n):
-                if self.coeffs[n - j] != 0:
-                    s -= j * out[j] * self.coeffs[n - j]
             out.append(s / n)
         return TruncatedSeries(out, T)

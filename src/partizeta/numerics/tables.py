@@ -73,12 +73,6 @@ def stirling1_table(n: int) -> list[list[int]]:
     return table[: n + 1]
 
 
-def stirling1(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return stirling1_table(n)[n][k]
-
-
 def zeta_neg_int(n: int) -> Fraction:
     """zeta(-n) for n >= 0, exact.
 

@@ -1,4 +1,4 @@
-"""Partition zeta functions over restricted part sets, by independent routes.
+"""Zeta functions of partitions over restricted part sets, by independent routes.
 
 Routes implemented:
 
@@ -63,7 +63,7 @@ from .numerics.zeta import (
     _work,
     power_sum_work,
 )
-from .partitions import DivergentPartSetError, PartSet, multiplicative_partition_count
+from .partitions import DivergentPartSetError, PartSet
 
 POLE_SNAP = 1e-6  # distance to some 1/N below which we report the pole
 
@@ -109,8 +109,8 @@ def dirichlet_partition_series(spec: PartSet, chi, s, prec: int = DEFAULT_PREC):
     chi(k) = chi[k % q] and every |chi(r)| <= 1. The part 1 contributes
     sum_{i <= cap} chi(1)^i, or 1/(1 - chi(1)) if its multiplicity is
     unbounded (divergent unless |chi(1)| < 1). Complete multiplicativity is
-    needed only for the Dirichlet-series identity that
-    ``dirichlet_series_oracle`` checks, not for the product.
+    needed only for the identity with the Dirichlet series sum chi(n) a_n n^-s,
+    a_n the multiplicative partition counts of n, not for the product.
 
     The factors up to a cutoff K >= 64 (past min_part and every class
     residue), and the explicit parts past K that no class covers, are
@@ -459,42 +459,3 @@ def _mobius_upto(K: int) -> list[int]:
                 composite[k] = k > p
                 mu[k] = 0 if k % (p * p) == 0 else -mu[k]
     return mu
-
-
-@guarded()
-def dirichlet_series_oracle(spec: PartSet, chi, s, nmax: int, prec: int = DEFAULT_PREC):
-    """Brute Dirichlet partial sum sum_{n<=nmax} chi(n) a_n n^{-s}, the weight
-    given by one period as in ``dirichlet_partition_series`` and completely
-    multiplicative, with a_n counted by multiplicative partitions. Oracle
-    for ``dirichlet_partition_series``."""
-    s, chi = mp.mpmathify(s), _period(chi)
-    powers = _Powers(s, mp.mp.prec + 32)
-    cplx = isinstance(s, mp.mpc)
-    return mp.fsum(chi[n % len(chi)] * multiplicative_partition_count(n, spec)
-                   * powers.value(*powers[n][:2], cplx)
-                   for n in range(1, nmax + 1) if chi[n % len(chi)] != 0)
-
-
-@guarded()
-def mainthm_reading_report(a: int, m: int, n: int, prec: int = DEFAULT_PREC) -> dict:
-    """Which part-set reading matches the gamma closed form: {a+m, a+2m, ...}
-    (index from 1) or the inclusive {a, a+m, ...}?
-
-    Returns both Euler-product values, the closed form, and the verdict; the
-    inclusive reading requires a >= 2 to converge at all.
-    """
-    exclusive = PartSet(classes=((a, m),))
-    cf = closed_form_gamma(a, m, n, prec)
-    ex_val, _ = euler_product(exclusive, mp.mpf(n), prec=prec)
-    report = {"a": a, "m": m, "n": n, "closed_form": cf, "exclusive": ex_val}
-    report["exclusive_dev"] = abs(ex_val - cf)
-    if a >= 2:
-        inclusive = PartSet(classes=((a, m),), explicit_parts=frozenset({a}))
-        in_val, _ = euler_product(inclusive, mp.mpf(n), prec=prec)
-        report["inclusive"] = in_val
-        report["inclusive_dev"] = abs(in_val - cf)
-    else:
-        report["inclusive"] = None
-        report["inclusive_dev"] = None
-    report["matching_reading"] = "exclusive (parts a+mj, j>=1)"
-    return report

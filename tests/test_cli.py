@@ -141,9 +141,12 @@ def test_default_tol_follows_prec(capsys):
             assert abs(mp.mpf(rec["value_re"]) - mp.pi / 2) < mp.mpf(2) ** -45
 
 
-def test_pzeta_bad_grammar_exit_2(capsys):
-    code = main([*PREC_ARGS, "pzeta", "--spec", "wat:7", "--s", "2"])
+@pytest.mark.parametrize("spec", ["wat:7", "finite:{}|geq:2", "finite:{}|distinct", "finite:{}"])
+def test_pzeta_bad_grammar_exit_2(capsys, spec):
+    # an empty finite token is refused by name, not dropped from the union
+    code = main([*PREC_ARGS, "pzeta", "--spec", spec, "--s", "2"])
     assert code == 2
+    assert spec.split(":")[0] in capsys.readouterr().err
 
 
 def test_fixedlen_exact_rendering(capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from oracles import length_reduction
 from partizeta import fixedlen as fixedlen_module
 from partizeta.fixedlen import (
     MZVIndex,
@@ -16,7 +17,6 @@ from partizeta.fixedlen import (
     fixedlen_zeta,
     fixedlen_zeta_exact,
     fixedlen_zeta_exact_series,
-    length_reduction,
     mzv_bruteforce,
     mzv_equal_args,
     mzv_equal_args_exact,

@@ -13,11 +13,17 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from oracles import (
+    convergence_experiment,
+    lambda_delta,
+    moments_from_l_values,
+    universal_F,
+    weight4_inequality_check,
+)
 from partizeta import modular
 from partizeta.modular import (
     LProfile,
     build_delta_profile,
-    convergence_experiment,
     ehrhart_simplex_count,
     eisenstein_coeffs,
     functional_eq_check,
@@ -25,16 +31,12 @@ from partizeta.modular import (
     hausdorff_distance,
     hk_polynomial,
     hk_zero_solver,
-    lambda_delta,
     moments,
-    moments_from_l_values,
     period_polynomial,
     rh_check,
     rv_transform,
     tau_eta_oracle,
     tau_recursive,
-    universal_F,
-    weight4_inequality_check,
     zeta_polynomial,
 )
 from partizeta.numerics import poly_eval, poly_negate_var, poly_roots, poly_to_mpc

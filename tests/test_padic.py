@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from partizeta.numerics import bernoulli, complete_bell
+from partizeta.numerics import bell_via_determinant, bell_via_series, bernoulli
 from partizeta.padic import (
     INFINITE_VALUATION,
     PadicContext,
@@ -174,7 +174,7 @@ def test_padic_fixedlen_preconditions():
 @pytest.mark.parametrize("k, p", [(1, 5), (2, 7), (3, 11)])
 def test_padic_fixedlen_is_bell_of_zeta_star(k, p):
     # (1/k!) B_k(a) with a_r = (r-1)! zeta*((1-m) r), zeta* built here from
-    # the Bernoulli numbers, both Bell routes compared by complete_bell
+    # the Bernoulli numbers, both Bell routes held to each other
     for a in (0, 1):
         for m in (2, suggest_m2(p, a, k, 2)):
             seq = []
@@ -182,7 +182,8 @@ def test_padic_fixedlen_is_bell_of_zeta_star(k, p):
                 n = 1 + (m - 1) * r
                 zstar = -(1 - Fraction(p) ** (n - 1)) * bernoulli(n) / n if n % 2 == 0 else 0
                 seq.append(math.factorial(r - 1) * Fraction(zstar))
-            want = complete_bell(seq) / math.factorial(k)
+            want = bell_via_series(seq) / math.factorial(k)
+            assert bell_via_determinant(seq) / math.factorial(k) == want
             assert padic_fixedlen(PadicContext(p=p, a=a, k=k), m) == want, (k, p, a, m)
 
 

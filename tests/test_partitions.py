@@ -1,4 +1,5 @@
-"""Partition enumeration, part-set grammar, and the brute-force oracles."""
+"""The part-set grammar, and the partition oracles of ``oracles``: enumeration,
+the product-sum expansion, the brute-force zeta bound, multiplicative counts."""
 
 from __future__ import annotations
 
@@ -11,45 +12,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partizeta.partitions import (
-    DivergentPartSetError,
-    Partition,
-    PartSet,
+from oracles import (
     brute_zeta,
     enumerate_partitions,
     multiplicative_partition_count,
-    parse_part_set,
     product_sum_expand,
 )
-
-
-def test_partition_statistics():
-    lam = Partition((4, 2, 2, 1))
-    assert lam.size == 9
-    assert lam.length == 4
-    assert lam.norm == 16
-    empty = Partition(())
-    assert (empty.size, empty.length, empty.norm) == (0, 0, 1)
-
-
-def test_partition_rejects_bad_parts():
-    with pytest.raises(ValueError):
-        Partition((1, 2))  # increasing
-    with pytest.raises(ValueError):
-        Partition((2, 0))
+from partizeta.partitions import DivergentPartSetError, PartSet, parse_part_set
 
 
 def test_enumerate_empty_case():
-    assert enumerate_partitions(0) == [Partition(())]
+    assert enumerate_partitions(0) == [()]
 
 
 def test_enumerate_n4_reverse_lex():
-    got = [p.parts for p in enumerate_partitions(4)]
+    got = enumerate_partitions(4)
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
 def test_enumerate_even_parts():
-    got = [p.parts for p in enumerate_partitions(6, parse_part_set("2N"))]
+    got = enumerate_partitions(6, parse_part_set("2N"))
     assert got == [(6,), (4, 2), (2, 2, 2)]
     # cross-check against the even-part generating function coefficient
     series = product_sum_expand(lambda n: Fraction(1 if n % 2 == 0 else 0), 6)
@@ -57,12 +39,12 @@ def test_enumerate_even_parts():
 
 
 def test_enumerate_length_filter_and_distinct():
-    got = [p.parts for p in enumerate_partitions(9, PartSet(distinct=True), length_filter=2)]
+    got = enumerate_partitions(9, PartSet(distinct=True), length_filter=2)
     assert got == [(8, 1), (7, 2), (6, 3), (5, 4)]
 
 
 def test_enumerate_max_ones():
-    got = [p.parts for p in enumerate_partitions(4, PartSet(max_ones=1))]
+    got = enumerate_partitions(4, PartSet(max_ones=1))
     assert (1, 1, 1, 1) not in got
     assert (2, 1, 1) not in got
     assert (3, 1) in got
@@ -124,6 +106,14 @@ def test_partset_grammar_membership_round_trip(classes, explicit, min_part, dist
     assert [back.contains(k) for k in range(1, 61)] == \
         [ps.contains(k) for k in range(1, 61)]
     assert back.distinct == ps.distinct
+
+
+@pytest.mark.parametrize("text", ["finite:{}", "finite:{ }", "finite:{}|geq:2", "finite:{,}|distinct"])
+def test_partset_rejects_an_empty_finite_token(text):
+    # the empty set would drop out of the union unseen: finite:{}|geq:2 read
+    # as geq:2, and a bare finite:{} as all of N
+    with pytest.raises(ValueError, match="finite"):
+        parse_part_set(text)
 
 
 def test_partset_membership_semantics():
@@ -231,7 +221,7 @@ def test_distinct_with_ones_cap_zero():
     v_no1, _ = brute_zeta(ps, 2, 40, 12)
     v_with1, _ = brute_zeta(parse_part_set("distinct"), 2, 40, 12)
     assert abs(v_with1 - 2 * v_no1) < 1e-14
-    got = [p.parts for p in enumerate_partitions(5, ps)]
+    got = enumerate_partitions(5, ps)
     assert got == [(5,), (3, 2)]
 
 

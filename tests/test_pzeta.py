@@ -9,6 +9,7 @@ import time
 import mpmath as mp
 import pytest
 
+from oracles import dirichlet_series_oracle
 from partizeta import pzeta
 from partizeta.numerics import (
     GUARD_BITS,
@@ -23,11 +24,9 @@ from partizeta.pzeta import (
     PoleReport,
     closed_form_gamma,
     dirichlet_partition_series,
-    dirichlet_series_oracle,
     euler_product,
     log_eval_general,
     log_eval_multiples,
-    mainthm_reading_report,
     zeta_via_mobius,
 )
 
@@ -204,11 +203,14 @@ def test_closed_form_matches_explicit_part_product():
 
 
 def test_mainthm_reading_report_pins_exclusive():
-    rep = mainthm_reading_report(3, 4, 2, prec=PREC)
+    # the gamma closed form is the zeta of the parts {a+m, a+2m, ...} (index
+    # from 1), not of the inclusive {a, a+m, ...}
+    cf = closed_form_gamma(3, 4, 2, PREC)
+    exclusive, _ = euler_product(parse_part_set("3+4N"), mp.mpf(2), prec=PREC)
+    inclusive, _ = euler_product(parse_part_set("3+4N|finite:{3}"), mp.mpf(2), prec=PREC)
     with mp.workprec(PREC):
-        assert rep["exclusive_dev"] < mp.mpf("1e-40")
-        assert rep["inclusive_dev"] > mp.mpf("0.1")
-    assert "exclusive" in rep["matching_reading"]
+        assert abs(exclusive - cf) < mp.mpf("1e-40")
+        assert abs(inclusive - cf) > mp.mpf("0.1")
 
 
 # ---------------------------------------------------------------- log series routes

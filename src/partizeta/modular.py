@@ -232,12 +232,6 @@ class LProfile:
         if self.sign == -1 and not -tol <= lam[k // 2 - 1] <= tol:
             raise ValueError("sign -1 requires Lambda(k/2) = 0")
 
-    @guarded()
-    def l_value(self, j: int, prec: int = DEFAULT_PREC):
-        """Raw L(f, j) recovered from Lambda(f, j) = (sqrt N/2 pi)^j Gamma(j) L(f, j)."""
-        factor = (mp.sqrt(self.level) / (2 * mp.pi)) ** j * mp.factorial(j - 1)
-        return self.lam[j - 1] / factor
-
     def to_json(self, digits: int = 50) -> str:
         return json.dumps({
             "weight": self.weight,

@@ -1,6 +1,8 @@
-"""Shared numeric kernel: arbitrary-precision special functions (thin
-wrappers over mpmath plus the certified Euler-Maclaurin tail), exact number
-tables, truncated power series, and polynomial root finding.
+"""Shared numeric kernel: what mpmath does not already give. The precision
+policy and work budget, the certified Euler-Maclaurin tail and the zeta
+values built on it, exact number tables, the two complete Bell polynomial
+routes, and polynomial root finding with a residual contract. Log-gamma is
+mpmath's ``loggamma``, called directly by the routes that need it.
 
 High-precision reals/complexes are mpmath ``mpf``/``mpc`` values produced at
 an explicit ``prec`` (bits); exact quantities are ``fractions.Fraction``.
@@ -15,8 +17,6 @@ from .tables import (
     zeta_even_rational,
     zeta_neg_int,
 )
-from .series import TruncatedSeries
-from .gamma import log_gamma
 from .zeta import (
     direct_zeta_start,
     euler_bernoulli_genfunc_check,
@@ -24,7 +24,7 @@ from .zeta import (
     riemann_zeta,
     zeta_multiples_direct,
 )
-from .bell import bell_via_determinant, bell_via_series, hessenberg_det
+from .bell import bell_via_determinant, bell_via_series
 from .poly import (
     binomial_poly,
     poly_compose_one_minus_s,
@@ -39,7 +39,6 @@ __all__ = [
     "DEFAULT_PREC",
     "GUARD_BITS",
     "RootFindingError",
-    "TruncatedSeries",
     "WORK_BUDGET",
     "bell_via_determinant",
     "bell_via_series",
@@ -52,8 +51,6 @@ __all__ = [
     "direct_zeta_start",
     "euler_bernoulli_genfunc_check",
     "guarded",
-    "hessenberg_det",
-    "log_gamma",
     "poly_compose_one_minus_s",
     "poly_eval",
     "poly_negate_var",

@@ -13,45 +13,30 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .series import TruncatedSeries
-
-
-def hessenberg_det(entry, k):
-    """det of the k x k upper-Hessenberg matrix with -1 subdiagonal.
-
-    entry(i, j) gives the (i, j) element for 1 <= i <= j <= k. Expansion by
-    the -1 subdiagonal collapses to D_j = sum_i entry(i, j) D_{i-1}.
-    """
-    D = [1]
-    for j in range(1, k + 1):
-        s = None
-        for i in range(1, j + 1):
-            t = entry(i, j) * D[i - 1]
-            s = t if s is None else s + t
-        D.append(s)
-    return D[k]
-
 
 def bell_via_series(a):
-    """B_k(a_1..a_k) = k! [x^k] exp(sum_j a_j x^j / j!)."""
+    """B_k(a_1..a_k) = k! E_k for E = exp(sum_j c_j x^j), c_j = a_j / j!:
+    E_0 = 1 and n E_n = sum_{i<=n} i c_i E_{n-i}."""
     k = len(a)
     exact = all(isinstance(v, (int, Fraction)) for v in a)
-    coeffs = [Fraction(0) if exact else a[0] * 0]
-    for j in range(1, k + 1):
-        coeffs.append(Fraction(a[j - 1], math.factorial(j)) if exact
-                      else a[j - 1] / math.factorial(j))
-    E = TruncatedSeries(coeffs, k).exp()
+    c = [None] + [Fraction(v, math.factorial(j)) if exact else v / math.factorial(j)
+                  for j, v in enumerate(a, 1)]
+    zero = Fraction(0) if exact else a[0] * 0
+    E = [zero + 1]
+    for n in range(1, k + 1):
+        E.append(sum((i * c[i] * E[n - i] for i in range(1, n + 1) if c[i] != 0), zero) / n)
     return E[k] * math.factorial(k)
 
 
 def bell_via_determinant(a):
-    """B_k via the Faa di Bruno determinant: M[i][j] = C(k-i, j-i) a_{j-i+1}."""
+    """B_k via the Faa di Bruno determinant: M[i][j] = C(k-i, j-i) a_{j-i+1}
+    for i <= j, -1 on the subdiagonal. Expansion by the subdiagonal collapses
+    it to D_0 = 1, D_j = sum_{i<=j} M[i][j] D_{i-1}, and B_k = D_k."""
     k = len(a)
-
-    def entry(i, j):
-        return math.comb(k - i, j - i) * a[j - i]
-
-    return hessenberg_det(entry, k)
+    D = [1]
+    for j in range(1, k + 1):
+        D.append(sum(math.comb(k - i, j - i) * a[j - i] * D[i - 1] for i in range(1, j + 1)))
+    return D[k]
 
 
 def determinant_work(m: int, k: int) -> int:

@@ -40,7 +40,6 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
 
 from .hp import DEFAULT_PREC, check_work, estimating, guarded, working
-from .series import TruncatedSeries
 from .tables import bernoulli_table, zeta_neg_int
 
 
@@ -463,9 +462,12 @@ def euler_bernoulli_genfunc_check(T: int) -> bool:
     """
     if T < 2:
         raise ValueError("need T >= 2")
-    # (1 - e^-t)/t = sum_j (-1)^j t^j / (j+1)!
-    denom = TruncatedSeries([Fraction((-1) ** j, math.factorial(j + 1)) for j in range(T + 1)], T)
-    g = denom.reciprocal()
+    # (1 - e^-t)/t = sum_j d_j t^j, d_j = (-1)^j / (j+1)!, d_0 = 1; its
+    # reciprocal g: g_0 = 1, g_n = -sum_{i<=n} d_i g_{n-i}
+    d = [Fraction((-1) ** j, math.factorial(j + 1)) for j in range(T + 1)]
+    g = [1]
+    for n in range(1, T + 1):
+        g.append(-sum(d[i] * g[n - i] for i in range(1, n + 1)))
     if g[0] != 1 or g[1] != Fraction(1, 2):
         return False
     for n in range(1, T):

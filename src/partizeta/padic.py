@@ -12,6 +12,7 @@ cross-multiplied integer and never forms the rationals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,13 +23,19 @@ from .numerics.bell import determinant_work
 INFINITE_VALUATION = math.inf
 
 
+@functools.lru_cache(maxsize=128)
 def is_prime(n: int) -> bool:
+    """Trial division by the odd d <= sqrt(n), priced from the bit length of
+    n first: sqrt(n)/2 steps of ~0.27 us, so an odd n below 2^50 is inside
+    the work budget (2-core x86 VM, CPython 3.11). Cached: a request asks
+    for the same p several times."""
     if n < 2:
         return False
     if n < 4:
         return True
     if n % 2 == 0:
         return False
+    check_work((1 << (n.bit_length() + 1) // 2) // 8, f"trial division of a {n.bit_length()}-bit p")
     d = 3
     while d * d <= n:
         if n % d == 0:
@@ -157,13 +164,19 @@ def interpolation_valuation(p: int, a: int, k: int, m1: int, m2: int):
             raise ValueError(f"precondition: {name}={m} must be >= 2")
         if (m - 2) % (p - 1):
             raise ValueError(f"precondition: {name}={m} not in S_2 (== 2 mod p-1={p-1})")
-    if (m1 - m2) % p ** a:
-        raise ValueError(f"precondition: m1={m1}, m2={m2} not congruent mod p^a={p ** a}")
-    # the largest index is B_n at n = 1 + (m - 1) r, r the largest odd r <= k
+    # p^a >= 2^(a (bits(p) - 1)): a nonzero m1 - m2 below that is no multiple
+    # of it, and p^a is formed only at most twice the size of m1 - m2
+    d = m1 - m2
+    if d and (d.bit_length() <= a * (p.bit_length() - 1) or d % p ** a):
+        raise ValueError(f"precondition: m1={m1}, m2={m2} not congruent mod p^a = {p}^{a}")
+    # the largest index is B_n at n = 1 + (m - 1) r, r the largest odd r <= k;
+    # past 64 bits m and n are named by their bit lengths
     m = max(m1, m2)
     n = 1 + (m - 1) * (k - 1 + k % 2)
+    what = (f"m = {m} (to B_{n})" if n.bit_length() <= 64
+            else f"a {m.bit_length()}-bit m (to B_n, n of {n.bit_length()} bits)")
     check_work(bernoulli_work(n) + 2 * determinant_work(m, k),
-               f"the interpolation check at k = {k}, m = {m} (to B_{n})")
+               f"the interpolation check at k = {k}, {what}")
     return padic_valuation(padic_fixedlen(ctx, m1) - padic_fixedlen(ctx, m2), p)
 
 
@@ -185,4 +198,10 @@ def suggest_m2(p: int, a: int, k: int, m1: int) -> int:
     PadicContext(p=p, a=a, k=k)
     if (m1 - 2) % (p - 1):
         raise ValueError(f"m1={m1} not in S_2")
+    # p^a >= 2^bits: past 2^64 the check at m2 > p^a needs B_n, n > 2^64,
+    # refused here at that bound before p^a is formed
+    bits = a * (p.bit_length() - 1)
+    if bits > 64:
+        check_work(bernoulli_work(1 << 64),
+                   f"the interpolation check at m2 > p^a = {p}^{a} (at least {bits} bits)")
     return m1 + (p - 1) * p ** a

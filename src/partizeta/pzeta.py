@@ -16,7 +16,8 @@ Routes implemented:
   Hurwitz zeta and the brute Dirichlet series.
 * ``closed_form_gamma`` -- the gamma-product closed form for a single
   congruence class {a+m, a+2m, ...} at integer argument n >= 2, from the
-  log-gamma sum over the n-th roots of unity (``_log_gamma_ring``).
+  log-gamma sum over the n-th roots of unity (``_log_gamma_ring``: mpmath's
+  ``loggamma`` once per conjugate pair of roots, at the route's precision).
 * ``log_eval_general`` -- the log-gamma expansion of the same closed form:
   the finite product as logs for i < N, then the tails H(k, N) = sum_{i >= N}
   i^-k from ``power_sum_tails`` on exact integer coefficients, 0 below k = n.
@@ -47,7 +48,6 @@ from .numerics import (
     check_work,
     direct_zeta_start,
     guarded,
-    log_gamma,
     power_sum_tails,
     riemann_zeta,
     zeta_multiples_direct,
@@ -271,16 +271,21 @@ def _ring(a: int, m: int, n: int) -> list:
             for r in range(n // 2 + 1)]
 
 
-def _log_gamma_ring(a: int, m: int, n: int, wp: int):
+def _log_gamma_ring(a: int, m: int, n: int):
     """sum_{r<n} log Gamma(1 + (a - e(r/n))/m), real: summed over ``_ring``,
-    the terms at r and n - r being conjugate."""
-    return mp.fsum(w * mp.re(log_gamma(1 + z, wp)) for w, z in _ring(a, m, n))
+    the terms at r and n - r being conjugate, in mpmath's ``loggamma`` at
+    the caller's precision."""
+    # no pole or branch cut: Re(1 + z_r) >= 1 + (a - 1)/m >= 1/2, as a = 0 needs m >= 2
+    return mp.fsum(w * mp.re(mp.loggamma(1 + z)) for w, z in _ring(a, m, n))
 
 
 def _ring_work(n: int, wp: int) -> int:
     """The price of ``_log_gamma_ring``: n//2 + 1 log-gamma calls at ~400 +
-    wp^2/100 us (0.5 ms at 64 bits, 1.0 ms at 256, 8.4 ms at 1024, 31 ms at
-    2048 and 179 ms at 4096; 2-core x86 VM, CPU time)."""
+    wp^2/100 us each, set when a call ran 40 bits above wp. The price is
+    kept, so no refusal moves; ``mp.loggamma`` at wp itself takes about half
+    of it up to ~2000 bits (warm: 0.3 ms at 136 bits, 0.6 ms at 328, 6 ms at
+    1096, 27-35 ms at 2120) and all of it at 4168 (0.17-0.20 s). The first
+    call at a precision costs 2-3x more (2-core x86 VM, CPU time)."""
     return (n // 2 + 1) * (400 + wp * wp // 100)
 
 
@@ -302,7 +307,7 @@ def closed_form_gamma(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
     wp = mp.mp.prec
     # the ring and the base term: (n + 2)//2 + 1 = n//2 + 2 calls
     check_work(_ring_work(n + 2, wp), f"the gamma closed form at n = {n} and {wp} bits")
-    return mp.exp(_log_gamma_ring(a, m, n, wp) - n * log_gamma(1 + mp.mpf(a) / m, wp))
+    return mp.exp(_log_gamma_ring(a, m, n) - n * mp.loggamma(1 + mp.mpf(a) / m))
 
 
 def _ring_power_sums(a: int, n: int, kmax: int):
@@ -445,7 +450,7 @@ def zeta_via_mobius(m: int, n: int, K: int, prec: int = DEFAULT_PREC):
     check_work(K * K // 8 * _ring_work(0, wp), what)
     mob = _mobius_upto(K)
     check_work(sum(_ring_work(n * k, wp) for k in range(1, K + 1) if mob[k]), what)
-    return mp.mpf(m) ** n * mp.fsum(mp.mpf(mob[k]) / k * _log_gamma_ring(0, m, n * k, wp)
+    return mp.mpf(m) ** n * mp.fsum(mp.mpf(mob[k]) / k * _log_gamma_ring(0, m, n * k)
                                     for k in range(1, K + 1) if mob[k])
 
 

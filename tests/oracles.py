@@ -25,7 +25,6 @@ from partizeta.modular import (
 from partizeta.numerics import (
     DEFAULT_PREC,
     GUARD_BITS,
-    TruncatedSeries,
     guarded,
     poly_negate_var,
     poly_roots,
@@ -35,20 +34,19 @@ from partizeta.partitions import UNBOUNDED, DivergentPartSetError, PartSet
 
 
 # ---------------------------------------------------------------- series
-def series_log(series: TruncatedSeries) -> TruncatedSeries:
-    """log(series); requires c_0 = 1. n L_n = n c_n - sum_{j<n} j L_j c_{n-j}."""
-    c = series.coeffs
+def series_log(c: list) -> list:
+    """Coefficients of log(sum_n c_n x^n) through the order of c; requires
+    c_0 = 1. n L_n = n c_n - sum_{j<n} j L_j c_{n-j}."""
     if c[0] != 1:
         raise ValueError("log needs constant term 1")
-    T = series.order
     out = [c[0] * 0]
-    for n in range(1, T + 1):
+    for n in range(1, len(c)):
         s = n * c[n]
         for j in range(1, n):
             if c[n - j] != 0:
                 s -= j * out[j] * c[n - j]
         out.append(s / n)
-    return TruncatedSeries(out, T)
+    return out
 
 
 # ---------------------------------------------------------------- partitions
@@ -89,25 +87,21 @@ def enumerate_partitions(n: int, constraints: PartSet | None = None,
     return out
 
 
-def product_sum_expand(f, T: int) -> TruncatedSeries:
+def product_sum_expand(f, T: int) -> list[Fraction]:
     """Coefficients of prod_n (1 - f(n) q^n)^{-1} through q^T, exact.
 
     f maps positive integers to Fractions. Computed both by expanding the
-    product and by summing prod f(part) over enumerated partitions of each n;
-    the routes must agree exactly or an ArithmeticError flags a defect.
+    product, one geometric series 1/(1 - f(n) q^n) at a time, and by summing
+    prod f(part) over enumerated partitions of each n; the routes must agree
+    exactly or an ArithmeticError flags a defect.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
-    prod = TruncatedSeries.one(T)
+    via_product = [Fraction(1)] + [Fraction(0)] * T
     for n in range(1, T + 1):
         val = Fraction(f(n))
-        if val == 0:
-            continue
-        coeffs = [Fraction(0)] * (T + 1)
-        coeffs[0] = Fraction(1)
-        coeffs[n] = -val
-        prod = prod * TruncatedSeries(coeffs, T)
-    via_product = prod.reciprocal()
+        for j in range(n, T + 1):
+            via_product[j] += val * via_product[j - n]
     for n in range(0, T + 1):
         direct = sum((math.prod((Fraction(f(p)) for p in lam), start=Fraction(1))
                       for lam in enumerate_partitions(n)), Fraction(0))
@@ -245,6 +239,13 @@ def lambda_delta(s, prec: int = DEFAULT_PREC):
 
 
 @guarded()
+def l_value(prof: LProfile, j: int, prec: int = DEFAULT_PREC):
+    """Raw L(f, j) recovered from Lambda(f, j) = (sqrt N/2 pi)^j Gamma(j) L(f, j)."""
+    factor = (mp.sqrt(prof.level) / (2 * mp.pi)) ** j * mp.factorial(j - 1)
+    return prof.lam[j - 1] / factor
+
+
+@guarded()
 def moments_from_l_values(prof: LProfile, m: int, prec: int = DEFAULT_PREC):
     """The other displayed form of ``moments``:
     sum_j (sqrt N/2 pi)^{j+1} L(f,j+1) j^m/(k-2-j)!."""
@@ -252,7 +253,7 @@ def moments_from_l_values(prof: LProfile, m: int, prec: int = DEFAULT_PREC):
     total = mp.mpf(0)
     for j in range(k - 1):
         jm = mp.mpf(1) if (j == 0 and m == 0) else mp.mpf(j) ** m
-        L = prof.l_value(j + 1, mp.mp.prec)
+        L = l_value(prof, j + 1, mp.mp.prec)
         total += ((mp.sqrt(prof.level) / (2 * mp.pi)) ** (j + 1) * L
                   / mp.factorial(k - 2 - j) * jm)
     return total
@@ -264,8 +265,8 @@ def weight4_inequality_check(prof: LProfile, prec: int = DEFAULT_PREC) -> dict:
     of the quadratic period polynomial lying on the unit circle."""
     if prof.weight != 4:
         raise ValueError("this check is specific to weight 4")
-    L2 = prof.l_value(2, mp.mp.prec)
-    L3 = prof.l_value(3, mp.mp.prec)
+    L2 = l_value(prof, 2, mp.mp.prec)
+    L3 = l_value(prof, 3, mp.mp.prec)
     lhs = prof.level / mp.pi ** 2 * L3 ** 2
     holds = bool(lhs >= L2 ** 2)
     trivial = bool(abs(L2) < mp.mpf(2) ** (-(prec // 2)))

@@ -248,7 +248,7 @@ def test_work_budgets_refuse_at_once(capsys, mp_powers, argv, gate):
 @pytest.mark.parametrize("argv", [
     # 263 zeta calls at 2088 bits: 25 s when run
     ["--prec", "2048", "pzeta", "--spec", "2N", "--s", "1.5", "--routes", "logseries"],
-    # 401 log-gamma calls at 4168 bits, 0.18 s each
+    # 202 log-gamma calls at 4168 bits, 0.17-0.20 s each warm
     ["--prec", "4096", "pzeta", "--spec", "2N", "--s", "400", "--routes", "gamma"],
     # 24,270 class setups (10.7 s when run), each inside the budget alone; nine
     # primes give 3.8 x 10^8 residue slots, priced before any is enumerated
@@ -259,8 +259,13 @@ def test_work_budgets_refuse_at_once(capsys, mp_powers, argv, gate):
     ["--prec", "10000", "modular", "delta"],
     # the zeta call that sizes the series would run at 10^5 bits
     ["--prec", "100000", "pzeta", "--spec", "2N", "--s", "3.3", "--routes", "logseries"],
+    # trial division of a 60-bit p: 5 x 10^8 steps, past 10 s when run
+    ["padic", "--p", "1000000000000000003", "--a", "0", "--k", "1", "--m1", "2"],
+    # m2 > 5^100000: the check at it was named in decimal, past Python's
+    # 4300-digit limit (exit 2), and 5^(10^6) took 1.5 s to form
+    ["padic", "--p", "5", "--a", "100000", "--k", "1", "--m1", "2"],
 ], ids=["logseries-2048-bits", "gamma-4096-bits", "six-primes", "nine-primes",
-        "delta-10000-bits", "logseries-100000-bits"])
+        "delta-10000-bits", "logseries-100000-bits", "padic-60-bit-p", "padic-a-100000"])
 def test_whole_evaluations_are_priced_at_once(capsys, mp_powers, argv):
     # each price counts all of an evaluation's work, bits included
     t0 = time.perf_counter()

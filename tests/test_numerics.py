@@ -1,11 +1,12 @@
 """Numeric kernel: tables, series, gamma, zeta, Bell, root finder, and the
 precision policy.
 
-The special functions wrap mpmath, so they are tested by identities and by
-routes that do not go through the wrapped function: the log-gamma
-recurrence, reflection and Legendre series, quadrature for the incomplete
-gamma, the functional equation for zeta, mpmath's Hurwitz zeta for the
-home-grown Euler-Maclaurin tail, and the residual contract for the roots.
+The special functions come from mpmath, so what is built on them is tested
+by identities and by routes that do not go through them: the log-gamma
+ring against the gamma recurrence, reflection and Legendre series,
+quadrature for the incomplete gamma, the functional equation for zeta,
+mpmath's Hurwitz zeta for the home-grown Euler-Maclaurin tail, and the
+residual contract for the roots.
 """
 
 from __future__ import annotations
@@ -33,20 +34,18 @@ from hypothesis import strategies as st
 import partizeta
 from oracles import series_log
 from partizeta.modular import _gamma_ladder, hk_polynomial, hk_zero_solver
-from partizeta.pzeta import closed_form_gamma
+from partizeta.pzeta import _log_gamma_ring, closed_form_gamma
 from partizeta.numerics import roots as roots_module
 from partizeta.numerics import tables as tables_module
 from partizeta.numerics import zeta as zeta_module
 from partizeta.numerics import (
     GUARD_BITS,
     RootFindingError,
-    TruncatedSeries,
     bell_via_determinant,
     bell_via_series,
     bernoulli,
     bernoulli_table,
     euler_bernoulli_genfunc_check,
-    log_gamma,
     poly_eval,
     poly_negate_var,
     poly_roots,
@@ -174,77 +173,60 @@ def test_zeta_exact_values():
 
 
 # ---------------------------------------------------------------- series
-def test_series_ops_preconditions():
-    s = TruncatedSeries([Fraction(1), Fraction(2)], 1)
-    with pytest.raises(ValueError):
-        s.exp()
-    with pytest.raises(ValueError):
-        series_log(TruncatedSeries([Fraction(0), Fraction(1)], 1))
-    with pytest.raises(ValueError):
-        TruncatedSeries([Fraction(0)], 0).reciprocal()
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=8),
                 min_size=2, max_size=9))
 def test_series_log_exp_round_trip(coeffs):
+    # bell_via_series reads exp(sum_j c_j x^j), c_j = a_j / j!, at one order:
+    # E_n = B_n(a_1..a_n) / n!, and the log oracle gives the c_j back
     coeffs[0] = Fraction(0)
-    s = TruncatedSeries(coeffs, len(coeffs) - 1)
-    assert series_log(s.exp()) == s
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=8),
-                min_size=1, max_size=9),
-       st.integers(min_value=1, max_value=5))
-def test_series_reciprocal_round_trip(coeffs, c0):
-    coeffs[0] = Fraction(c0)
-    s = TruncatedSeries(coeffs, len(coeffs) - 1)
-    assert (s * s.reciprocal()).coeffs == [Fraction(1)] + [Fraction(0)] * s.order
+    a = [c * math.factorial(j) for j, c in enumerate(coeffs)][1:]
+    E = [bell_via_series(a[:n]) / math.factorial(n) for n in range(len(coeffs))]
+    assert series_log(E) == coeffs
 
 
 # ---------------------------------------------------------------- gamma
+# the gamma routes call mpmath's loggamma directly; these hold the log-gamma
+# ring and the closed form to identities that do not go through it
+
+
 def test_log_gamma_special_points():
-    assert abs(log_gamma(1, PREC)) < TOL
+    # Gamma(1/2) Gamma(3/2) = pi/2, and prod_{k >= 2} (1 - k^-2)^-1 = 2
     with mp.workprec(PREC):
-        assert abs(log_gamma(mp.mpf(1) / 2, PREC) - mp.log(mp.sqrt(mp.pi))) < TOL
+        assert abs(_log_gamma_ring(0, 2, 2) - mp.log(mp.pi / 2)) < TOL
+        assert abs(closed_form_gamma(1, 1, 2, PREC) - 2) < TOL
 
 
 def test_log_gamma_legendre_series_cross_check():
-    # 60-term Legendre series at z = 1+i, with its plain-log part resummed
-    # exactly; leftover tail is ~ sum_{k>60} (zeta(k)-1)/k ~ 2^-60
-    with mp.workprec(PREC + 40):
-        z = mp.mpc(0, 1)  # log Gamma(1+z) at z = i
-        series = -mp.euler * z + z - mp.log(1 + z)
-        for k in range(2, 61):
-            series += (riemann_zeta(k, PREC) - 1) * (-z) ** k / k
-        assert abs(log_gamma(mp.mpc(1, 1), PREC) - series) < mp.mpf(2) ** -55
+    # log Gamma(1 + z) = -euler z + sum_{k >= 2} zeta(k) (-z)^k / k; over the
+    # ring at a = 0 only the powers k = jn survive:
+    # sum_r log Gamma(1 - e(r/n)/m) = sum_j zeta(jn) / (j m^jn)
+    with mp.workprec(PREC + 20):
+        for m, n in ((3, 4), (2, 7), (5, 2)):
+            J = PREC // (n * int(math.log2(m))) + 2
+            series = mp.fsum(riemann_zeta(j * n, PREC) / (j * mp.mpf(m) ** (j * n))
+                             for j in range(1, J + 1))
+            assert abs(_log_gamma_ring(0, m, n) - series) < TOL
 
 
 def test_log_gamma_recurrence_property():
-    rng = random.Random(1812)
+    # log Gamma(2 + z) = log Gamma(1 + z) + log(1 + z): the rings at a + m and
+    # a differ by log prod_r ((a + m) - e(r/n))/m = log(((a + m)^n - 1)/m^n)
     with mp.workprec(PREC + 20):
-        worst = mp.mpf(0)
-        for _ in range(1000):
-            z = mp.mpc(rng.uniform(0.05, 10), rng.uniform(-10, 10))
-            diff = abs(log_gamma(z + 1, PREC) - log_gamma(z, PREC) - mp.log(z))
-            worst = max(worst, diff)
-        assert worst < mp.mpf(2) ** -(PREC - 24)
+        for a, m, n in ((0, 2, 2), (1, 3, 5), (2, 5, 4), (3, 7, 9), (0, 4, 12)):
+            diff = _log_gamma_ring(a + m, m, n) - _log_gamma_ring(a, m, n)
+            assert abs(diff - mp.log(mp.mpf((a + m) ** n - 1) / m ** n)) < TOL
 
 
 def test_log_gamma_reflection_sanity():
+    # Gamma(1 + z) Gamma(1 - z) = pi z / sin(pi z): the ring at a = 0, n = 4
+    # pairs +-1/m with +-i/m, so prod_k (1 - (mk)^-4)^-1 =
+    # (pi/m)^2 / (sin(pi/m) sinh(pi/m))
     with mp.workprec(PREC + 20):
-        for y in (mp.mpf("0.1"), mp.mpf("0.5"), mp.mpf(1), mp.mpf(2), mp.mpf("2.9")):
-            lhs = mp.exp(log_gamma(mp.mpc(1, y), PREC) + log_gamma(mp.mpc(1, -y), PREC))
-            rhs = mp.pi * y / mp.sinh(mp.pi * y)
-            assert abs(lhs - rhs) < mp.mpf(2) ** -(PREC - 24)
-
-
-def test_log_gamma_pole_rejection():
-    with pytest.raises(ValueError):
-        log_gamma(0, PREC)
-    with pytest.raises(ValueError):
-        log_gamma(-3, PREC)
+        for m in (2, 3, 5, 8):
+            x = mp.pi / m
+            want = x * x / (mp.sin(x) * mp.sinh(x))
+            assert abs(closed_form_gamma(0, m, 4, PREC) - want) < mp.ldexp(want, 2 - PREC)
 
 
 # ---------------------------------------------------------------- incomplete gamma
@@ -550,11 +532,16 @@ def test_every_public_name_in_src_has_a_caller_in_src():
     # src/ ships what the CLI, the acceptance criteria and the routes they run
     # reach; reference oracles live in tests/oracles.py. A re-export or an
     # __all__ entry is no use, nor is a reference inside the name's own
-    # definition. Two library routes are kept without a caller: the log-gamma
-    # expansion of the closed form and the Eisenstein coefficients
+    # definition. Public methods of public classes count too. Two library routes are
+    # kept without a caller, the log-gamma expansion of the closed form and
+    # the Eisenstein coefficients, and LProfile.to_json, which writes the
+    # --profile format
     src = pathlib.Path(partizeta.__file__).parent
     trees = [ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))]
-    public = {stmt.name for tree in trees for stmt in tree.body
+    defs = [stmt for tree in trees for stmt in tree.body]
+    defs += [stmt for cls in defs if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+             for stmt in cls.body]
+    public = {stmt.name for stmt in defs
               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")}
     used = set()
     for stmt in (stmt for tree in trees for stmt in tree.body):
@@ -563,7 +550,7 @@ def test_every_public_name_in_src_has_a_caller_in_src():
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             names.discard(stmt.name)
         used |= names
-    assert sorted(public - used - {"log_eval_general", "eisenstein_coeffs"}) == []
+    assert sorted(public - used - {"log_eval_general", "eisenstein_coeffs", "to_json"}) == []
 
 
 def test_one_work_budget_source():
@@ -590,11 +577,14 @@ def test_one_work_budget_source():
     assert constants == messages == {"numerics/hp.py"}
 
 
-def test_euler_generating_function_small_orders():
-    # t^2 coefficient 1/12 = -zeta(-1); t^3 coefficient 0 = -zeta(-2)/2!
-    assert euler_bernoulli_genfunc_check(3)
-    assert euler_bernoulli_genfunc_check(4)
-    assert euler_bernoulli_genfunc_check(12)
+def test_euler_generating_function_small_orders(monkeypatch):
+    # t^2 coefficient 1/12 = -zeta(-1); t^3 coefficient 0 = -zeta(-2)/2!; the
+    # reciprocal recurrence matches every coefficient through t^40
+    for T in (3, 4, 12, 40):
+        assert euler_bernoulli_genfunc_check(T)
+    # one wrong zeta(-n) is caught
+    monkeypatch.setattr(zeta_module, "zeta_neg_int", lambda n: zeta_neg_int(n) + (n == 9))
+    assert not euler_bernoulli_genfunc_check(12)
 
 
 # ---------------------------------------------------------------- Bell
@@ -606,11 +596,14 @@ def test_bell_small_cases():
 
 def test_hessenberg_det_called_only_in_bell():
     # every length-k value goes through numerics.bell; no module keeps its own
-    # determinant
+    # determinant: numerics/bell.py alone defines one, and none builds an
+    # mpmath matrix
     src = pathlib.Path(partizeta.__file__).parent
-    callers = sorted(path.relative_to(src).as_posix() for path in src.rglob("*.py")
-                     if "hessenberg_det(" in path.read_text())
-    assert callers == ["numerics/bell.py"]
+    builders = {path.relative_to(src).as_posix() for path in src.rglob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef) and "det" in node.name
+                or isinstance(node, ast.Attribute) and node.attr in ("det", "matrix")}
+    assert builders == {"numerics/bell.py"}
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -246,3 +247,19 @@ def test_bernoulli_work_budget():
         interpolation_check(11, 0, 4, 2, 1032)
     with pytest.raises(ArithmeticError, match="B_50506"):
         interpolation_check(101, 1, 5, 2, suggest_m2(101, 1, 5, 2))
+
+
+def test_huge_p_and_a_priced_from_bit_lengths():
+    # trial division of a 60-bit p and m2 > 5^(10^6) are refused before they
+    # run; a small m1 - m2 is no multiple of 5^(10^6), which is not formed
+    t0 = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="60-bit p"):
+        is_prime(10 ** 18 + 3)
+    with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
+        suggest_m2(5, 10 ** 6, 1, 2)
+    with pytest.raises(ValueError, match="p\\^a"):
+        interpolation_check(5, 10 ** 6, 1, 2, 6)
+    assert time.perf_counter() - t0 < 1
+    # a 65-bit m is named by its bit length, not in decimal
+    with pytest.raises(ArithmeticError, match="65-bit m"):
+        interpolation_check(5, 0, 1, 2, 2 + 4 * 2 ** 62)

@@ -173,24 +173,25 @@ def test_closed_form_precision_sweep(a, m, n, prec):
 def test_closed_form_makes_one_log_gamma_call_per_conjugate_pair(monkeypatch, n):
     # the ring evaluates r = 0..n/2, and the base term is one call more
     calls = []
+    loggamma = mp.loggamma
 
-    def counted(z, prec):
+    def counted(z):
         calls.append(z)
-        return mp.loggamma(z)
+        return loggamma(z)
 
     want = closed_form_gamma(1, 3, n, 64)
-    monkeypatch.setattr(pzeta, "log_gamma", counted)
+    monkeypatch.setattr(mp, "loggamma", counted)
     assert closed_form_gamma(1, 3, n, 64) == want
     assert len(calls) == n // 2 + 2
 
 
 def test_one_log_gamma_ring():
-    # in pzeta, log-gamma is called only by the ring and the closed form's
-    # base term
+    # in pzeta, mpmath's loggamma is called only by the ring and the closed
+    # form's base term
     tree = ast.parse(pathlib.Path(pzeta.__file__).read_text())
     callers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Name) and node.func.id == "log_gamma"]
+               and isinstance(node.func, ast.Attribute) and node.func.attr == "loggamma"]
     assert callers == ["_log_gamma_ring", "closed_form_gamma"]
 
 
@@ -313,15 +314,17 @@ def test_log_eval_general_rejects_divergent_expansion():
 def test_gamma_routes_are_priced_at_once(monkeypatch):
     calls = []
 
-    def counted(fn):
-        def call(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-        return call
+    def counted(module, name):
+        fn = getattr(module, name)
 
-    monkeypatch.setattr(pzeta, "riemann_zeta", counted(riemann_zeta))
-    monkeypatch.setattr(pzeta, "log_gamma", counted(pzeta.log_gamma))
-    monkeypatch.setattr(pzeta, "power_sum_tails", counted(pzeta.power_sum_tails))
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(module, name, call)
+
+    counted(pzeta, "riemann_zeta")
+    counted(mp, "loggamma")
+    counted(pzeta, "power_sum_tails")
     t0 = time.perf_counter()
     # the tail setup of 679 multiples at 4745 bits, priced 2.7 x 10^7
     with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
@@ -332,7 +335,7 @@ def test_gamma_routes_are_priced_at_once(monkeypatch):
         zeta_via_mobius(2, 2, 400, PREC)
     assert time.perf_counter() - t0 < 1 and calls == []
     zeta_via_mobius(2, 2, 20, PREC)
-    assert len(calls) == 136 and set(calls) == {"log_gamma"}
+    assert len(calls) == 136 and set(calls) == {"loggamma"}
 
 
 def test_three_route_agreement_grid():

@@ -161,7 +161,7 @@ def criterion_08(prec=PREC):
 def criterion_09(prec=PREC):
     """Moebius partial sums: zeta(2) to 1e-8 and zeta(3) to 1e-10 at K=20."""
     with working(prec):
-        z2, z3 = (1 + h for h, _ in power_sum_tails(1, 3, 0, 2, prec)[1:])  # zeta(2), zeta(3)
+        z2, z3 = (1 + h for h, _ in power_sum_tails(1, 3, 2, prec)[1:])  # zeta(2), zeta(3)
         d22 = abs(pzeta.zeta_via_mobius(2, 2, 20, prec=prec) - z2)
         d33 = abs(pzeta.zeta_via_mobius(3, 3, 20, prec=prec) - z3)
         ok = d22 < mp.mpf("1e-8") and d33 < mp.mpf("1e-10")

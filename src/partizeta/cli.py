@@ -29,7 +29,7 @@ import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest
 
 from . import __version__, acceptance, build_id, fixedlen, modular, padic, pzeta
-from .numerics import digits_for, poly_roots, working
+from .numerics import digits_for, poly_eval, poly_roots, working
 from .partitions import DivergentPartSetError, parse_part_set
 
 EXIT_OK = 0
@@ -302,7 +302,7 @@ def cmd_modular(args, cfg: RunConfig) -> int:
         fe = modular.functional_eq_check(Z, prof.sign, cfg.precision_bits)
         roots, dev = modular.rh_check(Z, cfg.precision_bits)
         with working(cfg.precision_bits):
-            zres = [abs(Z(r)) for r in roots]
+            zres = [abs(poly_eval(Z, r)) for r in roots]
         gen = modular.generating_check(prof, 12, cfg.precision_bits)
     lam_digits = max(40, cfg.digits)  # profile decimals carry >= 40 digits
     payload = {
@@ -317,7 +317,7 @@ def cmd_modular(args, cfg: RunConfig) -> int:
     if args.report:
         payload.update({
             "tau_head": modular.tau_recursive(10),
-            "zeta_poly_coeffs": [_numstr(cfg, c) for c in Z.coeffs],
+            "zeta_poly_coeffs": [_numstr(cfg, c) for c in Z],
             "zeta_poly_roots": [[_numstr(cfg, mp.re(r)), _numstr(cfg, mp.im(r))]
                                 for r in roots],
             "period_poly_roots": [[_numstr(cfg, mp.re(r)), _numstr(cfg, mp.im(r))]

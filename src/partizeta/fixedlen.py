@@ -139,7 +139,7 @@ def _series_work(m: int, k: int, prec: int) -> int:
     at 256 0.8 s; 2-core x86 VM, CPython 3.11), plus the zeta values, priced
     at no more than WORK_BUDGET/4 bits: past that the series alone is over
     the budget, and the cap keeps a 2^prec out of the price."""
-    return 4 * k * (k + prec) + power_sum_work(m, k, 0, 2,
+    return 4 * k * (k + prec) + power_sum_work(m, k, 2,
                                                min(prec, WORK_BUDGET // 4) + GUARD_BITS + 16)
 
 
@@ -153,7 +153,7 @@ def _series_value(m: int, k: int, sign: int, prec: int):
     """
     if k == 0:  # B_0 of the empty sequence is the exact 1
         return mp.mpf(1)
-    tails = power_sum_tails(m, k, 0, 2, mp.mp.prec)
+    tails = power_sum_tails(m, k, 2, mp.mp.prec)
     a = [sign * math.factorial(j - 1) * (1 + v) for j, (v, _) in enumerate(tails, 1)]
     return sign ** k * bell_via_series(a) / math.factorial(k)
 
@@ -203,7 +203,7 @@ def shuffle_check(s, bound: int, prec: int = DEFAULT_PREC):
     sv = mp.mpf(s)
     if sv <= 1:
         raise ValueError("need s > 1")
-    z1, z2 = (1 + h for h, _ in power_sum_tails(sv, 2, 0, 2, mp.mp.prec))  # zeta(s), zeta(2s)
+    z1, z2 = (1 + h for h, _ in power_sum_tails(sv, 2, 2, mp.mp.prec))  # zeta(s), zeta(2s)
     rhs = (z2 + z1 ** 2) / 2
     # weak 2-fold nested partial sum in float when that is enough
     sf = float(sv)

@@ -1,8 +1,10 @@
 """Modular-form side: the tau recursion through the universal coefficient
 polynomials (each evaluated as a log-series coefficient) and its eta-product
-oracle, the completed critical values of the discriminant form (all from
-one pass over the split-integral series), period polynomials, zeta
-polynomials with their functional equation and critical-line root checks,
+oracle, the completed critical values Lambda(1..11) of the discriminant
+form at the integers (one pass over the split-integral series, one
+incomplete-gamma ladder per term), period polynomials, zeta polynomials as
+coefficient lists with their functional equation and critical-line root
+checks,
 the comparison polynomials H_k built from binomial transforms with their
 zero solver, and the exact lattice-point count of the dilated reflexive
 simplex (one binomial per coordinate-sum slice) behind the Ehrhart identity
@@ -33,7 +35,7 @@ from .numerics import (
     poly_eval,
     poly_roots,
     poly_trim,
-    stirling1_table,
+    stirling1_row,
     working,
 )
 
@@ -126,30 +128,23 @@ def eisenstein_coeffs(k: int, T: int) -> list[Fraction]:
 
 # ----------------------------------------------------------------------
 # completed L-values of the discriminant form
-def _gamma_ladder(a, x, ex, steps: int) -> list:
-    """Gamma(a + i, x)/x^(a + i) for i = 0..steps, with ex = e^-x: one
-    incomplete gamma from mpmath at the base, then Gamma(a + 1, x) =
-    a Gamma(a, x) + x^a e^-x (DLMF 8.8.2) divided by x^(a + 1). Each step
-    adds two positive terms, so nothing cancels."""
-    g = [mp.gammainc(a, x) / x ** a]
-    for i in range(steps):
-        g.append(((a + i) * g[-1] + ex) / x)
+def _gamma_ladder(x, ex, steps: int) -> list:
+    """Gamma(a, x)/x^a for a = 1..steps + 1, with ex = e^-x: one incomplete
+    gamma from mpmath at a = 1, then Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x
+    (DLMF 8.8.2) divided by x^(a + 1). Each step adds two positive terms, so
+    nothing cancels."""
+    g = [mp.gammainc(1, x) / x]
+    for a in range(1, steps + 1):
+        g.append((a * g[-1] + ex) / x)
     return g
 
 
 @guarded(extra=32)
-def _lambda_values(svals, prec: int, what: str) -> list:
-    """Lambda(s) for each s in svals, from one pass over the terms n: tau(n)
-    from ``tau_eta_oracle``, e^{-2 pi n} a running product, and per n one
-    ``_gamma_ladder`` for each fractional part among the arguments s and
-    12 - s. Its price is checked against the work budget before any term."""
-    svals = [mp.mpf(s) for s in svals]
-    if not all(1 <= s <= 11 for s in svals):
-        raise ValueError("critical strip for weight 12 is 1 <= s <= 11")
-    ends = {}  # frac(a) -> the lowest and the highest argument a
-    for a in [a for s in svals for a in (s, 12 - s)]:
-        lo, hi = ends.get(mp.frac(a), (a, a))
-        ends[mp.frac(a)] = (min(lo, a), max(hi, a))
+def _lambda_values(prec: int) -> list:
+    """Lambda(1..11) from one pass over the terms n: tau(n) from
+    ``tau_eta_oracle``, e^{-2 pi n} a running product, and per n one
+    ``_gamma_ladder`` a = 1..11, Lambda(j) reading its rungs j and 12 - j.
+    Its price is checked against the work budget before any term."""
     # the pass keeps the terms n < n_stop, about prec ln 2/(2 pi) of them. With
     # |tau(j)| <= j^6.5 the rest is at most sum_{j>=n} 8 j^6.5 (2 pi j)^10
     # e^{-2 pi j}/(1 - e^{-2 pi}), decreasing for n >= 3: n_stop is the first
@@ -161,28 +156,24 @@ def _lambda_values(svals, prec: int, what: str) -> list:
     while (3 - math.log2(1 - math.exp(-2 * math.pi)) + 6.5 * math.log2(n_stop)
            + 10 * math.log2(2 * math.pi * n_stop) - rate * n_stop) >= target:
         n_stop += 1
-    # per term, in units of ~1 us: a ladder's base 20 + wp^2/40000 at an integer
-    # a (a closed form) and 3000 + wp^2/30 at any other (a series), each ladder
-    # step and each value's sum 10 + wp^2/500000. Priced and timed: the profile
-    # at 3241 bits 3.6 x 10^5, 0.34 s, and at 8000 bits 4.1 x 10^6, 4.1 s;
-    # Lambda(3.25) at 640 bits 3.4 x 10^6, 2.7 s (2-core x86 VM, CPython 3.11,
-    # mpmath pure-Python backend)
+    # per term, in units of ~1 us: the ladder's base 20 + wp^2/40000 (a closed
+    # form), each of its ten steps and each value's sum 10 + wp^2/500000.
+    # Priced and timed: the profile at 3241 bits 3.6 x 10^5, 0.34 s, and at
+    # 8000 bits 4.1 x 10^6, 4.1 s (2-core x86 VM, CPython 3.11, mpmath
+    # pure-Python backend)
     wp = mp.mp.prec
-    op = 10 + wp * wp // 500000
-    check_work((n_stop - 1) * (len(svals) * op + sum(
-        (20 + wp * wp // 40000 if f == 0 else 3000 + wp * wp // 30) + int(hi - lo) * op
-        for f, (lo, hi) in ends.items())), what)
+    check_work((n_stop - 1) * (20 + wp * wp // 40000 + 21 * (10 + wp * wp // 500000)),
+               f"the discriminant-form profile at {prec} bits")
     tau = tau_eta_oracle(n_stop - 1)
-    rungs = [[(mp.frac(a), int(a - ends[mp.frac(a)][0])) for a in (s, 12 - s)] for s in svals]
     q = mp.exp(-2 * mp.pi)
     ex = mp.mpf(1)
-    totals = [mp.mpf(0)] * len(svals)
+    totals = [mp.mpf(0)] * 11
     for n in range(1, n_stop):
         x = 2 * mp.pi * n
         ex *= q
-        g = {f: _gamma_ladder(lo, x, ex, int(hi - lo)) for f, (lo, hi) in ends.items()}
-        for i, ((f1, i1), (f2, i2)) in enumerate(rungs):
-            totals[i] += tau[n - 1] * (g[f1][i1] + g[f2][i2])
+        g = _gamma_ladder(x, ex, 10)
+        for j in range(1, 12):
+            totals[j - 1] += tau[n - 1] * (g[j - 1] + g[11 - j])
     return totals
 
 
@@ -215,21 +206,27 @@ class LProfile:
     def validate(self, tol=1e-20) -> None:
         """Functional equation, monotone chain, and the sign -1 central zero.
 
-        Every difference is exact (mpmath's ``exact`` arithmetic) and every
-        comparison with tol too, so the values are checked at their own
-        precision, whatever the ambient context.
+        Each difference is rounded down and up to the bits of tol (53 at
+        least), between which tol cannot fall: every comparison with tol is
+        exact whatever the ambient context, and no difference takes as many
+        bits as its operands' exponents are apart.
         """
         k = self.weight
         lam = self.lam
+        tol = mp.mpmathify(tol)  # exact for a float
+        ntol = mp.fneg(tol, exact=True)
+        bits = max(53, tol.bc)
+        op = mp.fsub if self.sign == 1 else mp.fadd
         for j in range(k - 1):
-            dev = (mp.fsub if self.sign == 1 else mp.fadd)(lam[j], lam[k - 2 - j], exact=True)
-            if not -tol <= dev <= tol:
-                raise ValueError(f"functional equation violated at j={j}: |dev|={abs(dev)}")
+            lo, hi = (op(lam[j], lam[k - 2 - j], prec=bits, rounding=r) for r in "fc")
+            if not (ntol <= lo and hi <= tol):
+                raise ValueError(f"functional equation violated at j={j}: "
+                                 f"|dev|={max(abs(lo), abs(hi))}")
         chain = lam[k // 2 - 1:]
-        if any(mp.fsub(a, b, exact=True) > tol for a, b in zip(chain, chain[1:])) \
-                or chain[0] < -tol:
+        if any(mp.fsub(a, b, prec=bits, rounding="c") > tol for a, b in zip(chain, chain[1:])) \
+                or chain[0] < ntol:
             raise ValueError("monotone chain 0 <= Lambda(k/2) <= ... <= Lambda(k-1) violated")
-        if self.sign == -1 and not -tol <= lam[k // 2 - 1] <= tol:
+        if self.sign == -1 and not ntol <= lam[k // 2 - 1] <= tol:
             raise ValueError("sign -1 requires Lambda(k/2) = 0")
 
     def to_json(self, digits: int = 50) -> str:
@@ -267,8 +264,7 @@ class LProfile:
 def build_delta_profile(prec: int = DEFAULT_PREC) -> LProfile:
     """Assemble the discriminant-form profile Lambda(1..11) from one pass
     (one ladder a = 1..11 per term) and validate it."""
-    lam = _lambda_values(range(1, 12), prec, f"the discriminant-form profile at {prec} bits")
-    prof = LProfile(weight=12, level=1, sign=1, lam=lam, source="computed")
+    prof = LProfile(weight=12, level=1, sign=1, lam=_lambda_values(prec), source="computed")
     prof.validate(tol=mp.ldexp(1, -(prec // 2)))
     return prof
 
@@ -294,31 +290,15 @@ def moments(prof: LProfile, m: int, prec: int = DEFAULT_PREC):
     return total / mp.factorial(k - 2)
 
 
-@dataclass
-class ZetaPolynomial:
-    """Manin-style polynomial built from Stirling-weighted moments."""
-
-    coeffs: list                  # c_0..c_{k-2} of Z(s)
-    weight: int
-    sign: int
-
-    def __call__(self, s):
-        return poly_eval(self.coeffs, s)
-
-
-def zeta_polynomial(prof: LProfile, prec: int = DEFAULT_PREC) -> ZetaPolynomial:
-    """Z_f(s) = sum_h (-s)^h sum_m C(m+h, h) s(k-2, m+h) M_f(m).
+@guarded()
+def zeta_polynomial(prof: LProfile, prec: int = DEFAULT_PREC) -> list:
+    """c_0..c_{k-2} of Z_f(s) = sum_h (-s)^h sum_m C(m+h, h) s(k-2, m+h) M_f(m).
 
     Stirling numbers and binomials stay exact integers; the moments carry the
     precision.
     """
-    return ZetaPolynomial(_zeta_poly_coeffs(prof, prec), weight=prof.weight, sign=prof.sign)
-
-
-@guarded()
-def _zeta_poly_coeffs(prof: LProfile, prec: int) -> list:
     k = prof.weight
-    S = stirling1_table(k - 2)[k - 2]
+    S = stirling1_row(k - 2)
     M = [moments(prof, m, mp.mp.prec) for m in range(k - 1)]
     coeffs = []
     for h in range(k - 1):
@@ -330,16 +310,16 @@ def _zeta_poly_coeffs(prof: LProfile, prec: int) -> list:
 
 
 @guarded()
-def functional_eq_check(Z: ZetaPolynomial, sign: int, prec: int = DEFAULT_PREC):
-    """Max coefficient residual of Z(s) - sign * Z(1-s), expanded exactly."""
-    composed = poly_compose_one_minus_s(Z.coeffs)
-    return max(abs(a - sign * b) for a, b in zip(Z.coeffs, composed))
+def functional_eq_check(Z: list, sign: int, prec: int = DEFAULT_PREC):
+    """Max coefficient residual of Z(s) - sign * Z(1-s), Z = c_0..c_n, expanded exactly."""
+    composed = poly_compose_one_minus_s(Z)
+    return max(abs(a - sign * b) for a, b in zip(Z, composed))
 
 
 @guarded()
-def rh_check(Z: ZetaPolynomial, prec: int = DEFAULT_PREC):
-    """(roots, max |Re(root) - 1/2|) over the nontrivial coefficients."""
-    trimmed = poly_trim(Z.coeffs, rel_tol=mp.ldexp(1, -(prec // 2)))
+def rh_check(Z: list, prec: int = DEFAULT_PREC):
+    """(roots, max |Re(root) - 1/2|) of Z = c_0..c_n over its nontrivial coefficients."""
+    trimmed = poly_trim(Z, rel_tol=mp.ldexp(1, -(prec // 2)))
     roots, _ = poly_roots(trimmed, prec=prec)
     return roots, max(abs(mp.re(r) - mp.mpf(1) / 2) for r in roots)
 
@@ -354,7 +334,7 @@ def generating_check(prof: LProfile, T: int, prec: int = DEFAULT_PREC):
     for n in range(T + 1):
         coeff = mp.fsum(R[j] * math.comb(n - j + k - 2, k - 2)
                         for j in range(min(n, k - 2) + 1))
-        worst = max(worst, abs(coeff - Z(mp.mpf(-n))))
+        worst = max(worst, abs(coeff - poly_eval(Z, mp.mpf(-n))))
     return worst
 
 

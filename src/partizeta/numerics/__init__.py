@@ -1,8 +1,9 @@
 """Shared numeric kernel: what mpmath does not already give. The precision
 policy and work budget, the certified Euler-Maclaurin tail and the zeta
-values built on it, exact number tables, the two complete Bell polynomial
-routes, and polynomial root finding with a residual contract. Log-gamma is
-mpmath's ``loggamma``, called directly by the routes that need it.
+values built on it, the exact Bernoulli table and a row of Stirling numbers
+on demand, the two complete Bell polynomial routes, and polynomial root
+finding with a residual contract. Log-gamma is mpmath's ``loggamma``,
+called directly by the routes that need it.
 
 High-precision reals/complexes are mpmath ``mpf``/``mpc`` values produced at
 an explicit ``prec`` (bits); exact quantities are ``fractions.Fraction``.
@@ -13,7 +14,7 @@ from .tables import (
     bernoulli,
     bernoulli_table,
     bernoulli_work,
-    stirling1_table,
+    stirling1_row,
     zeta_even_rational,
     zeta_neg_int,
 )
@@ -59,7 +60,7 @@ __all__ = [
     "poly_trim",
     "power_sum_tails",
     "riemann_zeta",
-    "stirling1_table",
+    "stirling1_row",
     "working",
     "zeta_even_rational",
     "zeta_multiples_direct",

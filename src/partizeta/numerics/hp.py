@@ -45,10 +45,10 @@ def check_work(units: int, what: str) -> None:
 
 
 @contextmanager
-def working(prec: int, extra: int = 0):
+def working(prec: int):
     """Context manager: guarded working precision for ``prec``-bit results,
     holding the context lock."""
-    with _LOCK, mp.workprec(prec + GUARD_BITS + extra):
+    with _LOCK, mp.workprec(prec + GUARD_BITS):
         yield
 
 
@@ -61,9 +61,10 @@ def estimating(bits: int = 53):
 
 
 def guarded(extra: int = 0):
-    """Decorator for a function with a ``prec`` parameter: run it under
-    ``working(prec, extra)`` and round every mpf/mpc of the result (also
-    inside tuples and lists) to ``prec`` bits; other values pass through."""
+    """Decorator for a function with a ``prec`` parameter: run it at
+    prec + GUARD_BITS + extra bits, holding the context lock, and round every
+    mpf/mpc of the result (also inside tuples and lists) to ``prec`` bits;
+    other values pass through."""
 
     def decorate(fn):
         params = list(inspect.signature(fn).parameters.values())

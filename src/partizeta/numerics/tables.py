@@ -1,9 +1,11 @@
-"""Exact combinatorial number tables: Bernoulli, Stirling (first kind), and
-the exact rational values of the Riemann zeta function at integers.
+"""Exact combinatorial numbers: the Bernoulli table, one row of Stirling
+numbers (first kind), and the exact rational values of the Riemann zeta
+function at integers.
 
-Tables grow on demand: a growth builds the longer list aside and publishes it
-with one assignment, so concurrent reads and growth are safe. Bernoulli
-numbers come from the tangent numbers, Stirling numbers from their recurrence.
+The Bernoulli table grows on demand: a growth builds the longer list aside
+and publishes it with one assignment, so concurrent reads and growth are
+safe. Bernoulli numbers come from the tangent numbers; a Stirling row is
+built from its recurrence on each call, with no shared state.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from fractions import Fraction
 
 _bernoulli: list[Fraction] = []
-_stirling1: list[list[int]] = [[1]]
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -58,19 +59,15 @@ def bernoulli(n: int) -> Fraction:
     return bernoulli_table(n)[n]
 
 
-def stirling1_table(n: int) -> list[list[int]]:
-    """Signed Stirling numbers of the first kind s(i,j) = s(i-1,j-1) - (i-1)
-    s(i-1,j), rows 0..n; row i has entries 0..i."""
+def stirling1_row(n: int) -> list[int]:
+    """Signed Stirling numbers of the first kind s(n, 0..n), from the
+    recurrence s(i, j) = s(i-1, j-1) - (i-1) s(i-1, j), row by row."""
     if n < 0:
-        raise ValueError("stirling1_table wants n >= 0")
-    global _stirling1
-    table = _stirling1
-    if len(table) <= n:
-        table = list(table)
-        for i in range(len(table), n + 1):
-            table.append([a - (i - 1) * b for a, b in zip([0] + table[-1], table[-1] + [0])])
-        _stirling1 = table
-    return table[: n + 1]
+        raise ValueError("stirling1_row wants n >= 0")
+    row = [1]
+    for i in range(1, n + 1):
+        row = [a - (i - 1) * b for a, b in zip([0] + row, row + [0])]
+    return row
 
 
 def zeta_neg_int(n: int) -> Fraction:

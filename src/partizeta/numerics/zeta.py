@@ -6,10 +6,10 @@ multiples is its one caller. ``_class_tails`` is the one Euler-Maclaurin
 engine, and it has one shape: the class sums sum_{i >= N} (Li + r)^{-js},
 j = 1..J, from one setup; a multiple with Re(js) <= 1 is not summed. The
 restricted-part-set Euler products take their congruence-class tails from
-it. ``power_sum_tails`` is its class c mod 1, sum_{i >= N} (i + c)^{-js}
-for an integer c >= 0 and Re(s) > 0; it gives the numeric ``fixedlen``
-values and the shuffle identity their zeta(mj) = 1 + sum_{i >= 2} i^{-mj},
-and at s = 1 the log-gamma expansion its tails H(k, N) = sum_{i >= N} i^-k.
+it. ``power_sum_tails`` is its class 0 mod 1, sum_{i >= N} i^{-js} for
+Re(s) > 0; it gives the numeric ``fixedlen`` values and the shuffle
+identity their zeta(mj) = 1 + sum_{i >= 2} i^{-mj}, and at s = 1 the
+log-gamma expansion its tails H(k, N) = sum_{i >= N} i^-k.
 
 The base powers are integer powers k^-s from a ``_Powers`` table built once
 per request. k^-s is completely multiplicative, so only a prime costs an mp
@@ -351,39 +351,36 @@ def _class_tails(powers: _Powers, J: int, r: int, L: int, N: int):
 
 
 @guarded()
-def power_sum_tails(s, J: int, c: int, N: int, prec: int = DEFAULT_PREC):
-    """[(value, bound)] for sum_{i=N}^{inf} (i+c)^{-js}, j = 1..J; Re(s) > 0,
-    c a non-negative int, N >= 1. A multiple with Re(js) <= 1 is not summed:
-    its entry is None.
+def power_sum_tails(s, J: int, N: int, prec: int = DEFAULT_PREC):
+    """[(value, bound)] for sum_{i=N}^{inf} i^{-js}, j = 1..J; Re(s) > 0,
+    N >= 1. A multiple with Re(js) <= 1 is not summed: its entry is None.
 
-    One ``_class_tails`` pass for the class c mod 1 at F = wp + 32, wp the
+    One ``_class_tails`` pass for the class 0 mod 1 at F = wp + 32, wp the
     working precision, its integer powers from a ``_Powers`` table of this
     call (one mp power per prime). Each value and bound becomes an mp number
     once, the bound rounded up to 24 bits; zeta(js) - 1, j = 1..J, is one
-    call. ValueError for c not an int >= 0 (a bool, Fraction or mp number
-    included) or N < 1; its price (``power_sum_work``) is checked against
-    the work budget before any power is computed.
+    call. ValueError for N < 1; its price (``power_sum_work``) is checked
+    against the work budget before any power is computed.
     """
-    if type(c) is not int or c < 0 or N < 1:
-        raise ValueError(f"power_sum_tails wants c a non-negative int and N >= 1, "
-                         f"not c = {c!r}, N = {N}")
+    if N < 1:
+        raise ValueError(f"power_sum_tails wants N >= 1, not N = {N}")
     s = mp.mpmathify(s)
     if mp.re(s) <= 0:
         raise ValueError("power_sum_tails wants Re(s) > 0")
     powers = _Powers(s, mp.mp.prec + 32)
-    check_work(_class_work(powers, J, c, 1, N),
+    check_work(_class_work(powers, J, 0, 1, N),
                f"the power sums of {J} multiples at {mp.mp.prec} bits")
     cplx = isinstance(s, mp.mpc)
     return [None if t is None else
             (powers.value(t[0], t[1], cplx), mp.mpf(from_man_exp(t[2], -powers.F, 24, round_ceiling)))
-            for t in _class_tails(powers, J, c, 1, N)]
+            for t in _class_tails(powers, J, 0, 1, N)]
 
 
-def power_sum_work(s, J: int, c: int, N: int, prec: int = DEFAULT_PREC) -> int:
-    """The price of ``power_sum_tails(s, J, c, N, prec)``, for a caller that
+def power_sum_work(s, J: int, N: int, prec: int = DEFAULT_PREC) -> int:
+    """The price of ``power_sum_tails(s, J, N, prec)``, for a caller that
     prices it with its own work."""
     with working(prec):
-        return _class_work(_Powers(mp.mpmathify(s), mp.mp.prec + 32), J, c, 1, N)
+        return _class_work(_Powers(mp.mpmathify(s), mp.mp.prec + 32), J, 0, 1, N)
 
 
 # a direct sum of at most this many terms stands in for zeta(w) once Re(w)

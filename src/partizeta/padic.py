@@ -108,10 +108,13 @@ def kummer_valuation(p: int, a: int, k1: int, k2: int):
             raise ValueError(f"precondition: {name}={k} must be positive even")
         if k % (p - 1) == 0:
             raise ValueError(f"precondition: (p-1) must not divide {name}={k}")
-    modulus = p ** (a + 1) - p ** a
-    if (k1 - k2) % modulus:
-        raise ValueError(
-            f"precondition: k1={k1} and k2={k2} not congruent mod p^(a+1)-p^a={modulus}")
+    # (p-1) p^a >= 2^(a (bits(p) - 1)): a nonzero k1 - k2 below that is no
+    # multiple of it, and the modulus is formed only at most about twice the
+    # size of k1 - k2
+    d = k1 - k2
+    if d and (d.bit_length() <= a * (p.bit_length() - 1) or d % ((p - 1) * p ** a)):
+        raise ValueError(f"precondition: k1={k1} and k2={k2} not congruent "
+                         f"mod (p-1) p^a = {p - 1}*{p}^{a}")
     check_work(bernoulli_work(max(k1, k2)), f"the Kummer check of B_{k1} and B_{k2}")
     b1, b2 = bernoulli(k1), bernoulli(k2)
     n1, d1, n2, d2 = b1.numerator, b1.denominator, b2.numerator, b2.denominator

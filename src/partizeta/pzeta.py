@@ -327,7 +327,7 @@ def log_eval_general(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
     Gamma over z_r = (a - e(r/n))/m multiplied out by prod_r (x - e(r/n)) =
     x^n - 1, + sum_{k >= n} (-1)^k H(k, N) (sum_r z_r^k - n (a/m)^k)/k, the
     coefficients n m^-k c_k exact (``_ring_power_sums``; 0 for k < n) and
-    H(k, N) = sum_{i >= N} i^-k from one ``power_sum_tails(1, kmax, 0, N)``
+    H(k, N) = sum_{i >= N} i^-k from one ``power_sum_tails(1, kmax, N)``
     setup, none when kmax < n; N = max(16, wp/32), wp the working precision.
     The expansion needs max_r |z_r| < 2 (asserted). The tails' bounds,
     weighted by the coefficients, must come out below 2^-wp, else
@@ -352,12 +352,12 @@ def log_eval_general(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
     # and the coefficient table, kmax n integer steps at one unit each (a = 3,
     # n = 600, kmax = 700: 0.055 s, ~0.13 us a step; 2-core x86 VM)
     check_work(_work(2 * (N - 1), 0, wp + 32)
-               + (power_sum_work(1, kmax, 0, N, bits) + kmax * n if kmax >= n else 0),
+               + (power_sum_work(1, kmax, N, bits) + kmax * n if kmax >= n else 0),
                f"the log-gamma expansion at (a, m, n) = ({a}, {m}, {n}) and {wp} bits")
     head = -mp.fsum(mp.log1p(-mp.mpf(m * i + a) ** -n) for i in range(1, N))
     if kmax < n:
         return head
-    tails = power_sum_tails(1, kmax, 0, N, bits)[n - 1:]  # H(k, N), k = n..kmax
+    tails = power_sum_tails(1, kmax, N, bits)[n - 1:]  # H(k, N), k = n..kmax
     # term k is H(k, N) times (-1)^k n c_k / (k m^k)
     terms = [((-1) ** k * n * c, k * m ** k)
              for k, c in enumerate(_ring_power_sums(a, n, kmax), 1) if k >= n]

@@ -231,11 +231,13 @@ def universal_F(n: int) -> UniversalPolynomial:
                                monomials=tuple(monos))
 
 
-def lambda_delta(s, prec: int = DEFAULT_PREC):
-    """Completed critical value of the weight-12 level-1 form at s in [1, 11]:
-    the one-point call of the profile's pass (``_lambda_values``), within
+def lambda_delta(s: int, prec: int = DEFAULT_PREC):
+    """Completed critical value of the weight-12 level-1 form at an integer
+    s in [1, 11]: entry s of the profile's pass (``_lambda_values``), within
     2^(10-prec) of the exact value."""
-    return _lambda_values([s], prec, f"Lambda({s}) at {prec} bits")[0]
+    if s not in range(1, 12):
+        raise ValueError("Lambda(Delta, s) is computed at the integers 1 <= s <= 11")
+    return _lambda_values(prec)[s - 1]
 
 
 @guarded()

@@ -608,7 +608,7 @@ _JSON = st.recursive(
     max_leaves=6)
 _LAMBDA_ENTRY = st.one_of(
     st.sampled_from(["1", "2", "0", "-1", "nan", "inf", "-inf", "1e999999", "1e-999999",
-                     "abc", "", "1,5", "0x10"]),
+                     "1e100000000000", "1e-100000000000", "abc", "", "1,5", "0x10"]),
     st.floats(), st.integers(-10 ** 20, 10 ** 20), _JSON)
 # weight-4 profiles with Lambda(1) = Lambda(3), Lambda(2) <= Lambda(3): valid as they stand
 _VALID = {"weight": 4, "level": 1, "sign": 1, "lambda": ["2", "1", "2"], "source": "fuzz"}
@@ -635,6 +635,8 @@ def _profile_texts(draw):
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(text=_profile_texts())
+# values 3.3 x 10^11 bits apart: their exact difference once ran out of memory
+@example(text=json.dumps(dict(_VALID, **{"lambda": ["1e100000000000", 1, "1e100000000000"]})))
 def test_modular_profile_exit_code_contract(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("profile") / "profile.json"
     path.write_text(text)
@@ -655,8 +657,9 @@ def test_modular_profile_exit_code_contract(tmp_path_factory, text):
     json.dumps(dict(_VALID, weight=4.7)),
     json.dumps(dict(_VALID, level=True)),
     json.dumps(dict(_VALID, **{"lambda": ["0", "0", "0"]})),
+    json.dumps(dict(_VALID, **{"lambda": ["1e-100000000000", "1e-100000000000", 1]})),
 ], ids=["nan-lambda", "level-0", "infinite-weight", "nested-too-deep", "lambda-string",
-        "float-weight", "bool-level", "zero-lambda"])
+        "float-weight", "bool-level", "zero-lambda", "far-apart-lambda"])
 def test_modular_profile_invalid_exit_2(tmp_path, text):
     code, out, err = _run_at_prec(["modular", "delta", "--profile",
                                    _profile_file(tmp_path, text)])

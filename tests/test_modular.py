@@ -110,15 +110,6 @@ def test_lambda_delta_fixed_point_self_consistent():
         assert v1 > 0
 
 
-def test_lambda_delta_noninteger_argument_symmetry():
-    # the series realizes the functional-equation symmetry off the integers too
-    with mp.workprec(192):
-        a = lambda_delta(mp.mpf("5.5"), prec=160)
-        b = lambda_delta(mp.mpf("6.5"), prec=160)
-        assert abs(a - b) < mp.mpf(2) ** -140
-        assert a > 0
-
-
 def test_lambda_delta_meets_its_target_at_high_precision():
     # ~prec ln 2/(2 pi) = 221 terms at 2000 bits: the term count follows the target
     v = lambda_delta(6, prec=2000)
@@ -137,8 +128,8 @@ def test_lambda_delta_precision_sweep(s, prec):
         assert abs(v - ref) <= mp.ldexp(1, 10 - prec)
 
 
-def _two_gammainc_reference(svals, prec):
-    """Lambda(s) for s in svals at prec + 32 bits by the split-integral series
+def _two_gammainc_reference(prec):
+    """Lambda(1..11) at prec + 32 bits by the split-integral series
     with two mp.gammainc calls per term (no ladder), tau from the recursion;
     the terms run while e^{-2 pi n} (2 pi n)^11 n^7 > 2^-(prec + 40)."""
     with mp.workprec(prec + 32):
@@ -148,7 +139,7 @@ def _two_gammainc_reference(svals, prec):
             nmax += 1
         tau = tau_recursive(nmax)
         out = []
-        for s in map(mp.mpf, svals):
+        for s in range(1, 12):
             total = mp.mpf(0)
             for n in range(1, nmax + 1):
                 x = 2 * mp.pi * n
@@ -164,25 +155,10 @@ def test_delta_profile_precision_sweep(prec):
     # and of the two-gammainc reference
     lam = build_delta_profile(prec).lam
     high = build_delta_profile(2 * prec + 64).lam
-    ref = _two_gammainc_reference(range(1, 12), prec)
+    ref = _two_gammainc_reference(prec)
     with mp.workprec(2 * prec + 64):
         assert max(abs(v - w) for v, w in zip(lam, high)) <= mp.ldexp(1, 10 - prec)
         assert max(abs(v - w) for v, w in zip(lam, ref)) <= mp.ldexp(1, 10 - prec)
-
-
-@pytest.mark.parametrize("s", ["3.25", "5.5"])
-@pytest.mark.parametrize("prec", [64, 128, 256, 512])
-def test_lambda_delta_off_the_integers_precision_sweep(s, prec):
-    # s = 3.25 climbs two ladders per term, s = 5.5 one for both 5.5 and 6.5.
-    # Within 2^(10-prec) of the two-gammainc reference, and of the same call
-    # at 2 prec + 64 where that is inside the work budget (up to 699 bits for
-    # 3.25, 920 for 5.5, so not at 512)
-    v = lambda_delta(mp.mpf(s), prec=prec)
-    ref = _two_gammainc_reference([s], prec)[0]
-    with mp.workprec(2 * prec + 64):
-        assert abs(v - ref) <= mp.ldexp(1, 10 - prec)
-        if prec <= 256:
-            assert abs(v - lambda_delta(mp.mpf(s), prec=2 * prec + 64)) <= mp.ldexp(1, 10 - prec)
 
 
 @pytest.mark.parametrize("prec", [64, 256, 1024])
@@ -198,9 +174,9 @@ def test_delta_profile_price_counts_its_work(monkeypatch, prec):
         xs.append(x)
         return gammainc(a, x)
 
-    def counted_ladder(a, x, ex, n):
+    def counted_ladder(x, ex, n):
         steps[0] += n
-        return ladder(a, x, ex, n)
+        return ladder(x, ex, n)
 
     def priced_check(units, what):
         priced.append(units)
@@ -327,10 +303,10 @@ def test_moments_central_term_vanishes_for_sign_minus():
 def test_zeta_polynomial_delta_coefficients(delta):
     Z = zeta_polynomial(delta, PREC)
     with mp.workprec(PREC):
-        assert abs(Z.coeffs[10] / mp.mpf("5.11e-7") - 1) < mp.mpf("0.01")
-        assert abs(Z.coeffs[0] / mp.mpf("0.00596") - 1) < mp.mpf("0.01")
+        assert abs(Z[10] / mp.mpf("5.11e-7") - 1) < mp.mpf("0.01")
+        assert abs(Z[0] / mp.mpf("0.00596") - 1) < mp.mpf("0.01")
         # constant term is Lambda(k-1) = R(0) = Z(0)
-        assert abs(Z.coeffs[0] - delta.lam[10]) < mp.mpf(2) ** -200
+        assert abs(Z[0] - delta.lam[10]) < mp.mpf(2) ** -200
 
 
 def test_zeta_polynomial_weight4_minus_single_root():
@@ -342,24 +318,21 @@ def test_zeta_polynomial_weight4_minus_single_root():
         assert len(roots) == 1
         assert abs(roots[0] - mp.mpf(1) / 2) < mp.mpf(2) ** -200
         # Z(s) = 1 - 2s for this profile
-        assert abs(Z.coeffs[0] - 1) < mp.mpf(2) ** -200
-        assert abs(Z.coeffs[1] + 2) < mp.mpf(2) ** -200
+        assert abs(Z[0] - 1) < mp.mpf(2) ** -200
+        assert abs(Z[1] + 2) < mp.mpf(2) ** -200
 
 
 def test_functional_eq_controls():
     with mp.workprec(PREC):
-        Z = modular.ZetaPolynomial([mp.mpf(0), mp.mpf(1), mp.mpf(-1)], weight=4, sign=1)
+        Z = [mp.mpf(0), mp.mpf(1), mp.mpf(-1)]
         assert functional_eq_check(Z, 1, PREC) == 0  # s(1-s) is symmetric
-        Zbad = modular.ZetaPolynomial([mp.mpf(0), mp.mpf(1)], weight=4, sign=1)
-        assert functional_eq_check(Zbad, 1, PREC) > 1  # s vs 1-s
-    assert "ZetaPolynomial" in type(Z).__name__
-    assert Z(mp.mpf("0.5")) == mp.mpf("0.25")
+        assert functional_eq_check([mp.mpf(0), mp.mpf(1)], 1, PREC) > 1  # s vs 1-s
+        assert poly_eval(Z, mp.mpf("0.5")) == mp.mpf("0.25")
 
 
 def test_rh_check_negative_control():
     with mp.workprec(PREC):
-        Z = modular.ZetaPolynomial([mp.mpf("0.2"), mp.mpf("-0.9"), mp.mpf(1)],
-                                   weight=4, sign=1)  # (s-1/2)(s-0.4)
+        Z = [mp.mpf("0.2"), mp.mpf("-0.9"), mp.mpf(1)]  # (s-1/2)(s-0.4)
         roots, dev = rh_check(Z, PREC)
         assert abs(dev - mp.mpf("0.1")) < mp.mpf("1e-30")
 
@@ -369,7 +342,7 @@ def test_generating_identity_unrolled_and_scaling(delta):
         # n = 0 term: R(0) = Lambda(k-1) = Z(0)
         Z = zeta_polynomial(delta, PREC)
         R = period_polynomial(delta, PREC)
-        assert abs(R[0] - Z(mp.mpf(0))) < mp.mpf(2) ** -200
+        assert abs(R[0] - poly_eval(Z, mp.mpf(0))) < mp.mpf(2) ** -200
     m128 = generating_check(delta, 12, 128)
     m256 = generating_check(delta, 12, PREC)
     with mp.workprec(PREC):

@@ -51,7 +51,7 @@ from partizeta.numerics import (
     poly_roots,
     power_sum_tails,
     riemann_zeta,
-    stirling1_table,
+    stirling1_row,
     working,
     zeta_even_rational,
     zeta_neg_int,
@@ -115,40 +115,36 @@ def test_tables_reject_negative_indices():
     # n < 0 must raise, not slice from the end of a table long enough to allow it
     bernoulli_table(24)
     for n in (-1, -3, -25):
-        for call in (bernoulli, bernoulli_table, stirling1_table):
+        for call in (bernoulli, bernoulli_table, stirling1_row):
             with pytest.raises(ValueError):
                 call(n)
 
 
 def test_tables_grow_safely_from_several_threads(monkeypatch):
-    # four threads grow both tables from empty at once: each growth is built
-    # aside and published with one assignment, so no thread sees a half-built
-    # table and none leaves a duplicate row
-    want_b, want_s = bernoulli_table(120), stirling1_table(60)
+    # four threads grow the Bernoulli table from empty at once: each growth is
+    # built aside and published with one assignment, so no thread sees a
+    # half-built table and none leaves a duplicate entry
+    want_b = bernoulli_table(120)
     start = threading.Barrier(4)
 
     def grow(_):
         start.wait(timeout=60)
-        got_s = stirling1_table(60)
-        got_b = [bernoulli(n) for n in range(121)]
-        return got_b == want_b and got_s == want_s
+        return [bernoulli(n) for n in range(121)] == want_b
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
             monkeypatch.setattr(tables_module, "_bernoulli", [])
-            monkeypatch.setattr(tables_module, "_stirling1", [[1]])
             with ThreadPoolExecutor(4) as pool:
                 assert all(pool.map(grow, range(4), timeout=60))
-            assert tables_module._stirling1 == want_s
             assert tables_module._bernoulli[:121] == want_b
     finally:
         sys.setswitchinterval(old)
 
 
 def test_stirling_triangle_row6():
-    assert stirling1_table(6)[6] == [0, -120, 274, -225, 85, -15, 1]
+    assert stirling1_row(6) == [0, -120, 274, -225, 85, -15, 1]
 
 
 def test_stirling_falling_factorial():
@@ -161,7 +157,7 @@ def test_stirling_falling_factorial():
                 new[j] += c * (-i)
                 new[j + 1] += c
             poly = new
-        assert poly == stirling1_table(n)[n]
+        assert poly == stirling1_row(n)
 
 
 def test_zeta_exact_values():
@@ -230,17 +226,18 @@ def test_log_gamma_reflection_sanity():
 
 
 # ---------------------------------------------------------------- incomplete gamma
-# the upward ladder Gamma(a + i, x)/x^(a + i) of the discriminant-form pass
+# the upward ladder Gamma(a, x)/x^a, a = 1..11, of the discriminant-form pass
 def test_incomplete_gamma_exponential_case():
-    # one step up from Gamma(0, 1) = E_1(1): Gamma(1, 1) = 0 * E_1(1) + e^-1
+    # the base Gamma(1, 1) = e^-1, and one step up Gamma(2, 1) = 1 * e^-1 + e^-1
     with mp.workprec(PREC):
-        assert abs(_gamma_ladder(0, mp.mpf(1), mp.exp(-1), 1)[1] - mp.exp(-1)) < TOL
+        g = _gamma_ladder(mp.mpf(1), mp.exp(-1), 1)
+        assert abs(g[0] - mp.exp(-1)) < TOL and abs(g[1] - 2 * mp.exp(-1)) < TOL
 
 
 def test_incomplete_gamma_small_x_limit():
     with mp.workprec(PREC):
         x = mp.mpf(10) ** -30
-        v = _gamma_ladder(1, x, mp.exp(-x), 1)[1] * x ** 2
+        v = _gamma_ladder(x, mp.exp(-x), 1)[1] * x ** 2
         assert abs(v - 1) < mp.mpf(10) ** -29
 
 
@@ -249,20 +246,18 @@ def test_incomplete_gamma_quadrature_oracle():
     with mp.workprec(PREC):
         x0 = 2 * mp.pi
         ref = mp.quad(lambda t: t ** 11 * mp.exp(-t), [x0, mp.inf])
-        v = _gamma_ladder(1, x0, mp.exp(-x0), 11)[11] * x0 ** 12
+        v = _gamma_ladder(x0, mp.exp(-x0), 11)[11] * x0 ** 12
         assert abs(v - ref) < mp.mpf(10) ** -30
 
 
-@pytest.mark.parametrize("base", ["0.5", "1"])
 @pytest.mark.parametrize("n", [1, 7, 40])
-def test_incomplete_gamma_ladder_matches_gammainc(base, n):
-    # every rung a = base .. base + 10 against mpmath's own Gamma(a, x) at
-    # x = 2 pi n, to a few units in the last place
+def test_incomplete_gamma_ladder_matches_gammainc(n):
+    # every rung a = 1..11 against mpmath's own Gamma(a, x) at x = 2 pi n, to
+    # a few units in the last place
     with mp.workprec(PREC):
         x = 2 * mp.pi * n
-        a0 = mp.mpf(base)
-        for i, g in enumerate(_gamma_ladder(a0, x, mp.exp(-x), 10)):
-            ref = mp.gammainc(a0 + i, x) / x ** (a0 + i)
+        for a, g in enumerate(_gamma_ladder(x, mp.exp(-x), 10), 1):
+            ref = mp.gammainc(a, x) / x ** a
             assert abs(g - ref) <= abs(ref) * TOL
 
 
@@ -310,7 +305,7 @@ def test_zeta_rejections():
 
 def test_power_sum_tails_vs_hurwitz_oracle():
     with mp.workprec(PREC + 20):
-        val, bound = power_sum_tails(mp.mpf(2), 1, 0, 7, PREC)[0]
+        val, bound = power_sum_tails(mp.mpf(2), 1, 7, PREC)[0]
         ref = mp.zeta(2, 7)
         assert abs(val - ref) <= bound + TOL * max(1, abs(ref))
     # the classes 1 mod 3 from 34 and 1 mod 2 from 19, with a few multiples:
@@ -329,7 +324,7 @@ def _assert_class_tails_cover_the_error(s, J, r, L, N, prec, extra=0):
     # 2N at 256 bits is off by 2.6 x 10^7 ulps, all of it this). The check is
     # absolute at 2^-F, so the reference needs F bits and a margin, whatever
     # the size of the value
-    with working(prec, extra):
+    with working(prec + extra):
         wp = mp.mp.prec
         powers = zeta_module._Powers(s, wp + 32)
         tails = zeta_module._class_tails(powers, J, r, L, N)
@@ -344,33 +339,35 @@ def _assert_class_tails_cover_the_error(s, J, r, L, N, prec, extra=0):
 
 
 def _assert_bounds_cover_the_error(s, J, r, L, N, prec):
-    """The tails of the class r mod L from N: for L = 1, power_sum_tails'
-    mp values and bounds, rounding to prec bits included; for L > 1, the
-    engine's integers at the working precision power_sum_tails would use."""
+    """The tails of the class r mod L from N: for the class 0 mod 1,
+    power_sum_tails' mp values and bounds, rounding to prec bits included;
+    for any other, the engine's integers at the working precision
+    power_sum_tails would use."""
     if L > 1:
         _assert_class_tails_cover_the_error(s, J, r, L, N, prec)
         return
-    tails = power_sum_tails(s, J, r, N, prec)
+    assert r == 0
+    tails = power_sum_tails(s, J, N, prec)
     assert len(tails) == J
     # the multiples with Re(js) <= 1 are not summed
     assert [j for j, t in enumerate(tails, 1) if t is None] == [
         j for j in range(1, J + 1) if mp.re(j * s) <= 1]
     first = sum(t is None for t in tails) + 1
     # mp.zeta(w, a) at complex w is accurate only to ~2^-(wp+15) absolute at
-    # wp bits, and the value is ~(N+r)^-Re(w): the reference needs prec +
-    # Re(Js) log2(N+r) bits and a margin (at 192 bits it is wrong for j = 20,
+    # wp bits, and the value is ~N^-Re(w): the reference needs prec +
+    # Re(Js) log2(N) bits and a margin (at 192 bits it is wrong for j = 20,
     # s = 3+0.8i, N = 33)
-    extra = int(J * mp.re(s) * math.log2(N + r))
+    extra = int(J * mp.re(s) * math.log2(N))
     with mp.workprec(max(2 * prec, prec + extra) + 64):
         for j, (val, bound) in enumerate(tails[first - 1:], first):
-            ref = mp.zeta(j * s, N + r)
+            ref = mp.zeta(j * s, N)
             # the bound leaves out the final rounding to prec bits
             assert abs(val - ref) <= bound + mp.ldexp(abs(ref), 1 - prec), (j, val, ref)
 
 
 # s = 3 at J = 40 and s = 2+5i at J = 20: the late multiples fall to a few
-# correction terms, or none; c0 is the class 0 mod 1 (power_sum_tails at
-# c = 0), c1 the class 1 mod 3
+# correction terms, or none; c0 is the class 0 mod 1 (power_sum_tails), c1
+# the class 1 mod 3
 @pytest.mark.parametrize("s, J", [(mp.mpf("1.05"), 14), (mp.mpf(3), 6),
                                   (mp.mpc("1.5", "7"), 10), (mp.mpc(2, -30), 8),
                                   (mp.mpf(3), 40), (mp.mpc(2, 5), 20)])
@@ -414,15 +411,10 @@ def test_power_sum_tails_bounds_cover_the_error_of_scan_shapes(s, J, r, L, N, pr
     _assert_bounds_cover_the_error(s, J, r, L, N, prec)
 
 
-@pytest.mark.parametrize("c, N", [(-1, 1), (0, 0), (Fraction(-3, 2), 1), (mp.mpf(1) / 3, 5),
-                                  (0.5, 5), (Fraction(1, 3), 5), (True, 1)])
-def test_power_sum_tails_enforces_its_domain(c, N):
-    # c must be an int >= 0 and N >= 1: c = -1 and N = 0 once divided by
-    # zero, c = -3/2 returned a value outside the certificate's assumptions,
-    # a rounded c stood for a slightly different sum, and a rational c is a
-    # class r mod L, which only the engine itself takes
-    with pytest.raises(ValueError, match="non-negative int"):
-        power_sum_tails(mp.mpf(2), 3, c, N, 64)
+def test_power_sum_tails_enforces_its_domain():
+    # N >= 1: N = 0 once divided by zero
+    with pytest.raises(ValueError, match="N >= 1"):
+        power_sum_tails(mp.mpf(2), 3, 0, 64)
 
 
 @pytest.mark.parametrize("prec", [64, PREC, 1024])
@@ -551,6 +543,43 @@ def test_every_public_name_in_src_has_a_caller_in_src():
             names.discard(stmt.name)
         used |= names
     assert sorted(public - used - {"log_eval_general", "eisenstein_coeffs", "to_json"}) == []
+
+
+def test_every_defaulted_parameter_in_src_is_passed_in_src():
+    # a default that no call in src/ overrides is a constant: a call passes
+    # it by keyword, by position (a method's self counts as one), or through
+    # *args or **kwargs. Exempt are prec, which every evaluation takes,
+    # cli.main's argv, which the console script leaves out, and
+    # LProfile.to_json, which writes the --profile format
+    src = pathlib.Path(partizeta.__file__).parent
+    trees = {path.relative_to(src).as_posix(): ast.parse(path.read_text())
+             for path in sorted(src.rglob("*.py"))}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+
+    def passes(call, fn, index, name):
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) != fn.name:
+            return False
+        if any(kw.arg in (name, None) for kw in call.keywords):
+            return True
+        shift = int(bool(fn.args.args) and fn.args.args[0].arg in ("self", "cls"))
+        return index is not None and (len(call.args) + shift > index
+                                      or any(isinstance(a, ast.Starred) for a in call.args))
+
+    unpassed = []
+    for path, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "to_json":
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            unpassed += [f"{path}::{fn.name}({name})" for index, name in defaulted
+                         if name != "prec" and (path, fn.name, name) != ("cli.py", "main", "argv")
+                         and not any(passes(call, fn, index, name) for call in calls)]
+    assert unpassed == []
 
 
 def test_one_work_budget_source():

@@ -260,6 +260,16 @@ def test_huge_p_and_a_priced_from_bit_lengths():
     with pytest.raises(ValueError, match="p\\^a"):
         interpolation_check(5, 10 ** 6, 1, 2, 6)
     assert time.perf_counter() - t0 < 1
+    # the Kummer check neither: k1 - k2 = -4 is no multiple of (p-1) 5^(10^6),
+    # named by p and a, and k1 = k2 needs no modulus
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"not congruent mod \(p-1\) p\^a = 4\*5\^1000000"):
+        kummer_valuation(5, 10 ** 6, 2, 6)
+    assert time.perf_counter() - t0 < 0.05
+    t0 = time.perf_counter()
+    assert kummer_valuation(5, 10 ** 6, 2, 2) == INFINITE_VALUATION
+    assert time.perf_counter() - t0 < 0.05
     # a 65-bit m is named by its bit length, not in decimal
     with pytest.raises(ArithmeticError, match="65-bit m"):
         interpolation_check(5, 0, 1, 2, 2 + 4 * 2 ** 62)
+

@@ -391,10 +391,14 @@ def hk_zero_solver(k: int, sign: int, prec: int = DEFAULT_PREC,
 
     h_k(t) = sum_{j=0}^{k-3} arccot(2t/(2j+1)) decreases from (k-2) pi to 0;
     zeros sit where it crosses {pi, ..., (k-3) pi} (sign -) or
-    {pi/2, ..., (k-5/2) pi} (sign +). Each crossing is one bracketed
-    ``mp.findroot`` (Anderson-Bjoerck) at the working precision; a root it
-    cannot verify raises RootFindingError. Returns k-3 resp. k-2 ordinates,
-    descending (only the top one when largest_only).
+    {pi/2, ..., (k-5/2) pi} (sign +). Each crossing t0 is first bisected in
+    Python floats, then bracketed by t0 -+ 2^-36 max(1, |t0|); the bracket is
+    checked at the working precision (h - target changes sign across it) and
+    widened x 2^10 until it holds, or replaced by (-tmax, tmax). One
+    ``mp.findroot`` (Anderson-Bjoerck) runs from it at the working precision;
+    a root it cannot verify raises RootFindingError. The polynomial is never
+    used, so its roots stay an independent check. Returns k-3 resp. k-2
+    ordinates, descending (only the top one when largest_only).
     """
     if k < 6 or k % 2:
         raise ValueError("need even k >= 6")
@@ -404,16 +408,37 @@ def hk_zero_solver(k: int, sign: int, prec: int = DEFAULT_PREC,
     def h(t):
         return mp.fsum(mp.pi / 2 - mp.atan(2 * t / (2 * j + 1)) for j in range(k - 2))
 
-    if sign == -1:
-        targets = [mp.pi * i for i in range(1, k - 2)]
-    else:
-        targets = [mp.pi / 2 + mp.pi * i for i in range(0, k - 2)]
-    if largest_only:
-        targets = targets[:1]  # smallest target value = highest ordinate
+    def h_float(t):
+        return math.fsum(math.pi / 2 - math.atan(2 * t / (2 * j + 1)) for j in range(k - 2))
+
     tmax = mp.mpf((k - 2) ** 2) / mp.pi + 8  # h(-tmax) ~ (k-2) pi > target > 0 ~ h(tmax)
+
+    def crossing(m):
+        # in doubles first: bisect h_float - m pi/2 down to 2^-44 max(1, |t|)
+        lo, hi = -float(tmax), float(tmax)
+        while hi - lo > math.ldexp(max(1, abs(lo), abs(hi)), -44):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if h_float(mid) > m * math.pi / 2 else (lo, mid)
+        t0 = mp.mpf((lo + hi) / 2)
+        tgt = m * mp.pi / 2
+
+        def f(t):
+            return h(t) - tgt
+
+        # h decreases, so t0 -+ d brackets the crossing iff f > 0 > f there,
+        # checked at the working precision
+        d = mp.ldexp(max(1, abs(t0)), -36)
+        while d < tmax and not f(t0 - d) > 0 > f(t0 + d):
+            d *= 1024
+        return mp.findroot(f, (t0 - d, t0 + d) if d < tmax else (-tmax, tmax),
+                           solver="anderson")
+
+    # the targets m pi/2, m even (sign -) or odd (sign +), smallest first
+    ms = range(2 if sign == -1 else 1, 2 * k - 4, 2)
+    if largest_only:
+        ms = ms[:1]  # smallest target value = highest ordinate
     try:
-        return [mp.findroot(lambda t: h(t) - tgt, (-tmax, tmax), solver="anderson")
-                for tgt in targets]
+        return [crossing(m) for m in ms]
     except ValueError as exc:
         raise RootFindingError(f"H_{k} zero solver: {exc}") from exc
 

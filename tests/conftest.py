@@ -44,3 +44,35 @@ def mp_zeta(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(mp, "zeta", counted)
     return count
+
+
+@pytest.fixture
+def mp_polyval(monkeypatch) -> list[int]:
+    """Counts every ``mp.polyval`` call made while the test runs: mpmath's
+    ``polyroots`` makes one per root a Durand-Kerner sweep, and the package's
+    own ``poly_eval`` does not go through it. The count is the list's one
+    entry."""
+    count = [0]
+    polyval = mp.mp.polyval
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return polyval(*args, **kwargs)
+
+    monkeypatch.setattr(mp.mp, "polyval", counted)
+    return count
+
+
+@pytest.fixture
+def mp_atan(monkeypatch) -> list[int]:
+    """Counts every ``mp.atan`` call made while the test runs; the count is
+    the list's one entry."""
+    count = [0]
+    atan = mp.atan
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return atan(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "atan", counted)
+    return count

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import types
 from fractions import Fraction
 
 import mpmath as mp
@@ -501,6 +502,50 @@ def test_hk_zero_solver_rejects_other_signs(sign, monkeypatch):
         hk_zero_solver(6, sign, prec=PREC)
     with pytest.raises(ValueError, match="sign"):
         hk_polynomial(6, sign)
+
+
+@pytest.mark.parametrize("k, sign, prec", [(14, -1, 152), (16, 1, 136), (16, -1, 144)])
+def test_hk_zero_solver_evaluations(mp_atan, k, sign, prec):
+    # each h evaluation is k - 2 mp.atan calls. A target costs 9: two at the
+    # ends of the bracket t0 -+ 2^-36 max(1, |t0|) round the float crossing
+    # t0, seven in the Anderson findroot from it (three of them at its ends).
+    # From (-tmax, tmax) it cost 16.1, 16.5 and 16.1 a target. H_14^-'s odd
+    # count has the ordinate t = 0, whose bracket is 2^-36 wide all the same.
+    ords = hk_zero_solver(k, sign, prec=prec)
+    assert mp_atan[0] == 9 * (k - 2) * len(ords)
+
+
+@pytest.mark.parametrize("bias", [2.0 ** -30, None], ids=["widened", "from-tmax"])
+def test_hk_zero_solver_widens_a_bracket_that_misses(monkeypatch, mp_atan, bias):
+    # a float stage that misses the crossing: its bracket is widened x 2^10
+    # until its ends straddle the crossing at the working precision, or the
+    # search starts from (-tmax, tmax); either way the ordinates stay the same
+    want = hk_zero_solver(14, -1, prec=152)
+    mp_atan[0] = 0
+    atan = math.atan
+    # modular's own math module only: mpmath's atan starts from math.atan
+    monkeypatch.setattr(modular, "math", types.SimpleNamespace(
+        **{**vars(math), "atan": lambda x: 0.0 if bias is None else atan(x) + bias}))
+    got = hk_zero_solver(14, -1, prec=152)
+    assert mp_atan[0] > 9 * (14 - 2) * len(got)
+    with mp.workprec(152):
+        assert all(abs(t - w) <= mp.ldexp(max(1, abs(w)), -151)
+                   for t, w in zip(got, want, strict=True))
+
+
+def test_roots_price_a_cold_start_before_it(mp_polyval):
+    # a synthetic weight-48 profile, Lambda = 24, ..., 2, 1, 2, ..., 24. The
+    # float stage settles its zeta polynomial, so mp.polyroots runs seeded at
+    # the price of a few sweeps; it does not settle its period polynomial, so
+    # mp.polyroots would start cold (~n + 10 sweeps), and that price is
+    # refused before any mp sweep
+    upper = list(range(1, 25))
+    prof = LProfile(48, 1, 1, [mp.mpf(v) for v in upper[:0:-1] + upper])
+    poly_roots(zeta_polynomial(prof, PREC), prec=PREC)
+    assert mp_polyval[0] == 4 * 46
+    with pytest.raises(ArithmeticError, match="work budget"):
+        poly_roots(period_polynomial(prof, PREC), prec=PREC)
+    assert mp_polyval[0] == 4 * 46
 
 
 def test_hk_solver_weight6_explicit_roots():

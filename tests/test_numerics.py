@@ -33,7 +33,14 @@ from hypothesis import strategies as st
 
 import partizeta
 from oracles import series_log
-from partizeta.modular import _gamma_ladder, hk_polynomial, hk_zero_solver
+from partizeta.modular import (
+    _gamma_ladder,
+    build_delta_profile,
+    hk_polynomial,
+    hk_zero_solver,
+    period_polynomial,
+    zeta_polynomial,
+)
 from partizeta.pzeta import _log_gamma_ring, closed_form_gamma
 from partizeta.numerics import roots as roots_module
 from partizeta.numerics import tables as tables_module
@@ -744,6 +751,45 @@ def test_roots_accept_accurate_roots_of_hk(k, sign, prec):
         got = sorted((mp.im(r) for r in rts), reverse=True)
         assert max(abs(a - b) / max(1, abs(b)) for a, b in zip(ords, got)) \
             < mp.ldexp(1, 4 - prec)
+
+
+@pytest.mark.parametrize("poly, prec, sweeps", [
+    (lambda: poly_negate_var(hk_polynomial(16, 1)), 136, 3),
+    (lambda: period_polynomial(build_delta_profile(prec=256), 256), 256, 4),
+    (lambda: zeta_polynomial(build_delta_profile(prec=256), 256), 256, 4),
+], ids=["H16+", "delta-period", "delta-zeta"])
+def test_roots_take_few_mp_sweeps(mp_polyval, poly, prec, sweeps):
+    # the float stage hands mp.polyroots seeds good to ~2^-44, so it sweeps
+    # once per doubling to its 2^-(prec+24) stop and once more to see it; from
+    # its own start it swept 19 times (H_16^+ at 136 bits), 15 and 17 (the
+    # period and zeta polynomials of Delta at 256 bits)
+    co = poly()
+    mp_polyval[0] = 0
+    poly_roots(co, prec=prec)
+    assert mp_polyval[0] == sweeps * (len(co) - 1)
+
+
+@pytest.mark.parametrize("e", [-2200, 2200])
+def test_roots_outside_the_double_range_start_cold(monkeypatch, e):
+    # float(R) of the root radius 2^(e/2) is 0 or inf, so the seeds coincide
+    # or are not finite and mp.polyroots runs from its own start. No root is
+    # returned that misses the residual contract: at 2^1100 the absolute stop
+    # 2^-(prec+24) is out of reach at wp bits, and at 2^-1100 polyroots'
+    # cleanup rounds both roots below that stop to 0, where |p(0)| = 2^-2200
+    starts = []
+    found = mp.polyroots
+
+    def record(*args, **kwargs):
+        starts.append(kwargs["roots_init"])
+        return found(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "polyroots", record)
+    with pytest.raises(RootFindingError):
+        poly_roots([-mp.ldexp(1, e), 0, 1], prec=PREC)
+    roots, _ = poly_roots([-2, 0, 1], prec=PREC)
+    assert starts[0] is None and starts[1] is not None
+    with mp.workprec(PREC):
+        assert all(abs(abs(z) - mp.sqrt(2)) < mp.ldexp(1, 2 - PREC) for z in roots)
 
 
 def test_roots_rejects_constants():

@@ -19,7 +19,6 @@ from .numerics import (
     euler_bernoulli_genfunc_check,
     poly_negate_var,
     poly_roots,
-    poly_to_mpc,
     power_sum_tails,
     working,
     zeta_even_rational,
@@ -285,7 +284,7 @@ def criterion_15(prec=PREC):
     H6 = modular.rv_transform([Fraction(1)] * 4)
     exact_ok = H6 == [Fraction(1), Fraction(7, 3), Fraction(1), Fraction(2, 3)]
     with working(prec):
-        roots, _ = poly_roots(poly_to_mpc(poly_negate_var(H6), prec + 40), prec=prec)
+        roots, _ = poly_roots(poly_negate_var(H6), prec=prec)
         want = [mp.mpf(1) / 2, mp.mpc(mp.mpf(1) / 2, mp.sqrt(11) / 2),
                 mp.mpc(mp.mpf(1) / 2, -mp.sqrt(11) / 2)]
         root_dev = modular.hausdorff_distance(roots, want, prec)
@@ -295,7 +294,7 @@ def criterion_15(prec=PREC):
             for sign in (-1, 1):
                 ords = modular.hk_zero_solver(k, sign, prec=prec)
                 Hk = modular.hk_polynomial(k, sign)
-                rts, _ = poly_roots(poly_to_mpc(poly_negate_var(Hk), prec + 40), prec=prec)
+                rts, _ = poly_roots(poly_negate_var(Hk), prec=prec)
                 got = sorted(mp.im(r) for r in rts)
                 solver_dev = max(solver_dev,
                                  max(abs(a - b) for a, b in zip(sorted(ords), got)))

@@ -100,18 +100,17 @@ def mzv_equal_args(n: int, k: int, prec: int = DEFAULT_PREC):
     = (-1)^k B_k(-a)/k!.
 
     The series terms are O(1) while the value is at least (k!)^-n (the term
-    n_i = i), so the series runs n log2(k!) bits above the working precision
-    to absorb the cancellation. Its price at that precision is checked
-    against the work budget before any evaluation.
+    n_i = i), so the series runs n ceil(log2(k!)) bits above the working
+    precision to absorb the cancellation. Its price at that precision is
+    checked against the work budget before any evaluation.
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2, k >= 0")
-    # priced with log2(k!) rounded up from lgamma, times n in integers (n
-    # may not fit a float); past k = 2^53 the series alone is over the budget
+    # log2(k!) rounded up from lgamma, times n in integers (n may not fit a
+    # float); past k = 2^53 the series alone is over the budget
     bits = n * math.ceil(math.lgamma(min(k, 2 ** 53) + 1) / math.log(2))
     check_work(_series_work(n, k, prec + bits), f"the MZV of {k} equal arguments {n} at {prec} bits")
-    wp = prec + math.ceil(n * math.log2(math.factorial(k))) if k > 1 else prec
-    return _series_value(n, k, -1, wp)
+    return _series_value(n, k, -1, prec + bits)
 
 
 def mzv_equal_args_exact(n: int, k: int) -> Fraction:

@@ -1,14 +1,13 @@
 """Modular-form side: the tau recursion through the universal coefficient
-polynomials (each evaluated as a log-series coefficient) and its eta-product
-oracle, the completed critical values Lambda(1..11) of the discriminant
-form at the integers (one pass over the split-integral series, one
-incomplete-gamma ladder per term), period polynomials, zeta polynomials as
-coefficient lists with their functional equation and critical-line root
-checks,
-the comparison polynomials H_k built from binomial transforms with their
-zero solver, and the exact lattice-point count of the dilated reflexive
-simplex (one binomial per coordinate-sum slice) behind the Ehrhart identity
-for H_k^-.
+polynomials (each evaluated as a log-series coefficient, on integers) and
+its eta-product oracle, the completed critical values Lambda(1..11) of the
+discriminant form at the integers (one pass over the split-integral series,
+one incomplete-gamma ladder per term), period polynomials, zeta polynomials
+as coefficient lists (exact integer weights against the Lambda values) with
+their functional equation and critical-line root checks, the comparison
+polynomials H_k built from integer falling-factorial rows with their zero
+solver, and the exact lattice-point count of the dilated reflexive simplex
+(one binomial per coordinate-sum slice) behind the Ehrhart identity for H_k^-.
 
 Scope note: the universal recursion is implemented for forms with no zeros
 in the fundamental domain (the divisor correction term vanishes), which the
@@ -28,8 +27,8 @@ import mpmath as mp
 from .numerics import (
     DEFAULT_PREC,
     RootFindingError,
-    binomial_poly,
     check_work,
+    falling_poly,
     guarded,
     poly_compose_one_minus_s,
     poly_eval,
@@ -53,67 +52,44 @@ def tau_recursive(nmax: int) -> list[int]:
     -[q^n] log(sum_j tau(j+1) q^j), the same polynomial reorganized as a
     series coefficient (the structural form is infeasible to enumerate near
     n = 100; equality of the two evaluations is property-tested at small n).
-    Every intermediate must be an integer or the variable convention broke.
+    The recursion keeps L_j = j [q^j] log(sum_j tau(j+1) q^j), integers:
+    tau(n+1) = (s - 24 sigma(n))/n with s = sum_{j<n} L_j tau(n-j+1), and
+    L_n = n tau(n+1) - s. A remainder means the variable convention broke.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    tau = [0, 1]
-    t = [Fraction(1)]   # t[j] = tau(j+1)
-    lg = [Fraction(0)]  # log-series coefficients
+    t = [1]  # t[j] = tau(j+1)
+    L = [0]
     for n in range(1, nmax):
-        s = Fraction(0)
-        for j in range(1, n):
-            if t[n - j]:
-                s += j * lg[j] * t[n - j]
-        log_trunc = -s / n  # [q^n] log with t_n treated as 0
-        value = Fraction(-2 * 12 * sigma_power(n, 1), n) - log_trunc
-        if value.denominator != 1:
-            raise ArithmeticError(
-                f"tau({n + 1}) came out non-integer ({value}): variable-convention defect")
-        tau.append(int(value))
-        t.append(Fraction(value))
-        lg.append(log_trunc + t[n])
-    return tau[1:]
+        s = sum(L[j] * t[n - j] for j in range(1, n))
+        value, rem = divmod(s - 24 * sigma_power(n, 1), n)
+        if rem:
+            raise ArithmeticError(f"tau({n + 1}) came out non-integer ({value} + {rem}/{n}): "
+                                  "variable-convention defect")
+        t.append(value)
+        L.append(n * value - s)
+    return t
 
 
 def tau_eta_oracle(nmax: int) -> list[int]:
-    """tau(1..nmax) from q prod (1-q^n)^24, exact integer series arithmetic."""
+    """tau(1..nmax) from q prod (1-q^n)^24 = q (eta^3/q^(1/8))^8, exact
+    integer series arithmetic: Jacobi's prod (1-q^n)^3 =
+    sum_m (-1)^m (2m+1) q^(m(m+1)/2), squared three times."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    N = nmax - 1  # need coefficients of the 24th power through q^{nmax-1}
-    euler = [0] * (N + 1)
-    euler[0] = 1
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > N and g2 > N:
-            break
-        sign = -1 if k % 2 else 1
-        if g1 <= N:
-            euler[g1] += sign
-        if g2 <= N:
-            euler[g2] += sign
-        k += 1
-
-    def mul(A, B):
-        C = [0] * (N + 1)
-        for i, a in enumerate(A):
+    series = [0] * nmax  # coefficients of q^0..q^(nmax-1)
+    m = 0
+    while m * (m + 1) // 2 < nmax:
+        series[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1)
+        m += 1
+    for _ in range(3):
+        square = [0] * nmax
+        for i, a in enumerate(series):
             if a:
-                for j in range(0, N + 1 - i):
-                    if B[j]:
-                        C[i + j] += a * B[j]
-        return C
-
-    power = [1] + [0] * N
-    base, e = euler, 24
-    while e:
-        if e & 1:
-            power = mul(power, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return [power[n - 1] for n in range(1, nmax + 1)]
+                for j in range(nmax - i):
+                    square[i + j] += a * series[j]
+        series = square
+    return series
 
 
 def eisenstein_coeffs(k: int, T: int) -> list[Fraction]:
@@ -277,36 +253,26 @@ def period_polynomial(prof: LProfile, prec: int = DEFAULT_PREC):
         return [mp.mpf(math.comb(k - 2, j)) * prof.lam[k - 2 - j] for j in range(k - 1)]
 
 
-@guarded()
-def moments(prof: LProfile, m: int, prec: int = DEFAULT_PREC):
-    """M_f(m) = (1/(k-2)!) sum_j C(k-2, j) Lambda(f, j+1) j^m, with 0^0 = 1."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    k = prof.weight
-    total = mp.mpf(0)
-    for j in range(k - 1):
-        jm = mp.mpf(1) if (j == 0 and m == 0) else mp.mpf(j) ** m
-        total += math.comb(k - 2, j) * prof.lam[j] * jm
-    return total / mp.factorial(k - 2)
+def _zeta_weights(k: int) -> list[list[int]]:
+    """W_hj = C(k-2, j) P_h(j) for h, j = 0..k-2, with P_h(x) = sum_m
+    C(m+h, h) s(k-2, m+h) x^m (Manin's Stirling form) by Horner: integers."""
+    S = stirling1_row(k - 2)
+    P = [[math.comb(m + h, h) * S[m + h] for m in range(k - 1 - h)] for h in range(k - 1)]
+    return [[math.comb(k - 2, j) * poly_eval(row, j) for j in range(k - 1)] for row in P]
 
 
 @guarded()
 def zeta_polynomial(prof: LProfile, prec: int = DEFAULT_PREC) -> list:
-    """c_0..c_{k-2} of Z_f(s) = sum_h (-s)^h sum_m C(m+h, h) s(k-2, m+h) M_f(m).
+    """c_0..c_{k-2} of Z_f(s) = sum_h (-s)^h sum_m C(m+h, h) s(k-2, m+h) M_f(m),
+    M_f(m) = (1/(k-2)!) sum_j C(k-2, j) Lambda(f, j+1) j^m.
 
-    Stirling numbers and binomials stay exact integers; the moments carry the
-    precision.
+    Summed over j first: c_h = (-1)^h sum_j W_hj Lambda(f, j+1)/(k-2)! with
+    the integer weights W_hj of ``_zeta_weights``. Only the Lambda values
+    carry precision: one ``mp.fsum`` per coefficient, one division by (k-2)!.
     """
-    k = prof.weight
-    S = stirling1_row(k - 2)
-    M = [moments(prof, m, mp.mp.prec) for m in range(k - 1)]
-    coeffs = []
-    for h in range(k - 1):
-        c = mp.mpf(0)
-        for m in range(0, k - 1 - h):
-            c += math.comb(m + h, h) * S[m + h] * M[m]
-        coeffs.append(c * (-1) ** h)
-    return coeffs
+    f = math.factorial(prof.weight - 2)
+    return [(-1) ** h * mp.fsum(w * lam for w, lam in zip(row, prof.lam)) / f
+            for h, row in enumerate(_zeta_weights(prof.weight))]
 
 
 @guarded()
@@ -342,8 +308,10 @@ def generating_check(prof: LProfile, T: int, prec: int = DEFAULT_PREC):
 def rv_transform(U: list) -> list:
     """Binomial-transform polynomial H with H(n) = [z^n] U(z)/(1-z)^{e+1}.
 
-    U(1) != 0 required (otherwise the degree is not pinned down); exact over
-    Fractions, mixed otherwise: H(s) = sum_j u_j C(s - j + e, e).
+    U(1) != 0 required (otherwise the degree is not pinned down):
+    H(s) = sum_j u_j C(s - j + e, e), summed over the integer rows
+    e! C(s - j + e, e) and divided by e! once; exact (Fractions) over ints and
+    Fractions, in the caller's context otherwise.
     """
     U = list(U)
     while U and U[-1] == 0:
@@ -354,16 +322,12 @@ def rv_transform(U: list) -> list:
     exact = all(isinstance(u, (int, Fraction)) for u in U)
     if exact and sum(U) == 0:
         raise ValueError("U(1) = 0: factor out (1-z) first")
-    H = [Fraction(0) if exact else U[0] * 0 for _ in range(e + 1)]
+    H = [Fraction(0) if exact else U[0] * 0] * (e + 1)
     for j, u in enumerate(U):
-        if u == 0:
-            continue
-        for i, b in enumerate(binomial_poly(e - j, e)):
-            if exact:
-                H[i] += u * b
-            else:
-                H[i] += u * mp.mpf(b.numerator) / b.denominator
-    return H
+        if u:
+            H = [h + u * b for h, b in zip(H, falling_poly(e - j, e))]
+    f = math.factorial(e)
+    return [h / f for h in H]
 
 
 def hk_polynomial(k: int, sign: int) -> list[Fraction]:
@@ -377,10 +341,9 @@ def hk_polynomial(k: int, sign: int) -> list[Fraction]:
         raise ValueError("weight must be even >= 4")
     if sign not in (-1, 1):
         raise ValueError("sign must be +-1")
-    A = binomial_poly(k - 2, k - 2)
-    B = binomial_poly(0, k - 2)
-    co = [a + sign * b for a, b in zip(A, B)]
-    return poly_trim(co)
+    f = math.factorial(k - 2)
+    return poly_trim([Fraction(a + sign * b, f)
+                      for a, b in zip(falling_poly(k - 2, k - 2), falling_poly(0, k - 2))])
 
 
 @guarded()

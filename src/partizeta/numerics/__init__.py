@@ -27,7 +27,7 @@ from .zeta import (
 )
 from .bell import bell_via_determinant, bell_via_series
 from .poly import (
-    binomial_poly,
+    falling_poly,
     poly_compose_one_minus_s,
     poly_eval,
     poly_negate_var,
@@ -46,11 +46,11 @@ __all__ = [
     "bernoulli",
     "bernoulli_table",
     "bernoulli_work",
-    "binomial_poly",
     "check_work",
     "digits_for",
     "direct_zeta_start",
     "euler_bernoulli_genfunc_check",
+    "falling_poly",
     "guarded",
     "poly_compose_one_minus_s",
     "poly_eval",

@@ -1,9 +1,11 @@
 """Dense polynomial helpers shared by the zeta-polynomial machinery.
 
 Polynomials are plain coefficient lists c_0..c_n (lowest degree first), over
-Fraction (PolyQ convention) or mpf/mpc (PolyC convention). Evaluation is
-Horner; only ``poly_to_mpc`` sets a precision, the rest runs in the caller's
-context.
+Fraction (PolyQ convention) or mpf/mpc (PolyC convention). The binomial
+polynomials C(s + shift, e) come as integer rows e! C(s + shift, e)
+(``falling_poly``), so a caller sums its rows exactly and divides by e! once.
+Evaluation is Horner; only ``poly_to_mpc`` sets a precision, the rest runs in
+the caller's context.
 """
 
 from __future__ import annotations
@@ -56,18 +58,13 @@ def poly_negate_var(coeffs):
     return [c if i % 2 == 0 else -c for i, c in enumerate(coeffs)]
 
 
-def binomial_poly(shift: int, e: int) -> list[Fraction]:
-    """C(s + shift, e) as an exact polynomial in s (degree e)."""
-    co = [Fraction(1)]
-    for i in range(1, e + 1):
-        c0 = Fraction(shift - i + 1)
-        new = [Fraction(0)] * (len(co) + 1)
-        for j, c in enumerate(co):
-            new[j] += c * c0
-            new[j + 1] += c
-        co = new
-    f = Fraction(math.factorial(e))
-    return [c / f for c in co]
+def falling_poly(shift: int, e: int) -> list[int]:
+    """Integer coefficients of prod_{i<e} (s + shift - i) = e! C(s + shift, e),
+    a polynomial in s of degree e."""
+    co = [1]
+    for i in range(e):
+        co = [(shift - i) * a + b for a, b in zip(co + [0], [0] + co)]
+    return co
 
 
 @guarded()

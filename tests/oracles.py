@@ -29,6 +29,7 @@ from partizeta.numerics import (
     poly_negate_var,
     poly_roots,
     poly_to_mpc,
+    stirling1_row,
 )
 from partizeta.partitions import UNBOUNDED, DivergentPartSetError, PartSet
 
@@ -231,6 +232,25 @@ def universal_F(n: int) -> UniversalPolynomial:
                                monomials=tuple(monos))
 
 
+def hecke_failures(tau: list[int], weight: int = 12) -> list[tuple]:
+    """The Hecke relations that tau(1..N) breaks, for a weight-k eigenform
+    normalized by tau(1) = 1: tau(mn) = tau(m) tau(n) for coprime m, n, and
+    tau(p^(r+1)) = tau(p) tau(p^r) - p^(k-1) tau(p^(r-1)), all mn, p^(r+1) <= N.
+    Each failure is listed as (m, n) or (p, r + 1)."""
+    N = len(tau)
+    t = [0] + tau  # t[n] = tau(n)
+    bad = [(m, n) for m in range(2, N + 1) for n in range(m + 1, N // m + 1)
+           if math.gcd(m, n) == 1 and t[m * n] != t[m] * t[n]]
+    for p in range(2, N + 1):
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            r = 1
+            while p ** (r + 1) <= N:
+                if t[p ** (r + 1)] != t[p] * t[p ** r] - p ** (weight - 1) * t[p ** (r - 1)]:
+                    bad.append((p, r + 1))
+                r += 1
+    return bad
+
+
 def lambda_delta(s: int, prec: int = DEFAULT_PREC):
     """Completed critical value of the weight-12 level-1 form at an integer
     s in [1, 11]: entry s of the profile's pass (``_lambda_values``), within
@@ -249,8 +269,8 @@ def l_value(prof: LProfile, j: int, prec: int = DEFAULT_PREC):
 
 @guarded()
 def moments_from_l_values(prof: LProfile, m: int, prec: int = DEFAULT_PREC):
-    """The other displayed form of ``moments``:
-    sum_j (sqrt N/2 pi)^{j+1} L(f,j+1) j^m/(k-2-j)!."""
+    """The moment M_f(m) = (1/(k-2)!) sum_j C(k-2, j) Lambda(f, j+1) j^m in
+    its other displayed form: sum_j (sqrt N/2 pi)^{j+1} L(f,j+1) j^m/(k-2-j)!."""
     k = prof.weight
     total = mp.mpf(0)
     for j in range(k - 1):
@@ -259,6 +279,18 @@ def moments_from_l_values(prof: LProfile, m: int, prec: int = DEFAULT_PREC):
         total += ((mp.sqrt(prof.level) / (2 * mp.pi)) ** (j + 1) * L
                   / mp.factorial(k - 2 - j) * jm)
     return total
+
+
+@guarded()
+def zeta_polynomial_from_moments(prof: LProfile, prec: int = DEFAULT_PREC) -> list:
+    """c_0..c_{k-2} of Z_f as displayed: sum_h (-s)^h sum_m C(m+h, h)
+    s(k-2, m+h) M_f(m), the moments from ``moments_from_l_values``. The
+    alternating Stirling sum loses about 1.4 bits per unit of weight."""
+    k = prof.weight
+    S = stirling1_row(k - 2)
+    M = [moments_from_l_values(prof, m, mp.mp.prec) for m in range(k - 1)]
+    return [(-1) ** h * mp.fsum(math.comb(m + h, h) * S[m + h] * M[m] for m in range(k - 1 - h))
+            for h in range(k - 1)]
 
 
 @guarded()

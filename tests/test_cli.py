@@ -434,6 +434,17 @@ def test_modular_delta_runs_at_3241_bits(capsys):
     assert code == 0 and json.loads(out)["profile"]["weight"] == 12
 
 
+def test_modular_weight_40_profile_keeps_its_functional_equation(tmp_path, capsys):
+    # Lambda(j+1) = |19 - j| + 1: at 64 bits the zeta polynomial's functional
+    # equation holds to rounding, with no cancellation between moments
+    lam = [str(abs(19 - j) + 1) for j in range(39)]
+    path = _profile_file(tmp_path, json.dumps(
+        {"weight": 40, "level": 1, "sign": 1, "lambda": lam}))
+    code, out = run_cli(capsys, "--prec", "64", "modular", "delta", "--profile", path)
+    assert code == 0
+    assert float(json.loads(out)["functional_eq_residual"]) < 1e-14
+
+
 def test_pzeta_gamma_route_work_budget(capsys):
     # n = 10^6 would take ~10^6 log-gamma calls; the budget stops it at once
     t0 = time.perf_counter()

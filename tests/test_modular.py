@@ -16,10 +16,11 @@ import pytest
 
 from oracles import (
     convergence_experiment,
+    hecke_failures,
     lambda_delta,
-    moments_from_l_values,
     universal_F,
     weight4_inequality_check,
+    zeta_polynomial_from_moments,
 )
 from partizeta import modular
 from partizeta.modular import (
@@ -32,7 +33,6 @@ from partizeta.modular import (
     hausdorff_distance,
     hk_polynomial,
     hk_zero_solver,
-    moments,
     period_polynomial,
     rh_check,
     rv_transform,
@@ -40,7 +40,7 @@ from partizeta.modular import (
     tau_recursive,
     zeta_polynomial,
 )
-from partizeta.numerics import poly_eval, poly_negate_var, poly_roots, poly_to_mpc
+from partizeta.numerics import falling_poly, poly_eval, poly_negate_var, poly_roots, poly_to_mpc
 
 PREC = 256
 
@@ -81,6 +81,22 @@ def test_tau_values_and_oracle():
     tau = tau_recursive(100)
     assert tau[0] == 1 and tau[1] == -24 and tau[2] == 252
     assert tau == tau_eta_oracle(100)
+
+
+def test_tau_routes_satisfy_the_hecke_relations():
+    assert hecke_failures(tau_recursive(300)) == []
+    assert hecke_failures(tau_eta_oracle(300)) == []
+    # one wrong value breaks a relation the oracle watches
+    assert hecke_failures([1, -24, 252, -1472, 4830, -6049]) == [(2, 3)]
+
+
+def test_tau_recursive_refuses_a_non_integer_step(monkeypatch):
+    # 24 (sigma(5) + 1) is not 24 sigma(5) mod 5, so tau(6) gets a remainder
+    sigma = modular.sigma_power
+    monkeypatch.setattr(modular, "sigma_power", lambda n, p: sigma(n, p) + (n == 5))
+    assert tau_recursive(5) == tau_eta_oracle(5)
+    with pytest.raises(ArithmeticError, match="tau\\(6\\) came out non-integer"):
+        tau_recursive(6)
 
 
 def test_eta_oracle_head():
@@ -282,18 +298,50 @@ def test_period_polynomial_sign_minus_simple_zero_at_one():
 
 
 # ---------------------------------------------------------------- moments / Z
-def test_moments_zeroth_is_plain_sum(delta):
+def test_zeta_polynomial_leading_coefficient_is_plain_sum(delta):
+    # c_{k-2} = M_f(0) = sum_j C(k-2, j) Lambda(j+1)/(k-2)!
     with mp.workprec(PREC):
         direct = sum(math.comb(10, j) * delta.lam[j] for j in range(11)) / mp.factorial(10)
-        assert abs(moments(delta, 0, PREC) - direct) < mp.mpf(2) ** -200
+        assert abs(zeta_polynomial(delta, PREC)[10] - direct) < mp.mpf(2) ** -200
 
 
-def test_moments_two_displayed_forms_agree(delta):
-    with mp.workprec(PREC):
-        for m in range(0, 11):
-            a = moments(delta, m, PREC)
-            b = moments_from_l_values(delta, m, PREC)
-            assert abs(a - b) < mp.mpf(2) ** -180, m
+def test_zeta_polynomial_agrees_with_the_moments_form():
+    # the displayed form, moments from raw L-values through the Stirling sum,
+    # at 40 guard bits: each coefficient within 2^(4-prec) relative
+    for prec in (64, 256, 1024):
+        prof = build_delta_profile(prec)
+        Z = zeta_polynomial(prof, prec)
+        ref = zeta_polynomial_from_moments(prof, prec + 40)
+        with mp.workprec(prec + 40):
+            for h, (a, b) in enumerate(zip(Z, ref)):
+                assert abs(a - b) <= mp.ldexp(abs(b), 4 - prec), (prec, h)
+
+
+def _tent_profile(k):
+    # Lambda(j+1) = |k/2 - 1 - j| + 1: symmetric, rising from Lambda(k/2) = 1
+    lam = [mp.mpf(abs(k // 2 - 1 - j) + 1) for j in range(k - 1)]
+    return LProfile(weight=k, level=1, sign=1, lam=lam, source="tent")
+
+
+@pytest.mark.parametrize("prec", [64, 256])
+@pytest.mark.parametrize("k", [26, 40, 60])
+def test_zeta_polynomial_keeps_its_precision_at_large_weight(k, prec):
+    # Z(0) = Lambda(k-1): no cancellation between moments eats the bits
+    prof = _tent_profile(k)
+    prof.validate()
+    Z = zeta_polynomial(prof, prec)
+    with mp.workprec(prec):
+        assert abs(Z[0] - prof.lam[k - 2]) <= mp.ldexp(prof.lam[k - 2], 4 - prec)
+
+
+def test_zeta_weights_are_taylor_coefficients_of_the_falling_factorial():
+    # P_h(j) = [y^h] (j + y)_(k-2), the h-th Taylor coefficient of the falling
+    # factorial (x)_(k-2) at x = j, so W_hj = C(k-2, j) falling_poly(j, k-2)[h]
+    for k in range(2, 61):
+        W = modular._zeta_weights(k)
+        for j in range(k - 1):
+            row = falling_poly(j, k - 2)
+            assert [W[h][j] for h in range(k - 1)] == [math.comb(k - 2, j) * c for c in row], k
 
 
 def test_moments_central_term_vanishes_for_sign_minus():
@@ -394,11 +442,49 @@ def test_published_root_table_misprint_is_sources_own_rounding(delta):
 def test_rv_transform_examples():
     H = rv_transform([Fraction(1)] * 4)
     assert H == [Fraction(1), Fraction(7, 3), Fraction(1), Fraction(2, 3)]
+    # int inputs give Fractions too
+    assert [type(h) for h in rv_transform([1] * 4)] == [Fraction] * 4
+    assert rv_transform([1] * 4) == H
     assert rv_transform([Fraction(1)]) == [Fraction(1)]
     assert rv_transform([Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(1)]) \
         == hk_polynomial(6, 1)
     with pytest.raises(ValueError):
         rv_transform([Fraction(1), Fraction(-1)])  # U(1) = 0
+
+
+def test_falling_poly_at_integers_is_a_scaled_binomial():
+    # e! C(n, e) at n = s + shift, and (-1)^e e! C(e - n - 1, e) below 0
+    for e in range(9):
+        for shift in range(-6, 7):
+            row = falling_poly(shift, e)
+            assert len(row) == e + 1 and row[-1] == 1
+            for s in range(-8, 15):
+                n = s + shift
+                want = math.comb(n, e) if n >= 0 else (-1) ** e * math.comb(e - n - 1, e)
+                assert poly_eval(row, s) == math.factorial(e) * want, (shift, e, s)
+
+
+@pytest.mark.parametrize("prec", [64, 256, 1024])
+def test_rv_transform_of_mpf_copies_is_within_the_precision(prec):
+    # each coefficient within 2^(4-prec) of the exact one, relative to the
+    # sum of the absolute terms u_j b/e! that make it up
+    rng = random.Random(prec)
+    for _ in range(40):
+        e = rng.randint(0, 8)  # e + 4 roundings at most, within 2^4
+        U = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(e)]
+        U.append(Fraction(rng.randint(1, 99), rng.randint(1, 99)))
+        if sum(U) == 0:
+            U[0] += 1
+        exact = rv_transform(U)
+        scale = [sum(abs(u * b) for u, b in zip(U, col)) / math.factorial(e)
+                 for col in zip(*(falling_poly(e - j, e) for j in range(e + 1)))]
+        with mp.workprec(prec):
+            got = rv_transform([mp.mpf(u.numerator) / u.denominator for u in U])
+            assert all(isinstance(g, mp.mpf) for g in got)
+        with mp.workprec(prec + 64):
+            for g, x, sc in zip(got, exact, scale):
+                assert abs(g - mp.mpf(x.numerator) / x.denominator) \
+                    <= mp.ldexp(mp.mpf(sc.numerator) / sc.denominator, 4 - prec)
 
 
 def test_rv_transform_evaluates_series_coefficients():

@@ -28,7 +28,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest
 
-from . import __version__, acceptance, build_id, fixedlen, modular, padic, pzeta
+from . import __version__, build_id, fixedlen, modular, padic, pzeta
 from .numerics import digits_for, poly_eval, poly_roots, working
 from .partitions import DivergentPartSetError, parse_part_set
 
@@ -336,6 +336,7 @@ def cmd_modular(args, cfg: RunConfig) -> int:
 
 
 def cmd_selftest(args, cfg: RunConfig) -> int:
+    from . import acceptance  # loaded here, so that no other command pays for it
     results = acceptance.run_all(prec=cfg.precision_bits, report=print)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} acceptance criteria passed")

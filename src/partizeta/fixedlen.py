@@ -15,7 +15,6 @@ the exact ones from the Bernoulli table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -36,16 +35,16 @@ from .numerics.bell import determinant_work
 from .numerics.zeta import power_sum_work
 
 
-@dataclass(frozen=True)
 class MZVIndex:
     """Exponent tuple (m_1, ..., m_k); m_1 sits on the outermost (largest)
     summation variable, so convergence needs m_1 >= 2."""
 
-    exponents: tuple[int, ...]
+    __slots__ = ("exponents",)
 
-    def __post_init__(self):
-        if not self.exponents or any(m < 1 for m in self.exponents):
+    def __init__(self, exponents: tuple[int, ...]):
+        if not exponents or any(m < 1 for m in exponents):
             raise ValueError("exponents must be positive integers")
+        self.exponents = exponents
 
     @property
     def length(self):

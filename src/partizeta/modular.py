@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -154,30 +153,27 @@ def _lambda_values(prec: int) -> list:
 
 
 # ----------------------------------------------------------------------
-@dataclass
 class LProfile:
     """A newform's arithmetic data: weight, level, sign, completed values
     Lambda(f, 1..k-1)."""
 
-    weight: int
-    level: int
-    sign: int
-    lam: list
-    source: str = "computed"
+    __slots__ = ("weight", "level", "sign", "lam", "source")
 
-    def __post_init__(self):
-        if self.weight < 4 or self.weight % 2:
+    def __init__(self, weight: int, level: int, sign: int, lam: list,
+                 source: str = "computed"):
+        if weight < 4 or weight % 2:
             raise ValueError("weight must be even >= 4")
-        if self.sign not in (-1, 1):
+        if sign not in (-1, 1):
             raise ValueError("sign must be +-1")
-        if self.level < 1:
+        if level < 1:
             raise ValueError("level must be >= 1")
-        if len(self.lam) != self.weight - 1:
-            raise ValueError(f"need weight - 1 Lambda values, got {len(self.lam)}")
-        if not all(mp.isfinite(v) for v in self.lam):
+        if len(lam) != weight - 1:
+            raise ValueError(f"need weight - 1 Lambda values, got {len(lam)}")
+        if not all(mp.isfinite(v) for v in lam):
             raise ValueError("Lambda values must be finite")
-        if not any(self.lam):
+        if not any(lam):
             raise ValueError("Lambda values must not all be zero")
+        self.weight, self.level, self.sign, self.lam, self.source = weight, level, sign, lam, source
 
     def validate(self, tol=1e-20) -> None:
         """Functional equation, monotone chain, and the sign -1 central zero.

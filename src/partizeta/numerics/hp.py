@@ -20,7 +20,6 @@ arguments or precision prices all of it once, in units of ~1 us, and calls
 from __future__ import annotations
 
 import functools
-import inspect
 import threading
 from contextlib import contextmanager
 
@@ -67,9 +66,11 @@ def guarded(extra: int = 0):
     other values pass through."""
 
     def decorate(fn):
-        params = list(inspect.signature(fn).parameters.values())
-        pos = [p.name for p in params].index("prec")
-        default = params[pos].default
+        # prec is a positional parameter; the defaults belong to the last ones
+        code, defaults = fn.__code__, fn.__defaults__ or ()
+        pos = code.co_varnames[:code.co_argcount].index("prec")
+        first = code.co_argcount - len(defaults)
+        default = defaults[pos - first] if pos >= first else None
 
         @functools.wraps(fn)
         def run(*args, **kwargs):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import bell_via_determinant, bernoulli, bernoulli_work, check_work, zeta_neg_int
@@ -44,21 +43,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class PadicContext:
     """Prime p, congruence exponent a, length k; requires odd p >= k + 3."""
 
-    p: int
-    a: int
-    k: int
+    __slots__ = ("p", "a", "k")
 
-    def __post_init__(self):
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p={self.p} must be an odd prime")
-        if self.p < self.k + 3:
-            raise ValueError(f"need p >= k+3, got p={self.p}, k={self.k}")
-        if self.a < 0 or self.k < 1:
+    def __init__(self, p: int, a: int, k: int):
+        if not is_prime(p) or p == 2:
+            raise ValueError(f"p={p} must be an odd prime")
+        if p < k + 3:
+            raise ValueError(f"need p >= k+3, got p={p}, k={k}")
+        if a < 0 or k < 1:
             raise ValueError("need a >= 0 and k >= 1")
+        self.p, self.a, self.k = p, a, k
 
 
 def padic_valuation(q, p: int):

@@ -13,7 +13,6 @@ rejected by the zeta-evaluation routines as divergent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 UNBOUNDED = None
 
@@ -22,7 +21,6 @@ class DivergentPartSetError(ValueError):
     """Part set admits 1 with unbounded multiplicity: zeta sum diverges."""
 
 
-@dataclass(frozen=True)
 class PartSet:
     """Symbolic description of the allowed parts.
 
@@ -34,22 +32,22 @@ class PartSet:
     filtered by min_part), which is how ``geq:2`` and ``distinct`` arise.
     """
 
-    classes: tuple[tuple[int, int], ...] = ()
-    explicit_parts: frozenset[int] = field(default_factory=frozenset)
-    min_part: int = 1
-    distinct: bool = False
-    max_ones: int | None = UNBOUNDED
+    __slots__ = ("classes", "explicit_parts", "min_part", "distinct", "max_ones")
 
-    def __post_init__(self):
-        for a, m in self.classes:
+    def __init__(self, classes: tuple[tuple[int, int], ...] = (),
+                 explicit_parts: frozenset[int] = frozenset(), min_part: int = 1,
+                 distinct: bool = False, max_ones: int | None = UNBOUNDED):
+        for a, m in classes:
             if a < 0 or m < 1:
                 raise ValueError(f"bad congruence class ({a}, {m})")
-        if self.min_part < 1:
+        if min_part < 1:
             raise ValueError("min_part must be >= 1")
-        if any(p < 1 for p in self.explicit_parts):
+        if any(p < 1 for p in explicit_parts):
             raise ValueError("explicit parts must be positive")
-        if self.max_ones is not UNBOUNDED and self.max_ones < 0:
+        if max_ones is not UNBOUNDED and max_ones < 0:
             raise ValueError("max_ones must be >= 0 or None")
+        self.classes, self.explicit_parts, self.min_part = classes, explicit_parts, min_part
+        self.distinct, self.max_ones = distinct, max_ones
 
     # -- membership ----------------------------------------------------
     def contains(self, k: int) -> bool:

@@ -37,7 +37,6 @@ exercise it at 10^-35.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_ceiling
@@ -68,25 +67,22 @@ from .partitions import DivergentPartSetError, PartSet
 POLE_SNAP = 1e-6  # distance to some 1/N below which we report the pole
 
 
-@dataclass(frozen=True)
-class CongruenceClassSpec:
-    """Residue/modulus pair selecting parts {a+m, a+2m, ...}."""
-
-    a: int
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.a < 0:
-            raise ValueError("need a >= 0, m >= 1")
-        if self.a == 0 and self.m == 1:
-            raise ValueError("a=0, m=1 diverges (all parts, including 1)")
+def check_congruence_class(a: int, m: int) -> None:
+    """ValueError unless the residue/modulus pair selects a convergent part
+    set {a+m, a+2m, ...}."""
+    if m < 1 or a < 0:
+        raise ValueError("need a >= 0, m >= 1")
+    if a == 0 and m == 1:
+        raise ValueError("a=0, m=1 diverges (all parts, including 1)")
 
 
-@dataclass(frozen=True)
 class PoleReport:
-    s: complex
-    pole_at_k: int
-    message: str
+    """s is within POLE_SNAP of the pole 1/pole_at_k of the extension."""
+
+    __slots__ = ("s", "pole_at_k", "message")
+
+    def __init__(self, s: complex, pole_at_k: int, message: str):
+        self.s, self.pole_at_k, self.message = s, pole_at_k, message
 
 
 def _e(x):
@@ -301,7 +297,7 @@ def closed_form_gamma(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
     72, and the result is rounded once. Their price is checked against the
     work budget before any evaluation.
     """
-    CongruenceClassSpec(a, m)
+    check_congruence_class(a, m)
     if n < 2:
         raise ValueError("closed form needs n >= 2")
     wp = mp.mp.prec
@@ -334,7 +330,7 @@ def log_eval_general(a: int, m: int, n: int, prec: int = DEFAULT_PREC):
     ArithmeticError. Its price is checked against the work budget before any
     evaluation.
     """
-    CongruenceClassSpec(a, m)
+    check_congruence_class(a, m)
     if m < 2 or n < 2:
         raise ValueError("log_eval_general needs m, n >= 2")
     # |z_r| is largest at the root nearest -1

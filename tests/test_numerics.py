@@ -53,9 +53,11 @@ from partizeta.numerics import (
     bernoulli,
     bernoulli_table,
     euler_bernoulli_genfunc_check,
+    guarded,
     poly_eval,
     poly_negate_var,
     poly_roots,
+    poly_to_mpc,
     power_sum_tails,
     riemann_zeta,
     stirling1_row,
@@ -502,6 +504,25 @@ def test_bernoulli_ratio_table_is_not_built_at_import():
     assert done.returncode == 0, done.stderr
 
 
+def test_cli_import_leaves_out_what_no_route_uses():
+    # a cold CLI process pays for every module it imports. -S keeps site (and
+    # what its .pth files import) out, so sys.modules shows the package's own
+    # imports on any host; build_id must be the same in every process
+    code = ("import sys\n"
+            "import partizeta.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'hashlib', 'random',\n"
+            "              'partizeta.acceptance'} & set(sys.modules)))\n"
+            "print(partizeta.build_id())\n")
+    path = [str(pathlib.Path(partizeta.__file__).parents[1]), str(pathlib.Path(mp.__file__).parents[1])]
+    runs = [subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}, timeout=60)
+            for _ in range(2)]
+    assert [done.returncode for done in runs] == [0, 0], runs[0].stderr
+    (loaded, first), (_, second) = (done.stdout.splitlines() for done in runs)
+    assert loaded == "[]"
+    assert re.fullmatch("[0-9a-f]{12}", first) and first == second == partizeta.build_id()
+
+
 def test_one_exact_bernoulli_source():
     # the exact Bernoulli numbers come only from the tangent recurrence in
     # numerics/tables.py, which needs no mpmath; bernfrac is a test oracle
@@ -555,17 +576,21 @@ def test_every_public_name_in_src_has_a_caller_in_src():
 def test_every_defaulted_parameter_in_src_is_passed_in_src():
     # a default that no call in src/ overrides is a constant: a call passes
     # it by keyword, by position (a method's self counts as one), or through
-    # *args or **kwargs. Exempt are prec, which every evaluation takes,
-    # cli.main's argv, which the console script leaves out, and
-    # LProfile.to_json, which writes the --profile format
+    # *args or **kwargs. A call C(...) is a call of C.__init__. Exempt are
+    # prec, which every evaluation takes, cli.main's argv, which the console
+    # script leaves out, and LProfile.to_json, which writes the --profile format
     src = pathlib.Path(partizeta.__file__).parent
     trees = {path.relative_to(src).as_posix(): ast.parse(path.read_text())
              for path in sorted(src.rglob("*.py"))}
     calls = [node for tree in trees.values() for node in ast.walk(tree)
              if isinstance(node, ast.Call)]
+    constructors = {id(fn): cls.name for tree in trees.values() for cls in ast.walk(tree)
+                    if isinstance(cls, ast.ClassDef) for fn in cls.body
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"}
 
     def passes(call, fn, index, name):
-        if getattr(call.func, "id", getattr(call.func, "attr", None)) != fn.name:
+        called = constructors.get(id(fn), fn.name)
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) != called:
             return False
         if any(kw.arg in (name, None) for kw in call.keywords):
             return True
@@ -811,6 +836,35 @@ def test_kernels_are_thread_safe():
     finally:
         sys.setswitchinterval(old)
     assert [g == want[p] for g, p in zip(got, precs)] == [True] * len(precs)
+
+
+def test_guarded_reads_prec_by_position_keyword_and_default():
+    # prec comes from the position of the parameter, the keyword or the
+    # default; the body runs at prec + GUARD_BITS + extra and the result is
+    # rounded to prec
+    seen = []
+
+    @guarded(extra=8)
+    def third(x, scale: int = 1, prec: int = 80):
+        seen.append(mp.mp.prec)
+        return (mp.mpf(x) / 3 * scale, [mp.mpf(x) / 7], "label")
+
+    def want(prec):
+        with mp.workprec(prec):
+            return (mp.mpf(1) / 3, [mp.mpf(1) / 7], "label")
+
+    assert third(1, 1, 100) == want(100)
+    assert third(1, prec=120) == want(120)
+    assert third(1, scale=1) == want(80)
+    assert third(1) == want(80)
+    assert seen == [148, 168, 128, 128]
+    # prec with no default (poly_to_mpc) is read by position or keyword
+    coeffs = [Fraction(1, 3), Fraction(2, 7)]
+    with mp.workprec(70):
+        rounded = [mp.mpf(1) / 3, mp.mpf(2) / 7]
+    assert poly_to_mpc(coeffs, 70) == poly_to_mpc(coeffs, prec=70) == rounded
+    with pytest.raises(TypeError):
+        poly_to_mpc(coeffs)
 
 
 def test_workprec_only_in_the_precision_policy():

@@ -20,8 +20,8 @@ from partizeta.numerics import (
 )
 from partizeta.partitions import DivergentPartSetError, PartSet, parse_part_set
 from partizeta.pzeta import (
-    CongruenceClassSpec,
     PoleReport,
+    check_congruence_class,
     closed_form_gamma,
     dirichlet_partition_series,
     euler_product,
@@ -34,12 +34,14 @@ PREC = 256
 
 
 def test_congruence_class_spec_invariants():
-    CongruenceClassSpec(0, 2)
-    CongruenceClassSpec(3, 4)
-    with pytest.raises(ValueError):
-        CongruenceClassSpec(0, 1)
-    with pytest.raises(ValueError):
-        CongruenceClassSpec(-1, 3)
+    check_congruence_class(0, 2)
+    check_congruence_class(3, 4)
+    with pytest.raises(ValueError, match="diverges"):
+        check_congruence_class(0, 1)
+    with pytest.raises(ValueError, match="need a >= 0, m >= 1"):
+        check_congruence_class(-1, 3)
+    with pytest.raises(ValueError, match="need a >= 0, m >= 1"):
+        closed_form_gamma(1, 0, 2)
 
 
 # ---------------------------------------------------------------- euler product

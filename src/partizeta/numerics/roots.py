@@ -36,6 +36,15 @@ class RootFindingError(ArithmeticError):
 MAX_STEPS = 400
 # the float stage has converged once every correction of the scaled roots is below this
 FLOAT_STOP = 2.0 ** -44
+# ... and has stalled once its largest correction, already below STALL_FLOOR,
+# has gone STALL_STEPS sweeps without a new low: doubles then sit at their
+# noise floor above FLOAT_STOP (the period polynomial of the weight-42
+# profile Lambda = 21, ..., 1, ..., 21 wanders near 1e-12 from sweep 164 on
+# and gives up at 190). Above the floor a run can wander longer on its way in
+# (that one, 22 sweeps near 3e-3); below it a converging run goes at most 14
+# sweeps without a new low ((z - 1)^2 (z + 2))
+STALL_FLOOR = 2.0 ** -20
+STALL_STEPS = 20
 
 
 def _float_seeds(co, n):
@@ -47,7 +56,9 @@ def _float_seeds(co, n):
     <= 1; it starts on the unit circle, off the real axis and not symmetric
     about it (real starts of a real polynomial never leave the real axis). R
     and q are formed at 64 bits. None when the sweeps do not converge within
-    MAX_STEPS, or a start point R w is not finite or repeats another.
+    MAX_STEPS or stall (STALL_STEPS sweeps without a new low of the largest
+    correction, once below STALL_FLOOR), or a start point R w is not finite
+    or repeats another.
     """
     with estimating(64):
         lead = co[-1]
@@ -58,6 +69,7 @@ def _float_seeds(co, n):
         q = [complex(c / lead / R ** (n - i)) for i, c in enumerate(co)]
         R = float(R)
     w = [cmath.exp(1j * (2 * math.pi * j + math.pi / 2) / n) for j in range(n)]
+    best, since = math.inf, 0
     try:
         for _ in range(MAX_STEPS):
             worst = 0.0
@@ -70,6 +82,9 @@ def _float_seeds(co, n):
                 worst = max(worst, abs(x))
             if worst < FLOAT_STOP:
                 break
+            best, since = (worst, 0) if worst < best else (best, since + 1)
+            if since >= STALL_STEPS and best < STALL_FLOOR:
+                return None
         else:  # no convergence (a multiple root, or too ill-conditioned for doubles)
             return None
     except OverflowError:  # abs() of a finite complex past the double range

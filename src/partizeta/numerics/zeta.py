@@ -1,15 +1,19 @@
 """The Riemann zeta function and certified power-sum tails.
 
-``riemann_zeta`` wraps mpmath's ``zeta`` (analytic continuation included)
-with the pole rejections this package relies on; the log series over
-multiples is its one caller. ``_class_tails`` is the one Euler-Maclaurin
-engine, and it has one shape: the class sums sum_{i >= N} (Li + r)^{-js},
-j = 1..J, from one setup; a multiple with Re(js) <= 1 is not summed. The
-restricted-part-set Euler products take their congruence-class tails from
-it. ``power_sum_tails`` is its class 0 mod 1, sum_{i >= N} i^{-js} for
-Re(s) > 0; it gives the numeric ``fixedlen`` values and the shuffle
-identity their zeta(mj) = 1 + sum_{i >= 2} i^{-mj}, and at s = 1 the
-log-gamma expansion its tails H(k, N) = sum_{i >= N} i^-k.
+``riemann_zeta`` gives zeta(s) with the pole rejections this package relies
+on; the log series over multiples is its one caller. A non-integer s with
+Re(s) > 1 is summed by the engine below, with a certificate, 2-3x faster
+than mpmath there; mpmath's ``zeta`` gives the integers (exact and cached,
+cheaper than the engine), the analytic continuation Re(s) <= 1 (where the
+engine sums nothing) and an s whose engine price is past the work budget.
+``_class_tails`` is the one Euler-Maclaurin engine, and it has one shape:
+the class sums sum_{i >= N} (Li + r)^{-js}, j = 1..J, from one setup; a
+multiple with Re(js) <= 1 is not summed. The restricted-part-set Euler
+products take their congruence-class tails from it. ``power_sum_tails`` is
+its class 0 mod 1, sum_{i >= N} i^{-js} for Re(s) > 0; it gives
+``riemann_zeta`` its engine values, the numeric ``fixedlen`` values and
+the shuffle identity their zeta(mj) = 1 + sum_{i >= 2} i^{-mj}, and at
+s = 1 the log-gamma expansion its tails H(k, N) = sum_{i >= N} i^-k.
 
 The base powers are integer powers k^-s from a ``_Powers`` table built once
 per request. k^-s is completely multiplicative, so only a prime costs an mp
@@ -25,13 +29,16 @@ term plus the truncation of every fixed-point step (Johansson, "Rigorous
 high-precision computation of the Hurwitz zeta function and its
 derivatives", 2015, for the remainder). The ratios of consecutive
 B_2v/(2v)! are floored from the exact Bernoulli table, once per working
-precision. ``zeta_multiples_direct`` gives zeta(sk) at the k where a short
-direct sum already reaches the working precision, which the log series over
-multiples uses.
+precision. The expansion point moves out with |Im(js)|, and further where
+V terms are predicted to miss the stop (``_reach``).
+``zeta_multiples_direct`` gives zeta(sk) at the k where a short direct sum
+already reaches the working precision, which the log series over multiples
+uses.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -39,7 +46,7 @@ from functools import cached_property
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
 
-from .hp import DEFAULT_PREC, check_work, estimating, guarded, working
+from .hp import DEFAULT_PREC, WORK_BUDGET, check_work, estimating, guarded, working
 from .tables import bernoulli_table, zeta_neg_int
 
 
@@ -136,6 +143,9 @@ class _Powers:
         self.F = F
         self.sr, self.si = self.pair(s)
         self._entries = {1: (1 << F, 0, 0)}
+        # reach[j]: the expansion point that the multiples 1..j need
+        # (``_reach``), filled on first use
+        self.reach: list[float] = []
 
     @cached_property
     def s(self):  # made on first use: normalizing it takes superlinear time in F
@@ -174,6 +184,62 @@ class _Powers:
         return entry
 
 
+_LN_2PI = math.log(2 * math.pi)
+
+
+def _ln_gamma_abs(z: complex) -> float:
+    """ln|Gamma(z)|, Re(z) > 0, in doubles to ~1e-8: shifted up to Re(z) >= 10,
+    then Stirling's series to its z^-3 term."""
+    shift = 0.0
+    while z.real < 10:
+        shift += math.log(abs(z))
+        z += 1
+    return ((z - 0.5) * cmath.log(z) - z + 1 / (12 * z) - 1 / (360 * z ** 3)).real \
+        + _LN_2PI / 2 - shift
+
+
+def _reach(powers: _Powers, J: int, V: int) -> float:
+    """The least expansion point x0 >= V + 2 at which the first correction
+    term that ``_class_tails`` leaves out after V terms, |x0^-w T_(V+1)|, is
+    predicted below its stop 2^-(wp+8), wp = F - 32, for every summed
+    multiple w = js, j <= J.
+
+    With |B_2v/(2v)!| = 2 zeta(2v)/(2 pi)^2v, n = 2V + 1, that term is
+    2 |(w)_n| / ((2 pi)^(n+1) x0^(Re w + n)) up to zeta(n + 1) = 1 + 2^-n, so
+    x0 must reach exp((ln|(w)_n| + ln 2 - (n+1) ln 2 pi + (wp+8) ln 2)/(Re w + n)),
+    in doubles. ln|(w)_n| <= ln((|w|)_n) by ``math.lgamma`` comes first; only
+    a multiple for which that bound could raise the maximum needs the exact
+    ln|Gamma(w+n)/Gamma(w)|, and for real s the bound is exact. The maxima
+    over j are kept in powers.reach. A multiple with Re w or |Im w| >= 2^40
+    is skipped: with Im w that large the expansion point is already >= 2^38
+    (``_class_shape``), past any work budget; with Re w that large x0 = 10
+    does.
+    """
+    F = powers.F
+    ONE = 1 << F
+    if max(powers.sr, abs(powers.si)) >= ONE << 40:
+        return V + 2.0
+    reach = powers.reach
+    if not reach:
+        reach.append(V + 2.0)  # for no multiple
+    n = 2 * V + 1
+    c = math.log(2) * (F - 23) - (n + 1) * _LN_2PI
+    first = ONE // max(powers.sr, 1) + 1  # the least j with Re(js) > 1, exactly
+    # s in doubles, once (an integer quotient at 10^6 bits takes ~0.3 ms)
+    sr, si = powers.sr / ONE, powers.si / ONE
+    for j in range(len(reach), J + 1):
+        need = reach[-1]
+        if j >= first and max(j * sr, abs(j * si)) < 2.0 ** 40:
+            w = complex(j * sr, j * si)
+            a = abs(w)
+            x0 = math.exp((math.lgamma(a + n) - math.lgamma(a) + c) / (w.real + n))
+            if x0 > need and si:
+                x0 = math.exp((_ln_gamma_abs(w + n) - _ln_gamma_abs(w) + c) / (w.real + n))
+            need = max(need, x0)
+        reach.append(need)
+    return reach[J]
+
+
 def _class_shape(powers: _Powers, J: int, r: int, L: int, N: int) -> tuple[int, int, int]:
     """(live, V, N_eff) of ``_class_tails``: the multiples j <= live are
     summed, the rest are below 2^-F; V is the order, N_eff the expansion
@@ -188,8 +254,14 @@ def _class_shape(powers: _Powers, J: int, r: int, L: int, N: int) -> tuple[int, 
     V = max(8, (F - 32) // 6)
     # the correction series is asymptotic: terms shrink only while
     # 2v < 2 pi x0, so push the expansion point out past ~V, far enough for
-    # the largest |Im(js)|
-    return live, V, max(N, V + 2 + live * abs(powers.si) // (4 * ONE))
+    # the largest |Im(js)|; where V terms there are predicted to miss the
+    # stop (a large |Im(js)|: a term then gains ~1 bit, not ~6), push it on
+    # to the x0 = N_eff + r/L they need
+    N_eff = max(N, V + 2 + live * abs(powers.si) // (4 * ONE))
+    need = _reach(powers, live, V)
+    if need > N_eff + r / L:
+        N_eff = math.ceil(need - r / L)
+    return live, V, N_eff
 
 
 def _class_work(powers: _Powers, J: int, r: int, L: int, N: int) -> int:
@@ -440,6 +512,15 @@ def riemann_zeta(s, prec: int = DEFAULT_PREC):
     continuation left of Re(s) = 1 that the meromorphic-extension experiment
     needs. The pole s = 1 and arguments within 2^-(prec/2) of it are
     rejected. Real input gives a real result.
+
+    A non-integer s with Re(s) > 1 is the power sum sum_{i >= 1} i^-s from one
+    ``power_sum_tails(s, 1, 1, prec)`` setup, the certified engine, 2-3x
+    faster there than mpmath's zeta: its bound must be within
+    2^(7-prec) |zeta(s)| (the final rounding to prec bits takes the rest of
+    2^(8-prec)), else ArithmeticError. mpmath's ``zeta`` gives every other
+    value: an integer s (exact and cached, cheaper than the engine), Re(s) <= 1
+    (where the engine sums nothing), and an s whose engine price is past the
+    work budget (|Im(s)| in the tens of thousands at 1024 bits, say).
     """
     s = mp.mpmathify(s)
     if mp.im(s) == 0:
@@ -448,7 +529,34 @@ def riemann_zeta(s, prec: int = DEFAULT_PREC):
             raise ValueError("zeta pole at s=1")
     if abs(s - 1) < mp.ldexp(1, -(prec // 2)):
         raise ValueError("zeta evaluated too close to the pole s=1")
-    return mp.zeta(s)
+    if mp.re(s) <= 1 or mp.isint(s) or power_sum_work(s, 1, 1, prec) > WORK_BUDGET:
+        return mp.zeta(s)
+    value, bound = power_sum_tails(s, 1, 1, prec)[0]
+    if bound > mp.ldexp(abs(value) - bound, 7 - prec):
+        raise ArithmeticError(f"the power sum's bound {bound} misses 2^(7-{prec}) |zeta(s)|")
+    return value
+
+
+def riemann_zeta_work(s, prec: int) -> int:
+    """The price of ``riemann_zeta(s, prec)``, in units of ~1 us, at least 400.
+
+    mpmath's zeta: 400 + prec^2/50 (m = 2, s = 1.5: 38 calls in 0.07 s at
+    256 bits, 134 in 2.5 s at 1024, 263 in 25.2 s at 2048; 2-core x86 VM).
+    The engine: 400 for the call, N_eff + V fixed-point steps (``_class_shape``;
+    N_eff grows with |Im(s)|), and an mp power for y and for each prime
+    p <= X = min(N_eff, 2^(F/Re(s) + 1)), at most 1.26 X/ln(X) of them
+    (Rosser-Schoenfeld; ``_Powers`` zeroes a prime past 2^(F/Re(s) + 1) with
+    no power). ``power_sum_work`` would price every head base as an mp power.
+    """
+    s = mp.mpmathify(s)
+    if mp.re(s) <= 1 or mp.isint(s):
+        return 400 + prec * prec // 50
+    with working(prec):
+        powers = _Powers(s, mp.mp.prec + 32)
+        _, V, N_eff = _class_shape(powers, 1, 0, 1, 1)
+    F = powers.F
+    X = min(N_eff, 2.0 ** min(64, F * (1 << F) / powers.sr + 1))
+    return 400 + _work(math.ceil(1.26 * X / math.log(X)) + 1, N_eff + V, F)
 
 
 def euler_bernoulli_genfunc_check(T: int) -> bool:

@@ -24,9 +24,11 @@ Routes implemented:
 * ``log_eval_multiples`` -- log zeta over multiples of m as sum_k
   zeta(sk)/(k m^{ks}), valid on Re(s) > 0 away from s = 1/N, where the k = N
   term hits the zeta pole; those points come back as ``PoleReport``. zeta(sk)
-  is mpmath's zeta (``riemann_zeta``, whose one caller this is) at small and
-  moderate Re(sk) and a direct sum of at most 40 terms once that reaches the
-  working precision (``zeta_multiples_direct``).
+  comes from ``riemann_zeta`` (whose one caller this is) at small and
+  moderate Re(sk): the certified engine of ``power_sum_tails`` for a
+  non-integer sk with Re(sk) > 1, mpmath's zeta for an integer sk and for
+  Re(sk) <= 1. Once a direct sum of at most 40 terms reaches the working
+  precision it is that sum (``zeta_multiples_direct``).
 * ``zeta_via_mobius`` -- zeta(n) by Moebius inversion of the log series
   over the multiples of m, a sum of the same rings at a = 0.
 
@@ -61,6 +63,7 @@ from .numerics.zeta import (
     _Powers,
     _work,
     power_sum_work,
+    riemann_zeta_work,
 )
 from .partitions import DivergentPartSetError, PartSet
 
@@ -374,8 +377,9 @@ def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC):
     instead of a value. The series stops once its remainder bound is below
     2^(12-prec). zeta(sk) is a direct sum (``zeta_multiples_direct``) from
     k = direct_zeta_start(Re(s), working precision) on, a riemann_zeta call
-    below that, about (1 + (prec + 40)/5.3)/Re(s) of them. Their price is
-    checked against the work budget before any zeta call.
+    below that, about (1 + (prec + 40)/5.3)/Re(s) of them. Their price, each
+    call's ``riemann_zeta_work``, is checked against the work budget before
+    any zeta call.
     """
     if m < 2:
         raise ValueError("log_eval_multiples needs m >= 2")
@@ -409,12 +413,20 @@ def log_eval_multiples(m: int, s, prec: int = DEFAULT_PREC):
         K = (mp.log((1 + gap) / gap * (1 + u) / u) + (prec - 12) * mp.ln2) / u
         K0 = max(1, K - mp.log(max(1, K)) / u)
         kmax = max(k0, int(K - mp.log(K0) / u))
-    # the price: a riemann_zeta call takes ~400 + wp^2/50 us (m = 2, s = 1.5:
-    # 38 calls in 0.07 s at 256 bits, 134 in 2.5 s at 1024, 263 in 25.2 s at
-    # 2048; 2-core x86 VM), a direct-sum term ~2 + wp^2/2^19
-    check_work(min(kmax, kd - 1) * (400 + wp * wp // 50)
-               + max(0, kmax - kd + 1) * DIRECT_MAX_TERMS * (2 + (wp * wp >> 19)),
-               f"the log series over the multiples of {m} at {wp} bits")
+    # the price: each riemann_zeta call's (riemann_zeta_work, at least 400
+    # units) and ~2 + wp^2/2^19 a direct-sum term, refused as soon as the
+    # running sum passes the budget. Priced and timed: m = 2, s = 1.5 at 256
+    # bits 7.7 x 10^4, 0.015 s; at 1024 bits 2.5 x 10^6, 0.30 s; m = 3,
+    # s = 1.5 + 2i at 1024 bits 2.0 x 10^6, 1.2 s; m = 2, s = 1.2 + 30i at
+    # 256 bits 1.9 x 10^5, 0.18 s; m = 2, s = 0.03 at 256 bits 3.4 x 10^6,
+    # 1.2 s (2-core x86 VM)
+    what = f"the log series over the multiples of {m} at {wp} bits"
+    calls = min(kmax, kd - 1)
+    work = max(0, kmax - kd + 1) * DIRECT_MAX_TERMS * (2 + (wp * wp >> 19))
+    check_work(work + 400 * calls, what)
+    for k in range(1, calls + 1):
+        work += riemann_zeta_work(s * k, wp)
+        check_work(work, what)
     direct = zeta_multiples_direct(s, kd, kmax, wp) if kd <= kmax else []
     m_s = mp.mpf(m) ** (-s)
     weight = 1  # m^{-sk}

@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 import partizeta
 from oracles import series_log
 from partizeta.modular import (
+    LProfile,
     _gamma_ladder,
     build_delta_profile,
     hk_polynomial,
@@ -312,6 +313,80 @@ def test_zeta_rejections():
         riemann_zeta(mp.mpc(1, mp.mpf(2) ** -200), PREC)
 
 
+_ZETA_ENGINE_POINTS = [mp.mpf(1) + mp.mpf(2) ** -20, mp.mpf("1.01"), mp.mpf("1.5"), mp.mpf(3),
+                       mp.mpf("40.7"), mp.mpc("1.01", 1), mp.mpc("1.5", 30), mp.mpc(3, 100),
+                       mp.mpc("1.5", 1000), mp.mpc("2.5", 30000)]
+
+
+@pytest.mark.parametrize("prec", [64, PREC, 1024])
+def test_riemann_zeta_engine_branch_is_within_its_target(monkeypatch, prec):
+    # a non-integer s with Re(s) > 1 comes from the engine, within
+    # 2^(8-prec) |zeta| of mpmath at 2 prec + 64 bits; s = 3 is mpmath's, and
+    # so is 2.5 + 30000i at 1024 bits, where the engine is priced past the
+    # work budget: both are the bits of their one mpmath call. At an
+    # expansion point pushed by |Im(s)|/4 alone the engine misses from
+    # |Im| = 100 at 256 and 1024 bits and from |Im| = 300 at 64
+    calls = []
+    zeta = mp.zeta
+    monkeypatch.setattr(mp, "zeta", lambda s: calls.append(zeta(s)) or calls[-1])
+    for s in _ZETA_ENGINE_POINTS:
+        engine = not mp.isint(s) and (zeta_module.power_sum_work(s, 1, 1, prec)
+                                      <= partizeta.numerics.WORK_BUDGET)
+        calls.clear()
+        got = riemann_zeta(s, prec)
+        if not engine:
+            with mp.workprec(prec):
+                assert len(calls) == 1 and got == +calls[0], s
+            continue
+        assert calls == [], s
+        with mp.workprec(2 * prec + 64):
+            ref = zeta(s)
+            assert abs(got - ref) <= mp.ldexp(abs(ref), 8 - prec), s
+    assert prec < 1024 or not engine  # the last point is mpmath's at 1024 bits
+
+
+@pytest.mark.parametrize("prec", [64, PREC])
+def test_riemann_zeta_takes_mpmath_bits_off_the_engine(prec):
+    # integers (exact, cached paths) and Re(s) <= 1 (the engine sums nothing
+    # there) are mpmath's zeta at the working precision, rounded once
+    for s in (2, 3, 10, 0, -1, -4, mp.mpf("0.5"), mp.mpf("0.21"), mp.mpf("0.75"),
+              mp.mpf("-0.5"), mp.mpf("-2.5"), mp.mpc("0.7", "0.3"), mp.mpc(1, 5), mp.mpc(-2, 5)):
+        got = riemann_zeta(s, prec)
+        with mp.workprec(prec + GUARD_BITS):
+            want = mp.zeta(s)
+        with mp.workprec(prec):
+            assert got == +want, s
+
+
+# (s, J) shapes whose expansion point V + 2 + |Im(Js)|/4 already meets the
+# stop 2^-(wp+8) for every multiple (their N_eff must not move, so their bits
+# stay), and two where it misses by 47 bits (2 - 30i, J = 8; met at 64 bits)
+# and 89 bits (1.5 + 100i, J = 1) at 256 bits
+_MET_SHAPES = [(mp.mpf("1.05"), 14), (mp.mpf(3), 40), (mp.mpc("1.5", "7"), 10),
+               (mp.mpc(2, 5), 20), (mp.mpf("2.0037"), 28), (mp.mpc(3, "0.8"), 20), (1, 40)]
+
+
+@pytest.mark.parametrize("prec", [64, PREC, 1024])
+def test_class_shape_moves_only_where_the_stop_is_missed(prec):
+    with working(prec):
+        F = mp.mp.prec + 32
+        for s, J in _MET_SHAPES:
+            for r, L, N in ((0, 1, 5), (1, 3, 11), (0, 1, 1)):
+                powers = zeta_module._Powers(s, F)
+                live, V, N_eff = zeta_module._class_shape(powers, J, r, L, N)
+                assert N_eff == max(N, V + 2 + live * abs(powers.si) // (4 << F)), (s, J, r, L, N)
+        for s, J in ((mp.mpc(2, -30), 8), (mp.mpc("1.5", 100), 1))[prec == 64:]:
+            powers = zeta_module._Powers(s, F)
+            live, V, N_eff = zeta_module._class_shape(powers, J, 0, 1, 5)
+            assert N_eff > V + 2 + live * abs(powers.si) // (4 << F)
+            # every multiple stops in time there: its bound is the stop
+            # 2^-(wp+8) = 2^24 units of 2^-F times the remainder factor
+            # 1 + |w + 2V + 1|/(Re w + 2V + 1) < 2 + |Im w|/V, plus the
+            # truncation ulps
+            for j, (_, _, err) in enumerate(zeta_module._class_tails(powers, J, 0, 1, 5), 1):
+                assert err <= (2 + abs(j * s.imag) / V) * 2 ** 24 + 2 ** 16, (s, j)
+
+
 def test_power_sum_tails_vs_hurwitz_oracle():
     with mp.workprec(PREC + 20):
         val, bound = power_sum_tails(mp.mpf(2), 1, 7, PREC)[0]
@@ -538,7 +613,7 @@ def test_one_exact_bernoulli_source():
 
 def test_one_riemann_zeta_caller():
     # every other zeta value in src/ comes from the power-sum engine; the log
-    # series over multiples still calls mpmath's zeta below its direct sums
+    # series over multiples still calls riemann_zeta below its direct sums
     src = pathlib.Path(partizeta.__file__).parent
     callers = [(path.relative_to(src).as_posix(), fn.name)
                for path in sorted(src.rglob("*.py"))
@@ -792,6 +867,37 @@ def test_roots_take_few_mp_sweeps(mp_polyval, poly, prec, sweeps):
     mp_polyval[0] = 0
     poly_roots(co, prec=prec)
     assert mp_polyval[0] == sweeps * (len(co) - 1)
+
+
+def _float_sweeps(monkeypatch, coeffs):
+    """(seeds, sweeps) of the float stage on coeffs: its sweeps evaluate the
+    scaled polynomial once per root at a Python complex."""
+    evals = [0]
+
+    def counted(co, z):
+        evals[0] += isinstance(z, complex)
+        return poly_eval(co, z)
+
+    monkeypatch.setattr(roots_module, "poly_eval", counted)
+    co = poly_to_mpc(coeffs, 2 * PREC + 64)
+    seeds = roots_module._float_seeds(co, len(co) - 1)
+    return seeds, evals[0] // (len(co) - 1)
+
+
+def test_float_stage_gives_up_on_a_stall(monkeypatch):
+    # the period polynomial of the weight-42 profile Lambda = 21, ..., 1, ...,
+    # 21: doubles reach their noise floor, ~1e-12 against the 2^-44 stop, at
+    # sweep 164 and wander there; the stage gives up STALL_STEPS sweeps after
+    # its last new low (190) instead of running all MAX_STEPS = 400 (0.12 s)
+    upper = list(range(1, 22))
+    prof = LProfile(42, 1, 1, [mp.mpf(v) for v in upper[:0:-1] + upper])
+    seeds, sweeps = _float_sweeps(monkeypatch, period_polynomial(prof, PREC))
+    assert seeds is None and sweeps < 250
+    # converging runs are not cut: a double root goes 14 sweeps without a new
+    # low, H_40^+ 6
+    for coeffs, want in (([2, -3, 0, 1], 57), (poly_negate_var(hk_polynomial(40, 1)), 142)):
+        seeds, sweeps = _float_sweeps(monkeypatch, coeffs)
+        assert seeds is not None and sweeps == want
 
 
 @pytest.mark.parametrize("e", [-2200, 2200])

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import dirichlet_series_oracle
 from partizeta import pzeta
+from partizeta.numerics import zeta as zeta_module
 from partizeta.numerics import (
     GUARD_BITS,
     direct_zeta_start,
@@ -376,17 +377,92 @@ def test_log_eval_multiples_snaps_to_the_nearest_pole():
     assert tiny.pole_at_k == 10 ** 9 and tiny.message.endswith("s=1/1000000000")
 
 
+def _log_series_oracle(m, s, prec):
+    """sum_k mp.zeta(sk)/(k m^{sk}) at 2 prec bits, k to 2 prec/(Re(s) log2 m) + 8
+    (m^{-k Re s} < 2^{-2 prec})."""
+    with mp.workprec(2 * prec):
+        kmax = int(2 * prec / (mp.re(s) * mp.log(m, 2))) + 8
+        return mp.fsum(mp.zeta(s * k) / (k * mp.mpf(m) ** (s * k)) for k in range(1, kmax + 1))
+
+
 @pytest.mark.parametrize("m, s, prec", [(2, mp.mpf("0.75"), 128), (3, mp.mpc("1.5", "2"), 128),
                                         (5, mp.mpf("0.3"), 64), (2, mp.mpf("2.5"), 256)])
 def test_log_eval_multiples_matches_a_zeta_reference(m, s, prec):
     # the k-range straddles the direct-sum start: zeta(sk) comes from
     # riemann_zeta below it and from short direct sums above it
-    kmax = int(2 * prec / (mp.re(s) * mp.log(m, 2))) + 8  # m^{-k Re s} < 2^{-2 prec}
+    kmax = int(2 * prec / (mp.re(s) * mp.log(m, 2))) + 8  # the oracle's
     assert direct_zeta_start(mp.re(s), prec + GUARD_BITS) < kmax // 2
     value = log_eval_multiples(m, s, prec=prec)
+    ref = _log_series_oracle(m, s, prec)
     with mp.workprec(2 * prec):
-        ref = mp.fsum(mp.zeta(s * k) / (k * mp.mpf(m) ** (s * k)) for k in range(1, kmax + 1))
         assert abs(value - ref) <= mp.ldexp(1, 12 - prec), (value, ref)
+
+
+# log zeta over the multiples of m at A8's points off its poles (m = 2, each
+# s the double nearest the decimal) and at (3, 1.5 + 2i): the zeta-by-zeta
+# oracle above at 2 * 512 + 64 bits, k to 2 * 512/(Re(s) log2 m) + 8 (a
+# remainder below 2^-1024), run once (at that precision it is minutes of
+# zeta calls) and kept to 175 digits; the real and imaginary parts of a
+# complex value
+_LOG_SERIES_REFERENCES = [
+    (2, 0.21,
+     "3.766178090881217529532663157373403537618466138340947174047687382485868546550122"
+     "57590447185744872902192287366214487192384980491020426537490431750645578847516443"
+     "1446893999809225e-1"),
+    (2, 0.29,
+     "-1.38793507916204535238390456111367238665063070990528267026628099311092603656815"
+     "80868164386544050529043762434423870023585865351318610782266273756115909124799445"
+     "06761346805254715"),
+    (2, 0.4,
+     "-9.35139551594914589218790119788413991089839242808213275419706070814981625784827"
+     "21873941214992946927278268791134444800058003635522390453618954219140386138530647"
+     "12199387910377963e-1"),
+    (2, 0.6,
+     "2.394634996028194339923527523076187811905624980181841101066231719435299525212121"
+     "29067102500076707845736447177275263387137692439960543080680670262013505724572825"
+     "0164962922180875e-1"),
+    (2, 0.75,
+     "-1.41224098916313092668870145810469159955214777865788330219766133581546449008410"
+     "05983033523498899517277468211162756932366866083465388277479065534150116381256031"
+     "54922189108703087"),
+    (2, 0.9,
+     "-4.67797130701066431698801981309649369234963206919282742627375983483398996711848"
+     "15618776321211472373767964605038169148480494150203751586541477679089409057071133"
+     "89875981892046329"),
+    (2, 1.25,
+     "2.090096643206412658967184529262376876936492320315068132527915804137850647225027"
+     "40223636092742998519065513393829688713576621387442662063685009179045400401949031"
+     "2771413628939669"),
+    (2, 1.5,
+     "1.019834829247080974830005372530808599344276288308094125283464698312904024303752"
+     "61285586180240385243598850414210810832847175939579269580703630726968094889134780"
+     "213889615280138"),
+    (2, 2.0,
+     "4.515827052894548647261952298948821435717946785550563173929430619787441479151313"
+     "64177759943279071020160008331208127303425362685292165326030246410327175210863345"
+     "6663434379744677e-1"),
+    (3, complex(1.5, 2),
+     "-0.13997205398444312318177758291752766311835318876130872751313429178731447827512"
+     "90388326166293846220809470895989408864896263212569918046168503796476351193249802"
+     "386003707923402877",
+     "-6.46705026648637479988355089705912158020403285937722363541510858954016369183444"
+     "45374810306255619300303816937780979613540827927431682454472798836222557614811287"
+     "59806923974224835e-2"),
+]
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 512])
+def test_log_eval_multiples_precision_sweep(prec):
+    # every value within 2^(12-prec) of the oracle; at 64 bits the table is
+    # also held to the oracle run live at 128 bits
+    for m, s, *ref in _LOG_SERIES_REFERENCES:
+        s = mp.mpmathify(s)
+        value = log_eval_multiples(m, s, prec=prec)
+        with mp.workprec(600):
+            ref = mp.mpc(*ref) if len(ref) == 2 else mp.mpf(ref[0])
+            assert abs(value - ref) <= mp.ldexp(1, 12 - prec), (m, s)
+            if prec == 64:
+                assert abs(_log_series_oracle(m, s, prec) - ref) <= mp.ldexp(1, -100), (m, s)
 
 
 @pytest.mark.parametrize("c", ["1", "-1", "0.5", "0.6+0.5j"])
@@ -416,6 +492,37 @@ def test_log_eval_multiples_work_budget(monkeypatch):
     with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
         log_eval_multiples(2, mp.mpc("1e-9", 1), prec=PREC)
     assert calls == []
+
+
+# the calibration requests (m, s, prec): real, small-|Im| and large-|Im|
+# points at 64, 256 and 1024 bits; at 1.2 + 30i the engine's expansion point
+# grows with |Im(sk)| (to ~1.2 |Im(sk)| at 256 bits)
+@pytest.mark.parametrize("m, s, prec", [
+    (2, mp.mpf("0.75"), 64), (3, mp.mpc("1.5", 2), 64), (2, mp.mpc("1.2", 30), 64),
+    (2, mp.mpf("0.75"), 256), (3, mp.mpc("1.5", 2), 256), (2, mp.mpc("1.2", 30), 256),
+    (2, mp.mpf("1.5"), 1024), (4, mp.mpc("2.5", 1), 1024), (3, mp.mpc(2, 10), 1024)])
+def test_log_series_price_covers_its_counted_work(monkeypatch, mp_powers, mp_zeta, m, s, prec):
+    # the work counted as the series runs, in the price's units: an mpmath
+    # zeta call at its rate 400 + wp^2/50, and the mp powers and the
+    # engine's fixed-point steps (each setup's head bases and V correction
+    # terms, from its shape) as ``_work`` weighs them at the engine's bits.
+    # The price covers it, and is within c = 2 of it
+    prices, steps, bits = [], [0], [prec + GUARD_BITS + 72]
+    check_work, class_tails = pzeta.check_work, zeta_module._class_tails
+
+    def shaped(powers, J, r, L, N):
+        live, V, N_eff = zeta_module._class_shape(powers, J, r, L, N)
+        steps[0] += live * (N_eff - N + V)
+        bits[0] = powers.F
+        return class_tails(powers, J, r, L, N)
+
+    monkeypatch.setattr(pzeta, "check_work", lambda units, what: (prices.append(units),
+                                                                  check_work(units, what)))
+    monkeypatch.setattr(zeta_module, "_class_tails", shaped)
+    log_eval_multiples(m, s, prec=prec)
+    wp = prec + GUARD_BITS
+    work = mp_zeta[0] * (400 + wp * wp // 50) + zeta_module._work(mp_powers[0], steps[0], bits[0])
+    assert work <= prices[-1] <= 2 * work
 
 
 def test_log_eval_multiples_complex_point_finite():

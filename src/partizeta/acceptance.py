@@ -72,7 +72,7 @@ def criterion_02(prec=PREC):
 
 
 def criterion_03(prec=PREC):
-    """Gamma closed form against the sine/sinh identities, m in 2..6, to 1e-30."""
+    """Gamma closed form against sine/sinh and the log-gamma expansion, m in 2..6, to 1e-30."""
     with working(prec):
         worst = mp.mpf(0)
         for m in range(2, 7):
@@ -80,7 +80,9 @@ def criterion_03(prec=PREC):
             c4 = pzeta.closed_form_gamma(0, m, 4, prec=prec)
             ref2 = mp.pi / (m * mp.sin(mp.pi / m))
             ref4 = mp.pi ** 2 / (m ** 2 * mp.sin(mp.pi / m) * mp.sinh(mp.pi / m))
-            worst = max(worst, abs(c2 - ref2), abs(c4 - ref4))
+            worst = max(worst, abs(c2 - ref2), abs(c4 - ref4),
+                        *(abs(mp.exp(pzeta.log_eval_general(0, m, n, prec=prec)) - c)
+                          for n, c in ((2, c2), (4, c4))))
         ok = worst < mp.mpf("1e-30")
     return _result("A3", "closed-form grid n=2,4; m=2..6", ok, f"worst {mp.nstr(worst, 3)}")
 

@@ -307,9 +307,7 @@ def cmd_modular(args, cfg: RunConfig) -> int:
     lam_digits = max(40, cfg.digits)  # profile decimals carry >= 40 digits
     payload = {
         "command": "modular",
-        "profile": {"weight": prof.weight, "level": prof.level, "sign": prof.sign,
-                    "source": prof.source,
-                    "lambda": [mp.nstr(v, lam_digits) for v in prof.lam]},
+        "profile": prof.as_dict(lam_digits),
         "functional_eq_residual": _numstr(cfg, fe),
         "critical_line_max_dev": _numstr(cfg, dev),
         "generating_check_mismatch": _numstr(cfg, gen),

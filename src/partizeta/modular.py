@@ -201,20 +201,17 @@ class LProfile:
         if self.sign == -1 and not ntol <= lam[k // 2 - 1] <= tol:
             raise ValueError("sign -1 requires Lambda(k/2) = 0")
 
-    def to_json(self, digits: int = 50) -> str:
-        return json.dumps({
-            "weight": self.weight,
-            "level": self.level,
-            "sign": self.sign,
-            "lambda": [mp.nstr(v, digits) for v in self.lam],
-            "source": self.source,
-        }, indent=2, sort_keys=True)
+    def as_dict(self, digits: int) -> dict:
+        """The --profile fields, each Lambda value to digits decimals."""
+        return {"weight": self.weight, "level": self.level, "sign": self.sign,
+                "source": self.source, "lambda": [mp.nstr(v, digits) for v in self.lam]}
 
     @classmethod
     def from_json(cls, text: str, prec: int = DEFAULT_PREC) -> "LProfile":
-        """Parse ``to_json`` output. Weight, level and sign must be JSON
-        integers and lambda a list of numbers or numeric strings; malformed
-        text, a missing field or a field of another type raises ValueError."""
+        """Parse ``as_dict`` as JSON (the ``modular --report`` profile block).
+        Weight, level and sign must be JSON integers and lambda a list of numbers
+        or numeric strings; malformed text, a missing field or a field of another
+        type raises ValueError."""
         try:
             data = json.loads(text)
             fields = {key: data[key] for key in ("weight", "level", "sign")}
@@ -265,10 +262,19 @@ def zeta_polynomial(prof: LProfile, prec: int = DEFAULT_PREC) -> list:
     Summed over j first: c_h = (-1)^h sum_j W_hj Lambda(f, j+1)/(k-2)! with
     the integer weights W_hj of ``_zeta_weights``. Only the Lambda values
     carry precision: one ``mp.fsum`` per coefficient, one division by (k-2)!.
+
+    The functional equation, not a tolerance, fixes the degree. Sign +1:
+    c_{k-2} = sum_j C(k-2, j) Lambda(f, j+1)/(k-2)! > 0 for a valid profile
+    (chain >= 0, not all 0). Sign -1: Z(1 - s) = -Z(s) at even degree k - 2
+    forces c_{k-2} = 0, set exactly; pairing j with k - 2 - j gives c_{k-3} =
+    (-1)^(k-3) (k-2)/(k-2)! sum_{j > (k-2)/2} C(k-2, j) (2j-k+2) Lambda(f, j+1) != 0.
     """
     f = math.factorial(prof.weight - 2)
-    return [(-1) ** h * mp.fsum(w * lam for w, lam in zip(row, prof.lam)) / f
-            for h, row in enumerate(_zeta_weights(prof.weight))]
+    Z = [(-1) ** h * mp.fsum(w * lam for w, lam in zip(row, prof.lam)) / f
+         for h, row in enumerate(_zeta_weights(prof.weight))]
+    if prof.sign == -1:
+        Z[-1] = mp.mpf(0)
+    return Z
 
 
 @guarded()
@@ -280,9 +286,9 @@ def functional_eq_check(Z: list, sign: int, prec: int = DEFAULT_PREC):
 
 @guarded()
 def rh_check(Z: list, prec: int = DEFAULT_PREC):
-    """(roots, max |Re(root) - 1/2|) of Z = c_0..c_n over its nontrivial coefficients."""
-    trimmed = poly_trim(Z, rel_tol=mp.ldexp(1, -(prec // 2)))
-    roots, _ = poly_roots(trimmed, prec=prec)
+    """(roots, max |Re(root) - 1/2|) of Z = c_0..c_n at its own degree: no
+    trim, ``poly_roots`` drops only exact zeros (``zeta_polynomial``'s)."""
+    roots, _ = poly_roots(Z, prec=prec)
     return roots, max(abs(mp.re(r) - mp.mpf(1) / 2) for r in roots)
 
 

@@ -25,18 +25,11 @@ def poly_eval(coeffs, x):
     return acc
 
 
-def poly_trim(coeffs, rel_tol=None):
-    """Drop (near-)zero leading coefficients; relative to the sup norm."""
-    if not coeffs:
-        return []
-    if rel_tol is None:
-        out = list(coeffs)
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return out
-    norm = max(abs(c) for c in coeffs)
+def poly_trim(coeffs):
+    """Drop exactly zero leading coefficients, keeping at least one; a rounded
+    near-zero is the caller's to zero (``zeta_polynomial``, by its FE)."""
     out = list(coeffs)
-    while len(out) > 1 and abs(out[-1]) <= rel_tol * norm:
+    while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
 

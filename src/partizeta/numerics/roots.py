@@ -108,7 +108,7 @@ def poly_roots(coeffs, prec: int = DEFAULT_PREC):
     yields no seeds, the price of a cold ``polyroots`` is checked before it
     runs.
     """
-    coeffs = poly_trim(list(coeffs))
+    coeffs = poly_trim(coeffs)
     n = len(coeffs) - 1
     if n < 1:
         raise ValueError("poly_roots wants degree >= 1")

@@ -436,13 +436,49 @@ def test_modular_delta_runs_at_3241_bits(capsys):
 
 def test_modular_weight_40_profile_keeps_its_functional_equation(tmp_path, capsys):
     # Lambda(j+1) = |19 - j| + 1: at 64 bits the zeta polynomial's functional
-    # equation holds to rounding, with no cancellation between moments
+    # equation holds to rounding, with no cancellation between moments. Its
+    # leading coefficient is ~1e-29 of the largest, and it keeps all 38 roots
+    # where a trim relative to the sup norm kept 19
     lam = [str(abs(19 - j) + 1) for j in range(39)]
     path = _profile_file(tmp_path, json.dumps(
         {"weight": 40, "level": 1, "sign": 1, "lambda": lam}))
-    code, out = run_cli(capsys, "--prec", "64", "modular", "delta", "--profile", path)
+    reports = {}
+    for prec in ("64", "256"):
+        code, out = run_cli(capsys, "--prec", prec, "modular", "delta", "--profile", path,
+                            "--report")
+        assert code == 0
+        reports[prec] = json.loads(out)
+    assert float(reports["64"]["functional_eq_residual"]) < 1e-14
+    assert len(reports["64"]["zeta_poly_roots"]) == 38
+    dev64, dev256 = (float(reports[p]["critical_line_max_dev"]) for p in ("64", "256"))
+    assert abs(dev64 - dev256) <= 1e-12 * dev256
+
+
+def test_modular_sign_minus_profile_has_no_spurious_root(tmp_path, capsys):
+    # Lambda(1) + Lambda(5) = -1e-29 passes validate at 256 bits; Z's top
+    # coefficient is 0 by the functional equation, not that rounding, so no
+    # root runs off to ~1e30
+    lam = ["-1.00000000000000000000000000001", "-0.5", "0", "0.5", "1"]
+    path = _profile_file(tmp_path, json.dumps(
+        {"weight": 6, "level": 1, "sign": -1, "lambda": lam}))
+    code, out = run_cli(capsys, "--prec", "256", "modular", "delta", "--profile", path,
+                        "--report")
+    report = json.loads(out)
+    assert code == 0 and len(report["zeta_poly_roots"]) == 3
+    assert float(report["critical_line_max_dev"]) < 1e-25
+
+
+def test_modular_report_profile_block_is_a_profile_file(tmp_path, capsys):
+    # the --report profile block reads back through --profile to the same report
+    code, out = run_cli(capsys, "--prec", "64", "modular", "delta", "--report")
     assert code == 0
-    assert float(json.loads(out)["functional_eq_residual"]) < 1e-14
+    report = json.loads(out)
+    path = _profile_file(tmp_path, json.dumps(report["profile"]))
+    code, again = run_cli(capsys, "--prec", "64", "modular", "delta", "--report",
+                          "--profile", path)
+    assert code == 0
+    again = json.loads(again)
+    assert {**again, "config": None} == {**report, "config": None}
 
 
 def test_pzeta_gamma_route_work_budget(capsys):

@@ -237,7 +237,7 @@ def test_lambda_delta_decomposition_constants(delta):
 
 # ---------------------------------------------------------------- profiles
 def test_lprofile_json_round_trip(delta):
-    text = delta.to_json(digits=50)
+    text = json.dumps(delta.as_dict(50))
     back = LProfile.from_json(text, prec=PREC)
     data = json.loads(text)
     assert all(len(v.strip("-0.")) >= 40 for v in data["lambda"])
@@ -369,6 +369,37 @@ def test_zeta_polynomial_weight4_minus_single_root():
         # Z(s) = 1 - 2s for this profile
         assert abs(Z[0] - 1) < mp.mpf(2) ** -200
         assert abs(Z[1] + 2) < mp.mpf(2) ** -200
+        assert Z[-1] == 0  # by the functional equation, exactly
+
+
+@pytest.mark.parametrize("k", [4, 6, 12, 26, 40])
+def test_zeta_polynomial_degree_is_the_functional_equations(k):
+    # sign +1: c_{k-2} = sum_j C(k-2, j) Lambda(j+1)/(k-2)! > 0. sign -1:
+    # c_{k-2} = 0 exactly, also where the data keep the functional equation
+    # only to rounding, and c_{k-3} = (-1)^(k-3) (k-2)/(k-2)!
+    # sum_{j > (k-2)/2} C(k-2, j) (2j - k + 2) Lambda(j+1), nonzero
+    rng = random.Random(k)
+    upper = sorted(mp.mpf(rng.random()) for _ in range(k // 2 - 1))
+    f = math.factorial(k - 2)
+    with mp.workprec(PREC):
+        plus = LProfile(weight=k, level=1, sign=1, source="synthetic",
+                        lam=upper[::-1] + [upper[0] / 2] + upper)
+        plus.validate()
+        Z = zeta_polynomial(plus, PREC)
+        top = mp.fsum(math.comb(k - 2, j) * v for j, v in enumerate(plus.lam)) / f
+        assert len(Z) == k - 1 and Z[-1] > 0
+        assert abs(Z[-1] - top) <= mp.ldexp(top, -PREC + 8)
+        minus = _synthetic_minus(k, upper)
+        minus.lam[0] += mp.ldexp(1, -200)  # Lambda(1) + Lambda(k-1) = 2^-200
+        minus.validate()
+        Z = zeta_polynomial(minus, PREC)
+        sub = (-1) ** (k - 3) * (k - 2) * mp.fsum(
+            math.comb(k - 2, j) * (2 * j - k + 2) * minus.lam[j]
+            for j in range(k // 2, k - 1)) / f
+        assert len(Z) == k - 1 and Z[-1] == 0 and sub != 0
+        assert abs(Z[-2] - sub) <= mp.ldexp(abs(sub), -150)
+        roots, _ = rh_check(Z, PREC)
+        assert len(roots) == k - 3
 
 
 def test_functional_eq_controls():
@@ -714,7 +745,7 @@ def test_weight4_ingested_fixture(tmp_path):
                         lam=[mp.mpf("1.3"), mp.mpf("0.7"), mp.mpf("1.3")],
                         source="synthetic-fixture")
         path = tmp_path / "weight4.json"
-        path.write_text(prof.to_json())
+        path.write_text(json.dumps(prof.as_dict(50)))
         loaded = LProfile.from_json(path.read_text(), prec=PREC)
         loaded.validate(tol=1e-20)
         rep = weight4_inequality_check(loaded, PREC)

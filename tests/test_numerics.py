@@ -627,10 +627,8 @@ def test_every_public_name_in_src_has_a_caller_in_src():
     # src/ ships what the CLI, the acceptance criteria and the routes they run
     # reach; reference oracles live in tests/oracles.py. A re-export or an
     # __all__ entry is no use, nor is a reference inside the name's own
-    # definition. Public methods of public classes count too. Two library routes are
-    # kept without a caller, the log-gamma expansion of the closed form and
-    # the Eisenstein coefficients, and LProfile.to_json, which writes the
-    # --profile format
+    # definition. Public methods of public classes count too. One library
+    # route is kept without a caller, the Eisenstein coefficients
     src = pathlib.Path(partizeta.__file__).parent
     trees = [ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))]
     defs = [stmt for tree in trees for stmt in tree.body]
@@ -645,15 +643,15 @@ def test_every_public_name_in_src_has_a_caller_in_src():
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             names.discard(stmt.name)
         used |= names
-    assert sorted(public - used - {"log_eval_general", "eisenstein_coeffs", "to_json"}) == []
+    assert sorted(public - used - {"eisenstein_coeffs"}) == []
 
 
 def test_every_defaulted_parameter_in_src_is_passed_in_src():
     # a default that no call in src/ overrides is a constant: a call passes
     # it by keyword, by position (a method's self counts as one), or through
     # *args or **kwargs. A call C(...) is a call of C.__init__. Exempt are
-    # prec, which every evaluation takes, cli.main's argv, which the console
-    # script leaves out, and LProfile.to_json, which writes the --profile format
+    # prec, which every evaluation takes, and cli.main's argv, which the
+    # console script leaves out
     src = pathlib.Path(partizeta.__file__).parent
     trees = {path.relative_to(src).as_posix(): ast.parse(path.read_text())
              for path in sorted(src.rglob("*.py"))}
@@ -676,7 +674,7 @@ def test_every_defaulted_parameter_in_src_is_passed_in_src():
     unpassed = []
     for path, tree in trees.items():
         for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef) or fn.name == "to_json":
+            if not isinstance(fn, ast.FunctionDef):
                 continue
             positional = fn.args.posonlyargs + fn.args.args
             first = len(positional) - len(fn.args.defaults)
@@ -983,8 +981,8 @@ def test_workprec_only_in_the_precision_policy():
 
 def test_prec_is_the_only_accuracy_setting():
     # a tol, rel_tol or max_iterations parameter would be an accuracy setting
-    # beside prec. The two exemptions serve callers in the package that pass
-    # different values; finding them also shows the scan reaches methods.
+    # beside prec. The one exemption serves callers in the package that pass
+    # different values; finding it also shows the scan reaches methods.
     knobs = {"tol", "rel_tol", "max_iterations"}
     found = set()
     for info in pkgutil.walk_packages(partizeta.__path__, "partizeta."):
@@ -1002,5 +1000,4 @@ def test_prec_is_the_only_accuracy_setting():
                 except (TypeError, ValueError):  # not callable, or built in (exceptions)
                     continue
                 found |= {(module.__name__, qualname, p) for p in knobs & set(params)}
-    assert found == {("partizeta.modular", "LProfile.validate", "tol"),
-                     ("partizeta.numerics.poly", "poly_trim", "rel_tol")}
+    assert found == {("partizeta.modular", "LProfile.validate", "tol")}

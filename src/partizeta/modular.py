@@ -17,6 +17,7 @@ never computed here.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -348,6 +349,21 @@ def hk_polynomial(k: int, sign: int) -> list[Fraction]:
                       for a, b in zip(falling_poly(k - 2, k - 2), falling_poly(0, k - 2))])
 
 
+def _hk_excess(k: int, m: int, F: int, T: int):
+    """h_k(t) - m pi/2 at t = T / 2^F, h_k(t) = sum_{j<k-2} arccot(2t/(2j+1)):
+    the argument of (-i)^m prod_j (2t + (2j+1) i) grown from -m pi/2, one
+    atan2 plus 2 pi times the winding. The product runs in fixed point at
+    scale 2^F (each factor adds below a unit to a modulus >= 2^F) and each
+    factor turns it by less than pi, so its crossings of the negative real
+    axis (Im >= 0 to Im < 0) count the winding exactly."""
+    re, im = (x << F for x in ((1, 0), (0, -1), (-1, 0), (0, 1))[m % 4])
+    turns = -((m + 2) // 4)  # the winding of (-i)^m itself
+    for y in range(1, 2 * k - 4, 2):
+        re, im, was = (2 * T * re >> F) - y * im, (2 * T * im >> F) + y * re, im
+        turns += was >= 0 > im
+    return mp.atan2(im, re) + 2 * mp.pi * turns
+
+
 @guarded()
 def hk_zero_solver(k: int, sign: int, prec: int = DEFAULT_PREC,
                    largest_only: bool = False) -> list:
@@ -357,11 +373,12 @@ def hk_zero_solver(k: int, sign: int, prec: int = DEFAULT_PREC,
     h_k(t) = sum_{j=0}^{k-3} arccot(2t/(2j+1)) decreases from (k-2) pi to 0;
     zeros sit where it crosses {pi, ..., (k-3) pi} (sign -) or
     {pi/2, ..., (k-5/2) pi} (sign +). Each crossing t0 is first bisected in
-    Python floats, then bracketed by t0 -+ 2^-36 max(1, |t0|); the bracket is
-    checked at the working precision (h - target changes sign across it) and
-    widened x 2^10 until it holds, or replaced by (-tmax, tmax). One
-    ``mp.findroot`` (Anderson-Bjoerck) runs from it at the working precision;
-    a root it cannot verify raises RootFindingError. The polynomial is never
+    Python floats, then bracketed by t0 -+ 2^-36 max(1, |t0|), checked at the
+    working precision (h - target changes sign across it) and widened x 2^10
+    until it holds, or replaced by (-tmax, tmax). Newton steps with the float
+    h'(t) = -sum 2(2j+1)/((2j+1)^2 + 4t^2) run from t0 in fixed point,
+    bisecting when one leaves the bracket, to the sign check at
+    t -+ 2^-prec max(1, |t|) (else RootFindingError). The polynomial is never
     used, so its roots stay an independent check. Returns k-3 resp. k-2
     ordinates, descending (only the top one when largest_only).
     """
@@ -369,14 +386,11 @@ def hk_zero_solver(k: int, sign: int, prec: int = DEFAULT_PREC,
         raise ValueError("need even k >= 6")
     if sign not in (-1, 1):
         raise ValueError("sign must be +-1")
-
-    def h(t):
-        return mp.fsum(mp.pi / 2 - mp.atan(2 * t / (2 * j + 1)) for j in range(k - 2))
+    F = mp.mp.prec  # t = T / 2^F
+    tmax = math.ceil((k - 2) ** 2 / math.pi) + 8  # h(-tmax) ~ (k-2) pi > target > 0 ~ h(tmax)
 
     def h_float(t):
         return math.fsum(math.pi / 2 - math.atan(2 * t / (2 * j + 1)) for j in range(k - 2))
-
-    tmax = mp.mpf((k - 2) ** 2) / mp.pi + 8  # h(-tmax) ~ (k-2) pi > target > 0 ~ h(tmax)
 
     def crossing(m):
         # in doubles first: bisect h_float - m pi/2 down to 2^-44 max(1, |t|)
@@ -384,28 +398,36 @@ def hk_zero_solver(k: int, sign: int, prec: int = DEFAULT_PREC,
         while hi - lo > math.ldexp(max(1, abs(lo), abs(hi)), -44):
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if h_float(mid) > m * math.pi / 2 else (lo, mid)
-        t0 = mp.mpf((lo + hi) / 2)
-        tgt = m * mp.pi / 2
-
-        def f(t):
-            return h(t) - tgt
-
-        # h decreases, so t0 -+ d brackets the crossing iff f > 0 > f there,
-        # checked at the working precision
-        d = mp.ldexp(max(1, abs(t0)), -36)
-        while d < tmax and not f(t0 - d) > 0 > f(t0 + d):
-            d *= 1024
-        return mp.findroot(f, (t0 - d, t0 + d) if d < tmax else (-tmax, tmax),
-                           solver="anderson")
+        T, f = int(mp.ldexp((lo + hi) / 2, F)), functools.partial(_hk_excess, k, m, F)
+        # h decreases, so T -+ D brackets the crossing iff f > 0 > f there
+        D, Tmax = max(1 << F, abs(T)) >> 36, tmax << F
+        while D < Tmax and not f(T - D) > 0 > f(T + D):
+            D <<= 10
+        lo, hi = (T - D, T + D) if D < Tmax else (-Tmax, Tmax)
+        for _ in range(F):
+            e, t = f(T), T / (1 << F)
+            lo, hi = (T, hi) if e > 0 else (lo, T)
+            slope = -math.fsum(2 * y / (y * y + 4 * t * t) for y in range(1, 2 * k - 4, 2))
+            new = T - int(mp.ldexp(e, F) / slope)
+            if not lo <= new <= hi:
+                new = (lo + hi) // 2
+            # the float slope leaves a step s within ~2^-45 |s| of the crossing
+            D = max(1 << F, abs(new)) >> prec
+            if abs(new - T) <= D << 32 and f(new - D) > 0 > f(new + D):
+                return mp.ldexp(new, -F)
+            T = new
+        raise RootFindingError(f"H_{k} zero solver: no bracket of the crossing at {m} pi/2")
 
     # the targets m pi/2, m even (sign -) or odd (sign +), smallest first
     ms = range(2 if sign == -1 else 1, 2 * k - 4, 2)
     if largest_only:
         ms = ms[:1]  # smallest target value = highest ordinate
-    try:
-        return [crossing(m) for m in ms]
-    except ValueError as exc:
-        raise RootFindingError(f"H_{k} zero solver: {exc}") from exc
+    # per target, in units of ~1 us: the float bisection's steps of k - 2 atans,
+    # then 4 + F/48 evaluations (~52 bits a step), each k - 2 integer steps and an atan2
+    floats = (46 + tmax.bit_length()) * (k - 2) // 4
+    evals = (4 + F // 48) * (10 + F * F // 15000 + (k - 2) * (1 + F // 250))
+    check_work(len(ms) * (floats + evals), f"the zeros of H_{k} at {prec} bits")
+    return [crossing(m) for m in ms]
 
 
 def ehrhart_simplex_count(k: int, dilation: int) -> int:

@@ -64,15 +64,16 @@ def mp_polyval(monkeypatch) -> list[int]:
 
 
 @pytest.fixture
-def mp_atan(monkeypatch) -> list[int]:
-    """Counts every ``mp.atan`` call made while the test runs; the count is
-    the list's one entry."""
+def mp_atan2(monkeypatch) -> list[int]:
+    """Counts every ``mp.atan2`` call made while the test runs: each
+    evaluation of the H_k zero solver makes one. The count is the list's one
+    entry."""
     count = [0]
-    atan = mp.atan
+    atan2 = mp.atan2
 
     def counted(*args, **kwargs):
         count[0] += 1
-        return atan(*args, **kwargs)
+        return atan2(*args, **kwargs)
 
-    monkeypatch.setattr(mp, "atan", counted)
+    monkeypatch.setattr(mp, "atan2", counted)
     return count

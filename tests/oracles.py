@@ -293,6 +293,14 @@ def zeta_polynomial_from_moments(prof: LProfile, prec: int = DEFAULT_PREC) -> li
             for h in range(k - 1)]
 
 
+def hk_arccot_excess(k: int, m: int, t, prec: int):
+    """h_k(t) - m pi/2 as the arccot sum sum_{j<k-2} (pi/2 - atan(2t/(2j+1))),
+    term by term at 2 prec + 64 bits, with t as given."""
+    with mp.workprec(2 * prec + 64):
+        return (mp.fsum(mp.pi / 2 - mp.atan(2 * t / (2 * j + 1)) for j in range(k - 2))
+                - m * mp.pi / 2)
+
+
 @guarded()
 def weight4_inequality_check(prof: LProfile, prec: int = DEFAULT_PREC) -> dict:
     """(N/pi^2) L(f,3)^2 >= L(f,2)^2, and its equivalence with the two roots

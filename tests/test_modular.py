@@ -17,6 +17,7 @@ import pytest
 from oracles import (
     convergence_experiment,
     hecke_failures,
+    hk_arccot_excess,
     lambda_delta,
     universal_F,
     weight4_inequality_check,
@@ -40,7 +41,14 @@ from partizeta.modular import (
     tau_recursive,
     zeta_polynomial,
 )
-from partizeta.numerics import falling_poly, poly_eval, poly_negate_var, poly_roots, poly_to_mpc
+from partizeta.numerics import (
+    WORK_BUDGET,
+    falling_poly,
+    poly_eval,
+    poly_negate_var,
+    poly_roots,
+    poly_to_mpc,
+)
 
 PREC = 256
 
@@ -598,11 +606,10 @@ def test_hk_zero_solver_full_precision(prec):
 
 
 @pytest.mark.parametrize("k, prec", [(k, prec) for k in (6, 12, 20)
-                                     for prec in (64, 128, 256, 512, 1024)
-                                     if k <= 12 or prec < 1024])
+                                     for prec in (64, 128, 256, 512, 1024)] + [(40, 256)])
 def test_hk_zero_solver_precision_sweep(k, prec):
     # within its stated target, 2^(1-prec) max(1, |t|), of the same call at
-    # 2 prec + 64; the worst ordinate measured is within 2^(-0.1-prec) max(1, |t|)
+    # 2 prec + 64
     for sign in (-1, 1):
         ords = hk_zero_solver(k, sign, prec=prec)
         ref = hk_zero_solver(k, sign, prec=2 * prec + 64)
@@ -611,10 +618,67 @@ def test_hk_zero_solver_precision_sweep(k, prec):
                        for t, r in zip(ords, ref, strict=True))
 
 
+@pytest.mark.parametrize("k", [6, 14, 40])
+def test_hk_excess_matches_the_arccot_sum(k):
+    # the integer product's h - m pi/2 against the arccot sum at 2 prec + 64
+    # bits: at seeded t, at 0 and -+tmax, and at seeded t where a partial
+    # product (-i)^m prod_{j<J} (2t + (2j+1) i) lies on the negative real axis
+    # (h_J(t) - m pi/2 an odd multiple of pi), so its turn count decides there
+    prec = F = 192
+    rng = random.Random(f"hk-excess:{k}")
+    tmax = math.ceil((k - 2) ** 2 / math.pi) + 8
+
+    def on_axis(J, target):
+        # h_J(t) = target, bisected in doubles, then secant steps at 2 prec + 64
+        lo, hi = -tmax, tmax
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            h = math.fsum(math.pi / 2 - math.atan(2 * mid / (2 * j + 1)) for j in range(J))
+            lo, hi = (mid, hi) if h > target else (lo, mid)
+        with mp.workprec(2 * prec + 64):
+            return mp.findroot(lambda t: hk_arccot_excess(J + 2, 0, t, prec) - target, lo)
+
+    for m in sorted({1, 2, k - 3, k - 2, 2 * k - 5}):
+        ts = [mp.mpf(0), mp.mpf(tmax), -mp.mpf(tmax)]
+        ts += [mp.mpf(rng.uniform(-tmax, tmax)) for _ in range(6)]
+        # (J, n): h_J(t) = m pi/2 + (2n+1) pi, inside h_J's range (0, J pi)
+        axis = [(J, n) for J in range(1, k - 1) for n in range(-m, J)
+                if 0 < m / 2 + 2 * n + 1 < J]
+        with mp.workprec(2 * prec + 64):
+            ts += [on_axis(J, (m / 2 + 2 * n + 1) * mp.pi)
+                   for J, n in rng.sample(axis, min(4, len(axis)))]
+        with mp.workprec(F):
+            for t in ts:
+                for T in (int(mp.ldexp(t, F)) + e for e in (-1, 0, 1)):
+                    got = modular._hk_excess(k, m, F, T)
+                    want = hk_arccot_excess(k, m, mp.ldexp(T, -F), prec)
+                    assert abs(got - want) <= mp.ldexp(k * max(1, abs(want)), 2 - F), (m, t)
+
+
+@pytest.mark.parametrize("k, sign, prec", [(6, -1, 64), (14, -1, 152), (16, 1, 144),
+                                           (40, 1, 256)])
+def test_hk_zero_solver_brackets_hold_under_the_oracle(k, sign, prec):
+    # each returned ordinate t has its crossing of m pi/2 within
+    # 2d = 2^(1-prec) max(1, |t|), by the arccot sum's signs at t -+ 2d; moved
+    # by 4d, the same check fails
+    ords = hk_zero_solver(k, sign, prec=prec)
+    ms = range(2 if sign == -1 else 1, 2 * k - 4, 2)
+
+    def brackets(m, t, d):
+        return hk_arccot_excess(k, m, t - d, prec) > 0 > hk_arccot_excess(k, m, t + d, prec)
+
+    for t, m in zip(ords, ms, strict=True):
+        with mp.workprec(2 * prec + 64):
+            d = mp.ldexp(max(1, abs(t)), -prec)
+            assert brackets(m, t, 2 * d)
+            assert not brackets(m, t - 4 * d, 2 * d)
+            assert not brackets(m, t + 4 * d, 2 * d)
+
+
 @pytest.mark.parametrize("sign", [0, 2])
 def test_hk_zero_solver_rejects_other_signs(sign, monkeypatch):
-    # refused before any root search, as hk_polynomial refuses it
-    monkeypatch.setattr(mp, "findroot", None)
+    # refused before any evaluation, as hk_polynomial refuses it
+    monkeypatch.setattr(modular, "_hk_excess", None)
     with pytest.raises(ValueError, match="sign"):
         hk_zero_solver(6, sign, prec=PREC)
     with pytest.raises(ValueError, match="sign"):
@@ -622,32 +686,62 @@ def test_hk_zero_solver_rejects_other_signs(sign, monkeypatch):
 
 
 @pytest.mark.parametrize("k, sign, prec", [(14, -1, 152), (16, 1, 136), (16, -1, 144)])
-def test_hk_zero_solver_evaluations(mp_atan, k, sign, prec):
-    # each h evaluation is k - 2 mp.atan calls. A target costs 9: two at the
-    # ends of the bracket t0 -+ 2^-36 max(1, |t0|) round the float crossing
-    # t0, seven in the Anderson findroot from it (three of them at its ends).
-    # From (-tmax, tmax) it cost 16.1, 16.5 and 16.1 a target. H_14^-'s odd
-    # count has the ordinate t = 0, whose bracket is 2^-36 wide all the same.
+def test_hk_zero_solver_evaluations(mp_atan2, k, sign, prec):
+    # each evaluation of h - m pi/2 is one integer product and one mp.atan2.
+    # A target costs 7: two at the ends of the bracket t0 -+ 2^-36 max(1, |t0|)
+    # round the float crossing t0, three Newton steps from t0 (the float slope
+    # gains ~50 bits a step: 2^-44, 2^-94, then 2^-144, below 2^(32-prec)
+    # max(1, |t|)), and two at the sign check t -+ 2^-prec max(1, |t|). H_14^-'s
+    # odd count has the ordinate t = 0, which costs 7 all the same.
     ords = hk_zero_solver(k, sign, prec=prec)
-    assert mp_atan[0] == 9 * (k - 2) * len(ords)
+    assert mp_atan2[0] == 7 * len(ords)
 
 
 @pytest.mark.parametrize("bias", [2.0 ** -30, None], ids=["widened", "from-tmax"])
-def test_hk_zero_solver_widens_a_bracket_that_misses(monkeypatch, mp_atan, bias):
+def test_hk_zero_solver_widens_a_bracket_that_misses(monkeypatch, mp_atan2, bias):
     # a float stage that misses the crossing: its bracket is widened x 2^10
     # until its ends straddle the crossing at the working precision, or the
-    # search starts from (-tmax, tmax); either way the ordinates stay the same
+    # search starts from (-tmax, tmax); either way the ordinates stay the same,
+    # at 9.9 and 16.9 evaluations a target
     want = hk_zero_solver(14, -1, prec=152)
-    mp_atan[0] = 0
+    mp_atan2[0] = 0
     atan = math.atan
     # modular's own math module only: mpmath's atan starts from math.atan
     monkeypatch.setattr(modular, "math", types.SimpleNamespace(
         **{**vars(math), "atan": lambda x: 0.0 if bias is None else atan(x) + bias}))
     got = hk_zero_solver(14, -1, prec=152)
-    assert mp_atan[0] > 9 * (14 - 2) * len(got)
+    assert mp_atan2[0] > 7 * len(got)
     with mp.workprec(152):
         assert all(abs(t - w) <= mp.ldexp(max(1, abs(w)), -151)
                    for t, w in zip(got, want, strict=True))
+
+
+def test_hk_zero_solver_prices_its_work_first(monkeypatch, mp_atan2):
+    # a huge weight or precision is refused before any evaluation; the sizes
+    # A15 and the benchmark run are priced within the budget
+    for k, prec in ((10 ** 4, 64), (6, 10 ** 5)):
+        with pytest.raises(ArithmeticError, match="WORK_BUDGET"):
+            hk_zero_solver(k, 1, prec=prec)
+    assert mp_atan2[0] == 0
+    priced = []
+
+    class Priced(Exception):
+        pass
+
+    def priced_check(units, what):
+        priced.append(units)
+        raise Priced
+
+    monkeypatch.setattr(modular, "check_work", priced_check)
+    sizes = [(k, sign, 256, False) for k in (6, 8, 12) for sign in (-1, 1)]
+    sizes += [(k, sign, 64, True) for k in (20, 30, 40) for sign in (-1, 1)]
+    sizes += [(k, sign, prec, False) for k in (14, 16) for sign in (-1, 1)
+              for prec in (136, 144, 152)]
+    for k, sign, prec, largest_only in sizes:
+        with pytest.raises(Priced):
+            hk_zero_solver(k, sign, prec=prec, largest_only=largest_only)
+    assert len(priced) == len(sizes) and max(priced) <= WORK_BUDGET
+    assert mp_atan2[0] == 0
 
 
 def test_roots_price_a_cold_start_before_it(mp_polyval):

@@ -107,18 +107,18 @@ def test_bernoulli_table_matches_bernfrac():
         assert B[n] == Fraction(*mp.bernfrac(n)), n
 
 
-def test_bernoulli_table_grows_geometrically(monkeypatch):
-    # the tangent recurrence reruns from T_1 on each growth; one even index at
-    # a time to B_600 must rebuild O(log n) times (3/2 growth: 16), not ~300
-    calls = []
-    tangent_numbers = tables_module._tangent_numbers
-    monkeypatch.setattr(tables_module, "_bernoulli", [])
-    monkeypatch.setattr(tables_module, "_tangent_numbers",
-                        lambda n: calls.append(n) or tangent_numbers(n))
+def test_bernoulli_table_computes_each_tangent_column_once(monkeypatch):
+    # the table keeps the last column of the tangent recurrence, so growing it
+    # one even index at a time to B_600 computes each of its 300 columns once
+    columns = []
+    next_column = tables_module._next_column
+    monkeypatch.setattr(tables_module, "_state", ([], []))
+    monkeypatch.setattr(tables_module, "_next_column",
+                        lambda column: columns.append(len(column)) or next_column(column))
     for n in range(0, 601, 2):
         assert len(bernoulli_table(n)) == n + 1
-    assert len(calls) <= 20, calls
-    assert tables_module._bernoulli[:601] == [Fraction(*mp.bernfrac(n)) for n in range(601)]
+    assert columns == list(range(300))
+    assert tables_module._state[0][:601] == [Fraction(*mp.bernfrac(n)) for n in range(601)]
 
 
 def test_tables_reject_negative_indices():
@@ -131,24 +131,31 @@ def test_tables_reject_negative_indices():
 
 
 def test_tables_grow_safely_from_several_threads(monkeypatch):
-    # four threads grow the Bernoulli table from empty at once: each growth is
-    # built aside and published with one assignment, so no thread sees a
-    # half-built table and none leaves a duplicate entry
-    want_b = bernoulli_table(120)
+    # four threads grow the Bernoulli table at once in interleaved steps, from
+    # empty or from a kept column: each growth is built aside and published
+    # with its column in one assignment, so no thread sees a half-built table,
+    # none leaves a duplicate entry, and the state left is the one a single
+    # build to the same length leaves
+    want_b = [Fraction(*mp.bernfrac(n)) for n in range(241)]
     start = threading.Barrier(4)
 
-    def grow(_):
+    def grow(i):
         start.wait(timeout=60)
-        return [bernoulli(n) for n in range(121)] == want_b
+        return all(bernoulli(n) == want_b[n] for n in range(i, 241, 4))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
-            monkeypatch.setattr(tables_module, "_bernoulli", [])
+        for kept in (0, 40, 101, 0, 162) * 4:
+            monkeypatch.setattr(tables_module, "_state", ([], []))
+            bernoulli_table(kept)
             with ThreadPoolExecutor(4) as pool:
                 assert all(pool.map(grow, range(4), timeout=60))
-            assert tables_module._bernoulli[:121] == want_b
+            state = tables_module._state
+            assert state[0][:241] == want_b
+            monkeypatch.setattr(tables_module, "_state", ([], []))
+            bernoulli_table(len(state[0]) - 1)
+            assert tables_module._state == state
     finally:
         sys.setswitchinterval(old)
 
@@ -560,7 +567,7 @@ def test_bernoulli_ratios_from_tangent_numbers_match_bernfrac(monkeypatch):
     # the ratios, read from a cold Bernoulli table, against ratios of mpmath's
     # exact Bernoulli numbers
     monkeypatch.setattr(zeta_module, "_BERNOULLI_RATIOS", {})
-    monkeypatch.setattr(tables_module, "_bernoulli", [])
+    monkeypatch.setattr(tables_module, "_state", ([], []))
     F = 200
     B = [Fraction(*mp.bernfrac(n)) for n in range(83)]
     want = [math.floor(B[2 * v + 2] / (B[2 * v] * (2 * v + 1) * (2 * v + 2)) * 2 ** F)
@@ -572,7 +579,7 @@ def test_bernoulli_ratio_table_is_not_built_at_import():
     code = ("import partizeta.cli\n"
             "from partizeta.numerics import tables, zeta\n"
             "assert zeta._BERNOULLI_RATIOS == {}, zeta._BERNOULLI_RATIOS.keys()\n"
-            "assert tables._bernoulli == [], len(tables._bernoulli)\n")
+            "assert tables._state == ([], []), len(tables._state[0])\n")
     src = pathlib.Path(partizeta.__file__).parent.parent
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)

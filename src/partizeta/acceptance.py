@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -27,12 +26,11 @@ from .partitions import PartSet
 
 PREC = 256
 
-@dataclass
 class CriterionResult:
-    cid: str
-    description: str
-    passed: bool
-    detail: str
+    __slots__ = ("cid", "description", "passed", "detail")
+
+    def __init__(self, cid: str, description: str, passed: bool, detail: str):
+        self.cid, self.description, self.passed, self.detail = cid, description, passed, detail
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

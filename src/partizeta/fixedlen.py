@@ -35,25 +35,6 @@ from .numerics.bell import determinant_work
 from .numerics.zeta import power_sum_work
 
 
-class MZVIndex:
-    """Exponent tuple (m_1, ..., m_k); m_1 sits on the outermost (largest)
-    summation variable, so convergence needs m_1 >= 2."""
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents: tuple[int, ...]):
-        if not exponents or any(m < 1 for m in exponents):
-            raise ValueError("exponents must be positive integers")
-        self.exponents = exponents
-
-    @property
-    def length(self):
-        return len(self.exponents)
-
-    def is_convergent(self):
-        return self.exponents[0] >= 2
-
-
 def compositions(k: int) -> list[tuple[int, ...]]:
     """All 2^{k-1} compositions of k, in first-part-ascending order."""
     if k < 1:
@@ -158,7 +139,9 @@ def _series_value(m: int, k: int, sign: int, prec: int):
 
 # ----------------------------------------------------------------------
 def mzv_bruteforce(index, bound: int):
-    """Strict nested sum for zeta(m_1, ..., m_k) with n_1 <= bound, in floats.
+    """Strict nested sum for zeta(m_1, ..., m_k) with n_1 <= bound, in floats;
+    m_1 sits on the outermost (largest) summation variable, so convergence
+    needs m_1 >= 2.
 
     Certified lower bound of the MZV; the returned tail estimate is the
     product upper bound prod_{j>=2} H_{m_j}(bound) * bound^{1-m_1}/(m_1-1).
@@ -166,12 +149,12 @@ def mzv_bruteforce(index, bound: int):
     float terms at length 2 take ~0.4 s and ~40 MB, so the budget also caps
     its memory), is checked against the work budget before any evaluation.
     """
-    idx = index.exponents if isinstance(index, MZVIndex) else tuple(index)
-    idx = MZVIndex(idx)
-    if not idx.is_convergent():
-        raise ValueError(f"index {idx.exponents}: leading exponent must be >= 2")
-    ex = idx.exponents
-    k = idx.length
+    ex = tuple(index)
+    if not ex or any(m < 1 for m in ex):
+        raise ValueError("exponents must be positive integers")
+    if ex[0] < 2:
+        raise ValueError(f"index {ex}: leading exponent must be >= 2")
+    k = len(ex)
     if bound < k:
         raise ValueError("bound must be at least the length")
     check_work(k * bound, f"the brute-force MZV at length {k} and bound {bound}")

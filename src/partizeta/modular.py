@@ -1,18 +1,20 @@
 """Modular-form side: the tau recursion through the universal coefficient
 polynomials (each evaluated as a log-series coefficient, on integers) and
-its eta-product oracle, the completed critical values Lambda(1..11) of the
-discriminant form at the integers (one pass over the split-integral series,
-one incomplete-gamma ladder per term), period polynomials, zeta polynomials
-as coefficient lists (exact integer weights against the Lambda values) with
-their functional equation and critical-line root checks, the comparison
-polynomials H_k built from integer falling-factorial rows with their zero
-solver, and the exact lattice-point count of the dilated reflexive simplex
-(one binomial per coordinate-sum slice) behind the Ehrhart identity for H_k^-.
+its eta-product oracle, the completed critical values Lambda(1..k-1) at the
+integers of the level-1 forms Delta E_{k-12}, k = 12, 16, 18, 20, 22, 26
+(one pass over the split-integral series, one incomplete-gamma ladder per
+term), period polynomials, zeta polynomials as coefficient lists (exact
+integer weights against the Lambda values) with their functional equation
+and critical-line root checks, the comparison polynomials H_k built from
+integer falling-factorial rows with their zero solver, and the exact
+lattice-point count of the dilated reflexive simplex (one binomial per
+coordinate-sum slice) behind the Ehrhart identity for H_k^-.
 
 Scope note: the universal recursion is implemented for forms with no zeros
 in the fundamental domain (the divisor correction term vanishes), which the
-discriminant form satisfies; level N > 1 profiles are ingested from JSON,
-never computed here.
+discriminant form satisfies. Profiles are computed at level 1 for the six
+weights whose cusp space is one-dimensional; other level-1 weights and level
+N > 1 profiles are ingested from JSON, never computed here.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def eisenstein_coeffs(k: int, T: int) -> list[Fraction]:
 
 
 # ----------------------------------------------------------------------
-# completed L-values of the discriminant form
+# completed L-values of the level-1 cusp forms
 def _gamma_ladder(x, ex, steps: int) -> list:
     """Gamma(a, x)/x^a for a = 1..steps + 1, with ex = e^-x: one incomplete
     gamma from mpmath at a = 1, then Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x
@@ -116,40 +118,46 @@ def _gamma_ladder(x, ex, steps: int) -> list:
 
 
 @guarded(extra=32)
-def _lambda_values(prec: int) -> list:
-    """Lambda(1..11) from one pass over the terms n: tau(n) from
-    ``tau_eta_oracle``, e^{-2 pi n} a running product, and per n one
-    ``_gamma_ladder`` a = 1..11, Lambda(j) reading its rungs j and 12 - j.
-    Its price is checked against the work budget before any term."""
-    # the pass keeps the terms n < n_stop, about prec ln 2/(2 pi) of them. With
-    # |tau(j)| <= j^6.5 the rest is at most sum_{j>=n} 8 j^6.5 (2 pi j)^10
-    # e^{-2 pi j}/(1 - e^{-2 pi}), decreasing for n >= 3: n_stop is the first
-    # n >= 2 that puts it under 2^(10-prec)/100, in log2 with one bit to spare,
-    # and e^{-2 pi n} alone keeps it above that below the first n tried
+def _lambda_values(k: int, eps: int, a, prec: int) -> list:
+    """Lambda(1..k-1) of the level-1 form of weight k, sign eps and
+    coefficients a(N) = [a(1), ..., a(N)], from one pass over the terms n:
+    e^{-2 pi n} a running product, and per n one ``_gamma_ladder`` g of rungs
+    1..k-1, Lambda(j) += a(n) (g[j-1] + eps g[k-1-j]). Each value is within
+    2^(10-prec) max(1, |Lambda(j)|) of the exact one. Its price is checked
+    against the work budget before any term."""
+    # the pass keeps the terms n < n_stop, about prec ln 2/(2 pi) of them. As
+    # Gamma(b, x) <= e^-x (x + b - 1)^(b-1) and |a(j)| <= d(j) j^((k-1)/2) <=
+    # j^((k+1)/2), term j is at most T(j) = 2 j^((k+1)/2) (2 pi j)^(k-2)
+    # e^{-2 pi j} for k <= 35, and the rest at most 4 T(n)/(1 - e^{-2 pi})
+    # while T(n+1)/T(n) <= 3/4 (n >= 3 at k = 12, n >= 6 at k = 26; n_stop is 9
+    # resp. 27 or more): n_stop is the first n >= 2 that puts it under
+    # 2^(10-prec)/100, in log2 with one bit to spare, and e^{-2 pi n} alone
+    # keeps it above that below the first n tried
     rate = 2 * math.pi / math.log(2)
     target = 9 - prec - math.log2(100)
     n_stop = max(2, int(-target / rate))
-    while (3 - math.log2(1 - math.exp(-2 * math.pi)) + 6.5 * math.log2(n_stop)
-           + 10 * math.log2(2 * math.pi * n_stop) - rate * n_stop) >= target:
+    while (3 - math.log2(1 - math.exp(-2 * math.pi)) + (k + 1) / 2 * math.log2(n_stop)
+           + (k - 2) * math.log2(2 * math.pi * n_stop) - rate * n_stop) >= target:
         n_stop += 1
     # per term, in units of ~1 us: the ladder's base 20 + wp^2/40000 (a closed
-    # form), each of its ten steps and each value's sum 10 + wp^2/500000.
-    # Priced and timed: the profile at 3241 bits 3.6 x 10^5, 0.34 s, and at
-    # 8000 bits 4.1 x 10^6, 4.1 s (2-core x86 VM, CPython 3.11, mpmath
+    # form), each of its k - 2 steps and each value's sum 10 + wp^2/500000.
+    # Priced and timed at k = 12: the profile at 3241 bits 3.6 x 10^5, 0.34 s,
+    # and at 8000 bits 4.1 x 10^6, 4.1 s (2-core x86 VM, CPython 3.11, mpmath
     # pure-Python backend)
     wp = mp.mp.prec
-    check_work((n_stop - 1) * (20 + wp * wp // 40000 + 21 * (10 + wp * wp // 500000)),
-               f"the discriminant-form profile at {prec} bits")
-    tau = tau_eta_oracle(n_stop - 1)
+    check_work((n_stop - 1) * (20 + wp * wp // 40000 + (2 * k - 3) * (10 + wp * wp // 500000)),
+               f"the weight-{k} profile at {prec} bits")
+    coeffs = a(n_stop - 1)
     q = mp.exp(-2 * mp.pi)
     ex = mp.mpf(1)
-    totals = [mp.mpf(0)] * 11
+    totals = [mp.mpf(0)] * (k - 1)
     for n in range(1, n_stop):
         x = 2 * mp.pi * n
         ex *= q
-        g = _gamma_ladder(x, ex, 10)
-        for j in range(1, 12):
-            totals[j - 1] += tau[n - 1] * (g[j - 1] + g[11 - j])
+        g = _gamma_ladder(x, ex, k - 2)
+        h = g if eps == 1 else [-v for v in g]  # eps g, with no work for eps = 1
+        for j in range(1, k):
+            totals[j - 1] += coeffs[n - 1] * (g[j - 1] + h[k - 1 - j])
     return totals
 
 
@@ -231,12 +239,33 @@ class LProfile:
         return cls(lam=lam, source=data.get("source", "file"), **fields)
 
 
-def build_delta_profile(prec: int = DEFAULT_PREC) -> LProfile:
-    """Assemble the discriminant-form profile Lambda(1..11) from one pass
-    (one ladder a = 1..11 per term) and validate it."""
-    prof = LProfile(weight=12, level=1, sign=1, lam=_lambda_values(prec), source="computed")
+def build_level1_profile(k: int, prec: int = DEFAULT_PREC) -> LProfile:
+    """Assemble the profile Lambda(1..k-1) of Delta E_{k-12}, sign (-1)^(k/2),
+    which spans the level-1 cusp space S_k for k = 12, 16, 18, 20, 22, 26, from
+    one pass (one ladder a = 1..k-1 per term) and validate it."""
+    if k not in (12, 16, 18, 20, 22, 26):
+        raise ValueError(f"S_{k} of level 1 is not one-dimensional: "
+                         "weight must be 12, 16, 18, 20, 22 or 26")
+    sign = (-1) ** (k // 2)
+    lam = _lambda_values(k, sign, functools.partial(_cusp_coeffs, k), prec)
+    prof = LProfile(weight=k, level=1, sign=sign, lam=lam, source="computed")
     prof.validate(tol=mp.ldexp(1, -(prec // 2)))
     return prof
+
+
+def _cusp_coeffs(k: int, nmax: int) -> list[int]:
+    """a(1..nmax) of Delta E_{k-12}: tau at k = 12, else tau convolved with
+    the (integer) coefficients of E_{k-12}."""
+    tau = tau_eta_oracle(nmax)
+    if k == 12:
+        return tau
+    e = [int(c) for c in eisenstein_coeffs(k - 12, nmax - 1)]
+    return [sum(t * c for t, c in zip(tau, e[n - 1::-1])) for n in range(1, nmax + 1)]
+
+
+def build_delta_profile(prec: int = DEFAULT_PREC) -> LProfile:
+    """The discriminant-form profile: ``build_level1_profile`` at k = 12."""
+    return build_level1_profile(12, prec)
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from partizeta.modular import (
     period_polynomial,
     rh_check,
     sigma_power,
+    tau_eta_oracle,
     zeta_polynomial,
 )
 from partizeta.numerics import (
@@ -253,11 +254,11 @@ def hecke_failures(tau: list[int], weight: int = 12) -> list[tuple]:
 
 def lambda_delta(s: int, prec: int = DEFAULT_PREC):
     """Completed critical value of the weight-12 level-1 form at an integer
-    s in [1, 11]: entry s of the profile's pass (``_lambda_values``), within
-    2^(10-prec) of the exact value."""
+    s in [1, 11]: entry s of the profile's pass (``_lambda_values`` at k = 12,
+    sign +1, tau from the eta product), within 2^(10-prec) of the exact value."""
     if s not in range(1, 12):
         raise ValueError("Lambda(Delta, s) is computed at the integers 1 <= s <= 11")
-    return _lambda_values(prec)[s - 1]
+    return _lambda_values(12, 1, tau_eta_oracle, prec)[s - 1]
 
 
 @guarded()

@@ -4,6 +4,7 @@ box-scan oracle."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -27,6 +28,7 @@ from partizeta import modular
 from partizeta.modular import (
     LProfile,
     build_delta_profile,
+    build_level1_profile,
     ehrhart_simplex_count,
     eisenstein_coeffs,
     functional_eq_check,
@@ -96,6 +98,10 @@ def test_tau_routes_satisfy_the_hecke_relations():
     assert hecke_failures(tau_eta_oracle(300)) == []
     # one wrong value breaks a relation the oracle watches
     assert hecke_failures([1, -24, 252, -1472, 4830, -6049]) == [(2, 3)]
+    # Delta E_{k-12}, the eigenform of each other one-dimensional S_k, and its a(2)
+    for k, a2 in ((16, 216), (18, -528), (20, 456), (22, -288), (26, -48)):
+        a = modular._cusp_coeffs(k, 300)
+        assert a[:2] == [1, a2] and hecke_failures(a, k) == [], k
 
 
 def test_tau_recursive_refuses_a_non_integer_step(monkeypatch):
@@ -153,43 +159,71 @@ def test_lambda_delta_precision_sweep(s, prec):
         assert abs(v - ref) <= mp.ldexp(1, 10 - prec)
 
 
-def _two_gammainc_reference(prec):
-    """Lambda(1..11) at prec + 32 bits by the split-integral series
-    with two mp.gammainc calls per term (no ladder), tau from the recursion;
-    the terms run while e^{-2 pi n} (2 pi n)^11 n^7 > 2^-(prec + 40)."""
+def _two_gammainc_reference(k, eps, a, prec):
+    """Lambda(1..k-1) at prec + 32 bits by the split-integral series, each
+    term's two incomplete gammas from mp.gammainc (one call per rung b =
+    1..k-1, no ladder), coefficients a(1..nmax) from a(nmax); the terms run
+    while e^{-2 pi n} (2 pi n)^(k-1) n^((k+2)/2) > 2^-(prec + 40)."""
     with mp.workprec(prec + 32):
-        eps = mp.ldexp(1, -(prec + 40))
+        tol = mp.ldexp(1, -(prec + 40))
         nmax = 1
-        while mp.exp(-2 * mp.pi * nmax) * (2 * mp.pi * nmax) ** 11 * nmax ** 7 > eps:
+        while (mp.exp(-2 * mp.pi * nmax) * (2 * mp.pi * nmax) ** (k - 1)
+               * nmax ** (k // 2 + 1)) > tol:
             nmax += 1
-        tau = tau_recursive(nmax)
-        out = []
-        for s in range(1, 12):
-            total = mp.mpf(0)
-            for n in range(1, nmax + 1):
-                x = 2 * mp.pi * n
-                total += tau[n - 1] * (mp.gammainc(s, x) / x ** s
-                                       + mp.gammainc(12 - s, x) / x ** (12 - s))
-            out.append(total)
-        return out
+        coeffs = a(nmax)
+        totals = [mp.mpf(0)] * (k - 1)
+        for n in range(1, nmax + 1):
+            x = 2 * mp.pi * n
+            g = [mp.gammainc(b, x) / x ** b for b in range(1, k)]
+            for s in range(1, k):
+                totals[s - 1] += coeffs[n - 1] * (g[s - 1] + eps * g[k - 1 - s])
+        return totals
 
 
-@pytest.mark.parametrize("prec", [64, 128, 256, 512, 1024])
-def test_delta_profile_precision_sweep(prec):
-    # all eleven values within 2^(10-prec) of the same profile at 2 prec + 64
-    # and of the two-gammainc reference
-    lam = build_delta_profile(prec).lam
-    high = build_delta_profile(2 * prec + 64).lam
-    ref = _two_gammainc_reference(prec)
-    with mp.workprec(2 * prec + 64):
-        assert max(abs(v - w) for v, w in zip(lam, high)) <= mp.ldexp(1, 10 - prec)
-        assert max(abs(v - w) for v, w in zip(lam, ref)) <= mp.ldexp(1, 10 - prec)
+def _reference_coeffs(k, nmax):
+    """a(1..nmax) of Delta E_{k-12} with tau from the recursion, not the eta product."""
+    tau = tau_recursive(nmax)
+    e = eisenstein_coeffs(k - 12, nmax) if k > 12 else [1] + [0] * nmax
+    return [int(sum(tau[i] * e[n - i] for i in range(n + 1))) for n in range(nmax)]
 
 
-@pytest.mark.parametrize("prec", [64, 256, 1024])
-def test_delta_profile_price_counts_its_work(monkeypatch, prec):
+# Delta's cases keep their ids; each other weight runs its three precisions
+# against one reference at the highest
+@pytest.mark.parametrize("k, precs", [pytest.param(12, (prec,), id=str(prec))
+                                      for prec in (64, 128, 256, 512, 1024)]
+                         + [pytest.param(k, (64, 256, 1024), id=f"k{k}")
+                            for k in (16, 18, 20, 22, 26)])
+def test_delta_profile_precision_sweep(k, precs):
+    # all k - 1 values within 2^(10-prec) max(1, |Lambda|) of the same profile
+    # at 2 prec + 64 and of the two-gammainc reference: |Lambda(25)| ~ 6.9e3
+    # at k = 26 is more than an absolute 2^(10-prec) can hold at prec bits.
+    # Z_f keeps its functional equation and critical line within
+    # 2^(k/2-prec) max(1, |Lambda|), its roots k - 2 or k - 3 of them
+    eps, top = (-1) ** (k // 2), max(precs)
+    high = build_level1_profile(k, 2 * top + 64).lam
+    ref = _two_gammainc_reference(k, eps, functools.partial(_reference_coeffs, k), top)
+    scale = [max(1, abs(w)) for w in high]
+    for prec in precs:
+        prof = build_level1_profile(k, prec)
+        assert prof.weight == k and prof.sign == eps
+        with mp.workprec(2 * top + 64):
+            for other in (high, ref):
+                assert all(abs(v - w) <= mp.ldexp(c, 10 - prec)
+                           for v, w, c in zip(prof.lam, other, scale)), prec
+        Z = zeta_polynomial(prof, prec)
+        roots, dev = rh_check(Z, prec)
+        bound = mp.ldexp(max(scale), k // 2 - prec)
+        assert functional_eq_check(Z, eps, prec) <= bound and dev <= bound, prec
+        assert len(roots) == k - 2 - (eps == -1)
+
+
+# Delta's cases keep their ids
+@pytest.mark.parametrize("k, prec", [pytest.param(12, prec, id=str(prec))
+                                     for prec in (64, 256, 1024)]
+                         + [pytest.param(26, prec, id=f"k26-{prec}") for prec in (64, 256, 1024)])
+def test_delta_profile_price_counts_its_work(monkeypatch, k, prec):
     # deterministic calibration: one mp.gammainc per term, at x = 2 pi n for
-    # n = 1, 2, ..., then ten ladder steps and eleven sums. Each counted
+    # n = 1, 2, ..., then k - 2 ladder steps and k - 1 sums. Each counted
     # operation takes over 1 us (one unit), and the price is at most 16 units
     # per operation up to 1024 bits
     xs, steps, priced = [], [0], []
@@ -210,13 +244,21 @@ def test_delta_profile_price_counts_its_work(monkeypatch, prec):
     monkeypatch.setattr(mp, "gammainc", counted_gammainc)
     monkeypatch.setattr(modular, "_gamma_ladder", counted_ladder)
     monkeypatch.setattr(modular, "check_work", priced_check)
-    build_delta_profile(prec)
+    build_level1_profile(k, prec)
     terms = len(xs)
     with mp.workprec(prec + 64):
         assert [int(mp.nint(x / (2 * mp.pi))) for x in xs] == list(range(1, terms + 1))
-    assert steps[0] == 10 * terms
-    counted = terms + steps[0] + 11 * terms
+    assert steps[0] == (k - 2) * terms
+    counted = terms + steps[0] + (k - 1) * terms
     assert len(priced) == 1 and counted <= priced[0] <= 16 * counted
+
+
+@pytest.mark.parametrize("k", [4, 10, 14, 24, 28, 100])
+def test_level1_profile_refuses_a_weight_without_one_form(monkeypatch, k):
+    # S_k is 0 below 12 and at 14, two-dimensional or more at 24 and past 26
+    monkeypatch.setattr(modular, "check_work", None)  # refused before any price
+    with pytest.raises(ValueError, match=f"S_{k} of level 1 is not one-dimensional"):
+        build_level1_profile(k, 64)
 
 
 def test_lambda_delta_monotone_chain(delta):
@@ -485,8 +527,10 @@ def test_rv_transform_examples():
     assert [type(h) for h in rv_transform([1] * 4)] == [Fraction] * 4
     assert rv_transform([1] * 4) == H
     assert rv_transform([Fraction(1)]) == [Fraction(1)]
-    assert rv_transform([Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(1)]) \
-        == hk_polynomial(6, 1)
+    # hk_polynomial's binomial transforms: of x^{k-2} + 1 and of 1 + x + ... + x^{k-3}
+    for k in range(4, 41, 2):
+        assert rv_transform([1] + [0] * (k - 3) + [1]) == hk_polynomial(k, 1), k
+        assert rv_transform([1] * (k - 2)) == hk_polynomial(k, -1), k
     with pytest.raises(ValueError):
         rv_transform([Fraction(1), Fraction(-1)])  # U(1) = 0
 

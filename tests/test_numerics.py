@@ -243,7 +243,7 @@ def test_log_gamma_reflection_sanity():
 
 
 # ---------------------------------------------------------------- incomplete gamma
-# the upward ladder Gamma(a, x)/x^a, a = 1..11, of the discriminant-form pass
+# the upward ladder Gamma(a, x)/x^a, a = 1..k-1, of the level-1 profile pass
 def test_incomplete_gamma_exponential_case():
     # the base Gamma(1, 1) = e^-1, and one step up Gamma(2, 1) = 1 * e^-1 + e^-1
     with mp.workprec(PREC):
@@ -634,8 +634,7 @@ def test_every_public_name_in_src_has_a_caller_in_src():
     # src/ ships what the CLI, the acceptance criteria and the routes they run
     # reach; reference oracles live in tests/oracles.py. A re-export or an
     # __all__ entry is no use, nor is a reference inside the name's own
-    # definition. Public methods of public classes count too. One library
-    # route is kept without a caller, the Eisenstein coefficients
+    # definition. Public methods of public classes count too
     src = pathlib.Path(partizeta.__file__).parent
     trees = [ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))]
     defs = [stmt for tree in trees for stmt in tree.body]
@@ -650,7 +649,7 @@ def test_every_public_name_in_src_has_a_caller_in_src():
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             names.discard(stmt.name)
         used |= names
-    assert sorted(public - used - {"eisenstein_coeffs"}) == []
+    assert sorted(public - used) == []
 
 
 def test_every_defaulted_parameter_in_src_is_passed_in_src():
